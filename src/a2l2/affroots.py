@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .liealg import E, LieElt
+from .liealg import E, LieElt, level_for
 from .linalg import SpanSolver
 
 Scalar = Fraction
@@ -366,7 +366,7 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     contribution to the span.
     """
     l = lam.rank
-    if lam.level != Fraction(-(2 * l + 1), 2):
+    if lam.level != level_for(l):
         raise ValueError("weight is not at the studied level")
     r = rho(l)
     shifted = lam + r

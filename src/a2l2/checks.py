@@ -14,15 +14,11 @@ import json
 import os
 import time
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .affroots import (
-    algebra_data,
-    cartan_matrix_from_form,
-    check_admissible,
-    kw_positivity,
-)
+from .affroots import algebra_data, cartan_matrix_from_form, kw_positivity
 from .classify import (
+    admissibility_table,
     affinize,
     all_highest_weights,
     dominant_integral_filter,
@@ -31,7 +27,7 @@ from .classify import (
     zero_set_oracle,
 )
 from .envelope import uea_string
-from .liealg import computed_b_cartan, g1_basis, g1_zero_weight_dim
+from .liealg import computed_b_cartan, g1_basis, g1_zero_weight_dim, level_for
 from .twzhu import (
     compute_v1,
     lowered_polynomials,
@@ -57,23 +53,34 @@ DEFAULT_MAX_RANK = 4
 
 
 def max_rank() -> int:
-    """Largest admitted rank; the A2L2_MAX_L environment variable raises it."""
+    """Largest admitted rank; the A2L2_MAX_L environment variable sets it.
+
+    Raises ValueError unless the variable is unset or an integer >= 1."""
     raw = os.environ.get("A2L2_MAX_L")
     if raw is None:
         return DEFAULT_MAX_RANK
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"A2L2_MAX_L must be an integer, got {raw!r}") from exc
-    return max(value, 1)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"A2L2_MAX_L must be an integer >= 1, got {raw!r}")
+    return value
 
 
-def level_of(l: int) -> Fraction:
-    return Fraction(-(2 * l + 1), 2)
+def validated_rank(l: int) -> int:
+    """Return l if it is an admitted rank; raise ValueError otherwise."""
+    cap = max_rank()
+    if not isinstance(l, int) or not 1 <= l <= cap:
+        raise ValueError(
+            f"rank must be an integer in 1..{cap}, got {l!r}"
+            " (raise the cap with A2L2_MAX_L)"
+        )
+    return l
 
 
 def level_string(l: int) -> str:
-    k = level_of(l)
+    k = level_for(l)
     return f"{k.numerator}/{k.denominator}"
 
 
@@ -105,7 +112,7 @@ class Report:
 
     @property
     def level(self) -> Fraction:
-        return level_of(self.l)
+        return level_for(self.l)
 
 
 # ----------------------------------------------------------- the checks
@@ -182,14 +189,15 @@ def _check_zhu_image(l: int) -> tuple[bool, dict]:
     ctx = projection_context(l)
     image = zhu_singular_image(ctx)
     closed = zhu_image_closed_form(ctx)
+    weight = ctx.alg.weight_of(image)
     expected_weight = tuple(
         Fraction(4 if l == 1 else 2) if i == 0 else Fraction(0) for i in range(l)
     )
-    ok = image == closed and ctx.alg.weight_of(image) == expected_weight
+    ok = image == closed and weight == expected_weight
     return ok, {
         "matches_closed_form": image == closed,
         "monomials": len(image),
-        "weight": _exact_list(ctx.alg.weight_of(image)),
+        "weight": _exact_list(weight),
         "rendered": uea_string(image, ctx.alg),
     }
 
@@ -239,12 +247,10 @@ def _check_r0(l: int) -> tuple[bool, dict]:
 
 
 def _check_classification(l: int) -> tuple[bool, dict]:
-    ctx = projection_context(l)
-    zero_set = zero_set_oracle(lowered_polynomials(ctx))
+    polys = lowered_polynomials(projection_context(l))
+    zero_set = zero_set_oracle(polys)
     formulas = frozenset(all_highest_weights(l))
-    residuals_ok = all(
-        not any(eval_polys(lowered_polynomials(ctx), w)) for w in formulas
-    )
+    residuals_ok = all(not any(eval_polys(polys, w)) for w in formulas)
     ok = zero_set == formulas and len(zero_set) == 2**l and residuals_ok
     return ok, {
         "count": len(zero_set),
@@ -269,9 +275,7 @@ def _check_dominant(l: int) -> tuple[bool, dict]:
 def _check_admissible_all(l: int) -> tuple[bool, dict]:
     rows = []
     ok = True
-    for w in all_highest_weights(l):
-        lam = affinize(w, l)
-        report = check_admissible(lam)
+    for w, _, report in admissibility_table(l):
         ok = ok and report.passed
         rows.append(
             {
@@ -286,7 +290,7 @@ def _check_admissible_all(l: int) -> tuple[bool, dict]:
 
 def _check_kw(l: int) -> tuple[bool, dict]:
     values = [kw_positivity(affinize(w, l)) for w in all_highest_weights(l)]
-    shifted = level_of(l) + (2 * l + 1)
+    shifted = level_for(l) + (2 * l + 1)
     ok = all(values) and shifted > 0
     return ok, {
         "level_plus_dual_coxeter": _exact(shifted),
@@ -322,9 +326,7 @@ def run_checks(l: int, check_ids: Iterable[str] | str = "all") -> Report:
     not required.  Raises ValueError on an unknown id or an out-of-range
     rank (the cap is raised by A2L2_MAX_L).
     """
-    cap = max_rank()
-    if not isinstance(l, int) or not 1 <= l <= cap:
-        raise ValueError(f"rank must be an integer in 1..{cap}, got {l!r}")
+    validated_rank(l)
     if check_ids == "all":
         selected = set(CHECK_IDS)
     else:
@@ -409,9 +411,7 @@ DUMP_OBJECTS = ("singular", "zhu-image", "v1", "polys", "weights")
 
 def dump_object(l: int, which: str) -> str:
     """Plain-text rendering of one of the central symbolic objects."""
-    cap = max_rank()
-    if not isinstance(l, int) or not 1 <= l <= cap:
-        raise ValueError(f"rank must be an integer in 1..{cap}, got {l!r}")
+    validated_rank(l)
     if which == "singular":
         return state_string(singular_vector(l)) + "\n"
     if which == "zhu-image":

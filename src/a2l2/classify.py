@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .affroots import AffineWeight
+from .affroots import AdmissibilityReport, AffineWeight, check_admissible
 from .envelope import CartanPoly
+from .liealg import level_for
 
 
 def _frac_tuple(vals) -> tuple[Fraction, ...]:
@@ -175,4 +176,14 @@ def affinize(mu: FiniteWeight, l: int) -> AffineWeight:
     the finite weight, no delta component, central coefficient -(2l+1)/2."""
     if mu.rank != l:
         raise ValueError("rank mismatch")
-    return AffineWeight(mu.eps_coords, k0=Fraction(-(2 * l + 1), 2))
+    return AffineWeight(mu.eps_coords, k0=level_for(l))
+
+
+def admissibility_table(
+    l: int,
+) -> Iterator[tuple[FiniteWeight, AffineWeight, AdmissibilityReport]]:
+    """(weight, affine lift, admissibility report) for every classified
+    weight, in the order of `all_highest_weights`."""
+    for w in all_highest_weights(l):
+        lam = affinize(w, l)
+        yield w, lam, check_admissible(lam)

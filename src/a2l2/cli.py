@@ -8,26 +8,25 @@ import sys
 
 import click
 
-from .affroots import check_admissible, kw_positivity
+from .affroots import kw_positivity
 from .checks import (
     CHECK_IDS,
     DUMP_OBJECTS,
+    _exact_list,
     dump_object,
     level_string,
-    max_rank,
     render_report,
     run_checks,
+    validated_rank,
 )
-from .classify import affinize, all_highest_weights
+from .classify import admissibility_table
 
 
 def _validated_rank(l: int) -> int:
-    cap = max_rank()
-    if not 1 <= l <= cap:
-        raise click.UsageError(
-            f"--l must be between 1 and {cap} (raise the cap with A2L2_MAX_L)"
-        )
-    return l
+    try:
+        return validated_rank(l)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -60,7 +59,6 @@ def main() -> None:
 )
 def verify(l: int, checks: str, fmt: str, out: str | None) -> None:
     """Run the registered checks and report pass/fail per check."""
-    l = _validated_rank(l)
     if checks.strip() == "all":
         ids: str | tuple[str, ...] = "all"
     else:
@@ -105,26 +103,17 @@ def dump(l: int, which: str) -> None:
 def classify_cmd(l: int, fmt: str) -> None:
     """List the classified highest weights with their status flags."""
     l = _validated_rank(l)
-    rows = []
-    for w in all_highest_weights(l):
-        lam = affinize(w, l)
-        report = check_admissible(lam)
-        rows.append(
-            {
-                "weight": w.omega_string(),
-                "coroot_values": [
-                    f"{c.numerator}/{c.denominator}" if c.denominator != 1 else int(c)
-                    for c in w.coroot_vals
-                ],
-                "eps_coordinates": [
-                    f"{c.numerator}/{c.denominator}" if c.denominator != 1 else int(c)
-                    for c in w.eps_coords
-                ],
-                "dominant_integral": w.is_dominant_integral(),
-                "admissible": report.passed,
-                "kw_positive": kw_positivity(lam),
-            }
-        )
+    rows = [
+        {
+            "weight": w.omega_string(),
+            "coroot_values": _exact_list(w.coroot_vals),
+            "eps_coordinates": _exact_list(w.eps_coords),
+            "dominant_integral": w.is_dominant_integral(),
+            "admissible": report.passed,
+            "kw_positive": kw_positivity(lam),
+        }
+        for w, lam, report in admissibility_table(l)
+    ]
     if fmt == "json":
         payload = {"l": l, "level": level_string(l), "weights": rows}
         click.echo(json.dumps(payload, indent=2, sort_keys=True))

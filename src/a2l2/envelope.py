@@ -4,7 +4,8 @@ Elements are sparse dictionaries mapping monomials (tuples of basis indices,
 non-decreasing in the fixed basis order: negative block, Cartan block,
 positive block) to exact coefficients.  Rewriting an arbitrary word into this
 normal form terminates because each swap either shortens the word or removes
-an adjacent inversion, and the two natural rewrite schedules agree.
+an adjacent inversion; the result does not depend on which inversion is
+resolved first.
 
 The Cartan-polynomial map sends a weight-zero element u to the polynomial
 p_u with u . v = p_u(lambda) v on any highest-weight vector v of weight
@@ -16,23 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .liealg import (
-    LieElt,
-    b_type_generators,
-    bracket,
-    eigen_ratio,
-    g0_basis_info,
-)
-from .linalg import SpanSolver
+from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
 
 # monomial = tuple of basis indices in non-decreasing order
 UEAElt = dict[tuple[int, ...], Fraction]
-
-
-def uea_zero() -> UEAElt:
-    return {}
 
 
 def uea_unit() -> UEAElt:
@@ -64,21 +53,25 @@ class PBWAlgebra:
 
     Monomial indices refer to the ordered basis of `g0_basis_info(l)`:
     lowering block first, then the Cartan elements (h_1..h_{l-1}, hbar_l),
-    then the raising block.  Every Cartan element acts diagonally on basis
-    elements, so each monomial is a weight vector; the constructor verifies
-    this while tabulating the weights.
+    then the raising block.  `table` is a structure-constant table of the
+    whole algebra (`expand`, `bracket_coords`) whose first `g0_count`
+    elements are exactly that basis, so the envelope shares its brackets.
+    Every Cartan element acts diagonally on basis elements, so each monomial
+    is a weight vector; the constructor verifies this while tabulating the
+    weights.
     """
 
-    def __init__(self, l: int) -> None:
-        info = g0_basis_info(l)
-        self.l = l
+    def __init__(self, table) -> None:
+        info = g0_basis_info(table.l)
+        if table.elems[: table.g0_count] != info.elems:
+            raise ValueError("table does not start with the even-part basis")
+        self.l = table.l
         self.info = info
         self.dim = info.dim
-        self._span = SpanSolver()
-        for x in info.elems:
-            if not self._span.add(x.entry_vector()):
-                raise AssertionError("even-part basis is not independent")
-        gens = b_type_generators(l)
+        self._expand = table.expand
+        # bound once: the rewrite loop calls it on every swap
+        self.bracket_coords = table.bracket_coords
+        gens = b_type_generators(self.l)
         self.cartan_indices = tuple(
             range(info.cartan_start, info.cartan_start + info.cartan_count)
         )
@@ -86,55 +79,32 @@ class PBWAlgebra:
             tuple(eigen_ratio(bracket(h, x), x) for h in gens.cartan_elements())
             for x in info.elems
         )
-        self._brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     # ------------------------------------------------------------ coords
 
     def lie_coords(self, x: LieElt) -> dict[int, Fraction]:
         """Coordinates of an even-part element in the ordered basis."""
-        v = self._span.coords(x.entry_vector())
-        if v is None:
+        v = self._expand(x)
+        if any(s >= self.dim for s in v):
             raise ValueError("element is not in the even part")
-        return dict(v)
+        return v
 
     def lie2uea(self, x: LieElt) -> UEAElt:
         """Degree-one element of the envelope from a Lie element."""
         return {(s,): c for s, c in self.lie_coords(x).items()}
 
-    def bracket_coords(self, s: int, t: int) -> dict[int, Fraction]:
-        key = (s, t)
-        got = self._brackets.get(key)
-        if got is None:
-            got = self.lie_coords(bracket(self.info.elems[s], self.info.elems[t]))
-            self._brackets[key] = got
-        return got
-
     # ------------------------------------------------------- normal form
 
-    def normal_form(
-        self,
-        word: tuple[int, ...],
-        coeff: Fraction = Fraction(1),
-        schedule: str = "first",
-    ) -> UEAElt:
-        """Rewrite a word of basis indices into ordered monomials.
-
-        `schedule` picks which adjacent inversion to resolve each step
-        ("first" = leftmost, "last" = rightmost); the result is independent
-        of the choice.
-        """
-        if schedule not in ("first", "last"):
-            raise ValueError(f"unknown schedule {schedule!r}")
+    def normal_form(self, word: tuple[int, ...], coeff: Fraction = Fraction(1)) -> UEAElt:
+        """Rewrite coeff * (word of basis indices) into ordered monomials,
+        resolving the leftmost adjacent inversion first."""
         out: UEAElt = {}
         pending: list[tuple[tuple[int, ...], Fraction]] = [(tuple(word), Fraction(coeff))]
         while pending:
             w, c = pending.pop()
             if not c:
                 continue
-            positions = range(len(w) - 1)
-            if schedule == "last":
-                positions = range(len(w) - 2, -1, -1)
-            pos = next((i for i in positions if w[i] > w[i + 1]), None)
+            pos = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
             if pos is None:
                 uea_add_into(out, w, c)
                 continue
@@ -218,11 +188,6 @@ class PBWAlgebra:
         return poly
 
 
-@lru_cache(maxsize=None)
-def pbw_algebra(l: int) -> PBWAlgebra:
-    return PBWAlgebra(l)
-
-
 # ------------------------------------------------------------ polynomials
 
 
@@ -256,9 +221,6 @@ class CartanPoly:
     def const(nvars: int, c) -> "CartanPoly":
         c = Fraction(c)
         return CartanPoly(nvars, {(0,) * nvars: c} if c else {})
-
-    def copy(self) -> "CartanPoly":
-        return CartanPoly(self.nvars, dict(self.terms))
 
     def add(self, other: "CartanPoly") -> "CartanPoly":
         out = dict(self.terms)
@@ -434,31 +396,3 @@ def uea_string(u: UEAElt, alg: "PBWAlgebra") -> str:
     for neg, body in pieces[1:]:
         out += (" - " if neg else " + ") + body
     return out
-
-
-# ----------------------------------------------------- interface wrappers
-
-
-def uea_mul(u: UEAElt, v: UEAElt, alg: PBWAlgebra) -> UEAElt:
-    """Product in the envelope, result in normal form."""
-    return alg.mul(u, v)
-
-
-def normal_form(
-    word: tuple[int, ...],
-    coeff,
-    alg: PBWAlgebra,
-    schedule: str = "first",
-) -> UEAElt:
-    """Normal form of coeff * (word of basis indices)."""
-    return alg.normal_form(tuple(word), Fraction(coeff), schedule)
-
-
-def ad_L(x, u: UEAElt, alg: PBWAlgebra) -> UEAElt:
-    """Adjoint (derivation) action of an even-part element on the envelope."""
-    return alg.ad(x, u)
-
-
-def cartan_polynomial(u: UEAElt, alg: PBWAlgebra) -> CartanPoly:
-    """Highest-weight eigenvalue polynomial of a weight-zero element."""
-    return alg.cartan_polynomial(u)

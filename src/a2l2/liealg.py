@@ -18,6 +18,11 @@ from .linalg import SpanSolver
 Scalar = Fraction
 
 
+def level_for(l: int) -> Fraction:
+    """The level -(2l+1)/2 at which the extra singular vector appears."""
+    return Fraction(-(2 * l + 1), 2)
+
+
 class QuadScalar:
     """Exact element a + b*sqrt(2); used only for one normalization check."""
 
@@ -260,14 +265,6 @@ def split_pm(a: LieElt) -> GradedPair:
     return GradedPair(half * (a + na), half * (a - na))
 
 
-def in_even_part(a: LieElt) -> bool:
-    return nu(a) == a
-
-
-def in_odd_part(a: LieElt) -> bool:
-    return nu(a) == -a
-
-
 @dataclass(frozen=True)
 class BTypeGenerators:
     """Chevalley-style generators of the fixed subalgebra so(2l+1).
@@ -482,22 +479,3 @@ def g1_zero_weight_dim(l: int) -> int:
 def eplus(l: int, i: int, j: int) -> LieElt:
     """Even-part projection of the elementary matrix E[i,j]."""
     return split_pm(E(2 * l + 1, i, j)).plus
-
-
-def sample_sparse(rng, l: int, max_terms: int = 3, traceless: bool = True) -> LieElt:
-    """Random sparse element for property tests (seeded RNG passed in)."""
-    n = 2 * l + 1
-    t: dict[tuple[int, int], Scalar] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        i = rng.randint(1, n)
-        j = rng.randint(1, n)
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if i == j and traceless:
-            if i == n:
-                continue
-            # use H-style traceless diagonal contributions
-            for key, val in H(n, i).terms.items():
-                t[key] = t.get(key, Fraction(0)) + c * val
-            continue
-        t[(i, j)] = t.get((i, j), Fraction(0)) + c
-    return LieElt(n, t)

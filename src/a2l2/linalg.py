@@ -44,6 +44,7 @@ class SpanSolver:
         self._rows: list[Vec] = []          # reduced rows, pivot coeff 1
         self._combos: list[Vec] = []        # row i = sum combo[i][t] * gen_t
         self._pivots: list[Hashable] = []   # pivot key of row i
+        self._row_of: dict[Hashable, int] = {}  # pivot key -> row index
         self.n_generators = 0               # independent vectors added so far
 
     @property
@@ -54,12 +55,13 @@ class SpanSolver:
         """Return (remainder, combo) with v = remainder + sum combo*gens."""
         r = dict(v)
         combo: Vec = {}
-        # rows are mutually reduced: one pass suffices
-        for i, piv in enumerate(self._pivots):
-            c = r.get(piv)
-            if c:
-                vec_add_into(r, self._rows[i], -c)
-                vec_add_into(combo, self._combos[i], c)
+        # Rows are mutually reduced, so subtracting one never touches another
+        # row's pivot: one pass, in row order, over the pivots v itself holds.
+        row_of = self._row_of
+        for i in sorted(row_of[k] for k in v if k in row_of):
+            c = r[self._pivots[i]]
+            vec_add_into(r, self._rows[i], -c)
+            vec_add_into(combo, self._combos[i], c)
         return r, combo
 
     def add(self, v: Vec) -> bool:
@@ -83,6 +85,7 @@ class SpanSolver:
                 vec_add_into(self._combos[i], new_combo, -c)
         self._rows.append(row)
         self._combos.append(new_combo)
+        self._row_of[piv] = len(self._pivots)
         self._pivots.append(piv)
         self.n_generators += 1
         return True

@@ -21,28 +21,19 @@ here, together with closed forms to compare against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .envelope import (
-    CartanPoly,
-    PBWAlgebra,
-    UEAElt,
-    pbw_algebra,
-    uea_combine,
-    uea_scale,
-    uea_unit,
-)
-from .liealg import E, LieElt, b_type_generators, eplus
+from .envelope import CartanPoly, PBWAlgebra, UEAElt, uea_combine, uea_scale, uea_unit
+from .liealg import E, LieElt, b_type_generators, eplus, level_for
 from .linalg import SpanSolver, rank_of
 from .vacuum import (
     ModeBasis,
     Monomial,
     VermaState,
     convert_state,
-    level_for,
     mode_action,
     singular_vector,
     split_mode_basis,
-    standard_mode_basis,
 )
 
 
@@ -61,18 +52,23 @@ def _total_depth(mono: Monomial) -> int:
 
 
 class ProjectionContext:
-    """Caches for projecting states of one rank at the special level."""
+    """The pipeline of one rank at the special level.
 
-    def __init__(self, l: int, use_odd_shortcut: bool = True) -> None:
+    It holds the split mode basis, whose structure constants also serve the
+    envelope, the projection memo, and each pipeline stage once computed:
+    the singular image, its lowered partner, the lowered polynomials and the
+    adjoint closure.
+    """
+
+    def __init__(self, l: int) -> None:
         self.l = l
         self.level_k = level_for(l)
-        self.alg: PBWAlgebra = pbw_algebra(l)
         self.split: ModeBasis = split_mode_basis(l)
-        self.std: ModeBasis = standard_mode_basis(l)
-        self.use_odd_shortcut = use_odd_shortcut
+        self.alg = PBWAlgebra(self.split)
         self.memo: dict[Monomial, UEAElt] = {}
         self._image: UEAElt | None = None
         self._v1: UEAElt | None = None
+        self._polys: list[CartanPoly] | None = None
         self._r0: list[UEAElt] | None = None
 
     # ------------------------------------------------------------ rules
@@ -87,7 +83,7 @@ class ProjectionContext:
             return dict(cached)
         if not mono:
             result = uea_unit()
-        elif self.use_odd_shortcut and self._odd_count(mono) % 2 == 1:
+        elif self._odd_count(mono) % 2 == 1:
             result = {}
         else:
             (idx, depth), rest = mono[0], mono[1:]
@@ -115,8 +111,10 @@ class ProjectionContext:
         return dict(result)
 
 
-def projection_context(l: int, use_odd_shortcut: bool = True) -> ProjectionContext:
-    return ProjectionContext(l, use_odd_shortcut)
+@lru_cache(maxsize=None)
+def projection_context(l: int) -> ProjectionContext:
+    """The pipeline of rank l, built once and shared by every caller."""
+    return ProjectionContext(l)
 
 
 def project(s: VermaState, ctx: ProjectionContext) -> UEAElt:
@@ -218,7 +216,9 @@ def lowered_elements(ctx: ProjectionContext) -> list[UEAElt]:
 
 def lowered_polynomials(ctx: ProjectionContext) -> list[CartanPoly]:
     """Highest-weight eigenvalue polynomials p_1..p_l of the lowered elements."""
-    return [ctx.alg.cartan_polynomial(u) for u in lowered_elements(ctx)]
+    if ctx._polys is None:
+        ctx._polys = [ctx.alg.cartan_polynomial(u) for u in lowered_elements(ctx)]
+    return list(ctx._polys)
 
 
 def reference_polynomials(l: int, plus_half: bool = False) -> list[CartanPoly]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .liealg import (
     E,
@@ -28,6 +27,7 @@ from .liealg import (
     g0_basis_info,
     g1_basis_info,
     invariant_form,
+    level_for,
     nu,
 )
 from .linalg import SpanSolver
@@ -36,11 +36,6 @@ DEPTH_CAP = 8  # total creation depth allowed in any stored monomial
 
 # monomial: tuple of (basis index, depth), depth desc then index asc
 Monomial = tuple[tuple[int, int], ...]
-
-
-class ModeOp(NamedTuple):
-    elt: LieElt
-    mode: int
 
 
 class ModeBasis:
@@ -246,7 +241,7 @@ def _word_of(mono: Monomial) -> tuple[tuple[int, int], ...]:
     return tuple((idx, -depth) for idx, depth in mono)
 
 
-def mode_action(op: ModeOp | tuple[LieElt, int], s: VermaState) -> VermaState:
+def mode_action(op: tuple[LieElt, int], s: VermaState) -> VermaState:
     """Apply the mode operator elt(mode) to a state."""
     elt, mode = op
     coords = s.basis.expand(elt)
@@ -330,13 +325,10 @@ def state_weight(
     return common
 
 
-def level_for(l: int) -> Fraction:
-    """The level at which the extra singular vector appears."""
-    return Fraction(-(2 * l + 1), 2)
-
-
+@lru_cache(maxsize=None)
 def singular_vector(l: int) -> VermaState:
-    """Degree-2 singular vector of the vacuum module at the special level."""
+    """Degree-2 singular vector of the vacuum module at the special level,
+    built once per rank and shared: callers must not modify it."""
     n = 2 * l + 1
     basis = standard_mode_basis(l)
     k = level_for(l)
@@ -371,32 +363,6 @@ def positive_mode_sweep(s: VermaState, l: int, modes: tuple[int, ...] = (1, 2)) 
             if not mode_action((x, m), s).is_zero():
                 return False
     return True
-
-
-def zero_mode_orbit(v: VermaState, l: int) -> list[VermaState]:
-    """Basis of the closure of v under even-part zero modes."""
-    solver = SpanSolver()
-    out: list[VermaState] = []
-    queue: list[VermaState] = []
-    if solver.add(dict(v.terms)):
-        out.append(v)
-        queue.append(v)
-    elems = g0_basis_info(l).elems
-    while queue:
-        w = queue.pop()
-        for x in elems:
-            u = mode_action((x, 0), w)
-            if not u.is_zero() and solver.add(dict(u.terms)):
-                out.append(u)
-                queue.append(u)
-    return out
-
-
-def orbit_contains(states: list[VermaState], s: VermaState) -> bool:
-    solver = SpanSolver()
-    for w in states:
-        solver.add(dict(w.terms))
-    return solver.contains(dict(s.terms))
 
 
 def convert_state(s: VermaState, target: ModeBasis) -> VermaState:

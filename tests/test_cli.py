@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import a2l2.checks as checks
+import a2l2.twzhu as twzhu
+import a2l2.vacuum as vacuum
 from a2l2.checks import (
     CHECK_IDS,
     CheckResult,
@@ -20,6 +24,8 @@ from a2l2.checks import (
 )
 from a2l2.cli import main
 
+
+EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected"
 
 RANK1_SINGULAR_LINE = (
     "1/3*H[1](-1)E[1,3](-1)|0> - 1/3*H[2](-1)E[1,3](-1)|0>"
@@ -71,9 +77,36 @@ def test_rank_cap_env_override(monkeypatch):
     monkeypatch.setenv("A2L2_MAX_L", "6")
     report = run_checks(5, ["g1-dim"])
     assert report.overall == "pass"
-    monkeypatch.setenv("A2L2_MAX_L", "banana")
-    with pytest.raises(ValueError):
-        max_rank()
+    for raw in ("banana", "0", "-3"):
+        monkeypatch.setenv("A2L2_MAX_L", raw)
+        with pytest.raises(ValueError):
+            max_rank()
+        with pytest.raises(ValueError):
+            run_checks(1, ["g1-dim"])
+
+
+def test_full_verify_builds_each_stage_once(monkeypatch):
+    vacuum.singular_vector.cache_clear()
+    twzhu.projection_context.cache_clear()
+    calls = {"project": 0, "lowered_elements": 0}
+
+    def counted(name):
+        real = getattr(twzhu, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(twzhu, name, counted(name))
+    result = CliRunner().invoke(main, ["verify", "--l", "2"])
+    assert result.exit_code == 0
+    assert vacuum.singular_vector.cache_info().misses == 1
+    assert twzhu.projection_context.cache_info().misses == 1
+    # the singular image is projected, and the partner lowered, only once
+    assert calls == {"project": 1, "lowered_elements": 1}
 
 
 def test_dependency_failure_skips_downstream(monkeypatch):
@@ -246,6 +279,26 @@ def test_cli_usage_errors_exit_2():
     )
 
 
+def _assert_bad_rank_cap_exits_2(args):
+    runner = CliRunner()
+    for raw in ("abc", "-3", "0"):
+        result = runner.invoke(main, args, env={"A2L2_MAX_L": raw})
+        assert result.exit_code == 2, (raw, result.output)
+        assert "A2L2_MAX_L" in result.output
+
+
+def test_cli_verify_bad_rank_cap_exits_2():
+    _assert_bad_rank_cap_exits_2(["verify", "--l", "1"])
+
+
+def test_cli_dump_bad_rank_cap_exits_2():
+    _assert_bad_rank_cap_exits_2(["dump", "--l", "1", "--object", "polys"])
+
+
+def test_cli_classify_bad_rank_cap_exits_2():
+    _assert_bad_rank_cap_exits_2(["classify", "--l", "1"])
+
+
 def test_cli_failing_report_exits_1(monkeypatch):
     fake = Report(
         1,
@@ -288,3 +341,22 @@ def test_cli_classify_text():
     assert result.exit_code == 0
     assert "rank l = 2, level -5/2" in result.output
     assert result.output.count("admissible") == 4
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("verify-l1", ["verify", "--l", "1", "--format", "json"]),
+        ("verify-l2", ["verify", "--l", "2", "--format", "json"]),
+        ("classify-l2", ["classify", "--l", "2", "--format", "json"]),
+    ],
+)
+def test_cli_output_matches_stored_benchmark_output(monkeypatch, name, args):
+    monkeypatch.delenv("A2L2_MAX_L", raising=False)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0
+    got = result.stdout_bytes
+    if args[0] == "verify":
+        # the stored verify outputs carry no per-check timing lines
+        got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", got)
+    assert got == (EXPECTED / f"{name}.out").read_bytes()

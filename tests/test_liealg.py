@@ -24,15 +24,41 @@ from a2l2.liealg import (
     g0_basis_info,
     g1_basis,
     g1_zero_weight_dim,
-    in_even_part,
-    in_odd_part,
     invariant_form,
     nu,
-    sample_sparse,
     split_pm,
     zero,
 )
 from a2l2.linalg import SpanSolver
+
+
+# ---------------------------------------------------------------- helpers
+
+def in_even_part(a: LieElt) -> bool:
+    return nu(a) == a
+
+
+def in_odd_part(a: LieElt) -> bool:
+    return nu(a) == -a
+
+
+def sample_sparse(rng, l: int, max_terms: int = 3, traceless: bool = True) -> LieElt:
+    """Random sparse element for property tests (seeded RNG passed in)."""
+    n = 2 * l + 1
+    t: dict[tuple[int, int], Fraction] = {}
+    for _ in range(rng.randint(1, max_terms)):
+        i = rng.randint(1, n)
+        j = rng.randint(1, n)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if i == j and traceless:
+            if i == n:
+                continue
+            # use H-style traceless diagonal contributions
+            for key, val in H(n, i).terms.items():
+                t[key] = t.get(key, Fraction(0)) + c * val
+            continue
+        t[(i, j)] = t.get((i, j), Fraction(0)) + c
+    return LieElt(n, t)
 
 
 # ---------------------------------------------------------------- oracle

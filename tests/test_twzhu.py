@@ -8,17 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.envelope import CartanPoly, pbw_algebra, uea_combine, uea_scale, uea_unit
+from a2l2.envelope import CartanPoly, uea_combine, uea_scale, uea_unit
 from a2l2.liealg import (
     E,
     b_type_generators,
     bracket,
     g0_basis,
     invariant_form,
-    sample_sparse,
     split_pm,
 )
 from a2l2.twzhu import (
+    ProjectionContext,
     _binom_half,
     compute_v1,
     lowered_elements,
@@ -38,10 +38,11 @@ from a2l2.vacuum import (
     singular_vector,
     split_mode_basis,
     state_from_ops,
-    zero_mode_orbit,
 )
 
 from helpers_spin import spin_hw_coefficient, verify_spin_homomorphism
+from test_liealg import sample_sparse
+from test_vacuum import zero_mode_orbit
 
 
 def test_binom_half_values():
@@ -116,8 +117,10 @@ def test_project_intertwines_zero_modes():
 def test_project_odd_shortcut_agrees():
     rng = random.Random(99)
     for l in (1, 2):
-        with_cut = projection_context(l, use_odd_shortcut=True)
-        without = projection_context(l, use_odd_shortcut=False)
+        with_cut = projection_context(l)
+        # a fresh context that sees no odd factor never takes the shortcut
+        without = ProjectionContext(l)
+        without._odd_count = lambda mono: 0
         v = singular_vector(l)
         assert project(v, with_cut) == project(v, without)
         basis = split_mode_basis(l)

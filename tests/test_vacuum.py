@@ -8,15 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.liealg import E, H, nu
+from a2l2.liealg import E, H, g0_basis_info, level_for, nu
+from a2l2.linalg import SpanSolver
 from a2l2.vacuum import (
     VermaState,
     check_singular,
     convert_state,
-    level_for,
     mode_action,
     nu_state,
-    orbit_contains,
     positive_mode_sweep,
     singular_vector,
     split_mode_basis,
@@ -25,8 +24,33 @@ from a2l2.vacuum import (
     state_string,
     state_weight,
     vacuum,
-    zero_mode_orbit,
 )
+
+
+def zero_mode_orbit(v: VermaState, l: int) -> list[VermaState]:
+    """Basis of the closure of v under even-part zero modes."""
+    solver = SpanSolver()
+    out: list[VermaState] = []
+    queue: list[VermaState] = []
+    if solver.add(dict(v.terms)):
+        out.append(v)
+        queue.append(v)
+    elems = g0_basis_info(l).elems
+    while queue:
+        w = queue.pop()
+        for x in elems:
+            u = mode_action((x, 0), w)
+            if not u.is_zero() and solver.add(dict(u.terms)):
+                out.append(u)
+                queue.append(u)
+    return out
+
+
+def orbit_contains(states: list[VermaState], s: VermaState) -> bool:
+    solver = SpanSolver()
+    for w in states:
+        solver.add(dict(w.terms))
+    return solver.contains(dict(s.terms))
 
 
 def _rand_state(rng, basis, k, max_ops=2):
