@@ -70,11 +70,6 @@ class AffineWeight:
         return self.k0
 
 
-def finite_weight(coeffs) -> AffineWeight:
-    """Weight with the given eps-coefficients and no affine components."""
-    return AffineWeight(_frac_tuple(coeffs))
-
-
 def eps_unit(l: int, i: int) -> AffineWeight:
     """eps_i as an AffineWeight, 1-based."""
     if not 1 <= i <= l:
@@ -84,10 +79,6 @@ def eps_unit(l: int, i: int) -> AffineWeight:
 
 def delta(l: int) -> AffineWeight:
     return AffineWeight((Fraction(0),) * l, d_delta=Fraction(1))
-
-
-def lambda0(l: int) -> AffineWeight:
-    return AffineWeight((Fraction(0),) * l, k0=Fraction(1))
 
 
 def ip(x: AffineWeight, y: AffineWeight) -> Fraction:
@@ -119,18 +110,6 @@ def simple_roots(l: int) -> tuple[AffineWeight, ...]:
         roots.append(eps_unit(l, i) - eps_unit(l, i + 1))
     roots.append(eps_unit(l, l))
     return tuple(roots)
-
-
-def fundamental_weights(l: int) -> tuple[AffineWeight, ...]:
-    """(omega_1, ..., omega_l) for the horizontal so(2l+1):
-    omega_i = eps_1 + ... + eps_i for i < l, omega_l = (eps_1+...+eps_l)/2."""
-    out = []
-    for i in range(1, l + 1):
-        w = finite_weight([Fraction(int(j <= i)) for j in range(1, l + 1)])
-        if i == l:
-            w = w.scale(Fraction(1, 2))
-        out.append(w)
-    return tuple(out)
 
 
 def rho(l: int) -> AffineWeight:

@@ -321,16 +321,17 @@ CHECK_IDS = tuple(entry[0] for entry in REGISTRY)
 def run_checks(l: int, check_ids: Iterable[str] | str = "all") -> Report:
     """Execute the selected checks in dependency order for the given rank.
 
-    A selected check is skipped when one of its selected prerequisites
-    failed or was skipped; prerequisites that were not selected at all are
-    not required.  Raises ValueError on an unknown id or an out-of-range
-    rank (the cap is raised by A2L2_MAX_L).
+    `check_ids` is "all", one check id, or an iterable of ids.  A selected
+    check is skipped when one of its selected prerequisites failed or was
+    skipped; prerequisites that were not selected at all are not required.
+    Raises ValueError on an unknown id or an out-of-range rank (the cap is
+    raised by A2L2_MAX_L).
     """
     validated_rank(l)
     if check_ids == "all":
         selected = set(CHECK_IDS)
     else:
-        selected = set(check_ids)
+        selected = {check_ids} if isinstance(check_ids, str) else set(check_ids)
         unknown = selected.difference(CHECK_IDS)
         if unknown:
             raise ValueError(

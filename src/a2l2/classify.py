@@ -9,13 +9,9 @@ import dataclasses
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .affroots import AdmissibilityReport, AffineWeight, check_admissible
+from .affroots import AdmissibilityReport, AffineWeight, _frac_tuple, check_admissible
 from .envelope import CartanPoly
 from .liealg import level_for
-
-
-def _frac_tuple(vals) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in vals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,15 +61,6 @@ class FiniteWeight:
         for neg, body in parts[1:]:
             out += (" - " if neg else " + ") + body
         return out
-
-
-def from_eps(coords) -> FiniteWeight:
-    """Build a finite weight from eps-coefficients."""
-    coords = _frac_tuple(coords)
-    l = len(coords)
-    vals = [coords[j] - coords[j + 1] for j in range(l - 1)]
-    vals.append(2 * coords[l - 1])
-    return FiniteWeight(tuple(vals))
 
 
 def mu_weight(l: int, subset: Sequence[int], primed: bool) -> FiniteWeight:

@@ -69,8 +69,13 @@ def verify(l: int, checks: str, fmt: str, out: str | None) -> None:
         raise click.UsageError(str(exc)) from exc
     rendered = render_report(report, fmt)
     if out is not None:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            raise click.BadParameter(
+                f"cannot write {out!r}: {exc.strerror}", param_hint="'--out'"
+            ) from exc
     else:
         click.echo(rendered, nl=False)
     sys.exit(0 if report.overall == "pass" else 1)

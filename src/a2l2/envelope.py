@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
+from .linalg import vec_add_into, vec_add_term, vec_scale
 
 # monomial = tuple of basis indices in non-decreasing order
 UEAElt = dict[tuple[int, ...], Fraction]
@@ -26,26 +27,6 @@ UEAElt = dict[tuple[int, ...], Fraction]
 
 def uea_unit() -> UEAElt:
     return {(): Fraction(1)}
-
-
-def uea_add_into(dst: UEAElt, word: tuple[int, ...], coeff: Fraction) -> None:
-    s = dst.get(word, Fraction(0)) + coeff
-    if s:
-        dst[word] = s
-    else:
-        dst.pop(word, None)
-
-
-def uea_combine(dst: UEAElt, src: UEAElt, scale: Fraction = Fraction(1)) -> None:
-    for word, c in src.items():
-        uea_add_into(dst, word, scale * c)
-
-
-def uea_scale(u: UEAElt, c) -> UEAElt:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {w: c * x for w, x in u.items()}
 
 
 class PBWAlgebra:
@@ -106,7 +87,7 @@ class PBWAlgebra:
                 continue
             pos = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
             if pos is None:
-                uea_add_into(out, w, c)
+                vec_add_term(out, w, c)
                 continue
             s, t = w[pos], w[pos + 1]
             pending.append((w[:pos] + (t, s) + w[pos + 2 :], c))
@@ -118,7 +99,7 @@ class PBWAlgebra:
         out: UEAElt = {}
         for wu, cu in u.items():
             for wv, cv in v.items():
-                uea_combine(out, self.normal_form(wu + wv, cu * cv))
+                vec_add_into(out, self.normal_form(wu + wv, cu * cv))
         return out
 
     # ---------------------------------------------------------- ad action
@@ -134,7 +115,7 @@ class PBWAlgebra:
             for pos, t in enumerate(word):
                 for s, a in cx.items():
                     for r, b in self.bracket_coords(s, t).items():
-                        uea_combine(
+                        vec_add_into(
                             out,
                             self.normal_form(word[:pos] + (r,) + word[pos + 1 :]),
                             c * a * b,
@@ -183,8 +164,7 @@ class PBWAlgebra:
             expo = [0] * nvars
             for s in word:
                 expo[s - lo] += 1
-            poly.terms[tuple(expo)] = poly.terms.get(tuple(expo), Fraction(0)) + c
-        poly._strip()
+            vec_add_term(poly.terms, tuple(expo), c)
         return poly
 
 
@@ -201,10 +181,6 @@ class CartanPoly:
 
     nvars: int
     terms: dict[tuple[int, ...], Fraction]
-
-    def _strip(self) -> None:
-        for k in [k for k, c in self.terms.items() if not c]:
-            del self.terms[k]
 
     @staticmethod
     def zero(nvars: int) -> "CartanPoly":
@@ -224,30 +200,17 @@ class CartanPoly:
 
     def add(self, other: "CartanPoly") -> "CartanPoly":
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        vec_add_into(out, other.terms)
         return CartanPoly(self.nvars, out)
 
     def scale(self, c) -> "CartanPoly":
-        c = Fraction(c)
-        if not c:
-            return CartanPoly(self.nvars, {})
-        return CartanPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
+        return CartanPoly(self.nvars, vec_scale(self.terms, Fraction(c)))
 
     def mul(self, other: "CartanPoly") -> "CartanPoly":
         out: dict[tuple[int, ...], Fraction] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                s = out.get(k, Fraction(0)) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                vec_add_term(out, tuple(a + b for a, b in zip(ka, kb)), ca * cb)
         return CartanPoly(self.nvars, out)
 
     def eval(self, vals) -> Fraction:

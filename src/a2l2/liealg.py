@@ -1,7 +1,7 @@
 """Finite-dimensional core: sl(2l+1), its trace form, the order-2 involution,
 the even/odd grading, and the type-B fixed-point subalgebra.
 
-Elements are sparse matrices over exact scalars.  The involution is
+Elements are sparse matrices over the rationals.  The involution is
 x -> involution image with E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]; its fixed
 subalgebra is so(2l+1) and the (-1)-eigenspace is the little adjoint module.
 """
@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .linalg import SpanSolver
+from .linalg import SpanSolver, vec_add_into, vec_add_term, vec_scale
 
 Scalar = Fraction
 
@@ -21,85 +21,6 @@ Scalar = Fraction
 def level_for(l: int) -> Fraction:
     """The level -(2l+1)/2 at which the extra singular vector appears."""
     return Fraction(-(2 * l + 1), 2)
-
-
-class QuadScalar:
-    """Exact element a + b*sqrt(2); used only for one normalization check."""
-
-    __slots__ = ("rat", "surd")
-
-    def __init__(self, rat=0, surd=0) -> None:
-        self.rat = Fraction(rat)
-        self.surd = Fraction(surd)
-
-    @staticmethod
-    def _coerce(x) -> "QuadScalar | None":
-        if isinstance(x, QuadScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadScalar(Fraction(x))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(self.rat + o.rat, self.surd + o.surd)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadScalar(-self.rat, -self.surd)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s  with s^2 = 2
-        return QuadScalar(
-            self.rat * o.rat + 2 * self.surd * o.surd,
-            self.rat * o.surd + self.surd * o.rat,
-        )
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.surd)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QuadScalar):
-            return self.rat == other.rat and self.surd == other.surd
-        try:
-            r = Fraction(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.surd == 0 and self.rat == r
-
-    def __hash__(self) -> int:
-        if self.surd == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.surd))
-
-    def __repr__(self) -> str:
-        return f"QuadScalar({self.rat!r}, {self.surd!r})"
-
-
-def _coeff(x):
-    if isinstance(x, QuadScalar):
-        return x
-    return Fraction(x)
 
 
 class LieElt:
@@ -115,7 +36,7 @@ class LieElt:
         for (i, j), c in (terms or {}).items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"index {(i, j)} out of range for n={n}")
-            c = _coeff(c)
+            c = Fraction(c)
             if c:
                 clean[(i, j)] = c
         self.terms = clean
@@ -123,22 +44,11 @@ class LieElt:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def entry(self, i: int, j: int):
-        return self.terms.get((i, j), Fraction(0))
-
-    def trace(self):
-        return sum((c for (i, j), c in self.terms.items() if i == j), Fraction(0))
-
     def __add__(self, other: "LieElt") -> "LieElt":
         if self.n != other.n:
             raise ValueError("matrix size mismatch")
         t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, Fraction(0)) + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
+        vec_add_into(t, other.terms)
         out = LieElt.__new__(LieElt)
         out.n, out.terms = self.n, t
         return out
@@ -153,10 +63,9 @@ class LieElt:
         return self + (-other)
 
     def __rmul__(self, c) -> "LieElt":
-        c = _coeff(c)
         out = LieElt.__new__(LieElt)
         out.n = self.n
-        out.terms = {k: c * x for k, x in self.terms.items()} if c else {}
+        out.terms = vec_scale(self.terms, Fraction(c))
         return out
 
     __mul__ = __rmul__
@@ -206,19 +115,9 @@ def bracket(a: LieElt, b: LieElt) -> LieElt:
     for (i, j), c in a.terms.items():
         for (p, q), d in b.terms.items():
             if j == p:
-                k = (i, q)
-                s = t.get(k, Fraction(0)) + c * d
-                if s:
-                    t[k] = s
-                else:
-                    t.pop(k, None)
+                vec_add_term(t, (i, q), c * d)
             if q == i:
-                k = (p, j)
-                s = t.get(k, Fraction(0)) - c * d
-                if s:
-                    t[k] = s
-                else:
-                    t.pop(k, None)
+                vec_add_term(t, (p, j), -(c * d))
     out = LieElt.__new__(LieElt)
     out.n, out.terms = a.n, t
     return out
@@ -242,12 +141,7 @@ def nu(a: LieElt) -> LieElt:
     t: dict[tuple[int, int], Scalar] = {}
     for (i, j), c in a.terms.items():
         sign = 1 if (i - j) % 2 else -1  # -(-1)^(i-j)
-        k = (n + 1 - j, n + 1 - i)
-        s = t.get(k, Fraction(0)) + sign * c
-        if s:
-            t[k] = s
-        else:
-            t.pop(k, None)
+        vec_add_term(t, (n + 1 - j, n + 1 - i), sign * c)
     out = LieElt.__new__(LieElt)
     out.n, out.terms = n, t
     return out
@@ -269,9 +163,10 @@ def split_pm(a: LieElt) -> GradedPair:
 class BTypeGenerators:
     """Chevalley-style generators of the fixed subalgebra so(2l+1).
 
-    `e`, `f`, `h` hold the first l-1 triples; the last node comes both
-    unnormalized (`e_l`, `f_l`, `h_l`) and sqrt(2)-normalized
-    (`ebar_l`, `fbar_l`, `hbar_l` = 2*h_l).
+    `e`, `f`, `h` hold the first l-1 triples; the last node comes as the
+    triple (`e_l`, `f_l`, `h_l`) together with `hbar_l` = 2*h_l, the Cartan
+    element of the sqrt(2)-normalized triple, used as the last Cartan
+    coordinate.
     """
 
     l: int
@@ -281,8 +176,6 @@ class BTypeGenerators:
     e_l: LieElt
     f_l: LieElt
     h_l: LieElt
-    ebar_l: LieElt
-    fbar_l: LieElt
     hbar_l: LieElt
 
     def cartan_elements(self) -> tuple[LieElt, ...]:
@@ -291,9 +184,6 @@ class BTypeGenerators:
 
     def raising_elements(self) -> tuple[LieElt, ...]:
         return self.e + (self.e_l,)
-
-    def lowering_elements(self) -> tuple[LieElt, ...]:
-        return self.f + (self.f_l,)
 
 
 @lru_cache(maxsize=None)
@@ -308,11 +198,8 @@ def b_type_generators(l: int) -> BTypeGenerators:
     e_l = E(n, l, l + 1) + E(n, l + 1, l + 2)
     f_l = E(n, l + 1, l) + E(n, l + 2, l + 1)
     h_l = H(n, l) + H(n, l + 1)
-    sqrt2 = QuadScalar(0, 1)
     return BTypeGenerators(
-        l=l, e=e, f=f, h=h,
-        e_l=e_l, f_l=f_l, h_l=h_l,
-        ebar_l=sqrt2 * e_l, fbar_l=sqrt2 * f_l, hbar_l=2 * h_l,
+        l=l, e=e, f=f, h=h, e_l=e_l, f_l=f_l, h_l=h_l, hbar_l=2 * h_l
     )
 
 
@@ -409,11 +296,6 @@ def g0_basis_info(l: int) -> G0BasisInfo:
         pos_count=len(pos),
         pos_rep_pairs=tuple(reps),
     )
-
-
-def g0_basis(l: int) -> list[LieElt]:
-    """Ordered basis of the even part: negative block, Cartan, positive block."""
-    return list(g0_basis_info(l).elems)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Exact incremental row reduction over sparse rational vectors.
 
 Vectors are dicts mapping hashable, mutually comparable keys to Fractions,
-with zero entries never stored.  `SpanSolver` keeps a fully reduced
-(Gauss-Jordan) row basis, so rank, membership, and coordinate queries are all
-single reduction passes with no floating point anywhere.
+with zero entries never stored.  `vec_add_term`, `vec_add_into` and
+`vec_scale` are the one sparse kernel that every exact algebra in the
+package (matrices, vacuum states, envelope elements, polynomials) adds and
+scales through.  `SpanSolver` keeps a fully reduced (Gauss-Jordan) row
+basis, so rank, membership, and coordinate queries are all single
+reduction passes with no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,6 +15,18 @@ from fractions import Fraction
 from typing import Hashable
 
 Vec = dict[Hashable, Fraction]
+
+
+_ZERO = Fraction(0)
+
+
+def vec_add_term(dst: Vec, key: Hashable, c: Fraction) -> None:
+    """dst[key] += c, dropping the entry if it cancels to zero."""
+    y = dst.get(key, _ZERO) + c
+    if y:
+        dst[key] = y
+    else:
+        dst.pop(key, None)
 
 
 def vec_scale(v: Vec, c: Fraction) -> Vec:
@@ -25,11 +40,7 @@ def vec_add_into(dst: Vec, src: Vec, c: Fraction = Fraction(1)) -> None:
     if not c:
         return
     for k, x in src.items():
-        y = dst.get(k, Fraction(0)) + c * x
-        if y:
-            dst[k] = y
-        else:
-            dst.pop(k, None)
+        vec_add_term(dst, k, c * x)
 
 
 class SpanSolver:
@@ -89,10 +100,6 @@ class SpanSolver:
         self._pivots.append(piv)
         self.n_generators += 1
         return True
-
-    def contains(self, v: Vec) -> bool:
-        r, _ = self._reduce(v)
-        return not r
 
     def coords(self, v: Vec) -> Vec | None:
         """Exact coordinates of v over the independent generators, or None.

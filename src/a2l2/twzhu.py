@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .envelope import CartanPoly, PBWAlgebra, UEAElt, uea_combine, uea_scale, uea_unit
+from .envelope import CartanPoly, PBWAlgebra, UEAElt, uea_unit
 from .liealg import E, LieElt, b_type_generators, eplus, level_for
-from .linalg import SpanSolver, rank_of
+from .linalg import SpanSolver, rank_of, vec_add_into, vec_scale
 from .vacuum import (
     ModeBasis,
     Monomial,
@@ -90,7 +90,7 @@ class ProjectionContext:
             if idx < self.split.g0_count:
                 rest_proj = self.project_monomial(rest)
                 prod = self.alg.mul(rest_proj, {(idx,): Fraction(1)})
-                result = uea_scale(prod, -1 if (depth - 1) % 2 else 1)
+                result = vec_scale(prod, -1 if (depth - 1) % 2 else 1)
             else:
                 result = {}
                 rest_state = VermaState(
@@ -105,8 +105,8 @@ class ProjectionContext:
                         continue
                     sub: UEAElt = {}
                     for m2, c2 in moved.terms.items():
-                        uea_combine(sub, self.project_monomial(m2), c2)
-                    uea_combine(result, sub, -_binom_half(j))
+                        vec_add_into(sub, self.project_monomial(m2), c2)
+                    vec_add_into(result, sub, -_binom_half(j))
         self.memo[mono] = result
         return dict(result)
 
@@ -125,7 +125,7 @@ def project(s: VermaState, ctx: ProjectionContext) -> UEAElt:
         raise ValueError("state level does not match the context")
     out: UEAElt = {}
     for mono, c in s.terms.items():
-        uea_combine(out, ctx.project_monomial(mono), c)
+        vec_add_into(out, ctx.project_monomial(mono), c)
     return out
 
 
@@ -147,7 +147,7 @@ def zhu_image_closed_form(ctx: ProjectionContext) -> UEAElt:
     for i in range(1, 2 * l):
         a = alg.lie2uea(eplus(l, i + 1, n))
         b = alg.lie2uea(eplus(l, 1, i + 1))
-        uea_combine(out, alg.mul(a, b))
+        vec_add_into(out, alg.mul(a, b))
     return out
 
 
@@ -162,7 +162,7 @@ def compute_v1(ctx: ProjectionContext) -> UEAElt:
         n = 2 * l + 1
         sign = 1 if l % 2 == 0 else -1  # (-1)^l
         x = E(n, l + 1, 1) - sign * E(n, n, l + 1)
-        ctx._v1 = uea_scale(ctx.alg.ad(x, zhu_singular_image(ctx)), 2)
+        ctx._v1 = vec_scale(ctx.alg.ad(x, zhu_singular_image(ctx)), 2)
     return dict(ctx._v1)
 
 
@@ -182,14 +182,14 @@ def v1_closed_form(ctx: ProjectionContext) -> UEAElt:
     out: UEAElt = {}
     for i in range(1, l):
         prod = alg.mul(alg.lie2uea(left_factor(i)), alg.lie2uea(right_factor(i)))
-        uea_combine(out, prod, sign_l)
+        vec_add_into(out, prod, sign_l)
     diag = E(n, 1, 1) - E(n, n, n)
     mid = E(n, 1, l + 1) - (1 if l % 2 == 0 else -1) * E(n, l + 1, n)
-    uea_combine(out, alg.mul(alg.lie2uea(diag), alg.lie2uea(mid)), sign_l)
-    uea_combine(out, alg.lie2uea(mid), -sign_l / 2)
+    vec_add_into(out, alg.mul(alg.lie2uea(diag), alg.lie2uea(mid)), sign_l)
+    vec_add_into(out, alg.lie2uea(mid), -sign_l / 2)
     for i in range(l + 1, 2 * l):
         prod = alg.mul(alg.lie2uea(right_factor(i)), alg.lie2uea(left_factor(i)))
-        uea_combine(out, prod, sign_l)
+        vec_add_into(out, prod, sign_l)
     return out
 
 
@@ -210,7 +210,7 @@ def lowered_elements(ctx: ProjectionContext) -> list[UEAElt]:
             u = alg.ad(fs[t], u)
         for t in range(0, j):  # f_1, ..., f_j
             u = alg.ad(fs[t], u)
-        out.append(uea_scale(u, Fraction(-1 if j % 2 == 0 else 1)))
+        out.append(vec_scale(u, Fraction(-1 if j % 2 == 0 else 1)))
     return out
 
 

@@ -30,7 +30,7 @@ from .liealg import (
     level_for,
     nu,
 )
-from .linalg import SpanSolver
+from .linalg import SpanSolver, vec_add_into, vec_add_term, vec_scale
 
 DEPTH_CAP = 8  # total creation depth allowed in any stored monomial
 
@@ -154,19 +154,11 @@ class VermaState:
         if self.basis is not other.basis or self.k != other.k:
             raise ValueError("state context mismatch")
         t = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = t.get(mono, Fraction(0)) + c
-            if s:
-                t[mono] = s
-            else:
-                t.pop(mono, None)
+        vec_add_into(t, other.terms)
         return VermaState(self.basis, self.k, t)
 
     def scale(self, c) -> "VermaState":
-        c = Fraction(c)
-        if not c:
-            return VermaState(self.basis, self.k, {})
-        return VermaState(self.basis, self.k, {m: c * x for m, x in self.terms.items()})
+        return VermaState(self.basis, self.k, vec_scale(self.terms, Fraction(c)))
 
     def __sub__(self, other: "VermaState") -> "VermaState":
         return self + other.scale(-1)
@@ -188,11 +180,7 @@ def _normal_order(
         if not c:
             continue
         if not w:
-            s = out.get((), Fraction(0)) + c
-            if s:
-                out[()] = s
-            else:
-                out.pop((), None)
+            vec_add_term(out, (), c)
             continue
         if w[-1][1] >= 0:
             continue  # non-negative mode annihilates the vacuum
@@ -223,12 +211,7 @@ def _normal_order(
             total = sum(-m for _, m in w)
             if total > DEPTH_CAP:
                 raise ValueError(f"monomial depth {total} exceeds cap {DEPTH_CAP}")
-            mono = tuple((idx, -m) for idx, m in w)
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            vec_add_term(out, tuple((idx, -m) for idx, m in w), c)
             continue
         (s_idx, m), (t_idx, n) = w[pos], w[pos + 1]
         pending.append((w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :], c))
@@ -249,12 +232,7 @@ def mode_action(op: tuple[LieElt, int], s: VermaState) -> VermaState:
     for mono, c in s.terms.items():
         word = _word_of(mono)
         for idx, a in coords.items():
-            for m2, c2 in _normal_order(s.basis, s.k, ((idx, mode),) + word, c * a).items():
-                v = out.get(m2, Fraction(0)) + c2
-                if v:
-                    out[m2] = v
-                else:
-                    out.pop(m2, None)
+            vec_add_into(out, _normal_order(s.basis, s.k, ((idx, mode),) + word, c * a))
     return VermaState(s.basis, s.k, out)
 
 
@@ -267,25 +245,27 @@ def state_from_ops(basis: ModeBasis, k: Fraction,
     return s
 
 
-def nu_state(s: VermaState) -> VermaState:
-    """Apply the involution factorwise to every creation monomial."""
+def _map_factors(s: VermaState, target: ModeBasis, coords) -> VermaState:
+    """Expand every creation factor of s through the coordinate map
+    `coords(index)` into `target`, then normal-order into that basis."""
     out: dict[Monomial, Fraction] = {}
     for mono, c in s.terms.items():
         expanded: list[tuple[tuple[tuple[int, int], ...], Fraction]] = [((), c)]
         for idx, depth in mono:
-            nxt = []
-            for word, cc in expanded:
-                for t, b in s.basis.nu_coords(idx).items():
-                    nxt.append((word + ((t, -depth),), cc * b))
-            expanded = nxt
+            images = coords(idx).items()
+            expanded = [
+                (word + ((t, -depth),), cc * b)
+                for word, cc in expanded
+                for t, b in images
+            ]
         for word, cc in expanded:
-            for m2, c2 in _normal_order(s.basis, s.k, word, cc).items():
-                v = out.get(m2, Fraction(0)) + c2
-                if v:
-                    out[m2] = v
-                else:
-                    out.pop(m2, None)
-    return VermaState(s.basis, s.k, out)
+            vec_add_into(out, _normal_order(target, s.k, word, cc))
+    return VermaState(target, s.k, out)
+
+
+def nu_state(s: VermaState) -> VermaState:
+    """Apply the involution factorwise to every creation monomial."""
+    return _map_factors(s, s.basis, s.basis.nu_coords)
 
 
 def state_weight(
@@ -367,24 +347,7 @@ def positive_mode_sweep(s: VermaState, l: int, modes: tuple[int, ...] = (1, 2)) 
 
 def convert_state(s: VermaState, target: ModeBasis) -> VermaState:
     """Re-express a state over another basis of the same finite algebra."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in s.terms.items():
-        expanded: list[tuple[tuple[tuple[int, int], ...], Fraction]] = [((), c)]
-        for idx, depth in mono:
-            coords = target.expand(s.basis.elems[idx])
-            nxt = []
-            for word, cc in expanded:
-                for t, b in coords.items():
-                    nxt.append((word + ((t, -depth),), cc * b))
-            expanded = nxt
-        for word, cc in expanded:
-            for m2, c2 in _normal_order(target, s.k, word, cc).items():
-                val = out.get(m2, Fraction(0)) + c2
-                if val:
-                    out[m2] = val
-                else:
-                    out.pop(m2, None)
-    return VermaState(target, s.k, out)
+    return _map_factors(s, target, lambda idx: target.expand(s.basis.elems[idx]))
 
 
 def state_string(s: VermaState) -> str:

@@ -16,15 +16,94 @@ from functools import lru_cache
 
 from a2l2.liealg import (
     LieElt,
-    QuadScalar,
     b_type_generators,
     bracket,
-    g0_basis,
     g0_basis_info,
 )
 from a2l2.linalg import SpanSolver
 
+
+def g0_basis(l: int) -> list[LieElt]:
+    """Ordered basis of the even part: negative block, Cartan, positive block."""
+    return list(g0_basis_info(l).elems)
+
+
 # ------------------------------------------------- QuadScalar matrix layer
+
+
+class QuadScalar:
+    """Exact element a + b*sqrt(2), the scalar type of the spinor matrices."""
+
+    __slots__ = ("rat", "surd")
+
+    def __init__(self, rat=0, surd=0) -> None:
+        self.rat = Fraction(rat)
+        self.surd = Fraction(surd)
+
+    @staticmethod
+    def _coerce(x) -> "QuadScalar | None":
+        if isinstance(x, QuadScalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QuadScalar(Fraction(x))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadScalar(self.rat + o.rat, self.surd + o.surd)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadScalar(-self.rat, -self.surd)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s  with s^2 = 2
+        return QuadScalar(
+            self.rat * o.rat + 2 * self.surd * o.surd,
+            self.rat * o.surd + self.surd * o.rat,
+        )
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.rat) or bool(self.surd)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QuadScalar):
+            return self.rat == other.rat and self.surd == other.surd
+        try:
+            r = Fraction(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.surd == 0 and self.rat == r
+
+    def __hash__(self) -> int:
+        if self.surd == 0:
+            return hash(self.rat)
+        return hash((self.rat, self.surd))
+
+    def __repr__(self) -> str:
+        return f"QuadScalar({self.rat!r}, {self.surd!r})"
+
+
 
 
 def _mat_zero(d):

@@ -16,18 +16,36 @@ from a2l2.affroots import (
     coroot_pairing,
     delta,
     eps_unit,
-    finite_weight,
     first_integral_parameter,
-    fundamental_weights,
     ip,
     kw_positivity,
-    lambda0,
     pairing_progression,
     positive_real_families,
     rho,
     simple_roots,
 )
 from a2l2.liealg import b_type_generators, bracket, eigen_ratio
+
+
+def finite_weight(coeffs) -> AffineWeight:
+    """Weight with the given eps-coefficients and no affine components."""
+    return AffineWeight(tuple(Fraction(v) for v in coeffs))
+
+
+def lambda0(l: int) -> AffineWeight:
+    return AffineWeight((Fraction(0),) * l, k0=Fraction(1))
+
+
+def fundamental_weights(l: int) -> tuple[AffineWeight, ...]:
+    """(omega_1, ..., omega_l) for the horizontal so(2l+1):
+    omega_i = eps_1 + ... + eps_i for i < l, omega_l = (eps_1+...+eps_l)/2."""
+    out = []
+    for i in range(1, l + 1):
+        w = finite_weight([Fraction(int(j <= i)) for j in range(1, l + 1)])
+        if i == l:
+            w = w.scale(Fraction(1, 2))
+        out.append(w)
+    return tuple(out)
 
 
 PINNED_MATRICES = {

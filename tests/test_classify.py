@@ -15,7 +15,6 @@ from a2l2.classify import (
     all_highest_weights,
     dominant_integral_filter,
     eval_polys,
-    from_eps,
     mu_weight,
     zero_set_oracle,
 )
@@ -28,6 +27,15 @@ from a2l2.twzhu import (
 
 
 F = Fraction
+
+
+def from_eps(coords) -> FiniteWeight:
+    """Build a finite weight from eps-coefficients."""
+    coords = tuple(F(v) for v in coords)
+    l = len(coords)
+    vals = [coords[j] - coords[j + 1] for j in range(l - 1)]
+    vals.append(2 * coords[l - 1])
+    return FiniteWeight(tuple(vals))
 
 
 # ---------------------------------------------------------- weight formulas

@@ -50,12 +50,13 @@ def test_run_all_checks_rank2_passes():
 
 
 def test_run_single_check_with_unmet_dependency_still_runs():
-    report = run_checks(2, ["classification"])
-    assert report.overall == "pass"
-    assert len(report.checks) == 1
-    only = report.checks[0]
-    assert only.id == "classification" and only.status == "pass"
-    assert only.details["count"] == 4
+    for ids in (["classification"], "classification"):
+        report = run_checks(2, ids)
+        assert report.overall == "pass"
+        assert len(report.checks) == 1
+        only = report.checks[0]
+        assert only.id == "classification" and only.status == "pass"
+        assert only.details["count"] == 4
 
 
 def test_run_checks_validation():
@@ -262,7 +263,7 @@ def test_cli_verify_out_file(tmp_path):
     assert payload["overall"] == "pass"
 
 
-def test_cli_usage_errors_exit_2():
+def test_cli_usage_errors_exit_2(tmp_path):
     runner = CliRunner()
     assert runner.invoke(main, ["verify", "--l", "0"]).exit_code == 2
     assert runner.invoke(main, ["verify", "--l", "99"]).exit_code == 2
@@ -276,6 +277,11 @@ def test_cli_usage_errors_exit_2():
     )
     assert (
         runner.invoke(main, ["dump", "--l", "1", "--object", "nope"]).exit_code == 2
+    )
+    unwritable = str(tmp_path / "missing" / "x.json")
+    assert (
+        runner.invoke(main, ["verify", "--l", "1", "--out", unwritable]).exit_code
+        == 2
     )
 
 

@@ -9,14 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.envelope import (
-    CartanPoly,
-    uea_add_into,
-    uea_combine,
-    uea_scale,
-    uea_unit,
-)
+from a2l2.envelope import CartanPoly, uea_unit
 from a2l2.liealg import E, b_type_generators, bracket, g0_basis_info
+from a2l2.linalg import vec_add_into, vec_add_term, vec_scale
 from a2l2.twzhu import projection_context
 
 from helpers_spin import (
@@ -44,7 +39,7 @@ def normal_form_rightmost(alg, word, coeff):
             continue
         pos = next((i for i in range(len(w) - 2, -1, -1) if w[i] > w[i + 1]), None)
         if pos is None:
-            uea_add_into(out, w, c)
+            vec_add_term(out, w, c)
             continue
         s, t = w[pos], w[pos + 1]
         pending.append((w[:pos] + (t, s) + w[pos + 2 :], c))
@@ -59,7 +54,7 @@ def _random_uea(rng, alg, max_monomials=2, max_degree=2):
         deg = rng.randint(0, max_degree)
         word = tuple(sorted(rng.randrange(alg.dim) for _ in range(deg)))
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        uea_combine(u, {word: c})
+        vec_add_into(u, {word: c})
     return u
 
 
@@ -94,7 +89,7 @@ def test_normal_form_pinned_values_rank2():
     prod = alg.mul(e1, f1)
     h1_coords = alg.lie2uea(gens.h[0])
     expected = {(0, 6): Fraction(4)}
-    uea_combine(expected, h1_coords)
+    vec_add_into(expected, h1_coords)
     assert prod == expected
 
 
@@ -155,12 +150,12 @@ def test_ad_is_derivation_and_bracket_compatible():
         prod = alg.mul(u, v)
         lhs = alg.ad(x, prod)
         rhs = {}
-        uea_combine(rhs, alg.mul(alg.ad(x, u), v))
-        uea_combine(rhs, alg.mul(u, alg.ad(x, v)))
+        vec_add_into(rhs, alg.mul(alg.ad(x, u), v))
+        vec_add_into(rhs, alg.mul(u, alg.ad(x, v)))
         assert lhs == rhs
         comm = {}
-        uea_combine(comm, alg.ad(x, alg.ad(y, u)))
-        uea_combine(comm, alg.ad(y, alg.ad(x, u)), Fraction(-1))
+        vec_add_into(comm, alg.ad(x, alg.ad(y, u)))
+        vec_add_into(comm, alg.ad(y, alg.ad(x, u)), Fraction(-1))
         assert comm == alg.ad(bracket(x, y), u)
 
 
@@ -172,8 +167,8 @@ def test_ad_matches_commutator_multiplication():
         u = _random_uea(rng, alg)
         xu = alg.lie2uea(x)
         direct = {}
-        uea_combine(direct, alg.mul(xu, u))
-        uea_combine(direct, alg.mul(u, xu), Fraction(-1))
+        vec_add_into(direct, alg.mul(xu, u))
+        vec_add_into(direct, alg.mul(u, xu), Fraction(-1))
         assert alg.ad(x, u) == direct
 
 
@@ -228,8 +223,8 @@ def test_cartan_polynomial_against_spin_oracle():
             e1 = alg.lie2uea(gens.e[0])
             f1 = alg.lie2uea(gens.f[0])
             candidates.append(alg.mul(e1, f1))
-            mixed = uea_scale(alg.mul(el, fl), Fraction(-2, 3))
-            uea_combine(mixed, uea_unit(), Fraction(5))
+            mixed = vec_scale(alg.mul(el, fl), Fraction(-2, 3))
+            vec_add_into(mixed, uea_unit(), Fraction(5))
             candidates.append(mixed)
         top = tuple([Fraction(0)] * (l - 1) + [Fraction(1)])
         for u in candidates:
@@ -244,7 +239,7 @@ def test_weight_of_mixed_and_pure():
     e1 = alg.lie2uea(gens.e[0])
     assert alg.weight_of(e1) == (Fraction(2), Fraction(-2))
     mix = dict(e1)
-    uea_combine(mix, uea_unit())
+    vec_add_into(mix, uea_unit())
     assert alg.weight_of(mix) is None
     assert alg.weight_of({}) == (Fraction(0), Fraction(0))
 

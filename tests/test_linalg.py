@@ -1,0 +1,60 @@
+"""Tests for the sparse exact kernel that every algebra adds and scales
+through: no stored zero ever survives an addition or a scaling."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from a2l2.envelope import CartanPoly
+from a2l2.liealg import E, H
+from a2l2.linalg import vec_add_into, vec_add_term, vec_scale
+from a2l2.vacuum import VermaState, standard_mode_basis, state_from_ops
+
+F = Fraction
+
+
+def test_add_term_drops_cancelled_entry():
+    v = {"a": F(1, 2), "b": F(3)}
+    vec_add_term(v, "a", F(-1, 2))
+    assert v == {"b": F(3)}
+    vec_add_term(v, "c", F(2, 3))
+    assert v == {"b": F(3), "c": F(2, 3)}
+    vec_add_term(v, "d", F(0))
+    assert "d" not in v
+    assert all(v.values())
+
+
+def test_add_into_with_zero_factor_leaves_dst():
+    dst = {1: F(1), 2: F(-5, 7)}
+    vec_add_into(dst, {1: F(4), 3: F(1)}, F(0))
+    assert dst == {1: F(1), 2: F(-5, 7)}
+    vec_add_into(dst, {1: F(1), 2: F(5, 7)}, F(-1))
+    assert dst == {2: F(-10, 7)}
+
+
+def test_scale_by_zero_is_empty():
+    assert vec_scale({(1, 2): F(3), (): F(-1)}, F(0)) == {}
+    assert vec_scale({"x": F(3)}, F(1, 3)) == {"x": F(1)}
+
+
+def test_self_difference_is_empty_in_every_algebra():
+    n = 5
+    x = F(2, 3) * E(n, 1, 2) + H(n, 3) - E(n, 4, 1)
+    assert (x - x).terms == {}
+    assert (x - x).is_zero()
+
+    basis = standard_mode_basis(2)
+    k = F(-5, 2)
+    s = state_from_ops(basis, k, [(E(n, 1, 5), -1), (H(n, 2), -1)])
+    s = s + state_from_ops(basis, k, [(E(n, 1, 5), -2)]).scale(F(-3, 2))
+    # VermaState rejects a stored zero coefficient, so this also checks
+    # that subtraction drops every cancelled monomial
+    diff = s - s
+    assert isinstance(diff, VermaState) and diff.terms == {}
+    assert s.scale(0).terms == {}
+
+    p = CartanPoly.variable(2, 1).mul(CartanPoly.variable(2, 2)).add(
+        CartanPoly.const(2, F(1, 2))
+    )
+    assert p.add(p.scale(-1)).terms == {}
+    assert p.scale(0).is_zero()

@@ -8,15 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.envelope import CartanPoly, uea_combine, uea_scale, uea_unit
+from a2l2.envelope import CartanPoly, uea_unit
 from a2l2.liealg import (
     E,
     b_type_generators,
     bracket,
-    g0_basis,
     invariant_form,
     split_pm,
 )
+from a2l2.linalg import vec_add_into
 from a2l2.twzhu import (
     ProjectionContext,
     _binom_half,
@@ -40,7 +40,7 @@ from a2l2.vacuum import (
     state_from_ops,
 )
 
-from helpers_spin import spin_hw_coefficient, verify_spin_homomorphism
+from helpers_spin import g0_basis, spin_hw_coefficient, verify_spin_homomorphism
 from test_liealg import sample_sparse
 from test_vacuum import zero_mode_orbit
 
@@ -89,13 +89,13 @@ def test_project_pair_closed_form_100_samples():
         bp, bm = split_pm(b)
         want = {}
         if not bp.is_zero() and not ap.is_zero():
-            uea_combine(want, alg.mul(alg.lie2uea(bp), alg.lie2uea(ap)))
+            vec_add_into(want, alg.mul(alg.lie2uea(bp), alg.lie2uea(ap)))
         comm = bracket(am, bm)
         if not comm.is_zero():
-            uea_combine(want, alg.lie2uea(comm), Fraction(-1, 2))
+            vec_add_into(want, alg.lie2uea(comm), Fraction(-1, 2))
         pairing = invariant_form(am, bm)
         if pairing:
-            uea_combine(want, uea_unit(), k * pairing / 8)
+            vec_add_into(want, uea_unit(), k * pairing / 8)
         assert got == want
 
 

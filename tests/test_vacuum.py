@@ -50,7 +50,7 @@ def orbit_contains(states: list[VermaState], s: VermaState) -> bool:
     solver = SpanSolver()
     for w in states:
         solver.add(dict(w.terms))
-    return solver.contains(dict(s.terms))
+    return solver.coords(dict(s.terms)) is not None
 
 
 def _rand_state(rng, basis, k, max_ops=2):
