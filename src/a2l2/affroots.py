@@ -61,9 +61,6 @@ class AffineWeight:
             tuple(c * a for a in self.eps), c * self.d_delta, c * self.k0
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.eps) and not self.d_delta and not self.k0
-
     @property
     def level(self) -> Fraction:
         """Value of the pairing with delta (the central charge direction)."""
@@ -112,6 +109,7 @@ def simple_roots(l: int) -> tuple[AffineWeight, ...]:
     return tuple(roots)
 
 
+@lru_cache(maxsize=None)
 def rho(l: int) -> AffineWeight:
     """The Weyl vector: (2l+1) Lambda0c + sum_i (l - i + 1/2) eps_i; pairs to
     1 with every simple coroot."""
@@ -199,13 +197,6 @@ class RealRootFamily:
     def delta_coefficient(self, m: int) -> int:
         return 2 * m + 1 if self.m_pattern == "2m+1" else m
 
-    def root_at(self, m: int) -> AffineWeight:
-        if m < self.m_min:
-            raise ValueError("parameter below the family minimum")
-        return self.classical + delta(self.classical.rank).scale(
-            self.delta_coefficient(m)
-        )
-
     def squared_norm(self) -> Fraction:
         return ip(self.classical, self.classical)
 
@@ -217,6 +208,7 @@ def _is_positive_finite(w: AffineWeight) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
 def positive_real_families(l: int) -> tuple[RealRootFamily, ...]:
     """All positive real roots, grouped into integer-parameter families:
     long 2(+-eps_i) + (2m+1) delta with m >= 0; intermediate (l > 1 only)
@@ -258,13 +250,15 @@ def positive_real_families(l: int) -> tuple[RealRootFamily, ...]:
 def pairing_progression(
     lam: AffineWeight, fam: RealRootFamily
 ) -> tuple[Fraction, Fraction]:
-    """(a, b) with (lam, root_at(m)^vee) = a + b*m for every allowed m."""
-    base = fam.root_at(fam.m_min)
-    v0 = coroot_pairing(lam, base)
-    v1 = coroot_pairing(lam, fam.root_at(fam.m_min + 1))
-    b = v1 - v0
-    a = v0 - b * fam.m_min
-    return a, b
+    """(a, b) with (lam, (classical + p(m) delta)^vee) = a + b*m for every
+    allowed m.  delta is isotropic, orthogonal to the eps block and pairs to
+    the level k with lam, so the pairing is 2((lam, classical) + p(m) k) over
+    the squared norm of the classical part."""
+    scale = 2 / fam.squared_norm()
+    k = lam.level
+    if fam.m_pattern == "2m+1":
+        return scale * (ip(lam, fam.classical) + k), 2 * scale * k
+    return scale * ip(lam, fam.classical), scale * k
 
 
 def first_integral_parameter(
@@ -290,47 +284,14 @@ def first_integral_parameter(
 
 
 @dataclasses.dataclass(frozen=True)
-class FamilyShiftReport:
-    """Condition-1 record for one family: the affine progression of
-    (lam + rho, root^vee) in the parameter, where its first integer value
-    occurs (if ever), and whether no nonpositive integer is attained."""
-
-    family: RealRootFamily
-    a: Fraction
-    b: Fraction
-    first_integral_m: Optional[int]
-    first_integral_value: Optional[Fraction]
-    ok: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class FamilyIntegralReport:
-    """Condition-2 record for one family: up to two parameter values where
-    (lam, root^vee) is an integer, with the pairings and coroot vectors."""
-
-    family: RealRootFamily
-    integral_ms: tuple[int, ...]
-    pairings: tuple[Fraction, ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class AdmissibilityReport:
-    lam: AffineWeight
-    cond1: tuple[FamilyShiftReport, ...]
-    cond2: tuple[FamilyIntegralReport, ...]
+    """Verdict of `check_admissible`: both condition flags and the rank of
+    the span of the integral coroots."""
+
     cond1_pass: bool
     cond2_rank: int
     cond2_pass: bool
     passed: bool
-
-
-def _coroot_vector(fam: RealRootFamily, m: int) -> dict:
-    """The coroot of root_at(m) in coordinates (finite part, central coeff),
-    dropping the degree direction (never needed for the rank check)."""
-    root = fam.root_at(m)
-    scale = Fraction(2) / ip(root, root)
-    coords = [scale * c for c in root.eps] + [scale * root.d_delta]
-    return {i: c for i, c in enumerate(coords) if c}
 
 
 def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
@@ -342,53 +303,35 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     one is positive.  Condition 2: the coroots pairing integrally with the
     weight must span the full (l+1)-dimensional coroot space over the
     rationals; two representatives per integral family exhaust each family's
-    contribution to the span.
+    contribution to the span.  Coroots are written as (finite part, central
+    coefficient), dropping the degree direction (never needed for the rank).
     """
     l = lam.rank
     if lam.level != level_for(l):
         raise ValueError("weight is not at the studied level")
-    r = rho(l)
-    shifted = lam + r
-    cond1_reports = []
+    shifted = lam + rho(l)
     cond1_pass = True
-    cond2_reports = []
     solver = SpanSolver()
     for fam in positive_real_families(l):
         a, b = pairing_progression(shifted, fam)
         if b <= 0:
             raise AssertionError("condition-1 progression must increase")
         hit = first_integral_parameter(a, b, fam.m_min)
-        if hit is None:
-            cond1_reports.append(
-                FamilyShiftReport(fam, a, b, None, None, True)
-            )
-        else:
-            m_star, _ = hit
-            value = a + b * m_star
-            ok = value > 0
-            cond1_pass = cond1_pass and ok
-            cond1_reports.append(
-                FamilyShiftReport(fam, a, b, m_star, value, ok)
-            )
-        a2, b2 = pairing_progression(lam, fam)
-        hit2 = first_integral_parameter(a2, b2, fam.m_min)
-        if hit2 is not None:
-            m_star, period = hit2
-            ms = (m_star, m_star + period)
-            pairings = tuple(a2 + b2 * m for m in ms)
-            cond2_reports.append(FamilyIntegralReport(fam, ms, pairings))
-            for m in ms:
-                solver.add(_coroot_vector(fam, m))
-    rank = solver.rank
-    cond2_pass = rank == l + 1
+        if hit is not None:
+            cond1_pass = cond1_pass and a + b * hit[0] > 0
+        if solver.rank == l + 1:
+            continue
+        hit = first_integral_parameter(*pairing_progression(lam, fam), fam.m_min)
+        if hit is not None:
+            m_star, period = hit
+            scale = 2 / fam.squared_norm()
+            for m in (m_star, m_star + period):
+                coords = [scale * c for c in fam.classical.eps]
+                coords.append(scale * fam.delta_coefficient(m))
+                solver.add({i: c for i, c in enumerate(coords) if c})
+    cond2_pass = solver.rank == l + 1
     return AdmissibilityReport(
-        lam,
-        tuple(cond1_reports),
-        tuple(cond2_reports),
-        cond1_pass,
-        rank,
-        cond2_pass,
-        cond1_pass and cond2_pass,
+        cond1_pass, solver.rank, cond2_pass, cond1_pass and cond2_pass
     )
 
 

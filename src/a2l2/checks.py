@@ -1,10 +1,10 @@
 """Registered verification checks over the whole pipeline.
 
-Each check recomputes one layer of the classification story and compares it
-against its independent reference (pinned matrices, closed forms, weight
-formulas, the admissibility decision procedure).  Checks run in dependency
-order; a check whose prerequisite failed is reported as skipped rather than
-failed, so a single root cause does not cascade into a wall of red.
+Each check compares one cached stage of the classification story against
+its independent reference (pinned matrices, closed forms, weight formulas,
+the admissibility decision procedure).  Checks run in dependency order; a
+check whose prerequisite failed is reported as skipped rather than failed,
+so a single root cause does not cascade into a wall of red.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def max_rank() -> int:
 def validated_rank(l: int) -> int:
     """Return l if it is an admitted rank; raise ValueError otherwise."""
     cap = max_rank()
-    if not isinstance(l, int) or not 1 <= l <= cap:
+    if isinstance(l, bool) or not isinstance(l, int) or not 1 <= l <= cap:
         raise ValueError(
             f"rank must be an integer in 1..{cap}, got {l!r}"
             " (raise the cap with A2L2_MAX_L)"

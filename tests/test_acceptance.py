@@ -26,7 +26,11 @@ from a2l2.affroots import (
     coroot_pairing,
     delta,
     eps_unit,
+    first_integral_parameter,
     kw_positivity,
+    pairing_progression,
+    positive_real_families,
+    rho,
 )
 from a2l2.checks import run_checks
 from a2l2.classify import (
@@ -282,11 +286,13 @@ def test_criterion_11_admissibility():
     # Rank-1 long-root pattern: the shifted pairings along both long-root
     # progressions always carry denominator 4, so they are never integers
     # and the first condition holds vacuously there.
+    longs = [f for f in positive_real_families(1) if f.kind == "long"]
+    ok = ok and len(longs) == 2
     for weight in (lam, lam_p):
-        report = check_admissible(weight)
-        longs = [r for r in report.cond1 if r.family.kind == "long"]
-        ok = ok and len(longs) == 2
-        ok = ok and all(r.first_integral_m is None and r.ok for r in longs)
+        shifted = weight + rho(1)
+        for fam in longs:
+            a, b = pairing_progression(shifted, fam)
+            ok = ok and first_integral_parameter(a, b, fam.m_min) is None
 
     _criterion(
         11,

@@ -10,6 +10,7 @@ import pytest
 
 from a2l2.affroots import (
     AffineWeight,
+    RealRootFamily,
     algebra_data,
     cartan_matrix_from_form,
     check_admissible,
@@ -24,7 +25,21 @@ from a2l2.affroots import (
     rho,
     simple_roots,
 )
+from a2l2.classify import affinize, all_highest_weights
 from a2l2.liealg import b_type_generators, bracket, eigen_ratio
+
+
+def is_zero(w: AffineWeight) -> bool:
+    return not any(w.eps) and not w.d_delta and not w.k0
+
+
+def root_at(fam: RealRootFamily, m: int) -> AffineWeight:
+    """The root classical + p(m) delta of a family, built explicitly."""
+    if m < fam.m_min:
+        raise ValueError("parameter below the family minimum")
+    return fam.classical + delta(fam.classical.rank).scale(
+        fam.delta_coefficient(m)
+    )
 
 
 def finite_weight(coeffs) -> AffineWeight:
@@ -189,23 +204,38 @@ def test_family_counts_and_norms():
 
 
 def test_family_roots_are_positive_and_have_stated_norms():
-    rng = random.Random(7)
     for l in (1, 2, 3):
         for fam in positive_real_families(l):
             for m in range(fam.m_min, fam.m_min + 4):
-                root = fam.root_at(m)
+                root = root_at(fam, m)
                 assert ip(root, root) == fam.squared_norm()
                 coeff = fam.delta_coefficient(m)
                 assert coeff > 0 or (
                     coeff == 0 and next(c for c in root.eps if c) > 0
                 )
             with pytest.raises(ValueError):
-                fam.root_at(fam.m_min - 1)
-        # spot-check a random pairing is affine in the parameter
-        fam = rng.choice(positive_real_families(l))
-        a, b = pairing_progression(rho(l), fam)
-        for m in range(fam.m_min, fam.m_min + 5):
-            assert coroot_pairing(rho(l), fam.root_at(m)) == a + b * m
+                root_at(fam, fam.m_min - 1)
+        # the closed-form progression against coroot pairings with built
+        # roots: every family, at rho, every classified weight, and shifted
+        r = rho(l)
+        weights = [r]
+        for mu in all_highest_weights(l):
+            lam = affinize(mu, l)
+            weights += [lam, lam + r]
+        for lam in weights:
+            for fam in positive_real_families(l):
+                a, b = pairing_progression(lam, fam)
+                for m in range(fam.m_min, fam.m_min + 5):
+                    assert coroot_pairing(lam, root_at(fam, m)) == a + b * m
+
+
+def test_rho_and_families_computed_once_per_rank():
+    rho.cache_clear()
+    positive_real_families.cache_clear()
+    for mu in all_highest_weights(3):
+        check_admissible(affinize(mu, 3))
+    assert rho.cache_info().misses == 1
+    assert positive_real_families.cache_info().misses == 1
 
 
 def test_rank1_has_no_intermediate_family():
@@ -270,6 +300,10 @@ def test_rank1_pairing_witnesses():
     assert coroot_pairing(lam_primed, d_minus) == -4
 
 
+def _families_of_kind(l, kind):
+    return [f for f in positive_real_families(l) if f.kind == kind]
+
+
 def test_rank1_admissibility_reports():
     for lam in _weights_rank1():
         report = check_admissible(lam)
@@ -277,31 +311,38 @@ def test_rank1_admissibility_reports():
         assert report.cond2_rank == 2
         # long families never meet an integer: the shifted pairing is
         # 3/4 * (2m+1) +- 1/2 +- (finite part, eps_1)
-        longs = [r for r in report.cond1 if r.family.kind == "long"]
+        shifted = lam + rho(1)
+        longs = _families_of_kind(1, "long")
         assert len(longs) == 2
-        for r in longs:
-            assert r.first_integral_m is None and r.ok
+        for fam in longs:
+            a, b = pairing_progression(shifted, fam)
+            assert first_integral_parameter(a, b, fam.m_min) is None
         # short families are integral at every parameter
-        shorts = [r for r in report.cond2 if r.family.kind == "short"]
+        shorts = _families_of_kind(1, "short")
         assert len(shorts) == 2
-        pair_by_classical = {
-            tuple(r.family.classical.eps): r.pairings for r in shorts
-        }
+        first_pairing = {}
+        for fam in shorts:
+            a, b = pairing_progression(lam, fam)
+            m_star, _ = first_integral_parameter(a, b, fam.m_min)
+            first_pairing[fam.classical.eps] = a + b * m_star
         if lam.eps == (Fraction(0),):
-            assert pair_by_classical[(Fraction(1),)][0] == 0
-            assert pair_by_classical[(Fraction(-1),)][0] == -3
+            assert first_pairing[(Fraction(1),)] == 0
+            assert first_pairing[(Fraction(-1),)] == -3
         else:
-            assert pair_by_classical[(Fraction(-1),)][0] == -4
+            assert first_pairing[(Fraction(-1),)] == -4
 
 
 def test_rank1_condition1_values_all_positive_integers_when_integral():
     for lam in _weights_rank1():
-        report = check_admissible(lam)
-        for r in report.cond1:
-            assert r.b > 0
-            if r.first_integral_m is not None:
-                assert r.first_integral_value > 0
-                assert r.first_integral_value.denominator == 1
+        shifted = lam + rho(1)
+        for fam in positive_real_families(1):
+            a, b = pairing_progression(shifted, fam)
+            assert b > 0
+            hit = first_integral_parameter(a, b, fam.m_min)
+            if hit is not None:
+                value = a + b * hit[0]
+                assert value > 0
+                assert value.denominator == 1
 
 
 def test_check_admissible_rejects_wrong_level():
@@ -315,6 +356,13 @@ def test_admissibility_failure_case_detected():
     lam = AffineWeight((Fraction(1, 7), Fraction(0)), k0=Fraction(-5, 2))
     report = check_admissible(lam)
     assert not report.cond2_pass
+    assert not report.passed
+    # -eps_1/2 at rank 1 breaks condition 1 alone: its shifted pairing is
+    # 0 on the short family +eps_1 at m = 0
+    lam = AffineWeight((Fraction(-1, 2),), k0=Fraction(-3, 2))
+    report = check_admissible(lam)
+    assert not report.cond1_pass
+    assert report.cond2_pass and report.cond2_rank == 2
     assert not report.passed
 
 
@@ -332,6 +380,6 @@ def test_finite_weight_helper_and_arithmetic():
     w = finite_weight([1, Fraction(1, 2)])
     assert w.eps == (Fraction(1), Fraction(1, 2))
     assert (w + w).eps == (Fraction(2), Fraction(1))
-    assert (w - w).is_zero()
+    assert is_zero(w - w)
     assert w.scale(2).eps == (Fraction(2), Fraction(1))
     assert w.level == 0

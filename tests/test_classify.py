@@ -127,6 +127,31 @@ def test_zero_set_oracle_matches_weight_formulas():
         assert zero_set_oracle(lowered_polynomials(ctx)) == expected
 
 
+def test_zero_set_agrees_with_sympy_solver():
+    # an oracle sharing no assumption with zero_set_oracle: sympy solves the
+    # polynomial system directly, without the triangular factored form
+    sympy = pytest.importorskip("sympy")
+    for l in (1, 2, 3, 4):
+        polys = lowered_polynomials(projection_context(l))
+        xs = sympy.symbols(f"x1:{l + 1}")
+        system = [
+            sympy.Add(*(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+                for exps, c in p.terms.items()
+            ))
+            for p in polys
+        ]
+        solutions = sympy.solve_poly_system(system, *xs)
+        found = {
+            FiniteWeight(tuple(F(int(v.p), int(v.q)) for v in sol))
+            for sol in solutions
+        }
+        assert len(solutions) == 2**l
+        assert found == zero_set_oracle(polys)
+        assert found == set(all_highest_weights(l))
+
+
 def test_zero_set_oracle_rank1_literal():
     got = zero_set_oracle(reference_polynomials(1))
     assert got == frozenset({FiniteWeight((F(0),)), FiniteWeight((F(1),))})

@@ -68,6 +68,10 @@ def test_run_checks_validation():
         run_checks(1, ["no-such-check"])
     with pytest.raises(ValueError):
         run_checks(1, [])
+    with pytest.raises(ValueError):
+        run_checks(True, "cartan-matrix")
+    with pytest.raises(ValueError):
+        dump_object(True, "weights")
 
 
 def test_rank_cap_env_override(monkeypatch):
