@@ -5,10 +5,10 @@ Subpackages cover the finite Lie algebra core (`liealg`), PBW calculus
 (`envelope`), the level-k vacuum module (`vacuum`), the twisted zero-mode
 projection (`twzhu`), the twisted affine root system and admissibility
 (`affroots`), the weight classification (`classify`), and the batch check
-runner behind the ``a2l2`` command line tool (`checks`, `cli`).
+runner behind the ``a2l2`` command line tool (`checks`, `cli`), over one
+sparse exact kernel (`linalg`).
 
-All arithmetic is exact: rational numbers throughout, with one tiny
-quadratic extension used by a single normalization test.
+All arithmetic is exact: rational numbers throughout.
 """
 
 from __future__ import annotations

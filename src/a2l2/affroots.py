@@ -16,10 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .liealg import E, LieElt, level_for
+from .liealg import level_for
 from .linalg import SpanSolver
-
-Scalar = Fraction
 
 
 def _frac_tuple(vals) -> tuple[Fraction, ...]:
@@ -128,15 +126,13 @@ def rho(l: int) -> AffineWeight:
 @dataclasses.dataclass(frozen=True)
 class AlgebraData:
     """Cartan matrix and structural constants of the rank-(l+1) twisted
-    affine algebra, plus the affine-node coroot description."""
+    affine algebra."""
 
     l: int
     cartan_matrix: tuple[tuple[int, ...], ...]
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
     h_dual: int
-    h0_finite: LieElt  # finite part of the affine-node coroot
-    h0_central: Fraction  # coefficient of the canonical central element
 
 
 @lru_cache(maxsize=None)
@@ -167,9 +163,7 @@ def algebra_data(l: int) -> AlgebraData:
     for j in range(l + 1):
         if sum(comarks[i] * matrix[i][j] for i in range(l + 1)) != 0:
             raise AssertionError("comarks are not a null vector of the transpose")
-    n = 2 * l + 1
-    h0_finite = E(n, n, n) - E(n, 1, 1)
-    return AlgebraData(l, matrix, marks, comarks, h_dual, h0_finite, Fraction(1, 2))
+    return AlgebraData(l, matrix, marks, comarks, h_dual)
 
 
 def cartan_matrix_from_form(l: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -193,12 +187,10 @@ class RealRootFamily:
     classical: AffineWeight
     m_pattern: str  # "2m+1" | "m"
     m_min: int
+    squared_norm: Fraction  # ip(classical, classical), stored once
 
     def delta_coefficient(self, m: int) -> int:
         return 2 * m + 1 if self.m_pattern == "2m+1" else m
-
-    def squared_norm(self) -> Fraction:
-        return ip(self.classical, self.classical)
 
 
 def _is_positive_finite(w: AffineWeight) -> bool:
@@ -231,17 +223,14 @@ def positive_real_families(l: int) -> tuple[RealRootFamily, ...]:
                         eps_unit(l, i).scale(si) + eps_unit(l, j).scale(sj)
                     )
     for a in shorts:
-        fams.append(RealRootFamily("long", a.scale(2), "2m+1", 0))
+        c = a.scale(2)
+        fams.append(RealRootFamily("long", c, "2m+1", 0, ip(c, c)))
     for a in longs:
-        fams.append(
-            RealRootFamily(
-                "intermediate", a, "m", 0 if _is_positive_finite(a) else 1
-            )
-        )
+        m_min = 0 if _is_positive_finite(a) else 1
+        fams.append(RealRootFamily("intermediate", a, "m", m_min, ip(a, a)))
     for a in shorts:
-        fams.append(
-            RealRootFamily("short", a, "m", 0 if _is_positive_finite(a) else 1)
-        )
+        m_min = 0 if _is_positive_finite(a) else 1
+        fams.append(RealRootFamily("short", a, "m", m_min, ip(a, a)))
     return tuple(fams)
 
 
@@ -254,7 +243,7 @@ def pairing_progression(
     allowed m.  delta is isotropic, orthogonal to the eps block and pairs to
     the level k with lam, so the pairing is 2((lam, classical) + p(m) k) over
     the squared norm of the classical part."""
-    scale = 2 / fam.squared_norm()
+    scale = 2 / fam.squared_norm
     k = lam.level
     if fam.m_pattern == "2m+1":
         return scale * (ip(lam, fam.classical) + k), 2 * scale * k
@@ -324,7 +313,7 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
         hit = first_integral_parameter(*pairing_progression(lam, fam), fam.m_min)
         if hit is not None:
             m_star, period = hit
-            scale = 2 / fam.squared_norm()
+            scale = 2 / fam.squared_norm
             for m in (m_star, m_star + period):
                 coords = [scale * c for c in fam.classical.eps]
                 coords.append(scale * fam.delta_coefficient(m))

@@ -110,10 +110,6 @@ class Report:
     checks: tuple[CheckResult, ...]
     overall: str  # "pass" | "fail"
 
-    @property
-    def level(self) -> Fraction:
-        return level_for(self.l)
-
 
 # ----------------------------------------------------------- the checks
 

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .affroots import AdmissibilityReport, AffineWeight, _frac_tuple, check_admissible
 from .envelope import CartanPoly
 from .liealg import level_for
+from .linalg import format_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,19 +49,8 @@ class FiniteWeight:
 
     def omega_string(self) -> str:
         """Render as a combination of fundamental weights w1..wl."""
-        parts = []
-        for i, c in enumerate(self.coroot_vals, start=1):
-            if not c:
-                continue
-            mag = abs(c)
-            body = f"w{i}" if mag == 1 else f"{mag}*w{i}"
-            parts.append((c < 0, body))
-        if not parts:
-            return "0"
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        vals = enumerate(self.coroot_vals, start=1)
+        return format_sum((c, f"w{i}") for i, c in vals if c)
 
 
 def mu_weight(l: int, subset: Sequence[int], primed: bool) -> FiniteWeight:

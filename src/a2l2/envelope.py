@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
-from .linalg import vec_add_into, vec_add_term, vec_scale
+from .linalg import format_sum, vec_add_into, vec_add_term, vec_scale
 
 # monomial = tuple of basis indices in non-decreasing order
 UEAElt = dict[tuple[int, ...], Fraction]
@@ -183,10 +183,6 @@ class CartanPoly:
     terms: dict[tuple[int, ...], Fraction]
 
     @staticmethod
-    def zero(nvars: int) -> "CartanPoly":
-        return CartanPoly(nvars, {})
-
-    @staticmethod
     def variable(nvars: int, j: int) -> "CartanPoly":
         """The coordinate x_j, 1-based."""
         e = [0] * nvars
@@ -293,69 +289,23 @@ class CartanPoly:
         return _generic_poly_string(p)
 
 
-def _coeff_var_string(c: Fraction, j: int) -> str:
-    if c == 1:
-        return f"h{j}"
-    return f"{c}*h{j}"
-
-
 def _linear_string(const: Fraction, coeffs: list[Fraction]) -> str:
-    parts: list[tuple[Fraction, str]] = []
-    for j, c in enumerate(coeffs, start=1):
-        if c:
-            parts.append((c, _coeff_var_string(abs(c), j)))
+    terms = [(c, f"h{j}") for j, c in enumerate(coeffs, start=1) if c]
     if const:
-        parts.append((const, str(abs(const))))
-    if not parts:
-        return "0"
-    pieces = []
-    for idx, (c, body) in enumerate(parts):
-        if idx == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+        terms.append((const, ""))
+    return format_sum(terms)
 
 
 def _generic_poly_string(p: CartanPoly) -> str:
-    items = sorted(p.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
-    pieces = []
-    for idx, (k, c) in enumerate(items):
-        factors = []
-        for j, e in enumerate(k, start=1):
-            if e == 1:
-                factors.append(f"h{j}")
-            elif e > 1:
-                factors.append(f"h{j}^{e}")
-        if factors:
-            body = "*".join(factors)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-        else:
-            body = str(abs(c))
-        if idx == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    terms = []
+    for k, c in sorted(p.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0])):
+        powers = enumerate(k, start=1)
+        factors = [f"h{j}" if e == 1 else f"h{j}^{e}" for j, e in powers if e]
+        terms.append((c, "*".join(factors)))
+    return format_sum(terms)
 
 
 def uea_string(u: UEAElt, alg: "PBWAlgebra") -> str:
     """Render an envelope element as signed products of basis labels."""
-    if not u:
-        return "0"
-    pieces = []
-    for key in sorted(u):
-        c = u[key]
-        mag = abs(c)
-        if key:
-            body = "*".join(alg.info.labels[i] for i in key)
-            if mag != 1:
-                body = f"{mag}*{body}"
-        else:
-            body = str(mag)
-        pieces.append((c < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    labels = alg.info.labels
+    return format_sum((u[key], "*".join(labels[i] for i in key)) for key in sorted(u))

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .linalg import SpanSolver, vec_add_into, vec_add_term, vec_scale
+from .linalg import SpanSolver, format_sum, vec_add_into, vec_add_term, vec_scale
 
 Scalar = Fraction
 
@@ -81,18 +81,12 @@ class LieElt:
         return hash((self.n, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"LieElt(n={self.n}, 0)"
-        parts = " + ".join(f"{c}*E[{i},{j}]" for (i, j), c in sorted(self.terms.items()))
-        return f"LieElt(n={self.n}, {parts})"
+        terms = ((c, f"E[{i},{j}]") for (i, j), c in sorted(self.terms.items()))
+        return f"LieElt(n={self.n}, {format_sum(terms)})"
 
     def entry_vector(self) -> dict:
         """Sparse (i,j)->coeff dict for linear algebra over elements."""
         return dict(self.terms)
-
-
-def zero(n: int) -> LieElt:
-    return LieElt(n, {})
 
 
 def E(n: int, i: int, j: int) -> LieElt:

@@ -4,7 +4,8 @@ Vectors are dicts mapping hashable, mutually comparable keys to Fractions,
 with zero entries never stored.  `vec_add_term`, `vec_add_into` and
 `vec_scale` are the one sparse kernel that every exact algebra in the
 package (matrices, vacuum states, envelope elements, polynomials) adds and
-scales through.  `SpanSolver` keeps a fully reduced (Gauss-Jordan) row
+scales through, and `format_sum` is the one printer of an exact signed
+sum.  `SpanSolver` keeps a fully reduced (Gauss-Jordan) row
 basis, so rank, membership, and coordinate queries are all single
 reduction passes with no floating point anywhere.
 """
@@ -12,7 +13,7 @@ reduction passes with no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable
+from typing import Hashable, Iterable
 
 Vec = dict[Hashable, Fraction]
 
@@ -43,6 +44,28 @@ def vec_add_into(dst: Vec, src: Vec, c: Fraction = Fraction(1)) -> None:
         vec_add_term(dst, k, c * x)
 
 
+def format_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Print (coefficient, label) pairs, in the given order, as a signed sum.
+
+    A coefficient of +-1 is dropped before a label, an empty label is the
+    unit term (printed as its bare magnitude), and no terms print as "0".
+    """
+    pieces: list[str] = []
+    for c, label in terms:
+        mag = abs(c)
+        if not label:
+            body = str(mag)
+        elif mag == 1:
+            body = label
+        else:
+            body = f"{mag}*{label}"
+        if pieces:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return " ".join(pieces) if pieces else "0"
+
+
 class SpanSolver:
     """Incremental span of sparse vectors over the rationals.
 
@@ -56,7 +79,6 @@ class SpanSolver:
         self._combos: list[Vec] = []        # row i = sum combo[i][t] * gen_t
         self._pivots: list[Hashable] = []   # pivot key of row i
         self._row_of: dict[Hashable, int] = {}  # pivot key -> row index
-        self.n_generators = 0               # independent vectors added so far
 
     @property
     def rank(self) -> int:
@@ -84,9 +106,8 @@ class SpanSolver:
         s = r[piv]
         inv = 1 / s
         row = vec_scale(r, inv)
-        # new generator index: this add
-        t = self.n_generators
-        new_combo: Vec = {t: inv}
+        # index of the new generator: one per earlier independent add
+        new_combo: Vec = {self.rank: inv}
         vec_add_into(new_combo, combo, -inv)
         # keep older rows free of the new pivot (full Gauss-Jordan)
         for i in range(len(self._rows)):
@@ -98,7 +119,6 @@ class SpanSolver:
         self._combos.append(new_combo)
         self._row_of[piv] = len(self._pivots)
         self._pivots.append(piv)
-        self.n_generators += 1
         return True
 
     def coords(self, v: Vec) -> Vec | None:

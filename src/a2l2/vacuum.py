@@ -30,7 +30,7 @@ from .liealg import (
     level_for,
     nu,
 )
-from .linalg import SpanSolver, vec_add_into, vec_add_term, vec_scale
+from .linalg import SpanSolver, format_sum, vec_add_into, vec_add_term, vec_scale
 
 DEPTH_CAP = 8  # total creation depth allowed in any stored monomial
 
@@ -334,12 +334,10 @@ def check_singular(s: VermaState, l: int) -> bool:
     return mode_action((E(n, n, 1), 1), s).is_zero()
 
 
-def positive_mode_sweep(s: VermaState, l: int, modes: tuple[int, ...] = (1, 2)) -> bool:
-    """True iff every basis operator at the given positive modes kills s."""
+def positive_mode_sweep(s: VermaState, l: int) -> bool:
+    """True iff every basis operator at modes 1 and 2 kills s."""
     for x in s.basis.elems:
-        for m in modes:
-            if m < 1:
-                raise ValueError("sweep modes must be positive")
+        for m in (1, 2):
             if not mode_action((x, m), s).is_zero():
                 return False
     return True
@@ -352,17 +350,8 @@ def convert_state(s: VermaState, target: ModeBasis) -> VermaState:
 
 def state_string(s: VermaState) -> str:
     """Single-line rendering: factors as label(-depth), vacuum as |0>."""
-    if not s.terms:
-        return "0"
-    pieces: list[str] = []
+    terms = []
     for mono, c in sorted(s.terms.items()):
-        body = "".join(f"{s.basis.labels[idx]}({-depth})" for idx, depth in mono)
-        body += "|0>"
-        mag = abs(c)
-        if mag != 1:
-            body = f"{mag}*{body}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+        factors = "".join(f"{s.basis.labels[idx]}({-depth})" for idx, depth in mono)
+        terms.append((c, factors + "|0>"))
+    return format_sum(terms)

@@ -31,6 +31,12 @@ RANK1_SINGULAR_LINE = (
     "1/3*H[1](-1)E[1,3](-1)|0> - 1/3*H[2](-1)E[1,3](-1)|0>"
     " + E[1,2](-1)E[2,3](-1)|0> - 1/2*E[1,3](-2)|0>"
 )
+RANK2_SINGULAR_LINE = (
+    "3/5*H[1](-1)E[1,5](-1)|0> + 1/5*H[2](-1)E[1,5](-1)|0>"
+    " - 1/5*H[3](-1)E[1,5](-1)|0> - 3/5*H[4](-1)E[1,5](-1)|0>"
+    " + E[1,2](-1)E[2,5](-1)|0> + E[1,3](-1)E[3,5](-1)|0>"
+    " + E[1,4](-1)E[4,5](-1)|0> - 3/2*E[1,5](-2)|0>"
+)
 
 
 # ------------------------------------------------------------ run_checks
@@ -219,12 +225,14 @@ def test_dump_pinned_rank1_objects():
 def test_dump_rank2_shapes():
     # the three quadratic summands merge pairwise in the canonical basis:
     # the outer factors coincide and the middle one picks up a sign
-    image = dump_object(2, "zhu-image").strip()
-    assert image == "2*Ep[1,2]*Ep[1,4] - Ep[1,3]*Ep[1,3]"
-    polys = dump_object(2, "polys").splitlines()
-    assert polys == ["h1*(h1 + 2*h2 + 1/2)", "h2*(h2 - 1/2)"]
-    weights = dump_object(2, "weights").splitlines()
-    assert len(weights) == 4 and weights[0] == "0"
+    assert dump_object(2, "zhu-image") == "2*Ep[1,2]*Ep[1,4] - Ep[1,3]*Ep[1,3]\n"
+    assert dump_object(2, "v1") == (
+        "4*Ep[3,2]*Ep[1,4] + 2*h[1]*Ep[1,3] + hb[2]*Ep[1,3]"
+        " + 4*Ep[1,2]*Ep[2,3] - Ep[1,3]\n"
+    )
+    assert dump_object(2, "polys") == "h1*(h1 + 2*h2 + 1/2)\nh2*(h2 - 1/2)\n"
+    assert dump_object(2, "weights") == "0\nw2\n-1/2*w1\n-3/2*w1 + w2\n"
+    assert dump_object(2, "singular") == RANK2_SINGULAR_LINE + "\n"
 
 
 def test_dump_validation():

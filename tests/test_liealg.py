@@ -25,7 +25,6 @@ from a2l2.liealg import (
     invariant_form,
     nu,
     split_pm,
-    zero,
 )
 from a2l2.linalg import SpanSolver
 
@@ -275,7 +274,7 @@ def test_g1_basis_is_odd():
 # ---------------------------------------------------------------- misc
 
 def test_zero_and_validation():
-    assert zero(3).is_zero()
+    assert LieElt(3).is_zero()
     with pytest.raises(ValueError):
         LieElt(4)  # even size rejected
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the sparse exact kernel that every algebra adds and scales
-through: no stored zero ever survives an addition or a scaling."""
+through (no stored zero ever survives an addition or a scaling), and for
+the one printer of exact signed sums."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 from a2l2.envelope import CartanPoly
 from a2l2.liealg import E, H
-from a2l2.linalg import vec_add_into, vec_add_term, vec_scale
+from a2l2.linalg import format_sum, vec_add_into, vec_add_term, vec_scale
 from a2l2.vacuum import VermaState, standard_mode_basis, state_from_ops
 
 F = Fraction
@@ -58,3 +59,16 @@ def test_self_difference_is_empty_in_every_algebra():
     )
     assert p.add(p.scale(-1)).terms == {}
     assert p.scale(0).is_zero()
+
+
+def test_format_sum_rule():
+    assert format_sum([]) == "0"
+    assert format_sum([(F(3), "")]) == "3"
+    assert format_sum([(F(-1), "")]) == "-1"
+    assert format_sum([(F(1), "x"), (F(-1), "y")]) == "x - y"
+    assert format_sum([(F(-1), "x"), (F(1), "y")]) == "-x + y"
+    assert format_sum([(F(-2), "x"), (F(2), "y"), (F(-1, 2), "")]) == (
+        "-2*x + 2*y - 1/2"
+    )
+    assert format_sum([(F(3, 2), "x")]) == "3/2*x"
+    assert format_sum(iter([(F(1), "a*b"), (F(-3, 2), "c")])) == "a*b - 3/2*c"

@@ -171,8 +171,6 @@ def test_positive_mode_sweep_on_singular_vectors():
     for l in (1, 2, 3):
         v = singular_vector(l)
         assert positive_mode_sweep(v, l)
-    with pytest.raises(ValueError):
-        positive_mode_sweep(singular_vector(1), 1, modes=(0,))
 
 
 def test_singular_vector_weight_is_top_root():
