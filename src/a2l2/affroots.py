@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .liealg import level_for
-from .linalg import SpanSolver
+from .linalg import rank_of
 
 
 def _frac_tuple(vals) -> tuple[Fraction, ...]:
@@ -181,23 +181,14 @@ class RealRootFamily:
     """One integer-parameter family of positive real roots
     classical + p(m) * delta, where p(m) = 2m+1 for the long family
     (classical then being twice a short horizontal root) and p(m) = m
-    otherwise; m ranges over integers >= m_min."""
+    otherwise; m ranges over integers >= m_min.  `classical` lists the
+    nonzero eps coefficients as (0-based index, coefficient) pairs in
+    increasing index order."""
 
     kind: str  # "long" | "intermediate" | "short"
-    classical: AffineWeight
-    m_pattern: str  # "2m+1" | "m"
+    classical: tuple[tuple[int, int], ...]
     m_min: int
-    squared_norm: Fraction  # ip(classical, classical), stored once
-
-    def delta_coefficient(self, m: int) -> int:
-        return 2 * m + 1 if self.m_pattern == "2m+1" else m
-
-
-def _is_positive_finite(w: AffineWeight) -> bool:
-    for c in w.eps:
-        if c:
-            return c > 0
-    return False
+    squared_norm: int  # (classical, classical): 4, 2 or 1
 
 
 @lru_cache(maxsize=None)
@@ -205,32 +196,21 @@ def positive_real_families(l: int) -> tuple[RealRootFamily, ...]:
     """All positive real roots, grouped into integer-parameter families:
     long 2(+-eps_i) + (2m+1) delta with m >= 0; intermediate (l > 1 only)
     (+-eps_i +- eps_j) + m delta; short (+-eps_i) + m delta — for the
-    latter two m >= 0 when the horizontal part is positive, else m >= 1.
-    Squared norms are 4, 2, 1 respectively."""
+    latter two m >= 0 when the first eps coefficient is positive, else
+    m >= 1."""
     if l < 1:
         raise ValueError("rank must be at least 1")
-    fams: list[RealRootFamily] = []
-    shorts = []
-    for i in range(1, l + 1):
-        shorts.append(eps_unit(l, i))
-        shorts.append(eps_unit(l, i).scale(-1))
-    longs = []
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 1):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    longs.append(
-                        eps_unit(l, i).scale(si) + eps_unit(l, j).scale(sj)
-                    )
-    for a in shorts:
-        c = a.scale(2)
-        fams.append(RealRootFamily("long", c, "2m+1", 0, ip(c, c)))
-    for a in longs:
-        m_min = 0 if _is_positive_finite(a) else 1
-        fams.append(RealRootFamily("intermediate", a, "m", m_min, ip(a, a)))
-    for a in shorts:
-        m_min = 0 if _is_positive_finite(a) else 1
-        fams.append(RealRootFamily("short", a, "m", m_min, ip(a, a)))
+    signs = (1, -1)
+    shorts = [((i, s),) for i in range(l) for s in signs]
+    pairs = [
+        ((i, si), (j, sj))
+        for i in range(l) for j in range(i + 1, l)
+        for si in signs for sj in signs
+    ]
+    fams = [RealRootFamily("long", ((i, 2 * s),), 0, 4) for ((i, s),) in shorts]
+    for kind, norm, supports in (("intermediate", 2, pairs), ("short", 1, shorts)):
+        for sup in supports:
+            fams.append(RealRootFamily(kind, sup, 0 if sup[0][1] > 0 else 1, norm))
     return tuple(fams)
 
 
@@ -243,11 +223,12 @@ def pairing_progression(
     allowed m.  delta is isotropic, orthogonal to the eps block and pairs to
     the level k with lam, so the pairing is 2((lam, classical) + p(m) k) over
     the squared norm of the classical part."""
-    scale = 2 / fam.squared_norm
+    n = fam.squared_norm
     k = lam.level
-    if fam.m_pattern == "2m+1":
-        return scale * (ip(lam, fam.classical) + k), 2 * scale * k
-    return scale * ip(lam, fam.classical), scale * k
+    proj = sum(c * lam.eps[i] for i, c in fam.classical)
+    if fam.kind == "long":
+        return 2 * (proj + k) / n, 4 * k / n
+    return 2 * proj / n, 2 * k / n
 
 
 def first_integral_parameter(
@@ -256,16 +237,13 @@ def first_integral_parameter(
     """Smallest m >= m_min with a + b*m an integer, plus the period of the
     arithmetic progression of such m; None when no integer value occurs."""
     a, b = Fraction(a), Fraction(b)
-    if b == 0:
-        return (m_min, 1) if a.denominator == 1 else None
     q = b.denominator
     p = b.numerator
     scaled = a * q
     if scaled.denominator != 1:
         return None
-    # solve p*m = -scaled (mod q); gcd(p, q) = 1 since b is reduced
-    if q == 1:
-        return (m_min, 1)
+    # solve p*m = -scaled (mod q); gcd(p, q) = 1 since b is reduced (b = 0
+    # and integral b give q = 1, where every m solves it)
     inv = pow(p % q, -1, q)
     m0 = (-int(scaled) * inv) % q
     shift = (m_min - m0 + q - 1) // q  # ceil((m_min - m0) / q)
@@ -291,16 +269,19 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     increasing arithmetic progression, so it suffices to check that the first
     one is positive.  Condition 2: the coroots pairing integrally with the
     weight must span the full (l+1)-dimensional coroot space over the
-    rationals; two representatives per integral family exhaust each family's
-    contribution to the span.  Coroots are written as (finite part, central
-    coefficient), dropping the degree direction (never needed for the rank).
+    rationals.  The coroot of classical + p(m) delta is 2/|classical|^2
+    (classical + p(m) K), K the central coroot (the degree direction never
+    enters).  An integral family has integral members at every period, and
+    two of them differ by a nonzero multiple of K, so the integral coroots
+    span K plus the families' finite parts: the rank is one plus the rank
+    of their eps supports, or 0 when no family is integral.
     """
     l = lam.rank
     if lam.level != level_for(l):
         raise ValueError("weight is not at the studied level")
     shifted = lam + rho(l)
     cond1_pass = True
-    solver = SpanSolver()
+    finite_parts = []
     for fam in positive_real_families(l):
         a, b = pairing_progression(shifted, fam)
         if b <= 0:
@@ -308,19 +289,13 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
         hit = first_integral_parameter(a, b, fam.m_min)
         if hit is not None:
             cond1_pass = cond1_pass and a + b * hit[0] > 0
-        if solver.rank == l + 1:
-            continue
         hit = first_integral_parameter(*pairing_progression(lam, fam), fam.m_min)
         if hit is not None:
-            m_star, period = hit
-            scale = 2 / fam.squared_norm
-            for m in (m_star, m_star + period):
-                coords = [scale * c for c in fam.classical.eps]
-                coords.append(scale * fam.delta_coefficient(m))
-                solver.add({i: c for i, c in enumerate(coords) if c})
-    cond2_pass = solver.rank == l + 1
+            finite_parts.append(dict(fam.classical))
+    rank = rank_of(finite_parts) + 1 if finite_parts else 0
+    cond2_pass = rank == l + 1
     return AdmissibilityReport(
-        cond1_pass, solver.rank, cond2_pass, cond1_pass and cond2_pass
+        cond1_pass, rank, cond2_pass, cond1_pass and cond2_pass
     )
 
 

@@ -161,7 +161,7 @@ def _check_g1_dim(l: int) -> tuple[bool, dict]:
 def _check_singular(l: int) -> tuple[bool, dict]:
     v = singular_vector(l)
     annihilated = check_singular(v, l)
-    swept = positive_mode_sweep(v, l)
+    swept = positive_mode_sweep(v)
     weight = state_weight(v)
     expected_weight = tuple(
         Fraction(1 if i in (1, 2 * l) else 0) for i in range(1, 2 * l + 1)

@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 from .linalg import SpanSolver, format_sum, vec_add_into, vec_add_term, vec_scale
 
-Scalar = Fraction
-
 
 def level_for(l: int) -> Fraction:
     """The level -(2l+1)/2 at which the extra singular vector appears."""
@@ -32,7 +30,7 @@ class LieElt:
         if n < 3 or n % 2 == 0:
             raise ValueError(f"matrix size must be odd and >= 3, got {n}")
         self.n = n
-        clean: dict[tuple[int, int], Scalar] = {}
+        clean: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in (terms or {}).items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"index {(i, j)} out of range for n={n}")
@@ -105,7 +103,7 @@ def bracket(a: LieElt, b: LieElt) -> LieElt:
     """Matrix commutator [a,b] = ab - ba."""
     if a.n != b.n:
         raise ValueError("matrix size mismatch")
-    t: dict[tuple[int, int], Scalar] = {}
+    t: dict[tuple[int, int], Fraction] = {}
     for (i, j), c in a.terms.items():
         for (p, q), d in b.terms.items():
             if j == p:
@@ -132,7 +130,7 @@ def invariant_form(a: LieElt, b: LieElt):
 def nu(a: LieElt) -> LieElt:
     """The order-2 automorphism E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]."""
     n = a.n
-    t: dict[tuple[int, int], Scalar] = {}
+    t: dict[tuple[int, int], Fraction] = {}
     for (i, j), c in a.terms.items():
         sign = 1 if (i - j) % 2 else -1  # -(-1)^(i-j)
         vec_add_term(t, (n + 1 - j, n + 1 - i), sign * c)
@@ -197,7 +195,7 @@ def b_type_generators(l: int) -> BTypeGenerators:
     )
 
 
-def eigen_ratio(image: LieElt, vec: LieElt) -> Scalar:
+def eigen_ratio(image: LieElt, vec: LieElt) -> Fraction:
     """Scalar r with image = r*vec; raises if image is not a multiple."""
     if image.is_zero():
         return Fraction(0)

@@ -1,13 +1,13 @@
 """Exact incremental row reduction over sparse rational vectors.
 
-Vectors are dicts mapping hashable, mutually comparable keys to Fractions,
-with zero entries never stored.  `vec_add_term`, `vec_add_into` and
-`vec_scale` are the one sparse kernel that every exact algebra in the
-package (matrices, vacuum states, envelope elements, polynomials) adds and
-scales through, and `format_sum` is the one printer of an exact signed
-sum.  `SpanSolver` keeps a fully reduced (Gauss-Jordan) row
-basis, so rank, membership, and coordinate queries are all single
-reduction passes with no floating point anywhere.
+Vectors are dicts mapping hashable, mutually comparable keys to Fractions
+(ints are accepted as input), with zero entries never stored.
+`vec_add_term`, `vec_add_into` and `vec_scale` are the one sparse kernel
+that every exact algebra in the package (matrices, vacuum states, envelope
+elements, polynomials) adds and scales through, and `format_sum` is the
+one printer of an exact signed sum.  `SpanSolver` keeps a fully reduced
+(Gauss-Jordan) row basis, so rank, membership, and coordinate queries are
+all single reduction passes with no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ Vec = dict[Hashable, Fraction]
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def vec_add_term(dst: Vec, key: Hashable, c: Fraction) -> None:
@@ -104,7 +105,7 @@ class SpanSolver:
             return False
         piv = min(r.keys())
         s = r[piv]
-        inv = 1 / s
+        inv = _ONE / s
         row = vec_scale(r, inv)
         # index of the new generator: one per earlier independent add
         new_combo: Vec = {self.rank: inv}

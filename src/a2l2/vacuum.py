@@ -334,7 +334,7 @@ def check_singular(s: VermaState, l: int) -> bool:
     return mode_action((E(n, n, 1), 1), s).is_zero()
 
 
-def positive_mode_sweep(s: VermaState, l: int) -> bool:
+def positive_mode_sweep(s: VermaState) -> bool:
     """True iff every basis operator at modes 1 and 2 kills s."""
     for x in s.basis.elems:
         for m in (1, 2):

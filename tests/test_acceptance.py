@@ -10,11 +10,8 @@ the printed lines.
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
-
-import pytest
 
 import test_envelope
 import test_liealg
@@ -136,7 +133,7 @@ def test_criterion_03_singularity_with_redundant_sweep():
     for l in RANKS:
         v = singular_vector(l)
         ok = ok and check_singular(v, l)
-        ok = ok and positive_mode_sweep(v, l)
+        ok = ok and positive_mode_sweep(v)
     _criterion(
         3,
         ok,
@@ -341,17 +338,13 @@ def test_criterion_13_property_suites_and_budget():
     )
 
 
-@pytest.mark.skipif(
-    os.environ.get("A2L2_TEST_L4") != "1",
-    reason="rank-4 sweep is optional; set A2L2_TEST_L4=1 to run it",
-)
 def test_criterion_13_optional_rank_4():
     t0 = time.perf_counter()
     ok = run_checks(4, "all").overall == "pass"
     _criterion(
         13,
         ok,
-        "(optional) every registered check passes at rank 4",
+        "every registered check passes at rank 4",
         time.perf_counter() - t0,
         600.0,
     )

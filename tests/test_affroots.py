@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from a2l2.affroots import (
+    AdmissibilityReport,
     AffineWeight,
     RealRootFamily,
     algebra_data,
@@ -26,20 +28,30 @@ from a2l2.affroots import (
     simple_roots,
 )
 from a2l2.classify import affinize, all_highest_weights
-from a2l2.liealg import E, b_type_generators, bracket, eigen_ratio
+from a2l2.liealg import E, b_type_generators, bracket, eigen_ratio, level_for
+from a2l2.linalg import SpanSolver
 
 
 def is_zero(w: AffineWeight) -> bool:
     return not any(w.eps) and not w.d_delta and not w.k0
 
 
-def root_at(fam: RealRootFamily, m: int) -> AffineWeight:
-    """The root classical + p(m) delta of a family, built explicitly."""
+def classical_part(l: int, fam: RealRootFamily) -> AffineWeight:
+    """The horizontal root of a family, built from its eps support."""
+    eps = [0] * l
+    for i, c in fam.classical:
+        eps[i] = c
+    return AffineWeight(tuple(eps))
+
+
+@lru_cache(maxsize=None)
+def root_at(l: int, fam: RealRootFamily, m: int) -> AffineWeight:
+    """The root classical + p(m) delta of a family, built explicitly
+    (cached: the admissibility oracle builds each root many times)."""
     if m < fam.m_min:
         raise ValueError("parameter below the family minimum")
-    return fam.classical + delta(fam.classical.rank).scale(
-        fam.delta_coefficient(m)
-    )
+    p = 2 * m + 1 if fam.kind == "long" else m
+    return classical_part(l, fam) + delta(l).scale(p)
 
 
 def finite_weight(coeffs) -> AffineWeight:
@@ -62,6 +74,10 @@ def fundamental_weights(l: int) -> tuple[AffineWeight, ...]:
         out.append(w)
     return tuple(out)
 
+
+# random weights per rank for the oracle comparison (the oracle's cost
+# grows like l^3 per weight)
+RANDOM_WEIGHTS = {1: 60, 2: 60, 3: 40, 4: 30, 5: 20}
 
 PINNED_MATRICES = {
     1: ((2, -1), (-4, 2)),
@@ -92,7 +108,7 @@ def test_delta_orthogonal_to_every_classical_root():
         roots = simple_roots(l)
         assert ip(d, roots[0]) == 0  # the affine simple root
         for fam in positive_real_families(l):
-            assert ip(d, fam.classical) == 0
+            assert ip(d, classical_part(l, fam)) == 0
         assert ip(d, lambda0(l)) == 1
 
 
@@ -196,26 +212,33 @@ def test_family_counts_and_norms():
         assert len(by_kind["long"]) == n_long
         assert len(by_kind["intermediate"]) == n_mid
         assert len(by_kind["short"]) == n_short
+        # long roots carry odd multiples 2m+1 of delta, the others m
         for f in by_kind["long"]:
-            assert f.squared_norm == 4 and f.m_pattern == "2m+1"
+            assert f.squared_norm == 4
+            assert [root_at(l, f, m).d_delta for m in (0, 1, 2)] == [1, 3, 5]
         for f in by_kind["intermediate"]:
-            assert f.squared_norm == 2 and f.m_pattern == "m"
+            assert f.squared_norm == 2
+            assert [root_at(l, f, m).d_delta for m in (1, 2)] == [1, 2]
         for f in by_kind["short"]:
-            assert f.squared_norm == 1 and f.m_pattern == "m"
+            assert f.squared_norm == 1
+            assert [root_at(l, f, m).d_delta for m in (1, 2)] == [1, 2]
+        # the affine simple root delta - 2 eps_1 opens a long family at m = 0
+        alpha0 = simple_roots(l)[0]
+        assert alpha0 in [root_at(l, f, 0) for f in by_kind["long"]]
 
 
 def test_family_roots_are_positive_and_have_stated_norms():
     for l in (1, 2, 3):
         for fam in positive_real_families(l):
             for m in range(fam.m_min, fam.m_min + 4):
-                root = root_at(fam, m)
+                root = root_at(l, fam, m)
                 assert ip(root, root) == fam.squared_norm
-                coeff = fam.delta_coefficient(m)
+                coeff = root.d_delta
                 assert coeff > 0 or (
                     coeff == 0 and next(c for c in root.eps if c) > 0
                 )
             with pytest.raises(ValueError):
-                root_at(fam, fam.m_min - 1)
+                root_at(l, fam, fam.m_min - 1)
         # the closed-form progression against coroot pairings with built
         # roots: every family, at rho, every classified weight, and shifted
         r = rho(l)
@@ -227,7 +250,7 @@ def test_family_roots_are_positive_and_have_stated_norms():
             for fam in positive_real_families(l):
                 a, b = pairing_progression(lam, fam)
                 for m in range(fam.m_min, fam.m_min + 5):
-                    assert coroot_pairing(lam, root_at(fam, m)) == a + b * m
+                    assert coroot_pairing(lam, root_at(l, fam, m)) == a + b * m
 
 
 def test_rho_and_families_computed_once_per_rank():
@@ -325,12 +348,12 @@ def test_rank1_admissibility_reports():
         for fam in shorts:
             a, b = pairing_progression(lam, fam)
             m_star, _ = first_integral_parameter(a, b, fam.m_min)
-            first_pairing[fam.classical.eps] = a + b * m_star
+            first_pairing[fam.classical] = a + b * m_star
         if lam.eps == (Fraction(0),):
-            assert first_pairing[(Fraction(1),)] == 0
-            assert first_pairing[(Fraction(-1),)] == -3
+            assert first_pairing[((0, 1),)] == 0
+            assert first_pairing[((0, -1),)] == -3
         else:
-            assert first_pairing[(Fraction(-1),)] == -4
+            assert first_pairing[((0, -1),)] == -4
 
 
 def test_rank1_condition1_values_all_positive_integers_when_integral():
@@ -344,6 +367,78 @@ def test_rank1_condition1_values_all_positive_integers_when_integral():
                 value = a + b * hit[0]
                 assert value > 0
                 assert value.denominator == 1
+
+
+def _progression(lam: AffineWeight, l: int, fam: RealRootFamily):
+    """(a, b) with (lam, root_at(l, fam, m)^vee) = a + b*m, read off two
+    built roots."""
+    m0 = fam.m_min
+    v0 = coroot_pairing(lam, root_at(l, fam, m0))
+    b = coroot_pairing(lam, root_at(l, fam, m0 + 1)) - v0
+    return v0 - b * m0, b
+
+
+def _coroot(root: AffineWeight) -> dict:
+    """2 root / (root, root) as a sparse vector: eps coordinates under keys
+    0..l-1, the central coefficient (from delta) under key l."""
+    s = 2 / ip(root, root)
+    v = {i: s * c for i, c in enumerate(root.eps) if c}
+    if root.d_delta:
+        v[root.rank] = s * root.d_delta
+    return v
+
+
+def admissible_oracle(lam: AffineWeight) -> AdmissibilityReport:
+    """Admissibility by an explicit span search: the roots are built as
+    weights, each progression is read off two coroot pairings, and two
+    coroots of every integral family go into a `SpanSolver`."""
+    l = lam.rank
+    shifted = lam + rho(l)
+    cond1_pass = True
+    solver = SpanSolver()
+    for fam in positive_real_families(l):
+        a, b = _progression(shifted, l, fam)
+        assert b > 0
+        hit = first_integral_parameter(a, b, fam.m_min)
+        if hit is not None:
+            cond1_pass = cond1_pass and a + b * hit[0] > 0
+        hit = first_integral_parameter(*_progression(lam, l, fam), fam.m_min)
+        if hit is not None:
+            m_star, period = hit
+            for m in (m_star, m_star + period):
+                solver.add(_coroot(root_at(l, fam, m)))
+    cond2_pass = solver.rank == l + 1
+    return AdmissibilityReport(
+        cond1_pass, solver.rank, cond2_pass, cond1_pass and cond2_pass
+    )
+
+
+def test_admissible_matches_oracle_on_classified_weights():
+    for l in (1, 2, 3, 4):
+        for mu in all_highest_weights(l):
+            lam = affinize(mu, l)
+            assert check_admissible(lam) == admissible_oracle(lam)
+
+
+def test_admissible_matches_oracle_on_random_weights():
+    rng = random.Random(6)
+    seen = set()
+    for l, count in RANDOM_WEIGHTS.items():
+        for _ in range(count):
+            den = rng.randint(1, 6)
+            eps = tuple(
+                Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(l)
+            )
+            lam = AffineWeight(eps, k0=level_for(l))
+            report = check_admissible(lam)
+            assert report == admissible_oracle(lam)
+            seen.add((report.cond1_pass, report.cond2_pass))
+            seen.add(report.cond2_rank)
+    # both single failures and the empty span were met
+    assert {(False, True), (True, False), (False, False), 0} <= seen
+    # an integral family adds the central line and a finite part, so the
+    # rank is never 1
+    assert {2, 3, 4, 5, 6} <= seen and 1 not in seen
 
 
 def test_check_admissible_rejects_wrong_level():

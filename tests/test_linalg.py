@@ -1,6 +1,6 @@
 """Tests for the sparse exact kernel that every algebra adds and scales
-through (no stored zero ever survives an addition or a scaling), and for
-the one printer of exact signed sums."""
+through (no stored zero ever survives an addition or a scaling), for the
+span solver on int input, and for the one printer of exact signed sums."""
 
 from __future__ import annotations
 
@@ -8,7 +8,14 @@ from fractions import Fraction
 
 from a2l2.envelope import CartanPoly
 from a2l2.liealg import E, H
-from a2l2.linalg import format_sum, vec_add_into, vec_add_term, vec_scale
+from a2l2.linalg import (
+    SpanSolver,
+    format_sum,
+    rank_of,
+    vec_add_into,
+    vec_add_term,
+    vec_scale,
+)
 from a2l2.vacuum import VermaState, standard_mode_basis, state_from_ops
 
 F = Fraction
@@ -59,6 +66,16 @@ def test_self_difference_is_empty_in_every_algebra():
     )
     assert p.add(p.scale(-1)).terms == {}
     assert p.scale(0).is_zero()
+
+
+def test_span_solver_stays_exact_on_int_input():
+    # eps supports reach the solver as int coefficients
+    assert rank_of([{0: 2}, {0: 1, 1: -1}, {0: 1, 1: 1}, {1: -2}]) == 2
+    s = SpanSolver()
+    assert s.add({0: 2, 1: 1}) and s.add({1: 3})
+    coords = s.coords({0: 1})
+    assert coords == {0: F(1, 2), 1: F(-1, 6)}
+    assert all(type(c) is Fraction for c in coords.values())
 
 
 def test_format_sum_rule():

@@ -1,14 +1,15 @@
 """Mutation gate: each seeded defect must turn `run_checks` red.
 
-A check suite that stays green under a wrong level, a dropped central term
-or a sign flip in a closed form shows nothing.  Each defect is applied by
-monkeypatch, and the per-rank caches are cleared before and after every
-case, so no stage computed under a defect outlives it.
+A check suite that stays green under a wrong level, a dropped central term,
+a sign flip in a closed form or a coroot span one short shows nothing.
+Each defect is applied by monkeypatch, and the per-rank caches are cleared
+before and after every case, so no stage computed under a defect outlives
+it.
 
-Two further seeded defects leave `run_checks` green at l = 1..3, and only
-other tests kill them: `binom(-1/2, j)` for `binom(1/2, j)` in the
-projection (`test_twzhu.py`) and `m_min + 1` in the root families
-(`test_affroots.py`).
+Three further seeded defects leave `run_checks` green at l = 1..3, and
+only other tests kill them: `binom(-1/2, j)` for `binom(1/2, j)` in the
+projection (`test_twzhu.py`), and `m_min + 1` in the root families and
+`>=` for `>` in condition 1 of `check_admissible` (`test_affroots.py`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2 import affroots, checks, classify, liealg, twzhu, vacuum
+from a2l2 import affroots, checks, classify, liealg, linalg, twzhu, vacuum
 from a2l2.checks import run_checks
 
 PER_RANK_CACHES = (
@@ -57,11 +58,19 @@ def flipped_v1_sign(monkeypatch):
     monkeypatch.setattr(checks, "v1_closed_form", flipped)
 
 
+def short_coroot_span(monkeypatch):
+    """The rank of the integral families' finite parts comes out one less."""
+    monkeypatch.setattr(
+        affroots, "rank_of", lambda vectors: linalg.rank_of(vectors) - 1
+    )
+
+
 # each defect with the check that turns red under it
 DEFECTS = (
     (wrong_level, "singular"),
     (no_central_term, "singular"),
     (flipped_v1_sign, "v1-closed-form"),
+    (short_coroot_span, "admissible"),
 )
 
 

@@ -170,7 +170,7 @@ def test_check_singular_rejects_non_singular():
 def test_positive_mode_sweep_on_singular_vectors():
     for l in (1, 2, 3):
         v = singular_vector(l)
-        assert positive_mode_sweep(v, l)
+        assert positive_mode_sweep(v)
 
 
 def test_singular_vector_weight_is_top_root():
