@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -27,6 +28,11 @@ def _validated_rank(l: int) -> int:
         return validated_rank(l)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _exit_internal_error(exc: Exception) -> NoReturn:
+    click.echo(f"Error: internal error: {type(exc).__name__}: {exc}", err=True)
+    sys.exit(3)
 
 
 @click.group()
@@ -93,7 +99,11 @@ def verify(l: int, checks: str, fmt: str, out: str | None) -> None:
 def dump(l: int, which: str) -> None:
     """Print one of the central symbolic objects in plain text."""
     l = _validated_rank(l)
-    click.echo(dump_object(l, which), nl=False)
+    try:
+        text = dump_object(l, which)
+    except Exception as exc:
+        _exit_internal_error(exc)
+    click.echo(text, nl=False)
 
 
 @main.command(name="classify")
@@ -108,17 +118,20 @@ def dump(l: int, which: str) -> None:
 def classify_cmd(l: int, fmt: str) -> None:
     """List the classified highest weights with their status flags."""
     l = _validated_rank(l)
-    rows = [
-        {
-            "weight": w.omega_string(),
-            "coroot_values": _exact_list(w.coroot_vals),
-            "eps_coordinates": _exact_list(w.eps_coords),
-            "dominant_integral": w.is_dominant_integral(),
-            "admissible": report.passed,
-            "kw_positive": kw_positivity(lam),
-        }
-        for w, lam, report in admissibility_table(l)
-    ]
+    try:
+        rows = [
+            {
+                "weight": w.omega_string(),
+                "coroot_values": _exact_list(w.coroot_vals),
+                "eps_coordinates": _exact_list(w.eps_coords),
+                "dominant_integral": w.is_dominant_integral(),
+                "admissible": report.passed,
+                "kw_positive": kw_positivity(lam),
+            }
+            for w, lam, report in admissibility_table(l)
+        ]
+    except Exception as exc:
+        _exit_internal_error(exc)
     if fmt == "json":
         payload = {"l": l, "level": level_string(l), "weights": rows}
         click.echo(json.dumps(payload, indent=2, sort_keys=True))

@@ -14,8 +14,9 @@ zero part of the associated associative algebra follows four rules:
     to mode (-d+j).
 
 The image of the degree-2 singular vector, its partner under one lowering
-step, and the resulting highest-weight eigenvalue polynomials are computed
-here, together with closed forms to compare against.
+step, the resulting highest-weight eigenvalue polynomials and the module the
+image generates under the adjoint action of the even part are computed here,
+together with closed forms to compare against.
 """
 
 from __future__ import annotations
@@ -248,20 +249,31 @@ def reference_polynomials(l: int, plus_half: bool = False) -> list[CartanPoly]:
 
 def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
     """Basis of the closure of the singular image under the adjoint action
-    of the even part."""
+    of the even part.
+
+    The seed is checked to be a highest-weight vector: every raising
+    generator kills it, else ValueError.  Then U(g0).seed = U(n-).seed by
+    PBW, and the simple lowering generators generate n-, so the closure
+    under those l generators alone is the whole submodule.  Each returned
+    vector is a weight vector, being a lowering word applied to the seed.
+    """
     if ctx._r0 is None:
         alg = ctx.alg
+        gens = b_type_generators(ctx.l)
+        seed = zhu_singular_image(ctx)
+        if any(alg.ad(e, seed) for e in gens.raising_elements()):
+            raise ValueError("singular image is not a highest-weight vector")
+        lowering = [alg.lie_coords(f) for f in gens.f + (gens.f_l,)]
         solver = SpanSolver()
         out: list[UEAElt] = []
         queue: list[UEAElt] = []
-        seed = zhu_singular_image(ctx)
         if solver.add(dict(seed)):
             out.append(seed)
             queue.append(seed)
         while queue:
             u = queue.pop()
-            for s in range(alg.dim):
-                w = alg.ad({s: Fraction(1)}, u)
+            for f in lowering:
+                w = alg.ad(f, u)
                 if w and solver.add(dict(w)):
                     out.append(w)
                     queue.append(w)

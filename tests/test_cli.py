@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import a2l2.checks as checks
+import a2l2.cli as cli
 import a2l2.twzhu as twzhu
 import a2l2.vacuum as vacuum
 from a2l2.checks import (
@@ -361,16 +362,32 @@ def test_cli_classify_text():
     assert result.output.count("admissible") == 4
 
 
+# the rank cap each stored output was produced under, where it is raised
+GOLDEN_MAX_L = {"verify-l5": 5, "algebra-l6": 6}
+
+
 @pytest.mark.parametrize(
     "name, args",
     [
         ("verify-l1", ["verify", "--l", "1", "--format", "json"]),
         ("verify-l2", ["verify", "--l", "2", "--format", "json"]),
         ("classify-l2", ["classify", "--l", "2", "--format", "json"]),
+        ("verify-l5", ["verify", "--l", "5", "--format", "json"]),
+        (
+            "algebra-l6",
+            [
+                "verify", "--l", "6", "--checks",
+                "singular,nu-fixed,zhu-image,v1-closed-form,polynomials,r0-dim",
+                "--format", "json",
+            ],
+        ),
     ],
 )
 def test_cli_output_matches_stored_benchmark_output(monkeypatch, name, args):
-    monkeypatch.delenv("A2L2_MAX_L", raising=False)
+    if name in GOLDEN_MAX_L:
+        monkeypatch.setenv("A2L2_MAX_L", str(GOLDEN_MAX_L[name]))
+    else:
+        monkeypatch.delenv("A2L2_MAX_L", raising=False)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0
     got = result.stdout_bytes
@@ -378,3 +395,22 @@ def test_cli_output_matches_stored_benchmark_output(monkeypatch, name, args):
         # the stored verify outputs carry no per-check timing lines
         got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", got)
     assert got == (EXPECTED / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("dump_object", ["dump", "--l", "1", "--object", "weights"]),
+        ("admissibility_table", ["classify", "--l", "1"]),
+        ("admissibility_table", ["classify", "--l", "1", "--format", "text"]),
+    ],
+)
+def test_cli_internal_error_exits_3(monkeypatch, target, args):
+    def broken(*_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, target, broken)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "Error: internal error: RuntimeError: boom\n"

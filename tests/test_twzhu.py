@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from a2l2 import twzhu
+from a2l2.checks import run_checks
 from a2l2.envelope import CartanPoly, uea_unit
 from a2l2.liealg import (
     E,
@@ -16,7 +18,7 @@ from a2l2.liealg import (
     invariant_form,
     split_pm,
 )
-from a2l2.linalg import vec_add_into
+from a2l2.linalg import SpanSolver, vec_add_into
 from a2l2.twzhu import (
     ProjectionContext,
     _binom_half,
@@ -244,3 +246,78 @@ def test_r0_dimension_and_zero_weight_polynomials():
         refs = reference_polynomials(l)
         assert poly_span_equal(member_polys, refs)
         assert not poly_span_equal(member_polys, [CartanPoly.variable(l, 1)])
+
+
+def r0_oracle(ctx):
+    """The closure of the singular image under ad of every PBW basis element
+    of the even part: no highest-weight assumption."""
+    alg = ctx.alg
+    solver = SpanSolver()
+    out, queue = [], []
+    seed = zhu_singular_image(ctx)
+    if solver.add(dict(seed)):
+        out.append(seed)
+        queue.append(seed)
+    while queue:
+        u = queue.pop()
+        for s in range(alg.dim):
+            w = alg.ad({s: Fraction(1)}, u)
+            if w and solver.add(dict(w)):
+                out.append(w)
+                queue.append(w)
+    return out
+
+
+def span_of(vectors):
+    solver = SpanSolver()
+    for v in vectors:
+        solver.add(dict(v))
+    return solver
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_r0_lowering_closure_matches_full_basis_oracle(l):
+    ctx = projection_context(l)
+    basis = r0_basis(ctx)
+    oracle = r0_oracle(ctx)
+    assert len(basis) == len(oracle) == 2 * l * l + 3 * l
+    basis_span, oracle_span = span_of(basis), span_of(oracle)
+    assert all(basis_span.coords(dict(v)) is not None for v in oracle)
+    assert all(oracle_span.coords(dict(v)) is not None for v in basis)
+    assert all(ctx.alg.weight_of(u) is not None for u in basis)
+
+
+def plant_lowered_image(ctx):
+    """Replace the singular image of `ctx` by ad(f_1) of it, which the
+    raising generator e_1 does not kill."""
+    gens = b_type_generators(ctx.l)
+    f_1 = (gens.f + (gens.f_l,))[0]
+    ctx._image = ctx.alg.ad(f_1, zhu_singular_image(ctx))
+    return ctx
+
+
+@pytest.mark.parametrize("l", (1, 2))
+def test_r0_rejects_seed_that_is_not_highest_weight(l):
+    with pytest.raises(ValueError, match="not a highest-weight vector"):
+        r0_basis(plant_lowered_image(ProjectionContext(l)))
+
+
+@pytest.fixture
+def cold_projection_cache():
+    twzhu.projection_context.cache_clear()
+    yield
+    twzhu.projection_context.cache_clear()
+
+
+@pytest.mark.parametrize("l", (1, 2))
+def test_r0_check_fails_on_seed_that_is_not_highest_weight(
+    cold_projection_cache, l
+):
+    plant_lowered_image(projection_context(l))
+    report = run_checks(l, "r0-dim")
+    (result,) = report.checks
+    assert report.overall == "fail"
+    assert result.status == "fail"
+    assert result.details == {
+        "error": "ValueError: singular image is not a highest-weight vector"
+    }
