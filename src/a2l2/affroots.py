@@ -264,6 +264,11 @@ class AdmissibilityReport:
 def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     """Two-condition admissibility decision for weights at the studied level.
 
+    rho pairs to 1 with every simple coroot and every real coroot is an
+    integer combination of simple coroots, so lam and lam + rho pair
+    integrally with the same real roots: one congruence solve on the
+    shifted pairing per family serves both conditions.
+
     Condition 1: along every positive family the shifted pairing is an affine
     function a + b*m with b > 0; its integer values (if any) form an
     increasing arithmetic progression, so it suffices to check that the first
@@ -289,8 +294,6 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
         hit = first_integral_parameter(a, b, fam.m_min)
         if hit is not None:
             cond1_pass = cond1_pass and a + b * hit[0] > 0
-        hit = first_integral_parameter(*pairing_progression(lam, fam), fam.m_min)
-        if hit is not None:
             finite_parts.append(dict(fam.classical))
     rank = rank_of(finite_parts) + 1 if finite_parts else 0
     cond2_pass = rank == l + 1

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .linalg import SpanSolver, format_sum, vec_add_into, vec_add_term, vec_scale
+from .linalg import format_sum, rank_of, vec_add_into, vec_add_term, vec_scale
 
 
 def level_for(l: int) -> Fraction:
@@ -338,16 +338,11 @@ def g1_zero_weight_dim(l: int) -> int:
     """Dimension of the joint ad-kernel of the even Cartan inside the odd part."""
     cart = b_type_generators(l).cartan_elements()
     basis = g1_basis_info(l).elems
-    solver = SpanSolver()
-    rank = 0
-    for x in basis:
-        row: dict = {}
-        for cidx, hc in enumerate(cart):
-            for key, val in bracket(hc, x).terms.items():
-                row[(cidx, key)] = val
-        if solver.add(row):
-            rank += 1
-    return len(basis) - rank
+    rows = [
+        {(c, k): v for c, h in enumerate(cart) for k, v in bracket(h, x).terms.items()}
+        for x in basis
+    ]
+    return len(basis) - rank_of(rows)
 
 
 def eplus(l: int, i: int, j: int) -> LieElt:

@@ -135,7 +135,11 @@ class SpanSolver:
 
 
 def rank_of(vectors: list[Vec]) -> int:
+    """Rank of the span; adding stops at the number of distinct keys, its bound."""
+    bound = len(set().union(*vectors))
     s = SpanSolver()
     for v in vectors:
+        if s.rank == bound:
+            break
         s.add(v)
     return s.rank

@@ -268,17 +268,13 @@ def nu_state(s: VermaState) -> VermaState:
     return _map_factors(s, s.basis, s.basis.nu_coords)
 
 
-def state_weight(
-    s: VermaState, cartan: tuple[LieElt, ...] | None = None
-) -> tuple[Fraction, ...]:
-    """Common eigenvalue tuple under the given diagonal zero modes
-    (default: H_1..H_{2l}).
+def state_weight(s: VermaState) -> tuple[Fraction, ...]:
+    """Common eigenvalue tuple under the diagonal zero modes H_1..H_{2l}.
 
     Raises if the state mixes weights (every state built here from weight
     vectors is weight-pure)."""
     n = 2 * s.basis.l + 1
-    if cartan is None:
-        cartan = tuple(H(n, i) for i in range(1, n))
+    cartan = tuple(H(n, i) for i in range(1, n))
     eig: dict[int, tuple[Fraction, ...]] = {}
 
     def elem_weight(idx: int) -> tuple[Fraction, ...]:

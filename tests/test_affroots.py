@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import pytest
 
+from a2l2 import affroots
 from a2l2.affroots import (
     AdmissibilityReport,
     AffineWeight,
@@ -186,6 +187,19 @@ def test_rho_pairs_to_one_with_every_simple_coroot():
             assert coroot_pairing(r, a) == 1
 
 
+def test_rho_pairs_integrally_with_every_real_coroot():
+    # hence lam and lam + rho have the same integral roots, and one
+    # congruence solve on the shifted pairing serves both conditions
+    for l in range(1, 7):
+        for fam in positive_real_families(l):
+            a, b = pairing_progression(rho(l), fam)
+            assert a.denominator == b.denominator == 1
+    for l in (1, 2, 3):
+        for fam in positive_real_families(l):
+            for m in range(fam.m_min, fam.m_min + 5):
+                assert coroot_pairing(rho(l), root_at(l, fam, m)).denominator == 1
+
+
 def test_fundamental_weight_duality():
     for l in (1, 2, 3):
         omegas = fundamental_weights(l)
@@ -260,6 +274,28 @@ def test_rho_and_families_computed_once_per_rank():
         check_admissible(affinize(mu, 3))
     assert rho.cache_info().misses == 1
     assert positive_real_families.cache_info().misses == 1
+
+
+def test_check_admissible_solves_once_per_family(monkeypatch):
+    progressions = []
+    solves = []
+    progression = affroots.pairing_progression
+    solve = affroots.first_integral_parameter
+
+    def counted_progression(lam, fam):
+        progressions.append(fam)
+        return progression(lam, fam)
+
+    def counted_solve(a, b, m_min):
+        solves.append(m_min)
+        return solve(a, b, m_min)
+
+    monkeypatch.setattr(affroots, "pairing_progression", counted_progression)
+    monkeypatch.setattr(affroots, "first_integral_parameter", counted_solve)
+    check_admissible(affinize(all_highest_weights(3)[0], 3))
+    fams = positive_real_families(3)
+    assert progressions == list(fams)
+    assert len(solves) == len(fams)
 
 
 def test_rank1_has_no_intermediate_family():

@@ -4,6 +4,7 @@ span solver on int input, and for the one printer of exact signed sums."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from a2l2.envelope import CartanPoly
@@ -76,6 +77,48 @@ def test_span_solver_stays_exact_on_int_input():
     coords = s.coords({0: 1})
     assert coords == {0: F(1, 2), 1: F(-1, 6)}
     assert all(type(c) is Fraction for c in coords.values())
+
+
+def test_rank_of_empty_input():
+    assert rank_of([]) == 0
+    assert rank_of([{}]) == 0
+    assert rank_of([{}, {}]) == 0
+
+
+def test_rank_of_stops_once_the_span_fills_its_keys(monkeypatch):
+    added = []
+    add = SpanSolver.add
+
+    def counted(self, v):
+        added.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(SpanSolver, "add", counted)
+    vectors = [{0: 1, 1: 1}, {1: 2}, {0: 3}, {0: 1, 1: -1}, {1: F(1, 2)}]
+    assert rank_of(vectors) == 2
+    assert added == vectors[:2]
+    # a dependent vector before the span fills is still reduced
+    added.clear()
+    vectors = [{0: 1, 2: 1}, {0: 2, 2: 2}, {1: 1}, {2: 1}, {0: 1, 1: 1}]
+    assert rank_of(vectors) == 3
+    assert added == vectors[:4]
+
+
+def test_rank_of_matches_full_span_solver_on_random_lists():
+    rng = random.Random(11)
+    for _ in range(200):
+        keys = rng.randint(1, 6)
+        vectors = [
+            {
+                k: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                for k in rng.sample(range(keys), rng.randint(0, keys))
+            }
+            for _ in range(rng.randint(0, 9))
+        ]
+        full = SpanSolver()
+        for v in vectors:
+            full.add(v)
+        assert rank_of(vectors) == full.rank
 
 
 def test_format_sum_rule():

@@ -8,7 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.liealg import E, H, g0_basis_info, level_for, nu
+from a2l2.liealg import (
+    E,
+    H,
+    b_type_generators,
+    bracket,
+    eigen_ratio,
+    g0_basis_info,
+    level_for,
+    nu,
+)
 from a2l2.linalg import SpanSolver
 from a2l2.vacuum import (
     VermaState,
@@ -185,16 +194,32 @@ def test_singular_vector_weight_is_top_root():
 
 # -------------------------------------------------------- zero-mode orbit
 
-def test_zero_mode_orbit_dimensions_and_stability():
-    from a2l2.liealg import b_type_generators
+def so_weight(s: VermaState) -> tuple[Fraction, ...]:
+    """Common eigenvalue tuple of s under the so(2l+1) Cartan
+    (h_1..h_{l-1}, hbar_l); fails if s mixes weights."""
+    cartan = b_type_generators(s.basis.l).cartan_elements()
+    elems = s.basis.elems
+    weights = {
+        tuple(
+            sum(
+                (eigen_ratio(bracket(h, elems[idx]), elems[idx]) for idx, _ in mono),
+                Fraction(0),
+            )
+            for h in cartan
+        )
+        for mono in s.terms
+    }
+    assert len(weights) == 1
+    return weights.pop()
 
+
+def test_zero_mode_orbit_dimensions_and_stability():
     for l, dim in ((1, 5), (2, 14), (3, 27)):
         v = singular_vector(l)
         orbit = zero_mode_orbit(v, l)
         assert len(orbit) == dim == 2 * l * l + 3 * l
-        cartan = b_type_generators(l).cartan_elements()
         zero_wt = tuple(Fraction(0) for _ in range(l))
-        zero_count = sum(1 for s in orbit if state_weight(s, cartan) == zero_wt)
+        zero_count = sum(1 for s in orbit if so_weight(s) == zero_wt)
         assert zero_count == l
         for s in orbit:
             assert orbit_contains(orbit, nu_state(s))
