@@ -6,18 +6,22 @@ Everything here is exact: weights live in coordinates
 (eps_1..eps_l, delta, central-dual), the bilinear form is the standard
 one on that basis, real roots come in long / intermediate / short
 families indexed by an integer parameter, and admissibility is decided
-by finite congruence arithmetic on the induced arithmetic progressions.
+in Python integers: the shifted weight is rescaled once to integer
+coordinates, each family's first integral pairing is one linear
+congruence, and the rank of the integral coroots is the rank of a signed
+graph on the eps coordinates (Zaslavsky, "Signed graphs", Discrete Appl.
+Math. 4 (1982)).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .liealg import level_for
-from .linalg import rank_of
 
 
 def _frac_tuple(vals) -> tuple[Fraction, ...]:
@@ -216,38 +220,66 @@ def positive_real_families(l: int) -> tuple[RealRootFamily, ...]:
 
 # ------------------------------------------------------------ admissibility
 
-def pairing_progression(
-    lam: AffineWeight, fam: RealRootFamily
-) -> tuple[Fraction, Fraction]:
-    """(a, b) with (lam, (classical + p(m) delta)^vee) = a + b*m for every
-    allowed m.  delta is isotropic, orthogonal to the eps block and pairs to
-    the level k with lam, so the pairing is 2((lam, classical) + p(m) k) over
-    the squared norm of the classical part."""
-    n = fam.squared_norm
-    k = lam.level
-    proj = sum(c * lam.eps[i] for i, c in fam.classical)
-    if fam.kind == "long":
-        return 2 * (proj + k) / n, 4 * k / n
-    return 2 * proj / n, 2 * k / n
-
-
-def first_integral_parameter(
-    a: Fraction, b: Fraction, m_min: int
-) -> Optional[tuple[int, int]]:
-    """Smallest m >= m_min with a + b*m an integer, plus the period of the
-    arithmetic progression of such m; None when no integer value occurs."""
-    a, b = Fraction(a), Fraction(b)
-    q = b.denominator
-    p = b.numerator
-    scaled = a * q
-    if scaled.denominator != 1:
+def first_integral_member(a: int, b: int, n: int, m_min: int) -> Optional[int]:
+    """Smallest m >= m_min with (a + b*m)/n an integer (n > 0), or None when
+    no m gives one.  The solutions of b*m = -a (mod n) exist exactly when
+    g = gcd(b, n) divides a, and then form one residue class mod n/g."""
+    g = math.gcd(b, n)
+    if a % g:
         return None
-    # solve p*m = -scaled (mod q); gcd(p, q) = 1 since b is reduced (b = 0
-    # and integral b give q = 1, where every m solves it)
-    inv = pow(p % q, -1, q)
-    m0 = (-int(scaled) * inv) % q
-    shift = (m_min - m0 + q - 1) // q  # ceil((m_min - m0) / q)
-    return (m0 + q * shift, q)
+    period = n // g
+    m0 = -(a // g) * pow(b // g, -1, period) % period
+    return m0 + period * ((m_min - m0 + period - 1) // period)  # ceiling lift
+
+
+def signed_graph_rank(l: int, supports) -> int:
+    """Rank over the rationals of the vectors +-eps_i +- eps_j, c eps_i given
+    by their eps supports ((index, coefficient) pairs over the l coordinates).
+
+    They are the edges and half-edges of a signed graph on the coordinates:
+    eps_i - eps_j is a positive edge, eps_i + eps_j a negative one, and
+    c eps_i a half-edge.  The rank of its frame matroid is the number of
+    touched coordinates minus the number of balanced components (Zaslavsky,
+    "Signed graphs", Discrete Appl. Math. 4 (1982)).  A component is
+    balanced when it has no half-edge and its coordinates take parities
+    that are equal across every positive edge and differ across every
+    negative one; a union-find (by size) keeps each coordinate's parity
+    relative to its parent."""
+    parent = list(range(l))
+    odd = [0] * l
+    size = [1] * l
+    touched = [False] * l
+    balanced = [True] * l  # read at roots only
+    for sup in supports:
+        i = sup[0][0]
+        touched[i] = True
+        root, parity = i, 0
+        while parent[root] != root:
+            parity ^= odd[root]
+            root = parent[root]
+        if len(sup) == 1:
+            balanced[root] = False
+            continue
+        (_, si), (j, sj) = sup
+        touched[j] = True
+        other, other_parity = j, 0
+        while parent[other] != other:
+            other_parity ^= odd[other]
+            other = parent[other]
+        sign = int(si * sj > 0)  # eps_i + eps_j asks for differing parities
+        if root == other:
+            if parity ^ other_parity != sign:
+                balanced[root] = False
+            continue
+        if size[root] < size[other]:
+            root, other = other, root
+        parent[other] = root
+        odd[other] = parity ^ other_parity ^ sign
+        size[root] += size[other]
+        balanced[root] = balanced[root] and balanced[other]
+    return sum(touched) - sum(
+        1 for i in range(l) if touched[i] and parent[i] == i and balanced[i]
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -264,38 +296,57 @@ class AdmissibilityReport:
 def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     """Two-condition admissibility decision for weights at the studied level.
 
+    The coroot of the real root classical + p(m) delta (p(m) = 2m+1 for the
+    long families, m otherwise) pairs with a weight mu of level k to
+    2((mu, classical) + p(m) k) / |classical|^2.  Rescaling the shifted
+    weight lam + rho once by D, the lcm of the denominators of its eps
+    coordinates and its level, gives integers E_i and K, and the shifted
+    pairing along a family becomes (A + B m) / N with A = 2(sum c E_i), plus
+    2K for a long family, B = 4K (long) or 2K, and N = |classical|^2 D.
+    The first integral value at m >= m_min is one integer congruence
+    (`first_integral_member`).
+
     rho pairs to 1 with every simple coroot and every real coroot is an
     integer combination of simple coroots, so lam and lam + rho pair
-    integrally with the same real roots: one congruence solve on the
-    shifted pairing per family serves both conditions.
+    integrally with the same real roots: one solve on the shifted pairing
+    per family serves both conditions.
 
-    Condition 1: along every positive family the shifted pairing is an affine
-    function a + b*m with b > 0; its integer values (if any) form an
-    increasing arithmetic progression, so it suffices to check that the first
-    one is positive.  Condition 2: the coroots pairing integrally with the
-    weight must span the full (l+1)-dimensional coroot space over the
-    rationals.  The coroot of classical + p(m) delta is 2/|classical|^2
-    (classical + p(m) K), K the central coroot (the degree direction never
-    enters).  An integral family has integral members at every period, and
-    two of them differ by a nonzero multiple of K, so the integral coroots
-    span K plus the families' finite parts: the rank is one plus the rank
-    of their eps supports, or 0 when no family is integral.
+    Condition 1: along every positive family B > 0, so the integral values
+    (if any) form an increasing arithmetic progression and it suffices to
+    check that the first one is positive.  Condition 2: the coroots pairing
+    integrally with the weight must span the full (l+1)-dimensional coroot
+    space over the rationals.  The coroot of classical + p(m) delta is
+    2/|classical|^2 (classical + p(m) K), K the central coroot (the degree
+    direction never enters).  An integral family has integral members at
+    every period, and two of them differ by a nonzero multiple of K, so the
+    integral coroots span K plus the families' finite parts: the rank is one
+    plus the rank of their eps supports (`signed_graph_rank`), or 0 when no
+    family is integral.
     """
     l = lam.rank
     if lam.level != level_for(l):
         raise ValueError("weight is not at the studied level")
     shifted = lam + rho(l)
+    coords = shifted.eps + (shifted.level,)
+    d = math.lcm(*(c.denominator for c in coords))
+    *eps, k = (c.numerator * (d // c.denominator) for c in coords)
+    if k <= 0:
+        raise AssertionError("condition-1 progression must increase")
     cond1_pass = True
-    finite_parts = []
+    supports = []
     for fam in positive_real_families(l):
-        a, b = pairing_progression(shifted, fam)
-        if b <= 0:
-            raise AssertionError("condition-1 progression must increase")
-        hit = first_integral_parameter(a, b, fam.m_min)
-        if hit is not None:
-            cond1_pass = cond1_pass and a + b * hit[0] > 0
-            finite_parts.append(dict(fam.classical))
-    rank = rank_of(finite_parts) + 1 if finite_parts else 0
+        a = 0
+        for i, c in fam.classical:
+            a += c * eps[i]
+        if fam.kind == "long":
+            a, b = 2 * (a + k), 4 * k
+        else:
+            a, b = 2 * a, 2 * k
+        m = first_integral_member(a, b, fam.squared_norm * d, fam.m_min)
+        if m is not None:
+            cond1_pass = cond1_pass and a + b * m > 0
+            supports.append(fam.classical)
+    rank = signed_graph_rank(l, supports) + 1 if supports else 0
     cond2_pass = rank == l + 1
     return AdmissibilityReport(
         cond1_pass, rank, cond2_pass, cond1_pass and cond2_pass

@@ -17,15 +17,14 @@ import test_envelope
 import test_liealg
 import test_twzhu
 import test_vacuum
+from helpers_roots import first_integral_parameter, pairing_progression
 
 from a2l2.affroots import (
     check_admissible,
     coroot_pairing,
     delta,
     eps_unit,
-    first_integral_parameter,
     kw_positivity,
-    pairing_progression,
     positive_real_families,
     rho,
 )

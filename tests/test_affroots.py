@@ -20,17 +20,22 @@ from a2l2.affroots import (
     coroot_pairing,
     delta,
     eps_unit,
-    first_integral_parameter,
+    first_integral_member,
     ip,
     kw_positivity,
-    pairing_progression,
     positive_real_families,
     rho,
+    signed_graph_rank,
     simple_roots,
 )
 from a2l2.classify import affinize, all_highest_weights
 from a2l2.liealg import E, b_type_generators, bracket, eigen_ratio, level_for
-from a2l2.linalg import SpanSolver
+from a2l2.linalg import SpanSolver, rank_of
+from helpers_roots import (
+    first_integral_parameter,
+    fraction_admissible,
+    pairing_progression,
+)
 
 
 def is_zero(w: AffineWeight) -> bool:
@@ -277,25 +282,128 @@ def test_rho_and_families_computed_once_per_rank():
 
 
 def test_check_admissible_solves_once_per_family(monkeypatch):
-    progressions = []
     solves = []
-    progression = affroots.pairing_progression
-    solve = affroots.first_integral_parameter
+    solve = affroots.first_integral_member
 
-    def counted_progression(lam, fam):
-        progressions.append(fam)
-        return progression(lam, fam)
+    def counted_solve(a, b, n, m_min):
+        solves.append((Fraction(a, n), Fraction(b, n), m_min))
+        return solve(a, b, n, m_min)
 
-    def counted_solve(a, b, m_min):
-        solves.append(m_min)
-        return solve(a, b, m_min)
+    monkeypatch.setattr(affroots, "first_integral_member", counted_solve)
+    lam = affinize(all_highest_weights(3)[0], 3)
+    check_admissible(lam)
+    # one solve per family, in table order, on the family's shifted
+    # progression a + b*m as the rational oracle reads it
+    shifted = lam + rho(3)
+    assert solves == [
+        (*pairing_progression(shifted, fam), fam.m_min)
+        for fam in positive_real_families(3)
+    ]
 
-    monkeypatch.setattr(affroots, "pairing_progression", counted_progression)
-    monkeypatch.setattr(affroots, "first_integral_parameter", counted_solve)
-    check_admissible(affinize(all_highest_weights(3)[0], 3))
-    fams = positive_real_families(3)
-    assert progressions == list(fams)
+
+def reflection_orbit(l: int, max_delta: int) -> set[AffineWeight]:
+    """The positive real roots with delta coefficient at most max_delta, as
+    the orbit of the simple roots under the simple reflections, read from
+    the Cartan matrix and the simple roots alone.
+
+    Roots are coefficient vectors over alpha_0..alpha_l, and s_i lowers only
+    the alpha_i coefficient, by (beta, alpha_i^vee).  A positive real root
+    that is not simple pairs positively with some simple coroot, and that
+    reflection takes it to a lower positive real root; so every positive
+    real root is reached from a simple root through positive roots whose
+    alpha_0 coefficient, which is the delta coefficient, never exceeds its
+    own."""
+    matrix = algebra_data(l).cartan_matrix
+    size = l + 1
+    frontier = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    seen = set(frontier)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(size):
+            image = list(beta)
+            image[i] -= sum(matrix[i][j] * beta[j] for j in range(size))
+            image = tuple(image)
+            if min(image) >= 0 and image[0] <= max_delta and image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    simple = simple_roots(l)
+    zero = AffineWeight((0,) * l)
+    return {
+        sum((a.scale(c) for a, c in zip(simple, coeffs)), zero)
+        for coeffs in seen
+    }
+
+
+def first_condition1_values(lam: AffineWeight, roots) -> dict:
+    """Eps part of each root string -> the first integral shifted coroot
+    pairing along it (by delta coefficient), or None if none occurs."""
+    shifted = lam + rho(lam.rank)
+    strings: dict = {}
+    for root in sorted(roots, key=lambda r: r.d_delta):
+        values = strings.setdefault(root.eps, [])
+        values.append(coroot_pairing(shifted, root))
+    return {
+        eps: next((v for v in values if v.denominator == 1), None)
+        for eps, values in strings.items()
+    }
+
+
+def solved_condition1_values(monkeypatch, lam: AffineWeight) -> dict:
+    """Eps part of each family -> the first integral shifted pairing that
+    `check_admissible`'s integer solve finds, or None."""
+    solves = []
+    solve = affroots.first_integral_member
+
+    def recorded(a, b, n, m_min):
+        m = solve(a, b, n, m_min)
+        solves.append(None if m is None else Fraction(a + b * m, n))
+        return m
+
+    with monkeypatch.context() as patched:
+        patched.setattr(affroots, "first_integral_member", recorded)
+        check_admissible(lam)
+    l = lam.rank
+    fams = positive_real_families(l)
     assert len(solves) == len(fams)
+    return {classical_part(l, f).eps: v for f, v in zip(fams, solves)}
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_reflection_orbit_matches_family_table(monkeypatch, l):
+    # eps coordinates in (1/2)Z put every family's integral members one
+    # congruence period (at most 2) apart, so delta coefficients up to 5
+    # reach one period past every m_min
+    max_delta = 5
+    orbit = reflection_orbit(l, max_delta)
+    table = {
+        root_at(l, fam, m)
+        for fam in positive_real_families(l)
+        for m in range(fam.m_min, max_delta + 1)
+        if root_at(l, fam, m).d_delta <= max_delta
+    }
+    assert orbit == table
+    rng = random.Random(l)
+    weights = [affinize(mu, l) for mu in all_highest_weights(l)]
+    # -eps_l/2: its shifted pairing with the short root eps_l is 0
+    weights.append(
+        AffineWeight((0,) * (l - 1) + (Fraction(-1, 2),), k0=level_for(l))
+    )
+    weights += [
+        AffineWeight(
+            tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(l)),
+            k0=level_for(l),
+        )
+        for _ in range(24)
+    ]
+    zero_first_values = 0
+    for lam in weights:
+        firsts = first_condition1_values(lam, orbit)
+        assert firsts == solved_condition1_values(monkeypatch, lam)
+        values = [v for v in firsts.values() if v is not None]
+        zero_first_values += 0 in values
+        assert check_admissible(lam).cond1_pass == all(v > 0 for v in values)
+    # a first value of 0 tells condition 1's > from >=
+    assert zero_first_values > 0
 
 
 def test_rank1_has_no_intermediate_family():
@@ -340,6 +448,54 @@ def test_first_integral_parameter_pinned():
     assert first_integral_parameter(Fraction(1, 2), Fraction(3, 2), 0) == (1, 2)
     assert first_integral_parameter(Fraction(0), Fraction(-3), 1) == (1, 1)
     assert first_integral_parameter(Fraction(1, 3), Fraction(2), 0) is None
+
+
+def test_first_integral_member_against_brute_force():
+    # n | a + b*m depends on m mod n only, so m_min..m_min+n-1 is exhaustive
+    rng = random.Random(2026)
+    for _ in range(600):
+        n = rng.randint(1, 48)
+        a, b = rng.randint(-96, 96), rng.randint(-96, 96)
+        m_min = rng.randint(0, 3)
+        hits = [m for m in range(m_min, m_min + n) if (a + b * m) % n == 0]
+        assert first_integral_member(a, b, n, m_min) == (
+            hits[0] if hits else None
+        )
+
+
+# ------------------------------------------------------- signed-graph rank
+
+def test_signed_graph_rank_pinned():
+    def edge(i, j, s):
+        return ((i, 1), (j, s))
+
+    # balanced triangle eps_1 - eps_2, eps_2 - eps_3, eps_1 - eps_3
+    assert signed_graph_rank(3, [edge(0, 1, -1), edge(1, 2, -1), edge(0, 2, -1)]) == 2
+    # an odd cycle: eps_1 + eps_2 with the two differences
+    assert signed_graph_rank(3, [edge(0, 1, 1), edge(1, 2, -1), edge(0, 2, -1)]) == 3
+    assert signed_graph_rank(2, [edge(0, 1, -1), edge(0, 1, 1)]) == 2
+    assert signed_graph_rank(4, [edge(0, 1, 1), edge(2, 3, -1)]) == 2
+    for l in (1, 3):
+        for i in range(l):
+            for c in (1, -1, 2, -2):
+                assert signed_graph_rank(l, [((i, c),)]) == 1
+    assert signed_graph_rank(3, []) == 0
+
+
+def test_signed_graph_rank_matches_rank_of_on_random_supports():
+    rng = random.Random(1982)
+    for _ in range(200):
+        l = rng.randint(1, 6)
+        keep = rng.random()
+        supports = [
+            fam.classical
+            for fam in positive_real_families(l)
+            if rng.random() < keep
+        ]
+        rng.shuffle(supports)
+        assert signed_graph_rank(l, supports) == rank_of(
+            [dict(sup) for sup in supports]
+        )
 
 
 # ------------------------------------------------------------- admissibility
@@ -456,24 +612,56 @@ def test_admissible_matches_oracle_on_classified_weights():
             assert check_admissible(lam) == admissible_oracle(lam)
 
 
+def test_admissible_matches_fraction_oracle_to_rank_8():
+    for l in range(1, 9):
+        for mu in all_highest_weights(l):
+            lam = affinize(mu, l)
+            assert check_admissible(lam) == fraction_admissible(lam)
+
+
+def random_weight(rng: random.Random, l: int, max_den: int) -> AffineWeight:
+    """A weight at the studied level with eps coordinates in [-3, 3] over
+    one random denominator up to max_den."""
+    den = rng.randint(1, max_den)
+    eps = tuple(Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(l))
+    return AffineWeight(eps, k0=level_for(l))
+
+
 def test_admissible_matches_oracle_on_random_weights():
     rng = random.Random(6)
     seen = set()
     for l, count in RANDOM_WEIGHTS.items():
         for _ in range(count):
-            den = rng.randint(1, 6)
-            eps = tuple(
-                Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(l)
-            )
-            lam = AffineWeight(eps, k0=level_for(l))
+            lam = random_weight(rng, l, 6)
             report = check_admissible(lam)
             assert report == admissible_oracle(lam)
+            assert report == fraction_admissible(lam)
             seen.add((report.cond1_pass, report.cond2_pass))
             seen.add(report.cond2_rank)
     # both single failures and the empty span were met
     assert {(False, True), (True, False), (False, False), 0} <= seen
     # an integral family adds the central line and a finite part, so the
     # rank is never 1
+    assert {2, 3, 4, 5, 6} <= seen and 1 not in seen
+
+
+def test_admissible_matches_oracle_on_wide_denominators():
+    # denominators 7, 9 and 10 give a rescaling D other than 1 and 2 and
+    # congruences whose gcd(b, n) exceeds 2
+    rng = random.Random(12)
+    seen = set()
+    dens = set()
+    for l, count in RANDOM_WEIGHTS.items():
+        for _ in range(count):
+            lam = random_weight(rng, l, 12)
+            dens.update(c.denominator for c in lam.eps)
+            report = check_admissible(lam)
+            assert report == admissible_oracle(lam)
+            assert report == fraction_admissible(lam)
+            seen.add((report.cond1_pass, report.cond2_pass))
+            seen.add(report.cond2_rank)
+    assert {7, 9, 10} <= dens
+    assert {(False, True), (True, False), (False, False), 0} <= seen
     assert {2, 3, 4, 5, 6} <= seen and 1 not in seen
 
 

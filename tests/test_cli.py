@@ -27,6 +27,7 @@ from a2l2.cli import main
 
 
 EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RANK1_SINGULAR_LINE = (
     "1/3*H[1](-1)E[1,3](-1)|0> - 1/3*H[2](-1)E[1,3](-1)|0>"
@@ -395,6 +396,17 @@ def test_cli_output_matches_stored_benchmark_output(monkeypatch, name, args):
         # the stored verify outputs carry no per-check timing lines
         got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", got)
     assert got == (EXPECTED / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("l", (7, 8))
+def test_cli_classify_matches_golden_above_default_cap(monkeypatch, l, fmt):
+    monkeypatch.setenv("A2L2_MAX_L", "8")
+    result = CliRunner().invoke(
+        main, ["classify", "--l", str(l), "--format", fmt]
+    )
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / f"classify-l{l}-{fmt}.out").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -6,19 +6,31 @@ Each defect is applied by monkeypatch, and the per-rank caches are cleared
 before and after every case, so no stage computed under a defect outlives
 it.
 
-Three further seeded defects leave `run_checks` green at l = 1..3, and
-only other tests kill them: `binom(-1/2, j)` for `binom(1/2, j)` in the
-projection (`test_twzhu.py`), and `m_min + 1` in the root families and
-`>=` for `>` in condition 1 of `check_admissible` (`test_affroots.py`).
+Further seeded defects leave `run_checks` green at l = 1..3, and other
+tests kill them:
+
+- `binom(-1/2, j)` for `binom(1/2, j)` in the projection (`test_twzhu.py`);
+- `m_min + 1` in the root families and `>=` for `>` in condition 1 of
+  `check_admissible`: the reflection-orbit root oracle of
+  `test_affroots.py`, which builds the positive real roots from the Cartan
+  matrix without the family table;
+- a parity flip in the signed-graph rank and `>=` for `>` in condition 1:
+  the rational admissibility oracle on seeded random weights, below.  It
+  also sees floor for ceiling when lifting the first integral member to
+  m >= m_min, which turns `admissible` red at l = 2, 3 but not at l = 1.
 """
 
 from __future__ import annotations
 
+import inspect
+import random
 from fractions import Fraction
 
 import pytest
+from helpers_roots import fraction_admissible
+from test_affroots import random_weight
 
-from a2l2 import affroots, checks, classify, liealg, linalg, twzhu, vacuum
+from a2l2 import affroots, checks, classify, liealg, twzhu, vacuum
 from a2l2.checks import run_checks
 
 PER_RANK_CACHES = (
@@ -60,8 +72,9 @@ def flipped_v1_sign(monkeypatch):
 
 def short_coroot_span(monkeypatch):
     """The rank of the integral families' finite parts comes out one less."""
+    rank = affroots.signed_graph_rank
     monkeypatch.setattr(
-        affroots, "rank_of", lambda vectors: linalg.rank_of(vectors) - 1
+        affroots, "signed_graph_rank", lambda l, supports: rank(l, supports) - 1
     )
 
 
@@ -95,3 +108,60 @@ def test_seeded_defect_turns_run_checks_red(
     failed = [c.id for c in report.checks if c.status == "fail"]
     assert report.overall == "fail"
     assert failed == [killer]
+
+
+# defects of the integer admissibility path: (function, source text, its
+# replacement)
+INTEGER_PATH_DEFECTS = {
+    # eps_i + eps_j and eps_i - eps_j trade parities.  Giving both the
+    # parity of eps_i - eps_j changes no verdict: around a cycle of integral
+    # families with an odd number of eps_i + eps_j edges, 4(lam + rho, eps_i)
+    # is an integer, which makes a short or a long family at eps_i integral,
+    # so the component is unbalanced anyway.  Only the signed-graph rank
+    # tests of `test_affroots.py` see that defect.
+    "parity_flip": (
+        "signed_graph_rank",
+        "sign = int(si * sj > 0)",
+        "sign = int(si * sj < 0)",
+    ),
+    "floor_lift": (
+        "first_integral_member",
+        "(m_min - m0 + period - 1) // period",
+        "(m_min - m0) // period",
+    ),
+    "condition1_ge": (
+        "check_admissible", "a + b * m > 0", "a + b * m >= 0"
+    ),
+}
+
+
+def source_mutant(name: str, old: str, new: str):
+    """`affroots.<name>` recompiled from its source with `old`, which must
+    occur exactly once, replaced by `new`.  It runs in a copy of the module
+    namespace, so the module itself is untouched until patched."""
+    source = inspect.getsource(getattr(affroots, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(affroots))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+@pytest.fixture(scope="module")
+def random_weights_with_oracle():
+    rng = random.Random(300)
+    weights = [random_weight(rng, 1 + n % 6, 6) for n in range(300)]
+    return [(lam, fraction_admissible(lam)) for lam in weights]
+
+
+@pytest.mark.parametrize("defect", sorted(INTEGER_PATH_DEFECTS))
+def test_integer_path_defect_disagrees_with_fraction_oracle(
+    monkeypatch, random_weights_with_oracle, defect
+):
+    name, old, new = INTEGER_PATH_DEFECTS[defect]
+    monkeypatch.setattr(affroots, name, source_mutant(name, old, new))
+    wrong = [
+        lam
+        for lam, expected in random_weights_with_oracle
+        if affroots.check_admissible(lam) != expected
+    ]
+    assert wrong
