@@ -8,7 +8,9 @@ projection (`twzhu`), the twisted affine root system and admissibility
 runner behind the ``a2l2`` command line tool (`checks`, `cli`), over one
 sparse exact kernel (`linalg`).
 
-All arithmetic is exact: rational numbers throughout.
+All arithmetic is exact: rational numbers throughout, each coefficient a
+Python int when its value is integral and a Fraction otherwise, never a
+float.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .affroots import AdmissibilityReport, AffineWeight, _frac_tuple, check_admissible
@@ -80,9 +81,11 @@ def mu_weight(l: int, subset: Sequence[int], primed: bool) -> FiniteWeight:
     return FiniteWeight(tuple(vals))
 
 
+@lru_cache(maxsize=None)
 def all_highest_weights(l: int) -> tuple[FiniteWeight, ...]:
     """All 2^l candidate weights: subsets of {1..l-1} in binary order, the
-    unprimed weight before the primed one."""
+    unprimed weight before the primed one.  Built once per rank and shared:
+    the weights are frozen."""
     out = []
     for mask in range(2 ** (l - 1)):
         subset = tuple(i for i in range(1, l) if mask >> (i - 1) & 1)
@@ -135,7 +138,7 @@ def zero_set_oracle(polys: Sequence[CartanPoly]) -> frozenset[FiniteWeight]:
                 rhs = -const
                 for t in range(j, l):
                     rhs -= coeffs[t] * vals[t]
-                vals[j - 1] = rhs / coeffs[j - 1]
+                vals[j - 1] = Fraction(rhs, coeffs[j - 1])
             else:
                 vals[j - 1] = Fraction(0)
         out.add(FiniteWeight(tuple(vals)))

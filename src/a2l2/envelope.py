@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
-from .linalg import format_sum, vec_add_into, vec_add_term, vec_scale
+from .linalg import Coeff, exact, format_sum, vec_add_into, vec_add_term, vec_scale
 
 # monomial = tuple of basis indices in non-decreasing order
-UEAElt = dict[tuple[int, ...], Fraction]
+UEAElt = dict[tuple[int, ...], Coeff]
 
 
 def uea_unit() -> UEAElt:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 class PBWAlgebra:
@@ -56,14 +56,15 @@ class PBWAlgebra:
         self.cartan_indices = tuple(
             range(info.cartan_start, info.cartan_start + info.cartan_count)
         )
-        self.weights: tuple[tuple[Fraction, ...], ...] = tuple(
+        # ints: each weight coordinate is an integral eigenvalue
+        self.weights: tuple[tuple[Coeff, ...], ...] = tuple(
             tuple(eigen_ratio(bracket(h, x), x) for h in gens.cartan_elements())
             for x in info.elems
         )
 
     # ------------------------------------------------------------ coords
 
-    def lie_coords(self, x: LieElt) -> dict[int, Fraction]:
+    def lie_coords(self, x: LieElt) -> dict[int, Coeff]:
         """Coordinates of an even-part element in the ordered basis."""
         v = self._expand(x)
         if any(s >= self.dim for s in v):
@@ -76,11 +77,11 @@ class PBWAlgebra:
 
     # ------------------------------------------------------- normal form
 
-    def normal_form(self, word: tuple[int, ...], coeff: Fraction = Fraction(1)) -> UEAElt:
+    def normal_form(self, word: tuple[int, ...], coeff: Coeff = 1) -> UEAElt:
         """Rewrite coeff * (word of basis indices) into ordered monomials,
         resolving the leftmost adjacent inversion first."""
         out: UEAElt = {}
-        pending: list[tuple[tuple[int, ...], Fraction]] = [(tuple(word), Fraction(coeff))]
+        pending: list[tuple[tuple[int, ...], Coeff]] = [(tuple(word), coeff)]
         while pending:
             w, c = pending.pop()
             if not c:
@@ -124,17 +125,17 @@ class PBWAlgebra:
 
     # ------------------------------------------------------------ weights
 
-    def monomial_weight(self, word: tuple[int, ...]) -> tuple[Fraction, ...]:
-        tot = [Fraction(0)] * len(self.cartan_indices)
+    def monomial_weight(self, word: tuple[int, ...]) -> tuple[Coeff, ...]:
+        tot = [0] * len(self.cartan_indices)
         for s in word:
             for i, wc in enumerate(self.weights[s]):
                 tot[i] += wc
         return tuple(tot)
 
-    def weight_of(self, u: UEAElt) -> tuple[Fraction, ...] | None:
+    def weight_of(self, u: UEAElt) -> tuple[Coeff, ...] | None:
         """Common weight of all monomials, or None if u mixes weights."""
         if not u:
-            return tuple(Fraction(0) for _ in self.cartan_indices)
+            return (0,) * len(self.cartan_indices)
         seen = None
         for word in u:
             w = self.monomial_weight(word)
@@ -149,7 +150,7 @@ class PBWAlgebra:
     def cartan_polynomial(self, u: UEAElt) -> "CartanPoly":
         """Eigenvalue polynomial of a weight-zero element on highest-weight
         vectors, in the Cartan coordinates (h_1..h_{l-1}, hbar_l)."""
-        zero_wt = tuple(Fraction(0) for _ in self.cartan_indices)
+        zero_wt = (0,) * len(self.cartan_indices)
         if self.weight_of(u) != zero_wt:
             raise ValueError("element is not of weight zero")
         lo = self.info.cartan_start
@@ -180,18 +181,18 @@ class CartanPoly:
     """
 
     nvars: int
-    terms: dict[tuple[int, ...], Fraction]
+    terms: dict[tuple[int, ...], Coeff]
 
     @staticmethod
     def variable(nvars: int, j: int) -> "CartanPoly":
         """The coordinate x_j, 1-based."""
         e = [0] * nvars
         e[j - 1] = 1
-        return CartanPoly(nvars, {tuple(e): Fraction(1)})
+        return CartanPoly(nvars, {tuple(e): 1})
 
     @staticmethod
     def const(nvars: int, c) -> "CartanPoly":
-        c = Fraction(c)
+        c = exact(Fraction(c))
         return CartanPoly(nvars, {(0,) * nvars: c} if c else {})
 
     def add(self, other: "CartanPoly") -> "CartanPoly":

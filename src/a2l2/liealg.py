@@ -13,7 +13,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .linalg import format_sum, rank_of, vec_add_into, vec_add_term, vec_scale
+from .linalg import (
+    Coeff,
+    exact,
+    format_sum,
+    rank_of,
+    vec_add_into,
+    vec_add_term,
+    vec_scale,
+)
 
 
 def level_for(l: int) -> Fraction:
@@ -30,11 +38,11 @@ class LieElt:
         if n < 3 or n % 2 == 0:
             raise ValueError(f"matrix size must be odd and >= 3, got {n}")
         self.n = n
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], Coeff] = {}
         for (i, j), c in (terms or {}).items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"index {(i, j)} out of range for n={n}")
-            c = Fraction(c)
+            c = exact(Fraction(c))
             if c:
                 clean[(i, j)] = c
         self.terms = clean
@@ -89,21 +97,21 @@ class LieElt:
 
 def E(n: int, i: int, j: int) -> LieElt:
     """Elementary matrix E[i,j]."""
-    return LieElt(n, {(i, j): Fraction(1)})
+    return LieElt(n, {(i, j): 1})
 
 
 def H(n: int, i: int) -> LieElt:
     """Standard Cartan element E[i,i] - E[i+1,i+1], 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"H index {i} out of range for n={n}")
-    return LieElt(n, {(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
+    return LieElt(n, {(i, i): 1, (i + 1, i + 1): -1})
 
 
 def bracket(a: LieElt, b: LieElt) -> LieElt:
     """Matrix commutator [a,b] = ab - ba."""
     if a.n != b.n:
         raise ValueError("matrix size mismatch")
-    t: dict[tuple[int, int], Fraction] = {}
+    t: dict[tuple[int, int], Coeff] = {}
     for (i, j), c in a.terms.items():
         for (p, q), d in b.terms.items():
             if j == p:
@@ -115,22 +123,22 @@ def bracket(a: LieElt, b: LieElt) -> LieElt:
     return out
 
 
-def invariant_form(a: LieElt, b: LieElt):
+def invariant_form(a: LieElt, b: LieElt) -> Coeff:
     """Trace form tr(ab); normalizes the highest root to squared length 2."""
     if a.n != b.n:
         raise ValueError("matrix size mismatch")
-    total = Fraction(0)
+    total = 0
     for (i, j), c in a.terms.items():
         d = b.terms.get((j, i))
         if d:
             total = total + c * d
-    return total
+    return exact(total)
 
 
 def nu(a: LieElt) -> LieElt:
     """The order-2 automorphism E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]."""
     n = a.n
-    t: dict[tuple[int, int], Fraction] = {}
+    t: dict[tuple[int, int], Coeff] = {}
     for (i, j), c in a.terms.items():
         sign = 1 if (i - j) % 2 else -1  # -(-1)^(i-j)
         vec_add_term(t, (n + 1 - j, n + 1 - i), sign * c)
@@ -195,12 +203,12 @@ def b_type_generators(l: int) -> BTypeGenerators:
     )
 
 
-def eigen_ratio(image: LieElt, vec: LieElt) -> Fraction:
+def eigen_ratio(image: LieElt, vec: LieElt) -> Coeff:
     """Scalar r with image = r*vec; raises if image is not a multiple."""
     if image.is_zero():
-        return Fraction(0)
+        return 0
     key = min(vec.terms.keys())
-    r = image.terms.get(key, Fraction(0)) / vec.terms[key]
+    r = exact(Fraction(image.terms.get(key, 0), vec.terms[key]))
     if image != r * vec:
         raise ValueError("not an eigenvector")
     return r

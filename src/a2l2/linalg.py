@@ -1,7 +1,11 @@
 """Exact incremental row reduction over sparse rational vectors.
 
-Vectors are dicts mapping hashable, mutually comparable keys to Fractions
-(ints are accepted as input), with zero entries never stored.
+Vectors are dicts mapping hashable, mutually comparable keys to exact
+coefficients, with zero entries never stored.  A coefficient is a Python
+int when its value is integral and a Fraction otherwise, never a float:
+`exact` is that rule, the kernel stores every result through it, and an
+int and the equal Fraction print, compare and hash alike.  Integral values
+thus stay on the fast int arithmetic, and every division is a Fraction.
 `vec_add_term`, `vec_add_into` and `vec_scale` are the one sparse kernel
 that every exact algebra in the package (matrices, vacuum states, envelope
 elements, polynomials) adds and scales through, and `format_sum` is the
@@ -15,29 +19,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable
 
-Vec = dict[Hashable, Fraction]
+Coeff = int | Fraction
+Vec = dict[Hashable, Coeff]
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def exact(x: Coeff) -> Coeff:
+    """The coefficient rule: an integral value as an int, else the Fraction."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
-def vec_add_term(dst: Vec, key: Hashable, c: Fraction) -> None:
+def vec_add_term(dst: Vec, key: Hashable, c: Coeff) -> None:
     """dst[key] += c, dropping the entry if it cancels to zero."""
-    y = dst.get(key, _ZERO) + c
+    y = dst.get(key, 0) + c
     if y:
-        dst[key] = y
+        dst[key] = exact(y)
     else:
         dst.pop(key, None)
 
 
-def vec_scale(v: Vec, c: Fraction) -> Vec:
+def vec_scale(v: Vec, c: Coeff) -> Vec:
     if not c:
         return {}
-    return {k: c * x for k, x in v.items()}
+    return {k: exact(c * x) for k, x in v.items()}
 
 
-def vec_add_into(dst: Vec, src: Vec, c: Fraction = Fraction(1)) -> None:
+def vec_add_into(dst: Vec, src: Vec, c: Coeff = 1) -> None:
     """dst += c*src, dropping entries that cancel to zero."""
     if not c:
         return
@@ -45,7 +51,7 @@ def vec_add_into(dst: Vec, src: Vec, c: Fraction = Fraction(1)) -> None:
         vec_add_term(dst, k, c * x)
 
 
-def format_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+def format_sum(terms: Iterable[tuple[Coeff, str]]) -> str:
     """Print (coefficient, label) pairs, in the given order, as a signed sum.
 
     A coefficient of +-1 is dropped before a label, an empty label is the
@@ -105,7 +111,7 @@ class SpanSolver:
             return False
         piv = min(r.keys())
         s = r[piv]
-        inv = _ONE / s
+        inv = exact(Fraction(1, s))
         row = vec_scale(r, inv)
         # index of the new generator: one per earlier independent add
         new_combo: Vec = {self.rank: inv}

@@ -90,12 +90,12 @@ class ProjectionContext:
             (idx, depth), rest = mono[0], mono[1:]
             if idx < self.split.g0_count:
                 rest_proj = self.project_monomial(rest)
-                prod = self.alg.mul(rest_proj, {(idx,): Fraction(1)})
+                prod = self.alg.mul(rest_proj, {(idx,): 1})
                 result = vec_scale(prod, -1 if (depth - 1) % 2 else 1)
             else:
                 result = {}
                 rest_state = VermaState(
-                    self.split, self.level_k, {rest: Fraction(1)}
+                    self.split, self.level_k, {rest: 1}
                 )
                 jmax = depth + _total_depth(rest)
                 for j in range(1, jmax + 1):
@@ -199,19 +199,21 @@ def v1_closed_form(ctx: ProjectionContext) -> UEAElt:
 
 def lowered_elements(ctx: ProjectionContext) -> list[UEAElt]:
     """Weight-zero elements u_1..u_l obtained by lowering the partner along
-    each staircase of simple lowering generators."""
+    each staircase of simple lowering generators: u_j applies f_l, ..., f_{j+1}
+    and then f_1, ..., f_j.  The first half is a prefix of the one for j - 1,
+    so the chain is built once: l - 1 + l(l+1)/2 adjoint actions in all."""
     l, alg = ctx.l, ctx.alg
     gens = b_type_generators(l)
     fs = list(gens.f) + [gens.f_l]
-    base = compute_v1(ctx)
+    prefixes = [compute_v1(ctx)]  # prefixes[i]: f_l, ..., f_{l-i+1} applied
+    for t in range(l - 1, 0, -1):  # f_l, ..., f_2
+        prefixes.append(alg.ad(fs[t], prefixes[-1]))
     out: list[UEAElt] = []
     for j in range(1, l + 1):
-        u = base
-        for t in range(l - 1, j - 1, -1):  # f_l, ..., f_{j+1}
-            u = alg.ad(fs[t], u)
+        u = prefixes[l - j]
         for t in range(0, j):  # f_1, ..., f_j
             u = alg.ad(fs[t], u)
-        out.append(vec_scale(u, Fraction(-1 if j % 2 == 0 else 1)))
+        out.append(vec_scale(u, -1 if j % 2 == 0 else 1))
     return out
 
 
@@ -283,7 +285,7 @@ def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
 
 def r0_zero_weight_members(ctx: ProjectionContext) -> list[UEAElt]:
     alg = ctx.alg
-    zero = tuple(Fraction(0) for _ in alg.cartan_indices)
+    zero = (0,) * len(alg.cartan_indices)
     return [u for u in r0_basis(ctx) if alg.weight_of(u) == zero]
 
 

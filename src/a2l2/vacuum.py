@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .liealg import (
     E,
@@ -30,7 +31,14 @@ from .liealg import (
     level_for,
     nu,
 )
-from .linalg import SpanSolver, format_sum, vec_add_into, vec_add_term, vec_scale
+from .linalg import (
+    Coeff,
+    SpanSolver,
+    format_sum,
+    vec_add_into,
+    vec_add_term,
+    vec_scale,
+)
 
 DEPTH_CAP = 8  # total creation depth allowed in any stored monomial
 
@@ -51,17 +59,18 @@ class ModeBasis:
         for x in self.elems:
             if not self._span.add(x.entry_vector()):
                 raise AssertionError("mode basis is not independent")
-        self._brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-        self._grams: dict[tuple[int, int], Fraction] = {}
-        self._nu: dict[int, dict[int, Fraction]] = {}
+        self._brackets: dict[tuple[int, int], dict[int, Coeff]] = {}
+        self._grams: dict[tuple[int, int], Coeff] = {}
+        self._nu: dict[int, dict[int, Coeff]] = {}
 
-    def expand(self, x: LieElt) -> dict[int, Fraction]:
+    def expand(self, x: LieElt) -> dict[int, Coeff]:
+        """Coordinates of x in the basis, an int wherever integral."""
         v = self._span.coords(x.entry_vector())
         if v is None:
             raise ValueError("element is outside the mode basis span")
         return dict(v)
 
-    def bracket_coords(self, s: int, t: int) -> dict[int, Fraction]:
+    def bracket_coords(self, s: int, t: int) -> dict[int, Coeff]:
         key = (s, t)
         got = self._brackets.get(key)
         if got is None:
@@ -69,7 +78,7 @@ class ModeBasis:
             self._brackets[key] = got
         return got
 
-    def gram(self, s: int, t: int) -> Fraction:
+    def gram(self, s: int, t: int) -> Coeff:
         key = (s, t)
         got = self._grams.get(key)
         if got is None:
@@ -77,7 +86,7 @@ class ModeBasis:
             self._grams[key] = got
         return got
 
-    def nu_coords(self, s: int) -> dict[int, Fraction]:
+    def nu_coords(self, s: int) -> dict[int, Coeff]:
         got = self._nu.get(s)
         if got is None:
             got = self.expand(nu(self.elems[s]))
@@ -118,7 +127,7 @@ class VermaState:
 
     basis: ModeBasis
     k: Fraction
-    terms: dict[Monomial, Fraction]
+    terms: dict[Monomial, Coeff]
 
     def __post_init__(self) -> None:
         for mono, c in self.terms.items():
@@ -165,38 +174,44 @@ class VermaState:
 
 
 def vacuum(basis: ModeBasis, k: Fraction) -> VermaState:
-    return VermaState(basis, Fraction(k), {(): Fraction(1)})
+    return VermaState(basis, Fraction(k), {(): 1})
 
 
 def _normal_order(
     basis: ModeBasis, k: Fraction, word: tuple[tuple[int, int], ...],
-    coeff: Fraction = Fraction(1),
-) -> dict[Monomial, Fraction]:
-    """Normal-order a word of (index, mode) operators applied to the vacuum."""
-    out: dict[Monomial, Fraction] = {}
-    pending = [(tuple(word), Fraction(coeff))]
+    coeff: Coeff = 1,
+) -> dict[Monomial, Coeff]:
+    """Normal-order a word of (index, mode) operators applied to the vacuum.
+
+    A non-negative mode annihilates the vacuum, so a word whose rightmost
+    factor is one is zero and is never pushed."""
+    out: dict[Monomial, Coeff] = {}
+    if not coeff or (word and word[-1][1] >= 0):
+        return out
+    pending = [(tuple(word), coeff)]
     while pending:
         w, c = pending.pop()
-        if not c:
-            continue
         if not w:
             vec_add_term(out, (), c)
             continue
-        if w[-1][1] >= 0:
-            continue  # non-negative mode annihilates the vacuum
         pos = next(
             (i for i in range(len(w) - 2, -1, -1) if w[i][1] >= 0), None
         )
         if pos is not None:
             (s_idx, m), (t_idx, n) = w[pos], w[pos + 1]
-            rest = w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :]
-            pending.append((rest, c))
-            for r, b in basis.bracket_coords(s_idx, t_idx).items():
-                pending.append((w[:pos] + ((r, m + n),) + w[pos + 2 :], c * b))
-            if m + n == 0 and m != 0:
+            head, tail = w[:pos], w[pos + 2 :]
+            # push no word that ends in an annihilator: with no tail the swap
+            # does, a bracket at a non-negative mode does, and the central
+            # term does when head ends in one
+            if tail:
+                pending.append((head + (w[pos + 1], w[pos]) + tail, c))
+            if tail or m + n < 0:
+                for r, b in basis.bracket_coords(s_idx, t_idx).items():
+                    pending.append((head + ((r, m + n),) + tail, c * b))
+            if m + n == 0 and m != 0 and (tail or not head or head[-1][1] < 0):
                 g = basis.gram(s_idx, t_idx)
                 if g:
-                    pending.append((w[:pos] + w[pos + 2 :], c * m * g * k))
+                    pending.append((head + tail, c * m * g * k))
             continue
         # all creations: sort by (mode asc, index asc)
         pos = next(
@@ -228,7 +243,7 @@ def mode_action(op: tuple[LieElt, int], s: VermaState) -> VermaState:
     """Apply the mode operator elt(mode) to a state."""
     elt, mode = op
     coords = s.basis.expand(elt)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for mono, c in s.terms.items():
         word = _word_of(mono)
         for idx, a in coords.items():
@@ -248,9 +263,9 @@ def state_from_ops(basis: ModeBasis, k: Fraction,
 def _map_factors(s: VermaState, target: ModeBasis, coords) -> VermaState:
     """Expand every creation factor of s through the coordinate map
     `coords(index)` into `target`, then normal-order into that basis."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for mono, c in s.terms.items():
-        expanded: list[tuple[tuple[tuple[int, int], ...], Fraction]] = [((), c)]
+        expanded: list[tuple[tuple[tuple[int, int], ...], Coeff]] = [((), c)]
         for idx, depth in mono:
             images = coords(idx).items()
             expanded = [
@@ -268,16 +283,16 @@ def nu_state(s: VermaState) -> VermaState:
     return _map_factors(s, s.basis, s.basis.nu_coords)
 
 
-def state_weight(s: VermaState) -> tuple[Fraction, ...]:
+def state_weight(s: VermaState) -> tuple[Coeff, ...]:
     """Common eigenvalue tuple under the diagonal zero modes H_1..H_{2l}.
 
     Raises if the state mixes weights (every state built here from weight
     vectors is weight-pure)."""
     n = 2 * s.basis.l + 1
     cartan = tuple(H(n, i) for i in range(1, n))
-    eig: dict[int, tuple[Fraction, ...]] = {}
+    eig: dict[int, tuple[Coeff, ...]] = {}
 
-    def elem_weight(idx: int) -> tuple[Fraction, ...]:
+    def elem_weight(idx: int) -> tuple[Coeff, ...]:
         got = eig.get(idx)
         if got is None:
             x = s.basis.elems[idx]
@@ -285,9 +300,9 @@ def state_weight(s: VermaState) -> tuple[Fraction, ...]:
             eig[idx] = got
         return got
 
-    common: tuple[Fraction, ...] | None = None
+    common: tuple[Coeff, ...] | None = None
     for mono in s.terms:
-        tot = [Fraction(0)] * len(cartan)
+        tot = [0] * len(cartan)
         for idx, _ in mono:
             for i, wv in enumerate(elem_weight(idx)):
                 tot[i] += wv
@@ -297,7 +312,7 @@ def state_weight(s: VermaState) -> tuple[Fraction, ...]:
         elif common != t:
             raise ValueError("state mixes weights")
     if common is None:
-        return tuple(Fraction(0) for _ in range(len(cartan)))
+        return (0,) * len(cartan)
     return common
 
 
@@ -331,10 +346,19 @@ def check_singular(s: VermaState, l: int) -> bool:
 
 
 def positive_mode_sweep(s: VermaState) -> bool:
-    """True iff every basis operator at modes 1 and 2 kills s."""
+    """True iff every basis operator at modes 1 and 2 kills s.
+
+    A zero test does not change under a nonzero scale, so the operators act
+    on s times the lcm of its coefficient denominators times the level's
+    denominator.  Each rewrite of one operator meets the level at most once
+    (the central term consumes the only annihilator), so over a basis with
+    integral structure constants and Gram values, like the standard one,
+    every coefficient of the sweep is an int."""
+    scale = lcm(*(c.denominator for c in s.terms.values())) * s.k.denominator
+    scaled = s.scale(scale)
     for x in s.basis.elems:
         for m in (1, 2):
-            if not mode_action((x, m), s).is_zero():
+            if not mode_action((x, m), scaled).is_zero():
                 return False
     return True
 

@@ -164,6 +164,19 @@ def test_plus_half_variant_classifies_differently():
         assert variant != frozenset(all_highest_weights(l))
 
 
+def test_zero_set_oracle_divides_exactly():
+    # x1 (3 x1 + x2 + 1) and x2 (3 x2 - 2): every constant and coefficient is
+    # an int, and the roots are thirds and ninths, which no float holds
+    x1, x2 = CartanPoly.variable(2, 1), CartanPoly.variable(2, 2)
+    p1 = x1.mul(x1.scale(3).add(x2).add(CartanPoly.const(2, 1)))
+    p2 = x2.mul(x2.scale(3).add(CartanPoly.const(2, -2)))
+    assert all(type(c) is int for p in (p1, p2) for c in p.terms.values())
+    assert zero_set_oracle([p1, p2]) == frozenset(
+        FiniteWeight(v)
+        for v in ((0, 0), (F(-1, 3), 0), (0, F(2, 3)), (F(-5, 9), F(2, 3)))
+    )
+
+
 def test_zero_set_oracle_structural_errors():
     x1 = CartanPoly.variable(1, 1)
     not_divisible = x1.add(CartanPoly.const(1, 1))

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import a2l2.checks as checks
+import a2l2.classify as classify
 import a2l2.cli as cli
 import a2l2.twzhu as twzhu
 import a2l2.vacuum as vacuum
@@ -101,6 +102,7 @@ def test_rank_cap_env_override(monkeypatch):
 def test_full_verify_builds_each_stage_once(monkeypatch):
     vacuum.singular_vector.cache_clear()
     twzhu.projection_context.cache_clear()
+    classify.all_highest_weights.cache_clear()
     calls = {"project": 0, "lowered_elements": 0}
 
     def counted(name):
@@ -118,6 +120,7 @@ def test_full_verify_builds_each_stage_once(monkeypatch):
     assert result.exit_code == 0
     assert vacuum.singular_vector.cache_info().misses == 1
     assert twzhu.projection_context.cache_info().misses == 1
+    assert classify.all_highest_weights.cache_info().misses == 1
     # the singular image is projected, and the partner lowered, only once
     assert calls == {"project": 1, "lowered_elements": 1}
 

@@ -1,0 +1,53 @@
+"""Every pipeline stage holds exact coefficients: an int when the value is
+integral and a Fraction otherwise, never a float."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from a2l2.classify import zero_set_oracle
+from a2l2.twzhu import (
+    compute_v1,
+    lowered_polynomials,
+    projection_context,
+    r0_basis,
+    zhu_singular_image,
+)
+from a2l2.vacuum import nu_state, singular_vector
+
+
+def assert_exact(values, stage: str) -> None:
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (
+            stage,
+            c,
+        )
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_pipeline_coefficients_are_ints_or_fractions(l):
+    v = singular_vector(l)
+    assert_exact(v.terms.values(), "singular vector")
+    assert_exact(nu_state(v).terms.values(), "nu image")
+    ctx = projection_context(l)
+    split = ctx.split
+    dim = len(split.elems)
+    for s in range(dim):
+        for t in range(dim):
+            assert_exact(split.bracket_coords(s, t).values(), "split bracket")
+    for weight in ctx.alg.weights:
+        assert all(type(c) is int for c in weight), weight
+    assert_exact(zhu_singular_image(ctx).values(), "Zhu image")
+    assert_exact(compute_v1(ctx).values(), "v1")
+    polys = lowered_polynomials(ctx)
+    for p in polys:
+        assert_exact(p.terms.values(), "lowered polynomial")
+    for u in r0_basis(ctx):
+        assert_exact(u.values(), "r0 basis")
+    # FiniteWeight stores Fractions, and a float passed through Fraction()
+    # would keep a large binary denominator: the classified weights are
+    # half-integral
+    for w in zero_set_oracle(polys):
+        assert all(type(c) is Fraction and c.denominator <= 2 for c in w.coroot_vals), w

@@ -18,6 +18,7 @@ from a2l2.liealg import (
     b_type_generators,
     bracket,
     computed_b_cartan,
+    eigen_ratio,
     eplus,
     g0_basis_info,
     g1_basis,
@@ -116,6 +117,17 @@ def test_jacobi_identity_100_triples():
         a, b, c = (sample_sparse(rng, l) for _ in range(3))
         lhs = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
         assert lhs.is_zero()
+
+
+# ------------------------------------------------------------- eigen ratio
+
+def test_eigen_ratio_divides_exactly():
+    # int entries on both sides: the ratio is an int or a Fraction, never a float
+    two_e = E(3, 1, 2) + E(3, 1, 2)
+    r = eigen_ratio(bracket(H(3, 1), two_e), two_e)
+    assert r == 2 and type(r) is int
+    half = eigen_ratio(E(3, 1, 2), two_e)
+    assert half == Fraction(1, 2) and type(half) is Fraction
 
 
 # ---------------------------------------------------------------- trace form

@@ -18,7 +18,7 @@ from a2l2.liealg import (
     invariant_form,
     split_pm,
 )
-from a2l2.linalg import SpanSolver, vec_add_into
+from a2l2.linalg import SpanSolver, vec_add_into, vec_scale
 from a2l2.twzhu import (
     ProjectionContext,
     _binom_half,
@@ -190,6 +190,30 @@ def test_lowered_elements_have_weight_zero():
         zero = tuple(Fraction(0) for _ in range(l))
         for u in lowered_elements(ctx):
             assert ctx.alg.weight_of(u) == zero
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_lowered_elements_share_the_prefix_chain(monkeypatch, l):
+    ctx = ProjectionContext(l)
+    v1 = compute_v1(ctx)
+    real_ad = ctx.alg.ad
+    calls = []
+
+    def counted(x, u):
+        calls.append(x)
+        return real_ad(x, u)
+
+    monkeypatch.setattr(ctx.alg, "ad", counted)
+    got = lowered_elements(ctx)
+    assert len(calls) == l - 1 + l * (l + 1) // 2
+    # each staircase applied from v1 on its own gives the same elements
+    gens = b_type_generators(l)
+    fs = list(gens.f) + [gens.f_l]
+    for j, u in enumerate(got, start=1):
+        w = v1
+        for t in [*range(l - 1, j - 1, -1), *range(j)]:  # f_l..f_{j+1}, f_1..f_j
+            w = real_ad(fs[t], w)
+        assert u == vec_scale(w, -1 if j % 2 == 0 else 1)
 
 
 def test_lowered_polynomials_match_reference():

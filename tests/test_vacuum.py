@@ -18,9 +18,10 @@ from a2l2.liealg import (
     level_for,
     nu,
 )
-from a2l2.linalg import SpanSolver
+from a2l2.linalg import SpanSolver, vec_add_into
 from a2l2.vacuum import (
     VermaState,
+    _normal_order,
     check_singular,
     convert_state,
     mode_action,
@@ -129,6 +130,26 @@ def test_affine_commutation_relation_50_samples():
         assert lhs == rhs
 
 
+def test_normal_order_of_several_annihilators_50_samples():
+    # a word with annihilators left of its rightmost one, as one rewrite,
+    # equals the operators applied one at a time
+    rng = random.Random(2025)
+    for _ in range(50):
+        l = rng.choice([1, 2])
+        basis = standard_mode_basis(l)
+        k = level_for(l)
+        w = _rand_state(rng, basis, k)
+        ops = [(rng.randrange(len(basis.elems)), rng.randint(0, 2)) for _ in range(2)]
+        one_by_one = w
+        for idx, mode in reversed(ops):
+            one_by_one = mode_action((basis.elems[idx], mode), one_by_one)
+        rewritten: dict = {}
+        for mono, c in w.terms.items():
+            word = tuple(ops) + tuple((idx, -depth) for idx, depth in mono)
+            vec_add_into(rewritten, _normal_order(basis, k, word, c))
+        assert rewritten == one_by_one.terms
+
+
 # -------------------------------------------------------------- involution
 
 def test_nu_state_basics():
@@ -180,6 +201,21 @@ def test_positive_mode_sweep_on_singular_vectors():
     for l in (1, 2, 3):
         v = singular_vector(l)
         assert positive_mode_sweep(v)
+
+
+def test_positive_mode_sweep_rejects_fractional_perturbations():
+    # the sweep scales its input to integers; a perturbation by 1/(2l+1),
+    # a denominator the singular vector already has, must still show
+    for l in (1, 2, 3):
+        n = 2 * l + 1
+        v = singular_vector(l)
+        eps = Fraction(1, 2 * l + 1)
+        extra = state_from_ops(v.basis, v.k, [(H(n, 1), -2)]).scale(eps)
+        assert not positive_mode_sweep(v + extra)
+        mono = min(m for m in v.terms if len(m) == 2)
+        terms = dict(v.terms)
+        terms[mono] += eps
+        assert not positive_mode_sweep(VermaState(v.basis, v.k, terms))
 
 
 def test_singular_vector_weight_is_top_root():
