@@ -307,6 +307,17 @@ def _generic_poly_string(p: CartanPoly) -> str:
 
 
 def uea_string(u: UEAElt, alg: "PBWAlgebra") -> str:
-    """Render an envelope element as signed products of basis labels."""
-    labels = alg.info.labels
-    return format_sum((u[key], "*".join(labels[i] for i in key)) for key in sorted(u))
+    """Render an envelope element as signed products of basis labels.
+
+    The one place that converts back from the rescaled basis: a basis
+    element is its label's vector times its scale, so each coefficient is
+    multiplied by the product of its word's scales."""
+    labels, scales = alg.info.labels, alg.info.scales
+
+    def labelled(key: tuple[int, ...]) -> Coeff:
+        c = u[key]
+        for i in key:
+            c *= scales[i]
+        return exact(c)
+
+    return format_sum((labelled(key), "*".join(labels[i] for i in key)) for key in sorted(u))

@@ -4,6 +4,13 @@ the even/odd grading, and the type-B fixed-point subalgebra.
 Elements are sparse matrices over the rationals.  The involution is
 x -> involution image with E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]; its fixed
 subalgebra is so(2l+1) and the (-1)-eigenspace is the little adjoint module.
+
+The split basis (even part, then odd part) is rescaled so that every bracket
+constant and trace-form value over it is an integer: the vector labelled
+Ep[i,j] or Em[i,j] is (E[i,j] +- nu(E[i,j]))/2, and the basis holds it times
+`split_scale(l, i, j)`; Ea[i] is held twice, and the Cartan elements and the
+d[i] as they are.  `G0BasisInfo.scales` records the factor of each even
+element, for the one printer that converts back.
 """
 
 from __future__ import annotations
@@ -235,13 +242,30 @@ def computed_b_cartan(l: int) -> list[list[int]]:
     return out
 
 
+def split_scale(l: int, i: int, j: int) -> int:
+    """Factor of the split-basis vector with index pair (i, j): 4 for a short
+    root, whose pair meets the middle index l+1, and 2 otherwise."""
+    return 4 if l + 1 in (i, j) else 2
+
+
+def _split_vector(l: int, i: int, j: int, sign: int) -> LieElt:
+    """split_scale(l, i, j) * (E[i,j] + sign * nu(E[i,j])) / 2, without a
+    division: E +- nu(E) for a long root, twice that for a short one."""
+    a = E(2 * l + 1, i, j)
+    half_scale = split_scale(l, i, j) // 2
+    return half_scale * (a + nu(a) if sign > 0 else a - nu(a))
+
+
 @dataclass(frozen=True)
 class G0BasisInfo:
-    """Ordered basis of the even part: negatives, Cartan, positives."""
+    """Ordered basis of the even part: negatives, Cartan, positives.
+
+    `elems[k]` is `scales[k]` times the vector `labels[k]` names."""
 
     l: int
     elems: tuple[LieElt, ...]
     labels: tuple[str, ...]
+    scales: tuple[int, ...]
     neg_count: int
     cartan_count: int
     pos_count: int
@@ -277,20 +301,22 @@ def g0_basis_info(l: int) -> G0BasisInfo:
             if (i, j) <= _orbit_partner(n, i, j):
                 reps.append((i, j))
     reps.sort()
-    neg = [split_pm(E(n, j, i)).plus for (i, j) in reps]
+    neg = [_split_vector(l, j, i, 1) for (i, j) in reps]
     neg_labels = [f"Ep[{j},{i}]" for (i, j) in reps]
     gens = b_type_generators(l)
     cart = list(gens.cartan_elements())
     cart_labels = [f"h[{i}]" for i in range(1, l)] + [f"hb[{l}]"]
-    pos = [split_pm(E(n, i, j)).plus for (i, j) in reps]
+    pos = [_split_vector(l, i, j, 1) for (i, j) in reps]
     pos_labels = [f"Ep[{i},{j}]" for (i, j) in reps]
     elems = tuple(neg + cart + pos)
     if len(elems) != l * (2 * l + 1):
         raise AssertionError("even-part basis has wrong size")
+    rep_scales = [split_scale(l, i, j) for (i, j) in reps]
     return G0BasisInfo(
         l=l,
         elems=elems,
         labels=tuple(neg_labels + cart_labels + pos_labels),
+        scales=tuple(rep_scales + [1] * len(cart) + rep_scales),
         neg_count=len(neg),
         cartan_count=len(cart),
         pos_count=len(pos),
@@ -300,6 +326,11 @@ def g0_basis_info(l: int) -> G0BasisInfo:
 
 @dataclass(frozen=True)
 class G1BasisInfo:
+    """Ordered basis of the odd part: Em pairs, then Ea, then d.
+
+    `elems[k]` is the vector `labels[k]` names times its split scale (Em),
+    twice (Ea) or once (d)."""
+
     l: int
     elems: tuple[LieElt, ...]
     labels: tuple[str, ...]
@@ -314,14 +345,15 @@ def g1_basis_info(l: int) -> G1BasisInfo:
     elems: list[LieElt] = []
     labels: list[str] = []
     for (i, j) in info.pos_rep_pairs:
-        elems.append(split_pm(E(n, i, j)).minus)
+        elems.append(_split_vector(l, i, j, -1))
         labels.append(f"Em[{i},{j}]")
     for (i, j) in info.pos_rep_pairs:
-        elems.append(split_pm(E(n, j, i)).minus)
+        elems.append(_split_vector(l, j, i, -1))
         labels.append(f"Em[{j},{i}]")
     for i in range(1, n + 1):
         if i != l + 1:
-            elems.append(E(n, i, n + 1 - i))  # anti-diagonal entries are purely odd
+            # anti-diagonal entries are purely odd; held twice, like a long Em
+            elems.append(2 * E(n, i, n + 1 - i))
             labels.append(f"Ea[{i}]")
     # traceless odd diagonal: v_i = E[i,i] + E[n+1-i,n+1-i]
     def v(i: int) -> LieElt:

@@ -17,6 +17,7 @@ all single reduction passes with no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable
 
 Coeff = int | Fraction
@@ -41,6 +42,11 @@ def vec_scale(v: Vec, c: Coeff) -> Vec:
     if not c:
         return {}
     return {k: exact(c * x) for k, x in v.items()}
+
+
+def vec_integral(v: Vec) -> Vec:
+    """v times the lcm of its denominators: the same line, in ints."""
+    return vec_scale(v, lcm(*(c.denominator for c in v.values())))
 
 
 def vec_add_into(dst: Vec, src: Vec, c: Coeff = 1) -> None:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .envelope import CartanPoly, PBWAlgebra, UEAElt, uea_unit
 from .liealg import E, LieElt, b_type_generators, eplus, level_for
-from .linalg import SpanSolver, rank_of, vec_add_into, vec_scale
+from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
     ModeBasis,
     Monomial,
@@ -258,14 +258,16 @@ def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
     PBW, and the simple lowering generators generate n-, so the closure
     under those l generators alone is the whole submodule.  Each returned
     vector is a weight vector, being a lowering word applied to the seed.
+    The span does not change when the seed or a generator is scaled, so
+    both are cleared of denominators and the closure runs on ints.
     """
     if ctx._r0 is None:
         alg = ctx.alg
         gens = b_type_generators(ctx.l)
-        seed = zhu_singular_image(ctx)
+        seed = vec_integral(zhu_singular_image(ctx))
         if any(alg.ad(e, seed) for e in gens.raising_elements()):
             raise ValueError("singular image is not a highest-weight vector")
-        lowering = [alg.lie_coords(f) for f in gens.f + (gens.f_l,)]
+        lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f + (gens.f_l,)]
         solver = SpanSolver()
         out: list[UEAElt] = []
         queue: list[UEAElt] = []

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from operator import add
 
 from .liealg import (
     E,
     H,
     LieElt,
     bracket,
-    eigen_ratio,
     g0_basis_info,
     g1_basis_info,
     invariant_form,
@@ -37,6 +36,7 @@ from .linalg import (
     format_sum,
     vec_add_into,
     vec_add_term,
+    vec_integral,
     vec_scale,
 )
 
@@ -47,7 +47,11 @@ Monomial = tuple[tuple[int, int], ...]
 
 
 class ModeBasis:
-    """Ordered basis of the finite algebra with cached structure constants."""
+    """Ordered basis of the finite algebra with cached structure constants.
+
+    Every bracket constant and Gram value over the basis must be an int,
+    which keeps the normal-ordering loops on integer arithmetic; a table
+    entry that is not one raises ValueError as it is first computed."""
 
     def __init__(self, l: int, elems: tuple[LieElt, ...], labels: tuple[str, ...],
                  g0_count: int | None = None) -> None:
@@ -75,14 +79,16 @@ class ModeBasis:
         got = self._brackets.get(key)
         if got is None:
             got = self.expand(bracket(self.elems[s], self.elems[t]))
+            _require_ints(got.values(), "bracket", key)
             self._brackets[key] = got
         return got
 
-    def gram(self, s: int, t: int) -> Coeff:
+    def gram(self, s: int, t: int) -> int:
         key = (s, t)
         got = self._grams.get(key)
         if got is None:
             got = invariant_form(self.elems[s], self.elems[t])
+            _require_ints((got,), "Gram value", key)
             self._grams[key] = got
         return got
 
@@ -92,6 +98,30 @@ class ModeBasis:
             got = self.expand(nu(self.elems[s]))
             self._nu[s] = got
         return got
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], ...]:
+        """Weight of each element under the diagonal zero modes H_1..H_{2l}.
+
+        Read off the matrix entries: E[i,j] has weight e_i - e_j, and
+        e_i(H_k) is [i == k] - [i == k + 1].  Raises ValueError unless every
+        element is a weight vector (the split basis is not)."""
+        n = 2 * self.l + 1
+        out = []
+        for label, x in zip(self.labels, self.elems):
+            found = {
+                tuple((i == k) - (i == k + 1) - (j == k) + (j == k + 1) for k in range(1, n))
+                for i, j in x.terms
+            }
+            if len(found) != 1:
+                raise ValueError(f"basis element {label} is not a weight vector")
+            out.append(found.pop())
+        return tuple(out)
+
+
+def _require_ints(values, what: str, key) -> None:
+    if any(type(c) is not int for c in values):
+        raise ValueError(f"{what} {key} of the mode basis is not an integer")
 
 
 @lru_cache(maxsize=None)
@@ -283,37 +313,23 @@ def nu_state(s: VermaState) -> VermaState:
     return _map_factors(s, s.basis, s.basis.nu_coords)
 
 
-def state_weight(s: VermaState) -> tuple[Coeff, ...]:
+def _monomial_weight(basis: ModeBasis, mono: Monomial) -> tuple[int, ...]:
+    tot = [0] * (2 * basis.l)
+    for idx, _ in mono:
+        for i, wv in enumerate(basis.weights[idx]):
+            tot[i] += wv
+    return tuple(tot)
+
+
+def state_weight(s: VermaState) -> tuple[int, ...]:
     """Common eigenvalue tuple under the diagonal zero modes H_1..H_{2l}.
 
     Raises if the state mixes weights (every state built here from weight
     vectors is weight-pure)."""
-    n = 2 * s.basis.l + 1
-    cartan = tuple(H(n, i) for i in range(1, n))
-    eig: dict[int, tuple[Coeff, ...]] = {}
-
-    def elem_weight(idx: int) -> tuple[Coeff, ...]:
-        got = eig.get(idx)
-        if got is None:
-            x = s.basis.elems[idx]
-            got = tuple(eigen_ratio(bracket(h, x), x) for h in cartan)
-            eig[idx] = got
-        return got
-
-    common: tuple[Coeff, ...] | None = None
-    for mono in s.terms:
-        tot = [0] * len(cartan)
-        for idx, _ in mono:
-            for i, wv in enumerate(elem_weight(idx)):
-                tot[i] += wv
-        t = tuple(tot)
-        if common is None:
-            common = t
-        elif common != t:
-            raise ValueError("state mixes weights")
-    if common is None:
-        return (0,) * len(cartan)
-    return common
+    found = {_monomial_weight(s.basis, mono) for mono in s.terms}
+    if len(found) > 1:
+        raise ValueError("state mixes weights")
+    return found.pop() if found else (0,) * (2 * s.basis.l)
 
 
 @lru_cache(maxsize=None)
@@ -345,22 +361,48 @@ def check_singular(s: VermaState, l: int) -> bool:
     return mode_action((E(n, n, 1), 1), s).is_zero()
 
 
+def sweep_operators(s: VermaState) -> list[tuple[int, int]]:
+    """The (basis index, mode) pairs, modes 1 and 2, whose action on s the
+    grading of the vacuum module does not force to be zero.
+
+    x(m) maps a term of weight mu and depth D into degree D - m, at weight
+    wt(x) + mu.  Degree 0 holds only weight 0, and degree 1 only the weights
+    of the basis elements and 0, so x(m) can act nonzero on the term only if
+    D - m >= 2 or that weight occurs in degree D - m.  The weights are read
+    term by term, so a state that mixes weights is still swept in full."""
+    weights = s.basis.weights
+    zero = (0,) * (2 * s.basis.l)
+    degree_weights = ({zero}, {zero, *weights})
+    terms = {(_monomial_weight(s.basis, mono), sum(d for _, d in mono)) for mono in s.terms}
+    return [
+        (idx, m)
+        for idx, wt in enumerate(weights)
+        for m in (1, 2)
+        if any(
+            depth - m >= 2
+            or (depth >= m and tuple(map(add, wt, mu)) in degree_weights[depth - m])
+            for mu, depth in terms
+        )
+    ]
+
+
 def positive_mode_sweep(s: VermaState) -> bool:
     """True iff every basis operator at modes 1 and 2 kills s.
 
-    A zero test does not change under a nonzero scale, so the operators act
-    on s times the lcm of its coefficient denominators times the level's
-    denominator.  Each rewrite of one operator meets the level at most once
-    (the central term consumes the only annihilator), so over a basis with
-    integral structure constants and Gram values, like the standard one,
-    every coefficient of the sweep is an int."""
-    scale = lcm(*(c.denominator for c in s.terms.values())) * s.k.denominator
-    scaled = s.scale(scale)
-    for x in s.basis.elems:
-        for m in (1, 2):
-            if not mode_action((x, m), scaled).is_zero():
-                return False
-    return True
+    Only the operators of `sweep_operators` act, since the grading kills the
+    rest: 6l of the 2 * dim operators on the singular vector.  A zero test
+    does not change under a nonzero scale, so they act on s times the lcm of
+    its coefficient denominators times the level's denominator.  Each
+    rewrite of one operator meets the level at most once (the central term
+    consumes the only annihilator), and the basis has integral structure
+    constants and Gram values, so every coefficient of the sweep is an int.
+    The basis must consist of weight vectors, like the standard one."""
+    scaled = VermaState(s.basis, s.k, vec_scale(vec_integral(s.terms), s.k.denominator))
+    elems = s.basis.elems
+    return all(
+        mode_action((elems[idx], m), scaled).is_zero()
+        for idx, m in sweep_operators(s)
+    )
 
 
 def convert_state(s: VermaState, target: ModeBasis) -> VermaState:

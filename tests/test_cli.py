@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -410,6 +411,29 @@ def test_cli_classify_matches_golden_above_default_cap(monkeypatch, l, fmt):
     )
     assert result.exit_code == 0
     assert result.stdout_bytes == (GOLDEN / f"classify-l{l}-{fmt}.out").read_bytes()
+
+
+@pytest.mark.parametrize("which", ("zhu-image", "v1", "polys"))
+@pytest.mark.parametrize("l", (1, 2, 3, 4, 5, 6))
+def test_cli_dump_matches_golden(monkeypatch, l, which):
+    monkeypatch.setenv("A2L2_MAX_L", "8")
+    result = CliRunner().invoke(main, ["dump", "--l", str(l), "--object", which])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / f"dump-{which}-l{l}.out").read_bytes()
+
+
+def _golden_verify_hashes() -> dict[str, str]:
+    lines = (GOLDEN / "verify-json-sha256.txt").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+@pytest.mark.parametrize("l", (6, 7, 8))
+def test_cli_verify_json_matches_golden_hash(monkeypatch, l):
+    monkeypatch.setenv("A2L2_MAX_L", "8")
+    result = CliRunner().invoke(main, ["verify", "--l", str(l), "--format", "json"])
+    assert result.exit_code == 0
+    got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", result.stdout_bytes)
+    assert hashlib.sha256(got).hexdigest() == _golden_verify_hashes()[f"verify-l{l}"]
 
 
 @pytest.mark.parametrize(

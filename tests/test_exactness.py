@@ -15,7 +15,7 @@ from a2l2.twzhu import (
     r0_basis,
     zhu_singular_image,
 )
-from a2l2.vacuum import nu_state, singular_vector
+from a2l2.vacuum import nu_state, singular_vector, split_mode_basis
 
 
 def assert_exact(values, stage: str) -> None:
@@ -34,9 +34,13 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
     ctx = projection_context(l)
     split = ctx.split
     dim = len(split.elems)
+    # the rescaled split basis has integral structure constants and Gram
+    # values, so the one table the mode and PBW algebras share is all ints
     for s in range(dim):
         for t in range(dim):
-            assert_exact(split.bracket_coords(s, t).values(), "split bracket")
+            for c in split.bracket_coords(s, t).values():
+                assert type(c) is int, ("split bracket", s, t, c)
+            assert type(split.gram(s, t)) is int, ("split Gram", s, t)
     for weight in ctx.alg.weights:
         assert all(type(c) is int for c in weight), weight
     assert_exact(zhu_singular_image(ctx).values(), "Zhu image")
@@ -51,3 +55,14 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
     # half-integral
     for w in zero_set_oracle(polys):
         assert all(type(c) is Fraction and c.denominator <= 2 for c in w.coroot_vals), w
+
+
+@pytest.mark.parametrize("l", (5, 6, 7, 8))
+def test_split_table_is_integral_above_the_pipeline_ranks(l):
+    # a fresh, uncached table, so the full one is dropped after the test
+    split = split_mode_basis.__wrapped__(l)
+    dim = len(split.elems)
+    for s in range(dim):
+        for t in range(dim):
+            split.bracket_coords(s, t)  # raises on a constant that is not an int
+            split.gram(s, t)

@@ -243,10 +243,14 @@ def test_g0_basis_counts_and_order():
         assert info.pos_count == l * l
         gens = b_type_generators(l)
         assert info.elems[info.cartan_start:info.pos_start] == gens.cartan_elements()
-        # positive block: even projections of upper representatives
+        # positive block: even projections of upper representatives, each
+        # times its split scale
         for k, (i, j) in enumerate(info.pos_rep_pairs):
-            assert info.elems[info.pos_start + k] == eplus(l, i, j)
+            scale = info.scales[info.pos_start + k]
+            assert scale == (4 if l + 1 in (i, j) else 2)
+            assert info.elems[info.pos_start + k] == scale * eplus(l, i, j)
             assert i < j and i + j != 2 * l + 2
+        assert info.scales[info.cartan_start:info.pos_start] == (1,) * l
 
 
 def test_anti_diagonal_even_projection_vanishes():

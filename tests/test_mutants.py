@@ -17,7 +17,10 @@ tests kill them:
 - a parity flip in the signed-graph rank and `>=` for `>` in condition 1:
   the rational admissibility oracle on seeded random weights, below.  It
   also sees floor for ceiling when lifting the first integral member to
-  m >= m_min, which turns `admissible` red at l = 2, 3 but not at l = 1.
+  m >= m_min, which turns `admissible` red at l = 2, 3 but not at l = 1;
+- only the weight 0 in degree 1 of the raising sweep's grading, which the
+  singular vector passes anyway: the full sweep of `helpers_sweep.py` on
+  perturbed singular vectors, below.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 
 import pytest
 from helpers_roots import fraction_admissible
+from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors
 from test_affroots import random_weight
 
 from a2l2 import affroots, checks, classify, liealg, twzhu, vacuum
@@ -135,13 +139,13 @@ INTEGER_PATH_DEFECTS = {
 }
 
 
-def source_mutant(name: str, old: str, new: str):
-    """`affroots.<name>` recompiled from its source with `old`, which must
+def source_mutant(name: str, old: str, new: str, module=affroots):
+    """`module.<name>` recompiled from its source with `old`, which must
     occur exactly once, replaced by `new`.  It runs in a copy of the module
     namespace, so the module itself is untouched until patched."""
-    source = inspect.getsource(getattr(affroots, name))
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
-    namespace = dict(vars(affroots))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
     return namespace[name]
 
@@ -163,5 +167,21 @@ def test_integer_path_defect_disagrees_with_fraction_oracle(
         lam
         for lam, expected in random_weights_with_oracle
         if affroots.check_admissible(lam) != expected
+    ]
+    assert wrong
+
+
+def test_sweep_without_roots_in_degree_one_disagrees_with_full_sweep(monkeypatch):
+    """Taking the weights of degree 1 as {0} skips operators that map a
+    depth-2 term onto a root vector; the full sweep sees them act."""
+    mutant = source_mutant(
+        "sweep_operators", "{zero, *weights}", "{zero}", module=vacuum
+    )
+    monkeypatch.setattr(vacuum, "sweep_operators", mutant)
+    wrong = [
+        s
+        for l in (1, 2, 3)
+        for s in perturbed_singular_vectors(l)
+        if vacuum.positive_mode_sweep(s) != full_positive_mode_sweep(s)
     ]
     assert wrong

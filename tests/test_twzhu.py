@@ -10,7 +10,7 @@ import pytest
 
 from a2l2 import twzhu
 from a2l2.checks import run_checks
-from a2l2.envelope import CartanPoly, uea_unit
+from a2l2.envelope import CartanPoly, uea_string, uea_unit
 from a2l2.liealg import (
     E,
     b_type_generators,
@@ -154,7 +154,9 @@ def test_singular_image_matches_closed_form():
 
 def test_singular_image_literal_rank1():
     ctx = projection_context(1)
-    assert zhu_singular_image(ctx) == {(2, 2): Fraction(1)}
+    # Ep[1,2]*Ep[1,2], over a basis that holds Ep[1,2] four times over
+    assert zhu_singular_image(ctx) == {(2, 2): Fraction(1, 16)}
+    assert uea_string(zhu_singular_image(ctx), ctx.alg) == "Ep[1,2]*Ep[1,2]"
 
 
 def test_singular_image_weight():
@@ -179,7 +181,8 @@ def test_v1_matches_closed_form():
 
 def test_v1_literal_rank1():
     ctx = projection_context(1)
-    assert compute_v1(ctx) == {(1, 2): Fraction(-1), (2,): Fraction(1)}
+    assert compute_v1(ctx) == {(1, 2): Fraction(-1, 4), (2,): Fraction(1, 4)}
+    assert uea_string(compute_v1(ctx), ctx.alg) == "-hb[1]*Ep[1,2] + Ep[1,2]"
 
 
 # ------------------------------------------------------------- polynomials

@@ -17,9 +17,11 @@ from a2l2.liealg import (
     g0_basis_info,
     level_for,
     nu,
+    split_pm,
 )
 from a2l2.linalg import SpanSolver, vec_add_into
 from a2l2.vacuum import (
+    ModeBasis,
     VermaState,
     _normal_order,
     check_singular,
@@ -33,8 +35,11 @@ from a2l2.vacuum import (
     state_from_ops,
     state_string,
     state_weight,
+    sweep_operators,
     vacuum,
 )
+from a2l2 import vacuum as vacuum_module
+from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors
 
 
 def zero_mode_orbit(v: VermaState, l: int) -> list[VermaState]:
@@ -216,6 +221,62 @@ def test_positive_mode_sweep_rejects_fractional_perturbations():
         terms = dict(v.terms)
         terms[mono] += eps
         assert not positive_mode_sweep(VermaState(v.basis, v.k, terms))
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_positive_mode_sweep_agrees_with_full_sweep_oracle(l):
+    states = perturbed_singular_vectors(l)
+    verdicts = [full_positive_mode_sweep(s) for s in states]
+    assert [positive_mode_sweep(s) for s in states] == verdicts
+    # the singular vector passes, its two fractional perturbations fail
+    assert verdicts[0] and not verdicts[1] and not verdicts[2]
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_operators_the_sweep_skips_act_as_zero(l):
+    for s in perturbed_singular_vectors(l):
+        acting = set(sweep_operators(s))
+        for idx, x in enumerate(s.basis.elems):
+            for m in (1, 2):
+                if (idx, m) not in acting:
+                    assert mode_action((x, m), s).is_zero(), (s.basis.labels[idx], m)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 6))
+def test_sweep_acts_with_6l_operators_on_the_singular_vector(monkeypatch, l):
+    v = singular_vector(l)  # built before the count starts
+    calls = []
+    action = vacuum_module.mode_action
+
+    def counted(op, s):
+        calls.append(op)
+        return action(op, s)
+
+    monkeypatch.setattr(vacuum_module, "mode_action", counted)
+    assert positive_mode_sweep(v)
+    assert len(calls) == len(sweep_operators(v)) == 6 * l
+
+
+def test_weights_read_from_entries_match_eigenvalues():
+    for l in (1, 2):
+        basis = standard_mode_basis(l)
+        n = 2 * l + 1
+        for x, wt in zip(basis.elems, basis.weights):
+            assert wt == tuple(eigen_ratio(bracket(H(n, i), x), x) for i in range(1, n))
+    with pytest.raises(ValueError, match="not a weight vector"):
+        split_mode_basis(1).weights
+
+
+def test_mode_basis_refuses_fractional_constants():
+    # the split basis before rescaling: [Ep[1,2], Ep[2,1]] = hb[1]/8 and
+    # the trace form of the pair is 1/2
+    gens = b_type_generators(1)
+    up, down = (split_pm(E(3, i, j)).plus for i, j in ((1, 2), (2, 1)))
+    basis = ModeBasis(1, (down, gens.hbar_l, up), ("Ep[2,1]", "hb[1]", "Ep[1,2]"))
+    with pytest.raises(ValueError, match="not an integer"):
+        basis.bracket_coords(2, 0)
+    with pytest.raises(ValueError, match="not an integer"):
+        basis.gram(2, 0)
 
 
 def test_singular_vector_weight_is_top_root():
