@@ -6,11 +6,10 @@ Everything here is exact: weights live in coordinates
 (eps_1..eps_l, delta, central-dual), the bilinear form is the standard
 one on that basis, real roots come in long / intermediate / short
 families indexed by an integer parameter, and admissibility is decided
-in Python integers: the shifted weight is rescaled once to integer
-coordinates, each family's first integral pairing is one linear
-congruence, and the rank of the integral coroots is the rank of a signed
-graph on the eps coordinates (Zaslavsky, "Signed graphs", Discrete Appl.
-Math. 4 (1982)).
+in closed form at the studied level -l-1/2: there 2(k + h^vee) = 2l+1 is
+odd, so every integrality question about a shifted coroot pairing is a
+parity of 2(lam + rho), and the coroot-span rank counts residue classes
+of 2(lam + rho) mod 1.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .liealg import level_for
 
@@ -178,109 +176,7 @@ def cartan_matrix_from_form(l: int) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-# ------------------------------------------------------- real root families
-
-@dataclasses.dataclass(frozen=True)
-class RealRootFamily:
-    """One integer-parameter family of positive real roots
-    classical + p(m) * delta, where p(m) = 2m+1 for the long family
-    (classical then being twice a short horizontal root) and p(m) = m
-    otherwise; m ranges over integers >= m_min.  `classical` lists the
-    nonzero eps coefficients as (0-based index, coefficient) pairs in
-    increasing index order."""
-
-    kind: str  # "long" | "intermediate" | "short"
-    classical: tuple[tuple[int, int], ...]
-    m_min: int
-    squared_norm: int  # (classical, classical): 4, 2 or 1
-
-
-@lru_cache(maxsize=None)
-def positive_real_families(l: int) -> tuple[RealRootFamily, ...]:
-    """All positive real roots, grouped into integer-parameter families:
-    long 2(+-eps_i) + (2m+1) delta with m >= 0; intermediate (l > 1 only)
-    (+-eps_i +- eps_j) + m delta; short (+-eps_i) + m delta — for the
-    latter two m >= 0 when the first eps coefficient is positive, else
-    m >= 1."""
-    if l < 1:
-        raise ValueError("rank must be at least 1")
-    signs = (1, -1)
-    shorts = [((i, s),) for i in range(l) for s in signs]
-    pairs = [
-        ((i, si), (j, sj))
-        for i in range(l) for j in range(i + 1, l)
-        for si in signs for sj in signs
-    ]
-    fams = [RealRootFamily("long", ((i, 2 * s),), 0, 4) for ((i, s),) in shorts]
-    for kind, norm, supports in (("intermediate", 2, pairs), ("short", 1, shorts)):
-        for sup in supports:
-            fams.append(RealRootFamily(kind, sup, 0 if sup[0][1] > 0 else 1, norm))
-    return tuple(fams)
-
-
 # ------------------------------------------------------------ admissibility
-
-def first_integral_member(a: int, b: int, n: int, m_min: int) -> Optional[int]:
-    """Smallest m >= m_min with (a + b*m)/n an integer (n > 0), or None when
-    no m gives one.  The solutions of b*m = -a (mod n) exist exactly when
-    g = gcd(b, n) divides a, and then form one residue class mod n/g."""
-    g = math.gcd(b, n)
-    if a % g:
-        return None
-    period = n // g
-    m0 = -(a // g) * pow(b // g, -1, period) % period
-    return m0 + period * ((m_min - m0 + period - 1) // period)  # ceiling lift
-
-
-def signed_graph_rank(l: int, supports) -> int:
-    """Rank over the rationals of the vectors +-eps_i +- eps_j, c eps_i given
-    by their eps supports ((index, coefficient) pairs over the l coordinates).
-
-    They are the edges and half-edges of a signed graph on the coordinates:
-    eps_i - eps_j is a positive edge, eps_i + eps_j a negative one, and
-    c eps_i a half-edge.  The rank of its frame matroid is the number of
-    touched coordinates minus the number of balanced components (Zaslavsky,
-    "Signed graphs", Discrete Appl. Math. 4 (1982)).  A component is
-    balanced when it has no half-edge and its coordinates take parities
-    that are equal across every positive edge and differ across every
-    negative one; a union-find (by size) keeps each coordinate's parity
-    relative to its parent."""
-    parent = list(range(l))
-    odd = [0] * l
-    size = [1] * l
-    touched = [False] * l
-    balanced = [True] * l  # read at roots only
-    for sup in supports:
-        i = sup[0][0]
-        touched[i] = True
-        root, parity = i, 0
-        while parent[root] != root:
-            parity ^= odd[root]
-            root = parent[root]
-        if len(sup) == 1:
-            balanced[root] = False
-            continue
-        (_, si), (j, sj) = sup
-        touched[j] = True
-        other, other_parity = j, 0
-        while parent[other] != other:
-            other_parity ^= odd[other]
-            other = parent[other]
-        sign = int(si * sj > 0)  # eps_i + eps_j asks for differing parities
-        if root == other:
-            if parity ^ other_parity != sign:
-                balanced[root] = False
-            continue
-        if size[root] < size[other]:
-            root, other = other, root
-        parent[other] = root
-        odd[other] = parity ^ other_parity ^ sign
-        size[root] += size[other]
-        balanced[root] = balanced[root] and balanced[other]
-    return sum(touched) - sum(
-        1 for i in range(l) if touched[i] and parent[i] == i and balanced[i]
-    )
-
 
 @dataclasses.dataclass(frozen=True)
 class AdmissibilityReport:
@@ -296,61 +192,63 @@ class AdmissibilityReport:
 def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     """Two-condition admissibility decision for weights at the studied level.
 
-    The coroot of the real root classical + p(m) delta (p(m) = 2m+1 for the
-    long families, m otherwise) pairs with a weight mu of level k to
-    2((mu, classical) + p(m) k) / |classical|^2.  Rescaling the shifted
-    weight lam + rho once by D, the lcm of the denominators of its eps
-    coordinates and its level, gives integers E_i and K, and the shifted
-    pairing along a family becomes (A + B m) / N with A = 2(sum c E_i), plus
-    2K for a long family, B = 4K (long) or 2K, and N = |classical|^2 D.
-    The first integral value at m >= m_min is one integer congruence
-    (`first_integral_member`).
+    rho pairs to 1 with every simple coroot, so lam and lam + rho pair
+    integrally with the same real roots and both conditions are read off
+    the shifted weight, of level h/2 with h = 2l+1 odd.  With
+    y_i = 2(lam + rho, eps_i), the shifted coroot pairings along the
+    positive real roots (m >= 0, or m >= 1 when the first eps coefficient
+    is negative) are
+    - short +-eps_i + m delta: +-y_i + m h, integral iff y_i is an integer,
+      first at the least m;
+    - long 2(+-eps_i) + (2m+1) delta: (z + (2m+1) h)/4 with z = +-2 y_i,
+      integral iff z is odd, first at the m in {0, 1} with
+      z + (2m+1) h = 0 (mod 4);
+    - intermediate s eps_i + t eps_j + m delta (i < j): (u + m h)/2 with
+      u = s y_i + t y_j, integral iff u is an integer, first at the least
+      m = u (mod 2).
+    Condition 1 asks each first integral value to be positive (every
+    progression increases with m); on the short roots, 0 < y_i < h.
 
-    rho pairs to 1 with every simple coroot and every real coroot is an
-    integer combination of simple coroots, so lam and lam + rho pair
-    integrally with the same real roots: one solve on the shifted pairing
-    per family serves both conditions.
-
-    Condition 1: along every positive family B > 0, so the integral values
-    (if any) form an increasing arithmetic progression and it suffices to
-    check that the first one is positive.  Condition 2: the coroots pairing
-    integrally with the weight must span the full (l+1)-dimensional coroot
-    space over the rationals.  The coroot of classical + p(m) delta is
-    2/|classical|^2 (classical + p(m) K), K the central coroot (the degree
-    direction never enters).  An integral family has integral members at
-    every period, and two of them differ by a nonzero multiple of K, so the
-    integral coroots span K plus the families' finite parts: the rank is one
-    plus the rank of their eps supports (`signed_graph_rank`), or 0 when no
-    family is integral.
+    Condition 2 asks the integral coroots to span the (l+1)-dimensional
+    coroot space.  Two integral members of a family differ by a nonzero
+    multiple of the central coroot, so the span is that line plus the
+    integral eps parts, a signed graph on the coordinates: eps_i - eps_j
+    (eps_i + eps_j) is integral iff y_i = y_j (y_i = -y_j) mod 1, so the
+    coordinates with y_i = +-r (mod 1) form one complete signed graph.  For
+    r in {0, 1/2} a short or long half-edge makes it unbalanced, of rank
+    its size; otherwise r != -r and it is balanced, of rank its size less
+    one (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4 (1982)).  The
+    rank is l + 1 less the number b of classes {+-r} with r outside (1/2)Z,
+    or 0 when no family is integral, that is when b = l; condition 2 holds
+    iff every y_i is in (1/2)Z.  The loops run on the integers d y_i, d the
+    lcm of the denominators of the y_i.
     """
     l = lam.rank
     if lam.level != level_for(l):
         raise ValueError("weight is not at the studied level")
-    shifted = lam + rho(l)
-    coords = shifted.eps + (shifted.level,)
-    d = math.lcm(*(c.denominator for c in coords))
-    *eps, k = (c.numerator * (d // c.denominator) for c in coords)
-    if k <= 0:
-        raise AssertionError("condition-1 progression must increase")
+    h = 2 * l + 1
+    doubled = [2 * c for c in (lam + rho(l)).eps]
+    d = math.lcm(*(c.denominator for c in doubled))
+    y = [c.numerator * (d // c.denominator) for c in doubled]
     cond1_pass = True
-    supports = []
-    for fam in positive_real_families(l):
-        a = 0
-        for i, c in fam.classical:
-            a += c * eps[i]
-        if fam.kind == "long":
-            a, b = 2 * (a + k), 4 * k
-        else:
-            a, b = 2 * a, 2 * k
-        m = first_integral_member(a, b, fam.squared_norm * d, fam.m_min)
-        if m is not None:
-            cond1_pass = cond1_pass and a + b * m > 0
-            supports.append(fam.classical)
-    rank = signed_graph_rank(l, supports) + 1 if supports else 0
+    for i, yi in enumerate(y):
+        if yi % d == 0:
+            cond1_pass = cond1_pass and 0 < yi < h * d
+        elif 2 * yi % d == 0:
+            for z in (2 * yi // d, -2 * yi // d):
+                m = (z + h) % 4 // 2
+                cond1_pass = cond1_pass and z + (2 * m + 1) * h > 0
+        for yj in y[i + 1:]:
+            for s, m_min in ((1, 0), (-1, 1)):
+                for t in (1, -1):
+                    u, rest = divmod(s * yi + t * yj, d)
+                    if not rest:
+                        m = m_min + (u - m_min) % 2
+                        cond1_pass = cond1_pass and u + m * h > 0
+    balanced = len({min(yi % d, -yi % d) for yi in y if 2 * yi % d})
+    rank = l + 1 - balanced if balanced < l else 0
     cond2_pass = rank == l + 1
-    return AdmissibilityReport(
-        cond1_pass, rank, cond2_pass, cond1_pass and cond2_pass
-    )
+    return AdmissibilityReport(cond1_pass, rank, cond2_pass, cond1_pass and cond2_pass)
 
 
 def kw_positivity(lam: AffineWeight) -> bool:

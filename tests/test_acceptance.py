@@ -17,7 +17,11 @@ import test_envelope
 import test_liealg
 import test_twzhu
 import test_vacuum
-from helpers_roots import first_integral_parameter, pairing_progression
+from helpers_roots import (
+    first_integral_parameter,
+    pairing_progression,
+    positive_real_families,
+)
 
 from a2l2.affroots import (
     check_admissible,
@@ -25,7 +29,6 @@ from a2l2.affroots import (
     delta,
     eps_unit,
     kw_positivity,
-    positive_real_families,
     rho,
 )
 from a2l2.checks import run_checks

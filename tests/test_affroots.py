@@ -9,32 +9,29 @@ from functools import lru_cache
 
 import pytest
 
-from a2l2 import affroots
 from a2l2.affroots import (
     AdmissibilityReport,
     AffineWeight,
-    RealRootFamily,
     algebra_data,
     cartan_matrix_from_form,
     check_admissible,
     coroot_pairing,
     delta,
     eps_unit,
-    first_integral_member,
     ip,
     kw_positivity,
-    positive_real_families,
     rho,
-    signed_graph_rank,
     simple_roots,
 )
 from a2l2.classify import affinize, all_highest_weights
 from a2l2.liealg import E, b_type_generators, bracket, eigen_ratio, level_for
-from a2l2.linalg import SpanSolver, rank_of
+from a2l2.linalg import SpanSolver
 from helpers_roots import (
+    RealRootFamily,
     first_integral_parameter,
     fraction_admissible,
     pairing_progression,
+    positive_real_families,
 )
 
 
@@ -84,6 +81,7 @@ def fundamental_weights(l: int) -> tuple[AffineWeight, ...]:
 # random weights per rank for the oracle comparison (the oracle's cost
 # grows like l^3 per weight)
 RANDOM_WEIGHTS = {1: 60, 2: 60, 3: 40, 4: 30, 5: 20}
+WIDE_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12)
 
 PINNED_MATRICES = {
     1: ((2, -1), (-4, 2)),
@@ -193,8 +191,8 @@ def test_rho_pairs_to_one_with_every_simple_coroot():
 
 
 def test_rho_pairs_integrally_with_every_real_coroot():
-    # hence lam and lam + rho have the same integral roots, and one
-    # congruence solve on the shifted pairing serves both conditions
+    # hence lam and lam + rho have the same integral roots, and both
+    # conditions are read off the shifted pairing
     for l in range(1, 7):
         for fam in positive_real_families(l):
             a, b = pairing_progression(rho(l), fam)
@@ -274,31 +272,9 @@ def test_family_roots_are_positive_and_have_stated_norms():
 
 def test_rho_and_families_computed_once_per_rank():
     rho.cache_clear()
-    positive_real_families.cache_clear()
     for mu in all_highest_weights(3):
         check_admissible(affinize(mu, 3))
     assert rho.cache_info().misses == 1
-    assert positive_real_families.cache_info().misses == 1
-
-
-def test_check_admissible_solves_once_per_family(monkeypatch):
-    solves = []
-    solve = affroots.first_integral_member
-
-    def counted_solve(a, b, n, m_min):
-        solves.append((Fraction(a, n), Fraction(b, n), m_min))
-        return solve(a, b, n, m_min)
-
-    monkeypatch.setattr(affroots, "first_integral_member", counted_solve)
-    lam = affinize(all_highest_weights(3)[0], 3)
-    check_admissible(lam)
-    # one solve per family, in table order, on the family's shifted
-    # progression a + b*m as the rational oracle reads it
-    shifted = lam + rho(3)
-    assert solves == [
-        (*pairing_progression(shifted, fam), fam.m_min)
-        for fam in positive_real_families(3)
-    ]
 
 
 def reflection_orbit(l: int, max_delta: int) -> set[AffineWeight]:
@@ -348,28 +324,21 @@ def first_condition1_values(lam: AffineWeight, roots) -> dict:
     }
 
 
-def solved_condition1_values(monkeypatch, lam: AffineWeight) -> dict:
-    """Eps part of each family -> the first integral shifted pairing that
-    `check_admissible`'s integer solve finds, or None."""
-    solves = []
-    solve = affroots.first_integral_member
-
-    def recorded(a, b, n, m_min):
-        m = solve(a, b, n, m_min)
-        solves.append(None if m is None else Fraction(a + b * m, n))
-        return m
-
-    with monkeypatch.context() as patched:
-        patched.setattr(affroots, "first_integral_member", recorded)
-        check_admissible(lam)
+def oracle_condition1_values(lam: AffineWeight) -> dict:
+    """Eps part of each family -> the first integral shifted pairing of the
+    rational oracle's progression along it, or None."""
     l = lam.rank
-    fams = positive_real_families(l)
-    assert len(solves) == len(fams)
-    return {classical_part(l, f).eps: v for f, v in zip(fams, solves)}
+    shifted = lam + rho(l)
+    values = {}
+    for fam in positive_real_families(l):
+        a, b = pairing_progression(shifted, fam)
+        hit = first_integral_parameter(a, b, fam.m_min)
+        values[classical_part(l, fam).eps] = None if hit is None else a + b * hit[0]
+    return values
 
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
-def test_reflection_orbit_matches_family_table(monkeypatch, l):
+def test_reflection_orbit_matches_family_table(l):
     # eps coordinates in (1/2)Z put every family's integral members one
     # congruence period (at most 2) apart, so delta coefficients up to 5
     # reach one period past every m_min
@@ -398,7 +367,7 @@ def test_reflection_orbit_matches_family_table(monkeypatch, l):
     zero_first_values = 0
     for lam in weights:
         firsts = first_condition1_values(lam, orbit)
-        assert firsts == solved_condition1_values(monkeypatch, lam)
+        assert firsts == oracle_condition1_values(lam)
         values = [v for v in firsts.values() if v is not None]
         zero_first_values += 0 in values
         assert check_admissible(lam).cond1_pass == all(v > 0 for v in values)
@@ -448,54 +417,6 @@ def test_first_integral_parameter_pinned():
     assert first_integral_parameter(Fraction(1, 2), Fraction(3, 2), 0) == (1, 2)
     assert first_integral_parameter(Fraction(0), Fraction(-3), 1) == (1, 1)
     assert first_integral_parameter(Fraction(1, 3), Fraction(2), 0) is None
-
-
-def test_first_integral_member_against_brute_force():
-    # n | a + b*m depends on m mod n only, so m_min..m_min+n-1 is exhaustive
-    rng = random.Random(2026)
-    for _ in range(600):
-        n = rng.randint(1, 48)
-        a, b = rng.randint(-96, 96), rng.randint(-96, 96)
-        m_min = rng.randint(0, 3)
-        hits = [m for m in range(m_min, m_min + n) if (a + b * m) % n == 0]
-        assert first_integral_member(a, b, n, m_min) == (
-            hits[0] if hits else None
-        )
-
-
-# ------------------------------------------------------- signed-graph rank
-
-def test_signed_graph_rank_pinned():
-    def edge(i, j, s):
-        return ((i, 1), (j, s))
-
-    # balanced triangle eps_1 - eps_2, eps_2 - eps_3, eps_1 - eps_3
-    assert signed_graph_rank(3, [edge(0, 1, -1), edge(1, 2, -1), edge(0, 2, -1)]) == 2
-    # an odd cycle: eps_1 + eps_2 with the two differences
-    assert signed_graph_rank(3, [edge(0, 1, 1), edge(1, 2, -1), edge(0, 2, -1)]) == 3
-    assert signed_graph_rank(2, [edge(0, 1, -1), edge(0, 1, 1)]) == 2
-    assert signed_graph_rank(4, [edge(0, 1, 1), edge(2, 3, -1)]) == 2
-    for l in (1, 3):
-        for i in range(l):
-            for c in (1, -1, 2, -2):
-                assert signed_graph_rank(l, [((i, c),)]) == 1
-    assert signed_graph_rank(3, []) == 0
-
-
-def test_signed_graph_rank_matches_rank_of_on_random_supports():
-    rng = random.Random(1982)
-    for _ in range(200):
-        l = rng.randint(1, 6)
-        keep = rng.random()
-        supports = [
-            fam.classical
-            for fam in positive_real_families(l)
-            if rng.random() < keep
-        ]
-        rng.shuffle(supports)
-        assert signed_graph_rank(l, supports) == rank_of(
-            [dict(sup) for sup in supports]
-        )
 
 
 # ------------------------------------------------------------- admissibility
@@ -646,23 +567,33 @@ def test_admissible_matches_oracle_on_random_weights():
 
 
 def test_admissible_matches_oracle_on_wide_denominators():
-    # denominators 7, 9 and 10 give a rescaling D other than 1 and 2 and
-    # congruences whose gcd(b, n) exceeds 2
+    # denominators 7, 9 and 10 give a rescaling d other than 1, 2 and 4;
+    # coordinates in [-30, 30] put first integral values far from 0 on both
+    # sides, past h on the short roots
     rng = random.Random(12)
-    seen = set()
-    dens = set()
+    narrow = [
+        random_weight(rng, l, 12)
+        for l, count in RANDOM_WEIGHTS.items()
+        for _ in range(count)
+    ]
+    wide = []
     for l, count in RANDOM_WEIGHTS.items():
         for _ in range(count):
-            lam = random_weight(rng, l, 12)
-            dens.update(c.denominator for c in lam.eps)
+            den = rng.choice(WIDE_DENOMINATORS)
+            eps = (Fraction(rng.randint(-30 * den, 30 * den), den) for _ in range(l))
+            wide.append(AffineWeight(tuple(eps), k0=level_for(l)))
+    assert {7, 9, 10} <= {c.denominator for lam in narrow for c in lam.eps}
+    for weights in (narrow, wide):
+        seen = set()
+        for lam in weights:
             report = check_admissible(lam)
             assert report == admissible_oracle(lam)
             assert report == fraction_admissible(lam)
             seen.add((report.cond1_pass, report.cond2_pass))
             seen.add(report.cond2_rank)
-    assert {7, 9, 10} <= dens
-    assert {(False, True), (True, False), (False, False), 0} <= seen
-    assert {2, 3, 4, 5, 6} <= seen and 1 not in seen
+        # all four outcomes of the two conditions, and the empty span
+        assert {(False, True), (True, False), (False, False), (True, True)} <= seen
+        assert {0, 2, 3, 4, 5, 6} <= seen and 1 not in seen
 
 
 def test_check_admissible_rejects_wrong_level():

@@ -10,14 +10,13 @@ Further seeded defects leave `run_checks` green at l = 1..3, and other
 tests kill them:
 
 - `binom(-1/2, j)` for `binom(1/2, j)` in the projection (`test_twzhu.py`);
-- `m_min + 1` in the root families and `>=` for `>` in condition 1 of
-  `check_admissible`: the reflection-orbit root oracle of
-  `test_affroots.py`, which builds the positive real roots from the Cartan
-  matrix without the family table;
-- a parity flip in the signed-graph rank and `>=` for `>` in condition 1:
-  the rational admissibility oracle on seeded random weights, below.  It
-  also sees floor for ceiling when lifting the first integral member to
-  m >= m_min, which turns `admissible` red at l = 2, 3 but not at l = 1;
+- `m_min + 1` in the root family table of `helpers_roots.py`: the
+  reflection-orbit root oracle of `test_affroots.py`, which builds the
+  positive real roots from the Cartan matrix without the table;
+- in the closed form of `check_admissible`: `>=` for `>` on the first
+  intermediate value, m >= 0 for a negative first coordinate, half-integer
+  classes counted as balanced and `<=` for `<` in 0 < y_i < h: the
+  rational admissibility oracle on seeded random weights, below;
 - only the weight 0 in degree 1 of the raising sweep's grading, which the
   singular vector passes anyway: the full sweep of `helpers_sweep.py` on
   perturbed singular vectors, below.
@@ -43,7 +42,6 @@ PER_RANK_CACHES = (
     vacuum.standard_mode_basis,
     vacuum.split_mode_basis,
     affroots.rho,
-    affroots.positive_real_families,
 )
 
 
@@ -75,11 +73,14 @@ def flipped_v1_sign(monkeypatch):
 
 
 def short_coroot_span(monkeypatch):
-    """The rank of the integral families' finite parts comes out one less."""
-    rank = affroots.signed_graph_rank
-    monkeypatch.setattr(
-        affroots, "signed_graph_rank", lambda l, supports: rank(l, supports) - 1
+    """The coroot-span rank leaves out the central coroot."""
+    mutant = source_mutant(
+        "check_admissible",
+        "rank = l + 1 - balanced",
+        "rank = l - balanced",
     )
+    # the classification table calls it through its own import
+    monkeypatch.setattr(classify, "check_admissible", mutant)
 
 
 # each defect with the check that turns red under it
@@ -114,28 +115,17 @@ def test_seeded_defect_turns_run_checks_red(
     assert failed == [killer]
 
 
-# defects of the integer admissibility path: (function, source text, its
-# replacement)
+# defects of the closed-form admissibility decision: (function, source
+# text, its replacement)
 INTEGER_PATH_DEFECTS = {
-    # eps_i + eps_j and eps_i - eps_j trade parities.  Giving both the
-    # parity of eps_i - eps_j changes no verdict: around a cycle of integral
-    # families with an odd number of eps_i + eps_j edges, 4(lam + rho, eps_i)
-    # is an integer, which makes a short or a long family at eps_i integral,
-    # so the component is unbalanced anyway.  Only the signed-graph rank
-    # tests of `test_affroots.py` see that defect.
-    "parity_flip": (
-        "signed_graph_rank",
-        "sign = int(si * sj > 0)",
-        "sign = int(si * sj < 0)",
+    "condition1_ge": ("check_admissible", "u + m * h > 0", "u + m * h >= 0"),
+    "negative_m_min": (
+        "check_admissible", "((1, 0), (-1, 1))", "((1, 0), (-1, 0))"
     ),
-    "floor_lift": (
-        "first_integral_member",
-        "(m_min - m0 + period - 1) // period",
-        "(m_min - m0) // period",
+    "half_integers_balanced": (
+        "check_admissible", "for yi in y if 2 * yi % d", "for yi in y if yi % d"
     ),
-    "condition1_ge": (
-        "check_admissible", "a + b * m > 0", "a + b * m >= 0"
-    ),
+    "short_upper_le": ("check_admissible", "0 < yi < h * d", "0 < yi <= h * d"),
 }
 
 
