@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -27,7 +26,8 @@ from .classify import (
     zero_set_oracle,
 )
 from .envelope import uea_string
-from .liealg import computed_b_cartan, g1_basis, g1_zero_weight_dim, level_for
+from .liealg import _exact, _exact_list, computed_b_cartan, g1_basis, g1_zero_weight_dim
+from .liealg import level_for, level_string, max_rank, validated_rank  # re-exports max_rank
 from .twzhu import (
     compute_v1,
     lowered_polynomials,
@@ -48,53 +48,6 @@ from .vacuum import (
     state_string,
     state_weight,
 )
-
-DEFAULT_MAX_RANK = 4
-
-
-def max_rank() -> int:
-    """Largest admitted rank; the A2L2_MAX_L environment variable sets it.
-
-    Raises ValueError unless the variable is unset or an integer >= 1."""
-    raw = os.environ.get("A2L2_MAX_L")
-    if raw is None:
-        return DEFAULT_MAX_RANK
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"A2L2_MAX_L must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def validated_rank(l: int) -> int:
-    """Return l if it is an admitted rank; raise ValueError otherwise."""
-    cap = max_rank()
-    if isinstance(l, bool) or not isinstance(l, int) or not 1 <= l <= cap:
-        raise ValueError(
-            f"rank must be an integer in 1..{cap}, got {l!r}"
-            " (raise the cap with A2L2_MAX_L)"
-        )
-    return l
-
-
-def level_string(l: int) -> str:
-    k = level_for(l)
-    return f"{k.numerator}/{k.denominator}"
-
-
-def _exact(x) -> int | str:
-    """JSON encoding of an exact rational: int when integral, else "p/q"."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _exact_list(vals) -> list:
-    return [_exact(v) for v in vals]
-
 
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
@@ -334,6 +287,7 @@ def run_checks(l: int, check_ids: Iterable[str] | str = "all") -> Report:
         if unknown:
             raise ValueError(
                 "unknown check ids: " + ", ".join(sorted(unknown))
+                + "; known: " + ", ".join(CHECK_IDS)
             )
         if not selected:
             raise ValueError("no checks selected")

@@ -8,12 +8,14 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .affroots import AdmissibilityReport, AffineWeight, _frac_tuple, check_admissible
-from .envelope import CartanPoly
 from .liealg import level_for
 from .linalg import format_sum
+
+if TYPE_CHECKING:  # annotations only: classify runs without the envelope
+    from .envelope import CartanPoly
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,151 +1,146 @@
 """Command line interface: batch verification, object dumps, and the
-classified weight list, with exact-rational JSON output."""
+classified weight list, with exact-rational JSON output.
+
+The parser is the standard library's `argparse`.  Each command imports the
+pipeline modules it runs inside its own function, so `classify` never loads
+the algebra half (`checks`, `twzhu`, `vacuum`, `envelope`).
+
+Exit codes: 0 pass, 1 a check failed, 2 usage error, 3 internal error.
+"""
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from typing import NoReturn
 
-import click
 
-from .affroots import kw_positivity
-from .checks import (
-    CHECK_IDS,
-    DUMP_OBJECTS,
-    _exact_list,
-    dump_object,
-    level_string,
-    render_report,
-    run_checks,
-    validated_rank,
-)
-from .classify import admissibility_table
+def _validated_rank(args: argparse.Namespace) -> int:
+    from .liealg import validated_rank
 
-
-def _validated_rank(l: int) -> int:
     try:
-        return validated_rank(l)
+        return validated_rank(args.l)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        args.parser.error(str(exc))
 
 
-def _exit_internal_error(exc: Exception) -> NoReturn:
-    click.echo(f"Error: internal error: {type(exc).__name__}: {exc}", err=True)
-    sys.exit(3)
-
-
-@click.group()
-def main() -> None:
-    """Exact verification of the twisted highest-weight classification."""
-
-
-@main.command()
-@click.option("--l", "l", type=int, required=True, help="Rank of the horizontal algebra.")
-@click.option(
-    "--checks",
-    "checks",
-    default="all",
-    show_default=True,
-    help="Comma-separated check ids, or 'all'. Known ids: " + ", ".join(CHECK_IDS) + ".",
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    show_default=True,
-)
-@click.option(
-    "--out",
-    "out",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Write the report to a file instead of stdout.",
-)
-def verify(l: int, checks: str, fmt: str, out: str | None) -> None:
+def _verify(args: argparse.Namespace) -> int:
     """Run the registered checks and report pass/fail per check."""
-    if checks.strip() == "all":
+    from .checks import render_report, run_checks
+
+    if args.checks.strip() == "all":
         ids: str | tuple[str, ...] = "all"
     else:
-        ids = tuple(s.strip() for s in checks.split(",") if s.strip())
+        ids = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     try:
-        report = run_checks(l, ids)
+        report = run_checks(args.l, ids)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    rendered = render_report(report, fmt)
-    if out is not None:
+        args.parser.error(str(exc))
+    rendered = render_report(report, args.fmt)
+    if args.out is not None:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
         except OSError as exc:
-            raise click.BadParameter(
-                f"cannot write {out!r}: {exc.strerror}", param_hint="'--out'"
-            ) from exc
+            args.parser.error(f"argument --out: cannot write {args.out!r}: {exc.strerror}")
     else:
-        click.echo(rendered, nl=False)
-    sys.exit(0 if report.overall == "pass" else 1)
+        sys.stdout.write(rendered)
+    return 0 if report.overall == "pass" else 1
 
 
-@main.command()
-@click.option("--l", "l", type=int, required=True, help="Rank of the horizontal algebra.")
-@click.option(
-    "--object",
-    "which",
-    type=click.Choice(list(DUMP_OBJECTS)),
-    required=True,
-    help="Which symbolic object to print.",
-)
-def dump(l: int, which: str) -> None:
+def _dump(args: argparse.Namespace) -> int:
     """Print one of the central symbolic objects in plain text."""
-    l = _validated_rank(l)
-    try:
-        text = dump_object(l, which)
-    except Exception as exc:
-        _exit_internal_error(exc)
-    click.echo(text, nl=False)
+    l = _validated_rank(args)
+    from .checks import DUMP_OBJECTS, dump_object
+
+    if args.which not in DUMP_OBJECTS:
+        args.parser.error(
+            f"argument --object: invalid choice: {args.which!r}"
+            f" (choose from {', '.join(DUMP_OBJECTS)})"
+        )
+    sys.stdout.write(dump_object(l, args.which))
+    return 0
 
 
-@main.command(name="classify")
-@click.option("--l", "l", type=int, required=True, help="Rank of the horizontal algebra.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "text"]),
-    default="json",
-    show_default=True,
-)
-def classify_cmd(l: int, fmt: str) -> None:
+# the flags of the text format, in print order; each prints with "-" for "_"
+_FLAGS = ("dominant_integral", "admissible", "kw_positive")
+
+
+def _classify(args: argparse.Namespace) -> int:
     """List the classified highest weights with their status flags."""
-    l = _validated_rank(l)
-    try:
-        rows = [
-            {
-                "weight": w.omega_string(),
-                "coroot_values": _exact_list(w.coroot_vals),
-                "eps_coordinates": _exact_list(w.eps_coords),
-                "dominant_integral": w.is_dominant_integral(),
-                "admissible": report.passed,
-                "kw_positive": kw_positivity(lam),
-            }
-            for w, lam, report in admissibility_table(l)
-        ]
-    except Exception as exc:
-        _exit_internal_error(exc)
-    if fmt == "json":
+    l = _validated_rank(args)
+    from .affroots import kw_positivity
+    from .classify import admissibility_table
+    from .liealg import _exact_list, level_string
+
+    table = list(admissibility_table(l))
+    # kw_positivity reads only the level, and every lift has level_for(l),
+    # so one lift decides all 2^l
+    kw_positive = kw_positivity(table[0][1])
+    rows = [
+        {
+            "weight": w.omega_string(),
+            "coroot_values": _exact_list(w.coroot_vals),
+            "eps_coordinates": _exact_list(w.eps_coords),
+            "dominant_integral": w.is_dominant_integral(),
+            "admissible": report.passed,
+            "kw_positive": kw_positive,
+        }
+        for w, _, report in table
+    ]
+    if args.fmt == "json":
         payload = {"l": l, "level": level_string(l), "weights": rows}
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        click.echo(f"rank l = {l}, level {level_string(l)}")
-        for row in rows:
-            flags = []
-            if row["dominant_integral"]:
-                flags.append("dominant-integral")
-            if row["admissible"]:
-                flags.append("admissible")
-            if row["kw_positive"]:
-                flags.append("kw-positive")
-            click.echo(f"  {row['weight']}  [{', '.join(flags)}]")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return 0
+    lines = [f"rank l = {l}, level {level_string(l)}"]
+    for row in rows:
+        flags = ", ".join(key.replace("_", "-") for key in _FLAGS if row[key])
+        lines.append(f"  {row['weight']}  [{flags}]")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
+def _parser(prog_name: str | None) -> argparse.ArgumentParser:
+    def new(factory, *args, **kwargs) -> argparse.ArgumentParser:
+        # no abbreviated options and no -h: the accepted input stays exact
+        parser = factory(*args, allow_abbrev=False, add_help=False, **kwargs)
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        return parser
+
+    parser = new(
+        argparse.ArgumentParser,
+        prog=prog_name,
+        description="Exact verification of the twisted highest-weight classification.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        sub = new(commands.add_parser, name, help=run.__doc__, description=run.__doc__)
+        sub.add_argument("--l", type=int, required=True, help="Rank l of so(2l+1).")
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    verify = command("verify", _verify)
+    verify.add_argument("--checks", default="all", help="Comma-separated ids, or 'all'.")
+    verify.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+    verify.add_argument("--out", help="Write the report to a file instead of stdout.")
+    dump = command("dump", _dump)
+    dump.add_argument("--object", dest="which", metavar="OBJECT", required=True)
+    classify = command("classify", _classify)
+    classify.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Parse `args` (default: sys.argv[1:]), run the command, exit with its code."""
+    parsed = _parser(prog_name).parse_args(args)
+    try:
+        code = parsed.run(parsed)
+    except Exception as exc:
+        print(f"Error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 3
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

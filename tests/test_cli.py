@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 import a2l2.checks as checks
 import a2l2.classify as classify
-import a2l2.cli as cli
 import a2l2.twzhu as twzhu
 import a2l2.vacuum as vacuum
 from a2l2.checks import (
@@ -28,7 +32,8 @@ from a2l2.checks import (
 from a2l2.cli import main
 
 
-EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected"
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "bench" / "expected"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RANK1_SINGULAR_LINE = (
@@ -41,6 +46,17 @@ RANK2_SINGULAR_LINE = (
     " + E[1,2](-1)E[2,5](-1)|0> + E[1,3](-1)E[3,5](-1)|0>"
     " + E[1,4](-1)E[4,5](-1)|0> - 3/2*E[1,5](-2)|0>"
 )
+
+
+def run_cli(args, env=None) -> tuple[int, bytes, str]:
+    """Run `a2l2 <args>` in this process with `env` added to the
+    environment: (exit code, stdout bytes, stderr text)."""
+    out, err = io.BytesIO(), io.StringIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(stdout), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exited:
+            main(args=list(args), prog_name="a2l2")
+    return exited.value.code, out.getvalue(), err.getvalue()
 
 
 # ------------------------------------------------------------ run_checks
@@ -117,8 +133,8 @@ def test_full_verify_builds_each_stage_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(twzhu, name, counted(name))
-    result = CliRunner().invoke(main, ["verify", "--l", "2"])
-    assert result.exit_code == 0
+    code, _, _ = run_cli(["verify", "--l", "2"])
+    assert code == 0
     assert vacuum.singular_vector.cache_info().misses == 1
     assert twzhu.projection_context.cache_info().misses == 1
     assert classify.all_highest_weights.cache_info().misses == 1
@@ -251,64 +267,56 @@ def test_dump_validation():
 # ------------------------------------------------------------------- CLI
 
 def test_cli_verify_text_pass():
-    runner = CliRunner()
-    result = runner.invoke(main, ["verify", "--l", "1"])
-    assert result.exit_code == 0
-    assert "overall: PASS" in result.output
+    code, out, _ = run_cli(["verify", "--l", "1"])
+    assert code == 0
+    assert b"overall: PASS" in out
 
 
 def test_cli_verify_json_subset():
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
+    code, out, _ = run_cli(
         ["verify", "--l", "2", "--checks", "cartan-matrix,g1-dim", "--format", "json"],
     )
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
+    assert code == 0
+    payload = json.loads(out)
     assert payload["level"] == "-5/2"
     assert [c["id"] for c in payload["checks"]] == ["cartan-matrix", "g1-dim"]
 
 
 def test_cli_verify_out_file(tmp_path):
-    runner = CliRunner()
     target = tmp_path / "report.json"
-    result = runner.invoke(
-        main,
+    code, _, _ = run_cli(
         ["verify", "--l", "1", "--checks", "g1-dim", "--format", "json", "--out", str(target)],
     )
-    assert result.exit_code == 0
+    assert code == 0
     payload = json.loads(target.read_text())
     assert payload["overall"] == "pass"
 
 
 def test_cli_usage_errors_exit_2(tmp_path):
-    runner = CliRunner()
-    assert runner.invoke(main, ["verify", "--l", "0"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "--l", "99"]).exit_code == 2
-    assert runner.invoke(main, ["verify"]).exit_code == 2
-    assert (
-        runner.invoke(main, ["verify", "--l", "1", "--checks", "bogus"]).exit_code
-        == 2
-    )
-    assert (
-        runner.invoke(main, ["verify", "--l", "1", "--format", "xml"]).exit_code == 2
-    )
-    assert (
-        runner.invoke(main, ["dump", "--l", "1", "--object", "nope"]).exit_code == 2
-    )
+    assert run_cli(["verify", "--l", "0"])[0] == 2
+    assert run_cli(["verify", "--l", "99"])[0] == 2
+    assert run_cli(["verify"])[0] == 2
+    assert run_cli(["verify", "--l", "1", "--checks", "bogus"])[0] == 2
+    assert run_cli(["verify", "--l", "1", "--format", "xml"])[0] == 2
+    assert run_cli(["dump", "--l", "1", "--object", "nope"])[0] == 2
     unwritable = str(tmp_path / "missing" / "x.json")
-    assert (
-        runner.invoke(main, ["verify", "--l", "1", "--out", unwritable]).exit_code
-        == 2
-    )
+    assert run_cli(["verify", "--l", "1", "--out", unwritable])[0] == 2
+
+
+def test_cli_bad_values_name_the_known_ones():
+    code, out, err = run_cli(["verify", "--l", "1", "--checks", "cartan-matrix,bogus"])
+    assert code == 2 and out == b""
+    assert "bogus" in err and all(cid in err for cid in CHECK_IDS)
+    code, out, err = run_cli(["dump", "--l", "1", "--object", "nope"])
+    assert code == 2 and out == b""
+    assert "nope" in err and all(name in err for name in checks.DUMP_OBJECTS)
 
 
 def _assert_bad_rank_cap_exits_2(args):
-    runner = CliRunner()
     for raw in ("abc", "-3", "0"):
-        result = runner.invoke(main, args, env={"A2L2_MAX_L": raw})
-        assert result.exit_code == 2, (raw, result.output)
-        assert "A2L2_MAX_L" in result.output
+        code, out, err = run_cli(args, env={"A2L2_MAX_L": raw})
+        assert code == 2, (raw, out, err)
+        assert "A2L2_MAX_L" in err
 
 
 def test_cli_verify_bad_rank_cap_exits_2():
@@ -329,25 +337,22 @@ def test_cli_failing_report_exits_1(monkeypatch):
         (CheckResult("singular", "fail", 0, {"witness": "forced"}),),
         "fail",
     )
-    monkeypatch.setattr("a2l2.cli.run_checks", lambda l, ids: fake)
-    runner = CliRunner()
-    result = runner.invoke(main, ["verify", "--l", "1"])
-    assert result.exit_code == 1
-    assert "overall: FAIL" in result.output
+    monkeypatch.setattr(checks, "run_checks", lambda l, ids: fake)
+    code, out, _ = run_cli(["verify", "--l", "1"])
+    assert code == 1
+    assert b"overall: FAIL" in out
 
 
 def test_cli_dump_matches_library():
-    runner = CliRunner()
-    result = runner.invoke(main, ["dump", "--l", "1", "--object", "polys"])
-    assert result.exit_code == 0
-    assert result.output == "h1*(h1 - 1/2)\n"
+    code, out, _ = run_cli(["dump", "--l", "1", "--object", "polys"])
+    assert code == 0
+    assert out == b"h1*(h1 - 1/2)\n"
 
 
 def test_cli_classify_json():
-    runner = CliRunner()
-    result = runner.invoke(main, ["classify", "--l", "1"])
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
+    code, out, _ = run_cli(["classify", "--l", "1"])
+    assert code == 0
+    payload = json.loads(out)
     assert payload["l"] == 1 and payload["level"] == "-3/2"
     assert len(payload["weights"]) == 2
     first, second = payload["weights"]
@@ -360,11 +365,10 @@ def test_cli_classify_json():
 
 
 def test_cli_classify_text():
-    runner = CliRunner()
-    result = runner.invoke(main, ["classify", "--l", "2", "--format", "text"])
-    assert result.exit_code == 0
-    assert "rank l = 2, level -5/2" in result.output
-    assert result.output.count("admissible") == 4
+    code, out, _ = run_cli(["classify", "--l", "2", "--format", "text"])
+    assert code == 0
+    assert b"rank l = 2, level -5/2" in out
+    assert out.count(b"admissible") == 4
 
 
 # the rank cap each stored output was produced under, where it is raised
@@ -393,9 +397,8 @@ def test_cli_output_matches_stored_benchmark_output(monkeypatch, name, args):
         monkeypatch.setenv("A2L2_MAX_L", str(GOLDEN_MAX_L[name]))
     else:
         monkeypatch.delenv("A2L2_MAX_L", raising=False)
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0
-    got = result.stdout_bytes
+    code, got, _ = run_cli(args)
+    assert code == 0
     if args[0] == "verify":
         # the stored verify outputs carry no per-check timing lines
         got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", got)
@@ -412,15 +415,13 @@ def _golden_hashes(name: str) -> dict[str, str]:
 def test_cli_classify_matches_golden_above_default_cap(monkeypatch, l, fmt):
     # l = 7, 8 are stored whole; l = 9..12 by the sha256 of the output
     monkeypatch.setenv("A2L2_MAX_L", "12")
-    result = CliRunner().invoke(
-        main, ["classify", "--l", str(l), "--format", fmt]
-    )
-    assert result.exit_code == 0
+    code, out, _ = run_cli(["classify", "--l", str(l), "--format", fmt])
+    assert code == 0
     stored = GOLDEN / f"classify-l{l}-{fmt}.out"
     if stored.exists():
-        assert result.stdout_bytes == stored.read_bytes()
+        assert out == stored.read_bytes()
     else:
-        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        digest = hashlib.sha256(out).hexdigest()
         assert digest == _golden_hashes("classify-sha256.txt")[stored.stem]
 
 
@@ -428,17 +429,17 @@ def test_cli_classify_matches_golden_above_default_cap(monkeypatch, l, fmt):
 @pytest.mark.parametrize("l", (1, 2, 3, 4, 5, 6))
 def test_cli_dump_matches_golden(monkeypatch, l, which):
     monkeypatch.setenv("A2L2_MAX_L", "8")
-    result = CliRunner().invoke(main, ["dump", "--l", str(l), "--object", which])
-    assert result.exit_code == 0
-    assert result.stdout_bytes == (GOLDEN / f"dump-{which}-l{l}.out").read_bytes()
+    code, out, _ = run_cli(["dump", "--l", str(l), "--object", which])
+    assert code == 0
+    assert out == (GOLDEN / f"dump-{which}-l{l}.out").read_bytes()
 
 
 @pytest.mark.parametrize("l", (6, 7, 8, 9, 10))
 def test_cli_verify_json_matches_golden_hash(monkeypatch, l):
     monkeypatch.setenv("A2L2_MAX_L", "10")
-    result = CliRunner().invoke(main, ["verify", "--l", str(l), "--format", "json"])
-    assert result.exit_code == 0
-    got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", result.stdout_bytes)
+    code, out, _ = run_cli(["verify", "--l", str(l), "--format", "json"])
+    assert code == 0
+    got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", out)
     digest = hashlib.sha256(got).hexdigest()
     assert digest == _golden_hashes("verify-json-sha256.txt")[f"verify-l{l}"]
 
@@ -455,8 +456,87 @@ def test_cli_internal_error_exits_3(monkeypatch, target, args):
     def broken(*_args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, target, broken)
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert result.stderr == "Error: internal error: RuntimeError: boom\n"
+    # each command imports its pipeline names when it runs, from their home
+    home = {"dump_object": checks, "admissibility_table": classify}[target]
+    monkeypatch.setattr(home, target, broken)
+    code, out, err = run_cli(args)
+    assert code == 3
+    assert out == b""
+    assert err == "Error: internal error: RuntimeError: boom\n"
+
+
+# ------------------------------------------------------ the entry point
+
+def _exit_code(args) -> int:
+    """The code of the SystemExit that the console script's call raises."""
+    with pytest.raises(SystemExit) as exited:
+        main(args=args, prog_name="a2l2")
+    return exited.value.code
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["verify", "--l", "1", "--checks", "g1-dim"], 0),
+        (["classify", "--l", "1"], 0),
+        (["--help"], 0),
+        (["classify", "--help"], 0),
+        ([], 2),
+        (["frobnicate"], 2),
+        (["classify", "--l", "abc"], 2),
+        (["classify", "--l", "1", "--form", "json"], 2),
+        (["verify", "--l", "1", "--check", "g1-dim"], 2),
+        (["classify", "--l", "1", "-h"], 2),
+    ],
+)
+def test_main_exit_codes(capsys, args, expected):
+    assert _exit_code(args) == expected
+    out, err = capsys.readouterr()
+    if expected == 2:
+        # usage errors go to stderr, under the program name given
+        assert out == "" and err.startswith("usage: a2l2")
+
+
+def test_main_exit_codes_on_failure_and_internal_error(monkeypatch, capsys):
+    fake = Report(1, (CheckResult("singular", "fail", 0, {}),), "fail")
+    monkeypatch.setattr(checks, "run_checks", lambda l, ids: fake)
+    assert _exit_code(["verify", "--l", "1"]) == 1
+
+    def broken(*_args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(classify, "admissibility_table", broken)
+    assert _exit_code(["classify", "--l", "1"]) == 3
+    assert capsys.readouterr().err == "Error: internal error: KeyError: 'boom'\n"
+
+
+# Runs the console script's call in a fresh interpreter, then lists the
+# modules it loaded on stderr.
+MODULES_PROBE = """
+import sys
+from a2l2.cli import main
+try:
+    if sys.argv[1:]:
+        main(sys.argv[1:])
+finally:
+    sys.stderr.write(" ".join(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args", [[], ["classify", "--l", "2"]])
+def test_cold_start_loads_no_algebra_half(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("A2L2_MAX_L", None)
+    child = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, *args],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stderr.decode().split())
+    assert "a2l2.cli" in loaded
+    unused = {"click", "a2l2.checks", "a2l2.twzhu", "a2l2.vacuum", "a2l2.envelope"}
+    assert not loaded & unused
+    if args:
+        assert child.stdout == (EXPECTED / "classify-l2.out").read_bytes()
