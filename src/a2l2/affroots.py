@@ -14,10 +14,10 @@ of 2(lam + rho) mod 1.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .liealg import level_for
 
@@ -26,18 +26,20 @@ def _frac_tuple(vals) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in vals)
 
 
-@dataclasses.dataclass(frozen=True)
-class AffineWeight:
-    """A weight written as sum(eps[i] * eps_i) + d_delta * delta + k0 * Lambda0c."""
-
+class _AffineCoordinates(NamedTuple):
     eps: tuple[Fraction, ...]
-    d_delta: Fraction = Fraction(0)
-    k0: Fraction = Fraction(0)
+    d_delta: Fraction
+    k0: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", _frac_tuple(self.eps))
-        object.__setattr__(self, "d_delta", Fraction(self.d_delta))
-        object.__setattr__(self, "k0", Fraction(self.k0))
+
+class AffineWeight(_AffineCoordinates):
+    """A weight written as sum(eps[i] * eps_i) + d_delta * delta + k0 * Lambda0c,
+    every coefficient stored as a Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps, d_delta=0, k0=0) -> "AffineWeight":
+        return super().__new__(cls, _frac_tuple(eps), Fraction(d_delta), Fraction(k0))
 
     @property
     def rank(self) -> int:
@@ -125,8 +127,7 @@ def rho(l: int) -> AffineWeight:
 
 # ------------------------------------------------------------ algebra data
 
-@dataclasses.dataclass(frozen=True)
-class AlgebraData:
+class AlgebraData(NamedTuple):
     """Cartan matrix and structural constants of the rank-(l+1) twisted
     affine algebra."""
 
@@ -178,8 +179,7 @@ def cartan_matrix_from_form(l: int) -> tuple[tuple[Fraction, ...], ...]:
 
 # ------------------------------------------------------------ admissibility
 
-@dataclasses.dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Verdict of `check_admissible`: both condition flags and the rank of
     the span of the integral coroots."""
 

@@ -4,27 +4,18 @@ Each check compares one cached stage of the classification story against
 its independent reference (pinned matrices, closed forms, weight formulas,
 the admissibility decision procedure).  Checks run in dependency order; a
 check whose prerequisite failed is reported as skipped rather than failed,
-so a single root cause does not cascade into a wall of red.
+so a single root cause does not cascade into a wall of red.  The
+classification layer (`affroots`, `classify`) is imported by the checks
+that use it, so the algebra checks alone never load it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .affroots import algebra_data, cartan_matrix_from_form, kw_positivity
-from .classify import (
-    admissibility_table,
-    affinize,
-    all_highest_weights,
-    dominant_integral_filter,
-    eval_polys,
-    mu_weight,
-    zero_set_oracle,
-)
 from .envelope import uea_string
 from .liealg import _exact, _exact_list, computed_b_cartan, g1_basis, g1_zero_weight_dim
 from .liealg import level_for, level_string, max_rank, validated_rank  # re-exports max_rank
@@ -49,16 +40,14 @@ from .vacuum import (
     state_weight,
 )
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str  # "pass" | "fail" | "skip"
     elapsed_ms: int
     details: dict
 
 
-@dataclasses.dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     l: int
     checks: tuple[CheckResult, ...]
     overall: str  # "pass" | "fail"
@@ -83,6 +72,8 @@ def _expected_b_matrix(l: int) -> list[list[int]]:
 
 
 def _check_cartan_matrix(l: int) -> tuple[bool, dict]:
+    from .affroots import algebra_data, cartan_matrix_from_form
+
     horizontal = computed_b_cartan(l)
     expected = _expected_b_matrix(l)
     data = algebra_data(l)
@@ -181,11 +172,7 @@ def _check_r0(l: int) -> tuple[bool, dict]:
     members = r0_zero_weight_members(ctx)
     member_polys = [ctx.alg.cartan_polynomial(u) for u in members]
     span_ok = poly_span_equal(member_polys, lowered_polynomials(ctx))
-    ok = (
-        len(orbit) == 2 * l * l + 3 * l
-        and len(members) == l
-        and span_ok
-    )
+    ok = len(orbit) == 2 * l * l + 3 * l and len(members) == l and span_ok
     return ok, {
         "orbit_dim": len(orbit),
         "expected_orbit_dim": 2 * l * l + 3 * l,
@@ -196,6 +183,8 @@ def _check_r0(l: int) -> tuple[bool, dict]:
 
 
 def _check_classification(l: int) -> tuple[bool, dict]:
+    from .classify import all_highest_weights, eval_polys, zero_set_oracle
+
     polys = lowered_polynomials(projection_context(l))
     zero_set = zero_set_oracle(polys)
     formulas = frozenset(all_highest_weights(l))
@@ -211,6 +200,8 @@ def _check_classification(l: int) -> tuple[bool, dict]:
 
 
 def _check_dominant(l: int) -> tuple[bool, dict]:
+    from .classify import all_highest_weights, dominant_integral_filter, mu_weight
+
     kept = dominant_integral_filter(all_highest_weights(l))
     expected = frozenset({mu_weight(l, (), False), mu_weight(l, (), True)})
     ok = kept == expected
@@ -222,6 +213,8 @@ def _check_dominant(l: int) -> tuple[bool, dict]:
 
 
 def _check_admissible_all(l: int) -> tuple[bool, dict]:
+    from .classify import admissibility_table
+
     rows = []
     ok = True
     for w, _, report in admissibility_table(l):
@@ -238,6 +231,9 @@ def _check_admissible_all(l: int) -> tuple[bool, dict]:
 
 
 def _check_kw(l: int) -> tuple[bool, dict]:
+    from .affroots import kw_positivity
+    from .classify import affinize, all_highest_weights
+
     # kw_positivity reads only the level, and every lift has level_for(l),
     # so one lift decides all 2^l
     positive = kw_positivity(affinize(all_highest_weights(l)[0], l))
@@ -296,34 +292,20 @@ def run_checks(l: int, check_ids: Iterable[str] | str = "all") -> Report:
     for check_id, deps, fn in REGISTRY:
         if check_id not in selected:
             continue
-        blocked = [
-            d for d in deps if statuses.get(d) in ("fail", "skip")
-        ]
+        blocked = [d for d in deps if statuses.get(d) in ("fail", "skip")]
         if blocked:
-            statuses[check_id] = "skip"
-            results.append(
-                CheckResult(
-                    check_id,
-                    "skip",
-                    0,
-                    {"blocked_by": blocked},
-                )
-            )
-            continue
-        start = time.monotonic()
-        try:
-            ok, details = fn(l)
-        except Exception as exc:  # a crash is an honest failure, not green
-            ok, details = False, {"error": f"{type(exc).__name__}: {exc}"}
-        elapsed = int((time.monotonic() - start) * 1000)
-        status = "pass" if ok else "fail"
-        statuses[check_id] = status
-        results.append(CheckResult(check_id, status, elapsed, details))
-    overall = (
-        "pass"
-        if all(r.status == "pass" for r in results if r.status != "skip")
-        else "fail"
-    )
+            result = CheckResult(check_id, "skip", 0, {"blocked_by": blocked})
+        else:
+            start = time.monotonic()
+            try:
+                ok, details = fn(l)
+            except Exception as exc:  # a crash is an honest failure, not green
+                ok, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+            elapsed = int((time.monotonic() - start) * 1000)
+            result = CheckResult(check_id, "pass" if ok else "fail", elapsed, details)
+        statuses[check_id] = result.status
+        results.append(result)
+    overall = "fail" if any(r.status == "fail" for r in results) else "pass"
     return Report(l, tuple(results), overall)
 
 
@@ -367,17 +349,17 @@ def dump_object(l: int, which: str) -> str:
     validated_rank(l)
     if which == "singular":
         return state_string(singular_vector(l)) + "\n"
-    if which == "zhu-image":
+    if which in ("zhu-image", "v1"):
         ctx = projection_context(l)
-        return uea_string(zhu_singular_image(ctx), ctx.alg) + "\n"
-    if which == "v1":
-        ctx = projection_context(l)
-        return uea_string(compute_v1(ctx), ctx.alg) + "\n"
+        u = zhu_singular_image(ctx) if which == "zhu-image" else compute_v1(ctx)
+        return uea_string(u, ctx.alg) + "\n"
     if which == "polys":
         ctx = projection_context(l)
         lines = [p.factored_h_string() for p in lowered_polynomials(ctx)]
         return "\n".join(lines) + "\n"
     if which == "weights":
+        from .classify import all_highest_weights
+
         lines = [w.omega_string() for w in all_highest_weights(l)]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown object {which!r}")

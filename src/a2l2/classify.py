@@ -5,10 +5,9 @@ dominant integral ones, and lift finite weights to the affine level."""
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .affroots import AdmissibilityReport, AffineWeight, _frac_tuple, check_admissible
 from .liealg import level_for
@@ -18,16 +17,19 @@ if TYPE_CHECKING:  # annotations only: classify runs without the envelope
     from .envelope import CartanPoly
 
 
-@dataclasses.dataclass(frozen=True)
-class FiniteWeight:
-    """Weight of so(2l+1) stored by its values on the simple coroots
-    (h_1, ..., h_{l-1}, hbar_l); the coefficient of the i-th fundamental
-    weight equals coroot_vals[i-1]."""
-
+class _CorootValues(NamedTuple):
     coroot_vals: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coroot_vals", _frac_tuple(self.coroot_vals))
+
+class FiniteWeight(_CorootValues):
+    """Weight of so(2l+1) stored by its values on the simple coroots
+    (h_1, ..., h_{l-1}, hbar_l), as Fractions; the coefficient of the i-th
+    fundamental weight equals coroot_vals[i-1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, coroot_vals) -> "FiniteWeight":
+        return super().__new__(cls, _frac_tuple(coroot_vals))
 
     @property
     def rank(self) -> int:

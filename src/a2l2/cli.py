@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NoReturn
 
@@ -27,6 +28,8 @@ def _validated_rank(args: argparse.Namespace) -> int:
 
 def _verify(args: argparse.Namespace) -> int:
     """Run the registered checks and report pass/fail per check."""
+    if args.out is not None and os.path.isdir(args.out):
+        args.parser.error(f"argument --out: cannot write {args.out!r}: Is a directory")
     from .checks import render_report, run_checks
 
     if args.checks.strip() == "all":

@@ -15,7 +15,6 @@ the remaining pure-Cartan monomials as monomials in the Cartan coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
@@ -52,6 +51,8 @@ class PBWAlgebra:
         self._expand = table.expand
         # bound once: the rewrite loop calls it on every swap
         self.bracket_coords = table.bracket_coords
+        # coordinates of x -> {t: coordinates of [x, t]}, filled by `ad`
+        self._ad_images: dict[frozenset, dict[int, dict[int, Coeff]]] = {}
         gens = b_type_generators(self.l)
         self.cartan_indices = tuple(
             range(info.cartan_start, info.cartan_start + info.cartan_count)
@@ -77,31 +78,31 @@ class PBWAlgebra:
 
     # ------------------------------------------------------- normal form
 
-    def normal_form(self, word: tuple[int, ...], coeff: Coeff = 1) -> UEAElt:
-        """Rewrite coeff * (word of basis indices) into ordered monomials,
-        resolving the leftmost adjacent inversion first."""
+    def normal_form(self, words: UEAElt) -> UEAElt:
+        """Rewrite a sum of words of basis indices into ordered monomials,
+        resolving the leftmost adjacent inversion first; callers sum their
+        words first, so that each distinct word is rewritten once."""
         out: UEAElt = {}
-        pending: list[tuple[tuple[int, ...], Coeff]] = [(tuple(word), coeff)]
+        pending = [item for item in words.items() if item[1]]
+        bracket_coords = self.bracket_coords
         while pending:
             w, c = pending.pop()
-            if not c:
-                continue
             pos = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
             if pos is None:
                 vec_add_term(out, w, c)
                 continue
             s, t = w[pos], w[pos + 1]
             pending.append((w[:pos] + (t, s) + w[pos + 2 :], c))
-            for r, b in self.bracket_coords(s, t).items():
+            for r, b in bracket_coords(s, t).items():
                 pending.append((w[:pos] + (r,) + w[pos + 2 :], c * b))
         return out
 
     def mul(self, u: UEAElt, v: UEAElt) -> UEAElt:
-        out: UEAElt = {}
+        words: UEAElt = {}
         for wu, cu in u.items():
             for wv, cv in v.items():
-                vec_add_into(out, self.normal_form(wu + wv, cu * cv))
-        return out
+                vec_add_term(words, wu + wv, cu * cv)
+        return self.normal_form(words)
 
     # ---------------------------------------------------------- ad action
 
@@ -109,19 +110,21 @@ class PBWAlgebra:
         """Adjoint action x.u = xu - ux, extended as a derivation.
 
         `x` is a Lie element of the even part or a ready coordinate dict.
-        """
-        cx = self.lie_coords(x) if isinstance(x, LieElt) else dict(x)
-        out: UEAElt = {}
+        The words of x.u are summed unordered, then rewritten together, and
+        [x, t] is expanded once per x and basis index t."""
+        cx = self.lie_coords(x) if isinstance(x, LieElt) else x
+        ad_x = self._ad_images.setdefault(frozenset(cx.items()), {})
+        words: UEAElt = {}
         for word, c in u.items():
             for pos, t in enumerate(word):
-                for s, a in cx.items():
-                    for r, b in self.bracket_coords(s, t).items():
-                        vec_add_into(
-                            out,
-                            self.normal_form(word[:pos] + (r,) + word[pos + 1 :]),
-                            c * a * b,
-                        )
-        return out
+                image = ad_x.get(t)
+                if image is None:
+                    image = ad_x[t] = {}
+                    for s, a in cx.items():
+                        vec_add_into(image, self.bracket_coords(s, t), a)
+                for r, b in image.items():
+                    vec_add_term(words, word[:pos] + (r,) + word[pos + 1 :], c * b)
+        return self.normal_form(words)
 
     # ------------------------------------------------------------ weights
 
@@ -172,7 +175,6 @@ class PBWAlgebra:
 # ------------------------------------------------------------ polynomials
 
 
-@dataclass
 class CartanPoly:
     """Polynomial in the Cartan coordinates x_1..x_nvars.
 
@@ -180,8 +182,11 @@ class CartanPoly:
     keys are exponent tuples of length nvars.
     """
 
-    nvars: int
-    terms: dict[tuple[int, ...], Coeff]
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Coeff]) -> None:
+        self.nvars = nvars
+        self.terms = terms
 
     @staticmethod
     def variable(nvars: int, j: int) -> "CartanPoly":

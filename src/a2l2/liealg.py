@@ -19,7 +19,6 @@ encoding of exact rationals, which every command reads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -215,8 +214,7 @@ def split_pm(a: LieElt) -> GradedPair:
     return GradedPair(half * (a + na), half * (a - na))
 
 
-@dataclass(frozen=True)
-class BTypeGenerators:
+class BTypeGenerators(NamedTuple):
     """Chevalley-style generators of the fixed subalgebra so(2l+1).
 
     `e`, `f`, `h` hold the first l-1 triples; the last node comes as the
@@ -305,8 +303,7 @@ def _split_vector(l: int, i: int, j: int, sign: int) -> LieElt:
     return half_scale * (a + nu(a) if sign > 0 else a - nu(a))
 
 
-@dataclass(frozen=True)
-class G0BasisInfo:
+class G0BasisInfo(NamedTuple):
     """Ordered basis of the even part: negatives, Cartan, positives.
 
     `elems[k]` is `scales[k]` times the vector `labels[k]` names."""
@@ -373,8 +370,7 @@ def g0_basis_info(l: int) -> G0BasisInfo:
     )
 
 
-@dataclass(frozen=True)
-class G1BasisInfo:
+class G1BasisInfo(NamedTuple):
     """Ordered basis of the odd part: Em pairs, then Ea, then d.
 
     `elems[k]` is the vector `labels[k]` names times its split scale (Em),

@@ -10,14 +10,14 @@ thus stay on the fast int arithmetic, and every division is a Fraction.
 that every exact algebra in the package (matrices, vacuum states, envelope
 elements, polynomials) adds and scales through, and `format_sum` is the
 one printer of an exact signed sum.  `SpanSolver` keeps a fully reduced
-(Gauss-Jordan) row basis, so rank, membership, and coordinate queries are
-all single reduction passes with no floating point anywhere.
+(Gauss-Jordan) row basis in ints, so rank, membership, and coordinate
+queries are all single reduction passes with no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Hashable, Iterable
 
 Coeff = int | Fraction
@@ -80,58 +80,60 @@ def format_sum(terms: Iterable[tuple[Coeff, str]]) -> str:
 
 
 class SpanSolver:
-    """Incremental span of sparse vectors over the rationals.
+    """Incremental span of sparse vectors over the rationals, solved in ints.
 
     `add` extends the span and reports whether the vector was new;
     `coords` writes a vector as an exact combination of the previously
-    added independent generators (by their insertion index).
+    added independent generators (by their insertion index).  Elimination
+    cross-multiplies instead of dividing (fraction-free, as in Bareiss,
+    Math. Comp. 22 (1968)), so the one division is the one `coords` makes.
     """
 
     def __init__(self) -> None:
-        self._rows: list[Vec] = []          # reduced rows, pivot coeff 1
-        self._combos: list[Vec] = []        # row i = sum combo[i][t] * gen_t
-        self._pivots: list[Hashable] = []   # pivot key of row i
+        # int rows, each with a positive pivot that no other row holds, and
+        # row i = -sum combo[i][t] * gen_t; each pair is kept primitive
+        self._rows: list[Vec] = []
+        self._combos: list[Vec] = []
         self._row_of: dict[Hashable, int] = {}  # pivot key -> row index
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Vec) -> tuple[Vec, Vec]:
-        """Return (remainder, combo) with v = remainder + sum combo*gens."""
-        r = dict(v)
+    def _reduce(self, v: Vec) -> tuple[Vec, Vec, int]:
+        """(r, combo, s) in ints with s * v = r + sum combo*gens, s > 0 and r
+        zero at every pivot."""
+        if all(type(c) is int for c in v.values()):
+            s, r = 1, dict(v)
+        else:
+            s = lcm(*(c.denominator for c in v.values()))
+            r = {k: c.numerator * (s // c.denominator) for k, c in v.items()}
         combo: Vec = {}
         # Rows are mutually reduced, so subtracting one never touches another
-        # row's pivot: one pass, in row order, over the pivots v itself holds.
+        # row's pivot: one pass over the pivots v itself holds.
         row_of = self._row_of
-        for i in sorted(row_of[k] for k in v if k in row_of):
-            c = r[self._pivots[i]]
-            vec_add_into(r, self._rows[i], -c)
-            vec_add_into(combo, self._combos[i], c)
-        return r, combo
+        for k in [k for k in r if k in row_of]:
+            i = row_of[k]
+            d, r, combo = _eliminate(r, combo, self._rows[i], self._combos[i], k)
+            s *= d
+        return r, combo, s
 
     def add(self, v: Vec) -> bool:
         """Extend the span by v; True iff v was independent of the span."""
-        r, combo = self._reduce(v)
+        r, combo, s = self._reduce(v)
         if not r:
             return False
-        piv = min(r.keys())
-        s = r[piv]
-        inv = exact(Fraction(1, s))
-        row = vec_scale(r, inv)
-        # index of the new generator: one per earlier independent add
-        new_combo: Vec = {self.rank: inv}
-        vec_add_into(new_combo, combo, -inv)
+        piv = min(r)
+        combo[self.rank] = -s  # v is generator number `rank`
+        r, combo = _primitive(r, combo, r[piv])
         # keep older rows free of the new pivot (full Gauss-Jordan)
-        for i in range(len(self._rows)):
-            c = self._rows[i].get(piv)
-            if c:
-                vec_add_into(self._rows[i], row, -c)
-                vec_add_into(self._combos[i], new_combo, -c)
-        self._rows.append(row)
-        self._combos.append(new_combo)
-        self._row_of[piv] = len(self._pivots)
-        self._pivots.append(piv)
+        for i, row in enumerate(self._rows):
+            if piv in row:
+                _, row, row_combo = _eliminate(row, self._combos[i], r, combo, piv)
+                self._rows[i], self._combos[i] = _primitive(row, row_combo, 1)
+        self._row_of[piv] = len(self._rows)
+        self._rows.append(r)
+        self._combos.append(combo)
         return True
 
     def coords(self, v: Vec) -> Vec | None:
@@ -140,10 +142,28 @@ class SpanSolver:
         Only meaningful when every `add` so far returned True (a basis);
         generator indices are insertion indices.
         """
-        r, combo = self._reduce(v)
+        r, combo, s = self._reduce(v)
         if r:
             return None
-        return combo
+        return combo if s == 1 else vec_scale(combo, Fraction(1, s))
+
+
+def _eliminate(dst: Vec, dst_combo: Vec, row: Vec, combo: Vec, k) -> tuple[int, Vec, Vec]:
+    """(d, d*dst - c*row, d*dst_combo - c*combo), with c/d = dst[k]/row[k] in
+    lowest terms and d > 0 (row[k] > 0), so that the new dst is zero at k."""
+    g = gcd(row[k], dst[k])
+    d, c = row[k] // g, dst[k] // g
+    if d != 1:
+        dst, dst_combo = vec_scale(dst, d), vec_scale(dst_combo, d)
+    vec_add_into(dst, row, -c)
+    vec_add_into(dst_combo, combo, -c)
+    return d, dst, dst_combo
+
+
+def _primitive(row: Vec, combo: Vec, sign: int) -> tuple[Vec, Vec]:
+    """row and combo divided by their common gcd, times the sign of `sign`."""
+    g = gcd(*row.values(), *combo.values()) * (1 if sign > 0 else -1)
+    return {k: x // g for k, x in row.items()}, {t: x // g for t, x in combo.items()}
 
 
 def rank_of(vectors: list[Vec]) -> int:

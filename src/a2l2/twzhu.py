@@ -269,16 +269,13 @@ def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
             raise ValueError("singular image is not a highest-weight vector")
         lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f + (gens.f_l,)]
         solver = SpanSolver()
-        out: list[UEAElt] = []
-        queue: list[UEAElt] = []
-        if solver.add(dict(seed)):
-            out.append(seed)
-            queue.append(seed)
+        out = [seed] if solver.add(seed) else []
+        queue = list(out)
         while queue:
             u = queue.pop()
             for f in lowering:
                 w = alg.ad(f, u)
-                if w and solver.add(dict(w)):
+                if w and solver.add(w):
                     out.append(w)
                     queue.append(w)
         ctx._r0 = out
@@ -293,8 +290,5 @@ def r0_zero_weight_members(ctx: ProjectionContext) -> list[UEAElt]:
 
 def poly_span_equal(pa: list[CartanPoly], pb: list[CartanPoly]) -> bool:
     """True iff the two families span the same space of polynomials."""
-    va = [dict(p.terms) for p in pa]
-    vb = [dict(p.terms) for p in pb]
-    ra = rank_of(va)
-    rb = rank_of(vb)
-    return ra == rb == rank_of(va + vb)
+    va, vb = [p.terms for p in pa], [p.terms for p in pb]
+    return rank_of(va) == rank_of(vb) == rank_of(va + vb)

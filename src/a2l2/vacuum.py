@@ -14,7 +14,6 @@ fewer creation factor, or removes an adjacent inversion among creations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add
@@ -151,16 +150,14 @@ def split_mode_basis(l: int) -> ModeBasis:
     )
 
 
-@dataclass
 class VermaState:
     """Finite combination of normal-ordered creation monomials on the vacuum."""
 
-    basis: ModeBasis
-    k: Fraction
-    terms: dict[Monomial, Coeff]
+    __slots__ = ("basis", "k", "terms")
 
-    def __post_init__(self) -> None:
-        for mono, c in self.terms.items():
+    def __init__(self, basis: ModeBasis, k: Fraction, terms: dict[Monomial, Coeff]) -> None:
+        self.basis, self.k, self.terms = basis, k, terms
+        for mono, c in terms.items():
             if not c:
                 raise ValueError("zero coefficient stored")
             total = 0

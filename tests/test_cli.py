@@ -303,6 +303,16 @@ def test_cli_usage_errors_exit_2(tmp_path):
     assert run_cli(["verify", "--l", "1", "--out", unwritable])[0] == 2
 
 
+def test_cli_verify_refuses_a_directory_before_any_check_runs(monkeypatch, tmp_path):
+    def never(*_args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(checks, "run_checks", never)
+    code, out, err = run_cli(["verify", "--l", "4", "--out", str(tmp_path)])
+    assert (code, out) == (2, b"")
+    assert err.endswith(f"error: argument --out: cannot write {str(tmp_path)!r}: Is a directory\n")
+
+
 def test_cli_bad_values_name_the_known_ones():
     code, out, err = run_cli(["verify", "--l", "1", "--checks", "cartan-matrix,bogus"])
     assert code == 2 and out == b""
@@ -523,8 +533,9 @@ finally:
 """
 
 
-@pytest.mark.parametrize("args", [[], ["classify", "--l", "2"]])
-def test_cold_start_loads_no_algebra_half(args):
+def _cold_start(args) -> tuple[set[str], bytes]:
+    """(modules loaded, stdout) of the console script's call on `args` in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("A2L2_MAX_L", None)
     child = subprocess.run(
@@ -534,9 +545,26 @@ def test_cold_start_loads_no_algebra_half(args):
         timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    loaded = set(child.stderr.decode().split())
+    return set(child.stderr.decode().split()), child.stdout
+
+
+@pytest.mark.parametrize("args", [[], ["classify", "--l", "2"]])
+def test_cold_start_loads_no_algebra_half(args):
+    loaded, out = _cold_start(args)
     assert "a2l2.cli" in loaded
-    unused = {"click", "a2l2.checks", "a2l2.twzhu", "a2l2.vacuum", "a2l2.envelope"}
+    unused = {
+        "click", "a2l2.checks", "a2l2.twzhu", "a2l2.vacuum", "a2l2.envelope", "dataclasses",
+    }
     assert not loaded & unused
     if args:
-        assert child.stdout == (EXPECTED / "classify-l2.out").read_bytes()
+        assert out == (EXPECTED / "classify-l2.out").read_bytes()
+
+
+ALGEBRA_CHECKS = "singular,nu-fixed,zhu-image,v1-closed-form,polynomials,r0-dim"
+
+
+def test_cold_start_of_the_algebra_checks_loads_no_classification_layer():
+    loaded, out = _cold_start(["verify", "--l", "2", "--checks", ALGEBRA_CHECKS])
+    assert {"a2l2.checks", "a2l2.twzhu"} <= loaded
+    assert not loaded & {"a2l2.affroots", "a2l2.classify", "dataclasses"}
+    assert out.decode().endswith("overall: PASS\n")

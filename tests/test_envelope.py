@@ -77,7 +77,7 @@ def test_normal_form_pinned_values_rank1():
     # correction 1/8 of Ep[1,2]*Ep[2,1] becomes 16/8
     assert alg.info.labels == ("Ep[2,1]", "hb[1]", "Ep[1,2]")
     assert alg.info.scales == (4, 1, 4)
-    nf = alg.normal_form((2, 0))
+    nf = alg.normal_form({(2, 0): 1})
     assert nf == {(0, 2): 1, (1,): 2}
 
 
@@ -101,7 +101,7 @@ def test_normal_form_pinned_values_rank2():
 def test_normal_form_sorted_word_is_fixed():
     alg = pbw_algebra(2)
     word = (0, 0, 4, 7)
-    assert alg.normal_form(word, Fraction(3, 2)) == {word: Fraction(3, 2)}
+    assert alg.normal_form({word: Fraction(3, 2)}) == {word: Fraction(3, 2)}
 
 
 def test_normal_form_confluence_100_words():
@@ -112,11 +112,25 @@ def test_normal_form_confluence_100_words():
         length = rng.randint(0, 4)
         word = tuple(rng.randrange(alg.dim) for _ in range(length))
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        first = alg.normal_form(word, c)
+        first = alg.normal_form({word: c})
         last = normal_form_rightmost(alg, word, c)
         assert first == last
         for mono in first:
             assert list(mono) == sorted(mono)
+
+
+def test_normal_form_of_a_sum_is_the_sum_of_normal_forms():
+    rng = random.Random(102)
+    for _ in range(50):
+        alg = pbw_algebra(rng.choice([1, 2]))
+        words = {}
+        expected = {}
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, 3)))
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            vec_add_into(words, {word: c})
+            vec_add_into(expected, normal_form_rightmost(alg, word, c))
+        assert alg.normal_form(words) == expected
 
 
 def test_mul_associative_and_unit():

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from a2l2.classify import zero_set_oracle
+from a2l2.liealg import nu
+from a2l2.linalg import SpanSolver
 from a2l2.twzhu import (
     compute_v1,
     lowered_polynomials,
@@ -15,7 +17,7 @@ from a2l2.twzhu import (
     r0_basis,
     zhu_singular_image,
 )
-from a2l2.vacuum import nu_state, singular_vector, split_mode_basis
+from a2l2.vacuum import nu_state, singular_vector, split_mode_basis, standard_mode_basis
 
 
 def assert_exact(values, stage: str) -> None:
@@ -66,3 +68,32 @@ def test_split_table_is_integral_above_the_pipeline_ranks(l):
         for t in range(dim):
             split.bracket_coords(s, t)  # raises on a constant that is not an int
             split.gram(s, t)
+
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_split_coordinates_are_ints_wherever_integral(l):
+    # the split basis holds multiples of the labelled vectors, so the
+    # standard basis has coordinates with denominators 2 and 4 over it,
+    # next to integral ones
+    split = split_mode_basis(l)
+    seen = set()
+    for x in standard_mode_basis(l).elems + split.elems:
+        for y in (x, nu(x)):
+            coords = split.expand(y).values()
+            assert_exact(coords, "split coordinates")
+            seen.update(type(c) for c in coords)
+    assert seen == {int, Fraction}
+
+
+def test_span_coords_are_ints_wherever_integral():
+    s = SpanSolver()
+    gens = [{0: Fraction(2, 3), 1: 4}, {1: Fraction(-1, 6), 2: 1}, {0: 3, 2: Fraction(5, 4)}]
+    assert all(s.add(g) for g in gens)
+    # 2 g0 - g1 - g2
+    v = {0: Fraction(4, 3) - 3, 1: 8 + Fraction(1, 6), 2: -1 - Fraction(5, 4)}
+    coords = s.coords(v)
+    assert coords == {0: 2, 1: -1, 2: -1}
+    assert all(type(c) is int for c in coords.values())
+    half = s.coords({0: Fraction(1, 3), 1: 2})
+    assert half == {0: Fraction(1, 2)} and type(half[0]) is Fraction

@@ -1,11 +1,13 @@
 """Tests for the sparse exact kernel that every algebra adds and scales
 through (no stored zero ever survives an addition or a scaling), for the
-span solver on int input, and for the one printer of exact signed sums."""
+integer span solver against a Fraction Gauss-Jordan oracle, and for the one
+printer of exact signed sums."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from a2l2.envelope import CartanPoly
 from a2l2.liealg import E, H
@@ -77,6 +79,135 @@ def test_span_solver_stays_exact_on_int_input():
     coords = s.coords({0: 1})
     assert coords == {0: F(1, 2), 1: F(-1, 6)}
     assert all(type(c) is Fraction for c in coords.values())
+
+
+class FractionSpan:
+    """Oracle: row echelon form over Fractions with pivot 1, each row with
+    its combination of the independent generators, reduced in insertion
+    order."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[object, dict, dict]] = []  # (pivot, row, combo)
+
+    def reduce(self, v):
+        r = {k: F(c) for k, c in v.items() if c}
+        combo: dict = {}
+        for piv, row, row_combo in self.rows:
+            c = r.get(piv)
+            if c:
+                for key, x in row.items():
+                    r[key] = r.get(key, 0) - c * x
+                for t, x in row_combo.items():
+                    combo[t] = combo.get(t, 0) + c * x
+                r = {key: x for key, x in r.items() if x}
+        return r, {t: x for t, x in combo.items() if x}
+
+    def add(self, v) -> bool:
+        r, combo = self.reduce(v)
+        if not r:
+            return False
+        piv = min(r)
+        s = r[piv]
+        row_combo = {t: -x / s for t, x in combo.items()}
+        row_combo[len(self.rows)] = 1 / s
+        self.rows.append((piv, {key: x / s for key, x in r.items()}, row_combo))
+        return True
+
+    def coords(self, v):
+        r, combo = self.reduce(v)
+        return None if r else combo
+
+
+def random_fraction(rng: random.Random) -> Fraction:
+    return F(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 12))
+
+
+def random_vectors(rng: random.Random, keys: int, count: int) -> list[dict]:
+    """Sparse vectors with denominators 1..12, mixed with repeats, rational
+    combinations of earlier vectors and zero vectors."""
+    out: list[dict] = []
+    for _ in range(count):
+        kind = rng.random()
+        if out and kind < 0.15:
+            out.append(dict(rng.choice(out)))
+        elif len(out) >= 2 and kind < 0.35:
+            v: dict = {}
+            for u in rng.sample(out, 2):
+                vec_add_into(v, u, random_fraction(rng))
+            out.append(v)
+        elif kind < 0.4:
+            out.append({})
+        else:
+            support = rng.sample(range(keys), rng.randint(1, keys))
+            out.append({k: random_fraction(rng) for k in support})
+    return out
+
+
+def assert_integral_reduced_rows(s: SpanSolver) -> None:
+    """Rows and combinations in ints, each pair primitive, every pivot
+    positive and alone in its column."""
+    for piv, i in s._row_of.items():
+        row, combo = s._rows[i], s._combos[i]
+        assert all(type(x) is int for x in (*row.values(), *combo.values()))
+        assert row[piv] > 0
+        assert gcd(*row.values(), *combo.values()) == 1
+        assert all(piv not in other for j, other in enumerate(s._rows) if j != i)
+
+
+def test_span_solver_matches_fraction_oracle_on_random_vectors():
+    rng = random.Random(2024)
+    for _ in range(150):
+        keys = rng.randint(1, 7)
+        solver, oracle = SpanSolver(), FractionSpan()
+        added = []
+        for v in random_vectors(rng, keys, rng.randint(1, 12)):
+            assert solver.add(v) == oracle.add(v), v
+            assert solver.rank == len(oracle.rows)
+            added.append(v)
+        assert_integral_reduced_rows(solver)
+        probes = random_vectors(rng, keys + 1, 6)
+        for _ in range(4):
+            probe: dict = {}
+            for u in rng.sample(added, min(3, len(added))):
+                vec_add_into(probe, u, random_fraction(rng))
+            probes.append(probe)
+        for probe in probes:
+            assert solver.coords(probe) == oracle.coords(probe), probe
+
+
+def test_span_solver_coords_follow_the_generators_added():
+    rng = random.Random(7)
+    for _ in range(100):
+        keys = rng.randint(1, 6)
+        solver = SpanSolver()
+        gens = []
+        for v in random_vectors(rng, keys, 8):
+            if solver.add(v):
+                gens.append(v)
+        coeffs = [random_fraction(rng) for _ in gens]
+        v: dict = {}
+        for g, c in zip(gens, coeffs):
+            vec_add_into(v, g, c)
+        expected = {t: c for t, c in enumerate(coeffs)}
+        assert solver.coords(v) == expected
+
+
+def test_span_add_constructs_no_fraction(monkeypatch):
+    vectors = random_vectors(random.Random(5), 6, 40)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    s = SpanSolver()
+    for v in vectors:
+        s.add(v)
+    assert s.rank >= 5 and made == []
+    # the one division, in `coords`, is seen
+    assert s.coords({k: 1 for k in range(6)}) is not None and made
 
 
 def test_rank_of_empty_input():
