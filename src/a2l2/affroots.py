@@ -1,128 +1,60 @@
-"""Affine root-system arithmetic for the twisted algebra acting on the
-odd-rank special linear series, in the realization whose horizontal
-subalgebra is so(2l+1).
+"""Affine root-system data for the twisted algebra acting on the odd-rank
+special linear series, in the realization whose horizontal subalgebra is
+so(2l+1), and the admissibility decision at the studied level.
 
-Everything here is exact: weights live in coordinates
-(eps_1..eps_l, delta, central-dual), the bilinear form is the standard
-one on that basis, real roots come in long / intermediate / short
-families indexed by an integer parameter, and admissibility is decided
-in closed form at the studied level -l-1/2: there 2(k + h^vee) = 2l+1 is
-odd, so every integrality question about a shifted coroot pairing is a
-parity of 2(lam + rho), and the coroot-span rank counts residue classes
-of 2(lam + rho) mod 1.
+Weights live in coordinates (eps_1..eps_l, delta, central-dual) with the
+standard bilinear form on that basis.  The simple roots have integer
+coordinates, so the Cartan matrix is recomputed from the form in ints.
+Admissibility is decided in closed form at the studied level -l-1/2: there
+2(k + h^vee) = 2l+1 is odd, so every integrality question about a shifted
+coroot pairing is a parity of 2(lam + rho), and the coroot-span rank counts
+residue classes of 2(lam + rho) mod 1.  The decision reads 2(lam + rho) as
+integers over a common denominator, so it builds no weight and no Fraction.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
-
-from .liealg import level_for
+from typing import NamedTuple, Sequence
 
 
-def _frac_tuple(vals) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in vals)
+class AffineWeight(NamedTuple):
+    """The weight sum(eps[i] * eps_i) + d_delta * delta + k0 * Lambda0c,
+    with exact coefficients."""
+
+    eps: tuple
+    d_delta: int = 0
+    k0: int = 0
 
 
-class _AffineCoordinates(NamedTuple):
-    eps: tuple[Fraction, ...]
-    d_delta: Fraction
-    k0: Fraction
-
-
-class AffineWeight(_AffineCoordinates):
-    """A weight written as sum(eps[i] * eps_i) + d_delta * delta + k0 * Lambda0c,
-    every coefficient stored as a Fraction."""
-
-    __slots__ = ()
-
-    def __new__(cls, eps, d_delta=0, k0=0) -> "AffineWeight":
-        return super().__new__(cls, _frac_tuple(eps), Fraction(d_delta), Fraction(k0))
-
-    @property
-    def rank(self) -> int:
-        return len(self.eps)
-
-    def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-            self.d_delta + other.d_delta,
-            self.k0 + other.k0,
-        )
-
-    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AffineWeight":
-        c = Fraction(c)
-        return AffineWeight(
-            tuple(c * a for a in self.eps), c * self.d_delta, c * self.k0
-        )
-
-    @property
-    def level(self) -> Fraction:
-        """Value of the pairing with delta (the central charge direction)."""
-        return self.k0
-
-
-def eps_unit(l: int, i: int) -> AffineWeight:
-    """eps_i as an AffineWeight, 1-based."""
-    if not 1 <= i <= l:
-        raise ValueError("index out of range")
-    return AffineWeight(tuple(Fraction(int(j == i)) for j in range(1, l + 1)))
-
-
-def delta(l: int) -> AffineWeight:
-    return AffineWeight((Fraction(0),) * l, d_delta=Fraction(1))
-
-
-def ip(x: AffineWeight, y: AffineWeight) -> Fraction:
+def ip(x: AffineWeight, y: AffineWeight):
     """Symmetric bilinear form: eps_i orthonormal, (delta, Lambda0c) = 1,
     delta and Lambda0c isotropic and orthogonal to the eps block."""
-    if x.rank != y.rank:
+    if len(x.eps) != len(y.eps):
         raise ValueError("rank mismatch")
-    total = sum((a * b for a, b in zip(x.eps, y.eps)), Fraction(0))
+    total = sum(a * b for a, b in zip(x.eps, y.eps))
     return total + x.d_delta * y.k0 + x.k0 * y.d_delta
-
-
-def coroot_pairing(lam: AffineWeight, root: AffineWeight) -> Fraction:
-    """(lam, root^vee) = 2 (lam, root) / (root, root); real roots only."""
-    norm = ip(root, root)
-    if norm == 0:
-        raise ValueError("isotropic root has no coroot")
-    return 2 * ip(lam, root) / norm
 
 
 # ----------------------------------------------------------- simple roots
 
 def simple_roots(l: int) -> tuple[AffineWeight, ...]:
     """(alpha_0, ..., alpha_l): alpha_0 = delta - 2 eps_1, alpha_i = eps_i -
-    eps_{i+1} for i < l, alpha_l = eps_l."""
+    eps_{i+1} for i < l, alpha_l = eps_l; every coordinate an int."""
     if l < 1:
         raise ValueError("rank must be at least 1")
-    roots = [delta(l) - eps_unit(l, 1).scale(2)]
-    for i in range(1, l):
-        roots.append(eps_unit(l, i) - eps_unit(l, i + 1))
-    roots.append(eps_unit(l, l))
-    return tuple(roots)
 
+    def eps(*entries: tuple[int, int]) -> tuple[int, ...]:
+        out = [0] * l
+        for i, c in entries:
+            out[i] = c
+        return tuple(out)
 
-@lru_cache(maxsize=None)
-def rho(l: int) -> AffineWeight:
-    """The Weyl vector: (2l+1) Lambda0c + sum_i (l - i + 1/2) eps_i; pairs to
-    1 with every simple coroot."""
-    r = AffineWeight(
-        tuple(Fraction(2 * (l - i) + 1, 2) for i in range(1, l + 1)),
-        k0=Fraction(2 * l + 1),
+    return (
+        AffineWeight(eps((0, -2)), d_delta=1),
+        *(AffineWeight(eps((i, 1), (i + 1, -1))) for i in range(l - 1)),
+        AffineWeight(eps((l - 1, 1))),
     )
-    for a in simple_roots(l):
-        if coroot_pairing(r, a) != 1:
-            raise AssertionError("Weyl vector normalization failed")
-    return r
 
 
 # ------------------------------------------------------------ algebra data
@@ -169,12 +101,22 @@ def algebra_data(l: int) -> AlgebraData:
     return AlgebraData(l, matrix, marks, comarks, h_dual)
 
 
-def cartan_matrix_from_form(l: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Recompute the affine Cartan matrix as (alpha_j, alpha_i^vee)."""
+def cartan_matrix_from_form(l: int) -> tuple[tuple[int, ...], ...]:
+    """Recompute the affine Cartan matrix as (alpha_j, alpha_i^vee) =
+    2 (alpha_j, alpha_i) / (alpha_i, alpha_i), in ints; raises ValueError
+    on an entry that is not an integer."""
     roots = simple_roots(l)
-    return tuple(
-        tuple(coroot_pairing(aj, ai) for aj in roots) for ai in roots
-    )
+    rows = []
+    for ai in roots:
+        norm = ip(ai, ai)
+        row = []
+        for aj in roots:
+            entry, rest = divmod(2 * ip(aj, ai), norm)
+            if rest:
+                raise ValueError("non-integer Cartan entry")
+            row.append(entry)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ------------------------------------------------------------ admissibility
@@ -189,8 +131,11 @@ class AdmissibilityReport(NamedTuple):
     passed: bool
 
 
-def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
-    """Two-condition admissibility decision for weights at the studied level.
+def check_admissible(y: Sequence[int], d: int) -> AdmissibilityReport:
+    """Two-condition admissibility decision for a weight lam at the studied
+    level, read from the integers y_i with y_i / d = 2(lam + rho, eps_i) over
+    a common denominator d > 0 (any common denominator gives the same
+    decision).
 
     rho pairs to 1 with every simple coroot, so lam and lam + rho pair
     integrally with the same real roots and both conditions are read off
@@ -220,16 +165,10 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     one (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4 (1982)).  The
     rank is l + 1 less the number b of classes {+-r} with r outside (1/2)Z,
     or 0 when no family is integral, that is when b = l; condition 2 holds
-    iff every y_i is in (1/2)Z.  The loops run on the integers d y_i, d the
-    lcm of the denominators of the y_i.
+    iff every y_i is in (1/2)Z.  Below, y_i stands for the integer d y_i.
     """
-    l = lam.rank
-    if lam.level != level_for(l):
-        raise ValueError("weight is not at the studied level")
+    l = len(y)
     h = 2 * l + 1
-    doubled = [2 * c for c in (lam + rho(l)).eps]
-    d = math.lcm(*(c.denominator for c in doubled))
-    y = [c.numerator * (d // c.denominator) for c in doubled]
     cond1_pass = True
     for i, yi in enumerate(y):
         if yi % d == 0:
@@ -239,10 +178,11 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
                 m = (z + h) % 4 // 2
                 cond1_pass = cond1_pass and z + (2 * m + 1) * h > 0
         for yj in y[i + 1:]:
-            for s, m_min in ((1, 0), (-1, 1)):
-                for t in (1, -1):
-                    u, rest = divmod(s * yi + t * yj, d)
-                    if not rest:
+            for pair in (yi + yj, yi - yj):
+                w, rest = divmod(pair, d)  # u = +-w for s = +-1: one test
+                if not rest:
+                    for s, m_min in ((1, 0), (-1, 1)):
+                        u = s * w
                         m = m_min + (u - m_min) % 2
                         cond1_pass = cond1_pass and u + m * h > 0
     balanced = len({min(yi % d, -yi % d) for yi in y if 2 * yi % d})
@@ -251,8 +191,7 @@ def check_admissible(lam: AffineWeight) -> AdmissibilityReport:
     return AdmissibilityReport(cond1_pass, rank, cond2_pass, cond1_pass and cond2_pass)
 
 
-def kw_positivity(lam: AffineWeight) -> bool:
-    """Level plus dual Coxeter number must be positive (it equals l + 1/2
-    at the studied level)."""
-    l = lam.rank
-    return lam.level + (2 * l + 1) > 0
+def kw_positivity(l: int) -> bool:
+    """Level plus dual Coxeter number must be positive; at the studied level
+    -(2l+1)/2, twice it is 2(2l+1) - (2l+1) = 2l+1, for every weight."""
+    return 2 * (2 * l + 1) - (2 * l + 1) > 0

@@ -16,9 +16,9 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .envelope import uea_string
-from .liealg import _exact, _exact_list, computed_b_cartan, g1_basis, g1_zero_weight_dim
-from .liealg import level_for, level_string, max_rank, validated_rank  # re-exports max_rank
+from . import _exact, _exact_list, level_string, max_rank, validated_rank  # re-exports max_rank
+from .envelope import doubled_residuals, uea_string, zero_set
+from .liealg import computed_b_cartan, g1_basis, g1_zero_weight_dim, level_for
 from .twzhu import (
     compute_v1,
     lowered_polynomials,
@@ -182,46 +182,55 @@ def _check_r0(l: int) -> tuple[bool, dict]:
     }
 
 
+def _weight_names(l: int) -> dict[tuple[int, ...], str]:
+    from .classify import all_highest_weights, weight_strings
+
+    return dict(zip(all_highest_weights(l), weight_strings(l)))
+
+
 def _check_classification(l: int) -> tuple[bool, dict]:
-    from .classify import all_highest_weights, eval_polys, zero_set_oracle
+    from .classify import all_highest_weights, omega_string
 
     polys = lowered_polynomials(projection_context(l))
-    zero_set = zero_set_oracle(polys)
-    formulas = frozenset(all_highest_weights(l))
-    residuals_ok = all(not any(eval_polys(polys, w)) for w in formulas)
-    ok = zero_set == formulas and len(zero_set) == 2**l and residuals_ok
+    found = zero_set(polys)
+    formulas = all_highest_weights(l)
+    matches = found == frozenset(formulas)
+    residuals_ok = not any(any(r) for r in doubled_residuals(polys, formulas))
+    ok = matches and len(found) == 2**l and residuals_ok
+    names = _weight_names(l)
     return ok, {
-        "count": len(zero_set),
+        "count": len(found),
         "expected_count": 2**l,
-        "matches_weight_formulas": zero_set == formulas,
+        "matches_weight_formulas": matches,
         "all_polynomials_vanish": residuals_ok,
-        "weights": sorted(w.omega_string() for w in zero_set),
+        "weights": sorted(names.get(x) or omega_string(x) for x in found),
     }
 
 
 def _check_dominant(l: int) -> tuple[bool, dict]:
-    from .classify import all_highest_weights, dominant_integral_filter, mu_weight
+    from .classify import dominant_integral, mu_weight, omega_string
 
-    kept = dominant_integral_filter(all_highest_weights(l))
+    names = _weight_names(l)
+    kept = frozenset(x for x in names if dominant_integral(x))
     expected = frozenset({mu_weight(l, (), False), mu_weight(l, (), True)})
     ok = kept == expected
     return ok, {
         "count": len(kept),
-        "weights": sorted(w.omega_string() for w in kept),
-        "expected_weights": sorted(w.omega_string() for w in expected),
+        "weights": sorted(names[x] for x in kept),
+        "expected_weights": sorted(map(omega_string, expected)),
     }
 
 
 def _check_admissible_all(l: int) -> tuple[bool, dict]:
-    from .classify import admissibility_table
+    from .classify import admissibility_table, weight_strings
 
     rows = []
     ok = True
-    for w, _, report in admissibility_table(l):
+    for name, (_, report) in zip(weight_strings(l), admissibility_table(l)):
         ok = ok and report.passed
         rows.append(
             {
-                "weight": w.omega_string(),
+                "weight": name,
                 "condition1": report.cond1_pass,
                 "condition2": report.cond2_pass,
                 "coroot_span_rank": report.cond2_rank,
@@ -232,11 +241,10 @@ def _check_admissible_all(l: int) -> tuple[bool, dict]:
 
 def _check_kw(l: int) -> tuple[bool, dict]:
     from .affroots import kw_positivity
-    from .classify import affinize, all_highest_weights
 
-    # kw_positivity reads only the level, and every lift has level_for(l),
-    # so one lift decides all 2^l
-    positive = kw_positivity(affinize(all_highest_weights(l)[0], l))
+    # kw_positivity reads only l: every classified weight lifts to the level
+    # -(2l+1)/2
+    positive = kw_positivity(l)
     shifted = level_for(l) + (2 * l + 1)
     ok = positive and shifted > 0
     return ok, {
@@ -358,8 +366,7 @@ def dump_object(l: int, which: str) -> str:
         lines = [p.factored_h_string() for p in lowered_polynomials(ctx)]
         return "\n".join(lines) + "\n"
     if which == "weights":
-        from .classify import all_highest_weights
+        from .classify import weight_strings
 
-        lines = [w.omega_string() for w in all_highest_weights(l)]
-        return "\n".join(lines) + "\n"
+        return "\n".join(weight_strings(l)) + "\n"
     raise ValueError(f"unknown object {which!r}")

@@ -1,69 +1,29 @@
-"""Classification layer: enumerate the candidate highest weights for the
-even-part horizontal algebra, evaluate the eigenvalue polynomials on them,
-brute-force the polynomial zero set from the factored structure, filter the
-dominant integral ones, and lift finite weights to the affine level."""
+"""Classification layer: one integer table per rank of the 2^l candidate
+highest weights of the even-part horizontal algebra so(2l+1), with their
+dominance and admissibility.
+
+A weight is held by its doubled coroot coordinates X = 2c, where c_i is
+its value on h_i (i < l) and on hbar_l: integers, as every candidate has
+c in (1/2)Z.  Its eps coordinates and the shifted 4(lam + rho) that the
+admissibility decision reads each come from one suffix sum of X, and each
+weight is rendered once per rank.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Sequence
 
-from .affroots import AdmissibilityReport, AffineWeight, _frac_tuple, check_admissible
-from .liealg import level_for
-from .linalg import format_sum
-
-if TYPE_CHECKING:  # annotations only: classify runs without the envelope
-    from .envelope import CartanPoly
+from . import format_sum
+from .affroots import AdmissibilityReport, check_admissible
 
 
-class _CorootValues(NamedTuple):
-    coroot_vals: tuple[Fraction, ...]
-
-
-class FiniteWeight(_CorootValues):
-    """Weight of so(2l+1) stored by its values on the simple coroots
-    (h_1, ..., h_{l-1}, hbar_l), as Fractions; the coefficient of the i-th
-    fundamental weight equals coroot_vals[i-1]."""
-
-    __slots__ = ()
-
-    def __new__(cls, coroot_vals) -> "FiniteWeight":
-        return super().__new__(cls, _frac_tuple(coroot_vals))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coroot_vals)
-
-    @property
-    def eps_coords(self) -> tuple[Fraction, ...]:
-        """Coefficients on eps_1..eps_l: m_l = c_l / 2, then
-        m_j = c_j + m_{j+1} walking down from j = l-1."""
-        l = self.rank
-        out = [Fraction(0)] * l
-        out[l - 1] = self.coroot_vals[l - 1] / 2
-        for j in range(l - 2, -1, -1):
-            out[j] = self.coroot_vals[j] + out[j + 1]
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not any(self.coroot_vals)
-
-    def is_dominant_integral(self) -> bool:
-        return all(c.denominator == 1 and c >= 0 for c in self.coroot_vals)
-
-    def omega_string(self) -> str:
-        """Render as a combination of fundamental weights w1..wl."""
-        vals = enumerate(self.coroot_vals, start=1)
-        return format_sum((c, f"w{i}") for i, c in vals if c)
-
-
-def mu_weight(l: int, subset: Sequence[int], primed: bool) -> FiniteWeight:
+def mu_weight(l: int, subset: Sequence[int], primed: bool) -> tuple[int, ...]:
     """The candidate highest weight attached to an increasing subset of
-    {1..l-1}: each chosen index i_j carries the fundamental weight w_{i_j}
-    with coefficient i_j + 2*sum_{s>j} (-1)^{s-j} i_s +- (-1)^{k-j+1} shift,
-    where the shift is l - 1/2 (unprimed) or l + 1/2 (primed); the primed
-    weights additionally contain w_l."""
+    {1..l-1}, as X = 2c: each chosen index i_j carries the fundamental weight
+    w_{i_j} with coefficient i_j + 2*sum_{s>j} (-1)^{s-j} i_s +- (-1)^{k-j+1}
+    shift, where the shift is l - 1/2 (unprimed) or l + 1/2 (primed); the
+    primed weights additionally contain w_l."""
     if l < 1:
         raise ValueError("rank must be at least 1")
     idx = tuple(int(i) for i in subset)
@@ -71,25 +31,22 @@ def mu_weight(l: int, subset: Sequence[int], primed: bool) -> FiniteWeight:
         raise ValueError("subset entries must lie in 1..l-1")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError("subset must be strictly increasing")
-    k = len(idx)
-    shift = Fraction(2 * l + 1, 2) if primed else Fraction(2 * l - 1, 2)
-    vals = [Fraction(0)] * l
-    for j in range(1, k + 1):
-        coeff = Fraction(idx[j - 1])
-        for s in range(j + 1, k + 1):
-            coeff += 2 * (-1) ** (s - j) * idx[s - 1]
-        coeff += (-1) ** (k - j + 1) * shift
-        vals[idx[j - 1] - 1] += coeff
+    shift = 2 * l + 1 if primed else 2 * l - 1
+    x = [0] * l
+    alternating = 0  # sum_{s>j} (-1)^{s-j} i_s, from j = k down
+    sign = -1  # (-1)^{k-j+1}
+    for i in reversed(idx):
+        x[i - 1] = 2 * i + 4 * alternating + sign * shift
+        alternating, sign = -i - alternating, -sign
     if primed:
-        vals[l - 1] += 1
-    return FiniteWeight(tuple(vals))
+        x[l - 1] += 2
+    return tuple(x)
 
 
 @lru_cache(maxsize=None)
-def all_highest_weights(l: int) -> tuple[FiniteWeight, ...]:
+def all_highest_weights(l: int) -> tuple[tuple[int, ...], ...]:
     """All 2^l candidate weights: subsets of {1..l-1} in binary order, the
-    unprimed weight before the primed one.  Built once per rank and shared:
-    the weights are frozen."""
+    unprimed weight before the primed one."""
     out = []
     for mask in range(2 ** (l - 1)):
         subset = tuple(i for i in range(1, l) if mask >> (i - 1) & 1)
@@ -98,76 +55,43 @@ def all_highest_weights(l: int) -> tuple[FiniteWeight, ...]:
     return tuple(out)
 
 
-def eval_polys(
-    polys: Sequence[CartanPoly], mu: FiniteWeight
-) -> list[Fraction]:
-    """Values of the polynomials at the weight's coroot coordinates."""
-    for p in polys:
-        if p.nvars != mu.rank:
-            raise ValueError("polynomial arity does not match the weight")
-    return [p.eval(mu.coroot_vals) for p in polys]
+def dominant_integral(x: Sequence[int]) -> bool:
+    """Every coroot coordinate X_i / 2 is a nonnegative integer."""
+    return all(c >= 0 and c % 2 == 0 for c in x)
 
 
-def zero_set_oracle(polys: Sequence[CartanPoly]) -> frozenset[FiniteWeight]:
-    """Independent brute-force zero set of a triangular factored system.
-
-    Requires the j-th polynomial to factor as x_j times an affine-linear
-    form in x_j..x_l with nonzero x_j coefficient.  Every common zero picks
-    one vanishing factor per polynomial, so enumerating all 2^l branch
-    choices and solving each triangular system (x_l first, then down to
-    x_1) is exhaustive; duplicates collapse in the returned set."""
-    l = len(polys)
-    quotients = []
-    for j, p in enumerate(polys, start=1):
-        if p.nvars != l:
-            raise ValueError("polynomial arity mismatch")
-        q = p.divide_by_var(j)
-        if q is None:
-            raise ValueError(f"polynomial {j} is not divisible by x_{j}")
-        lp = q.linear_parts()
-        if lp is None:
-            raise ValueError(f"cofactor of x_{j} is not affine-linear")
-        const, coeffs = lp
-        if any(coeffs[t] for t in range(j - 1)):
-            raise ValueError(f"cofactor of x_{j} depends on earlier variables")
-        if coeffs[j - 1] == 0:
-            raise ValueError(f"cofactor of x_{j} is degenerate in x_{j}")
-        quotients.append((const, coeffs))
-    out = set()
-    for mask in range(2**l):
-        vals: list[Optional[Fraction]] = [None] * l
-        for j in range(l, 0, -1):
-            if mask >> (j - 1) & 1:
-                const, coeffs = quotients[j - 1]
-                rhs = -const
-                for t in range(j, l):
-                    rhs -= coeffs[t] * vals[t]
-                vals[j - 1] = Fraction(rhs, coeffs[j - 1])
-            else:
-                vals[j - 1] = Fraction(0)
-        out.add(FiniteWeight(tuple(vals)))
-    return frozenset(out)
+def eps4(x: Sequence[int]) -> tuple[int, ...]:
+    """4 (lam, eps_i) for i = 1..l, from m_l = c_l / 2 and m_j = c_j + m_{j+1}:
+    4 m_l = X_l, then 4 m_j = 2 X_j + 4 m_{j+1} walking down."""
+    out = list(x)
+    for j in range(len(x) - 2, -1, -1):
+        out[j] = 2 * x[j] + out[j + 1]
+    return tuple(out)
 
 
-def dominant_integral_filter(
-    weights: Iterable[FiniteWeight],
-) -> frozenset[FiniteWeight]:
-    return frozenset(w for w in weights if w.is_dominant_integral())
+def omega_string(x: Sequence[int]) -> str:
+    """Render X/2 as a combination of fundamental weights w1..wl."""
+    return format_sum(((c, f"w{i}") for i, c in enumerate(x, start=1) if c), 2)
 
 
-def affinize(mu: FiniteWeight, l: int) -> AffineWeight:
-    """Lift to the affine weight at the studied level: eps-coordinates from
-    the finite weight, no delta component, central coefficient -(2l+1)/2."""
-    if mu.rank != l:
-        raise ValueError("rank mismatch")
-    return AffineWeight(mu.eps_coords, k0=level_for(l))
+@lru_cache(maxsize=None)
+def weight_strings(l: int) -> tuple[str, ...]:
+    """`omega_string` of each weight of `all_highest_weights(l)`, rendered
+    once per rank for every check and command that prints weights."""
+    return tuple(map(omega_string, all_highest_weights(l)))
+
+
+def admissibility(x: Sequence[int]) -> AdmissibilityReport:
+    """The admissibility report of the weight with X = x, lifted to the
+    studied level.  rho has every coroot coordinate 1, so 4(lam + rho) =
+    eps4(X + 2), which is 2(lam + rho) over the denominator 2."""
+    return check_admissible(eps4([c + 2 for c in x]), 2)
 
 
 def admissibility_table(
     l: int,
-) -> Iterator[tuple[FiniteWeight, AffineWeight, AdmissibilityReport]]:
-    """(weight, affine lift, admissibility report) for every classified
-    weight, in the order of `all_highest_weights`."""
-    for w in all_highest_weights(l):
-        lam = affinize(w, l)
-        yield w, lam, check_admissible(lam)
+) -> Iterator[tuple[tuple[int, ...], AdmissibilityReport]]:
+    """(X, admissibility report) for every classified weight, in the order
+    of `all_highest_weights`."""
+    for x in all_highest_weights(l):
+        yield x, admissibility(x)

@@ -2,8 +2,10 @@
 classified weight list, with exact-rational JSON output.
 
 The parser is the standard library's `argparse`.  Each command imports the
-pipeline modules it runs inside its own function, so `classify` never loads
-the algebra half (`checks`, `twzhu`, `vacuum`, `envelope`).
+pipeline modules it runs inside its own function, so `classify` loads only
+its integer table (`classify`, `affroots`): neither the algebra half
+(`checks`, `twzhu`, `vacuum`, `envelope`, `liealg`, `linalg`) nor
+`fractions`.
 
 Exit codes: 0 pass, 1 a check failed, 2 usage error, 3 internal error.
 """
@@ -16,10 +18,10 @@ import os
 import sys
 from typing import NoReturn
 
+from . import _exact_list, level_string, validated_rank
+
 
 def _validated_rank(args: argparse.Namespace) -> int:
-    from .liealg import validated_rank
-
     try:
         return validated_rank(args.l)
     except ValueError as exc:
@@ -74,23 +76,20 @@ def _classify(args: argparse.Namespace) -> int:
     """List the classified highest weights with their status flags."""
     l = _validated_rank(args)
     from .affroots import kw_positivity
-    from .classify import admissibility_table
-    from .liealg import _exact_list, level_string
+    from .classify import admissibility_table, dominant_integral, eps4, weight_strings
 
-    table = list(admissibility_table(l))
-    # kw_positivity reads only the level, and every lift has level_for(l),
-    # so one lift decides all 2^l
-    kw_positive = kw_positivity(table[0][1])
+    # kw_positivity reads only l: every weight lifts to the level -(2l+1)/2
+    kw_positive = kw_positivity(l)
     rows = [
         {
-            "weight": w.omega_string(),
-            "coroot_values": _exact_list(w.coroot_vals),
-            "eps_coordinates": _exact_list(w.eps_coords),
-            "dominant_integral": w.is_dominant_integral(),
+            "weight": name,
+            "coroot_values": _exact_list(x, 2),
+            "eps_coordinates": _exact_list(eps4(x), 4),
+            "dominant_integral": dominant_integral(x),
             "admissible": report.passed,
             "kw_positive": kw_positive,
         }
-        for w, _, report in table
+        for name, (x, report) in zip(weight_strings(l), admissibility_table(l))
     ]
     if args.fmt == "json":
         payload = {"l": l, "level": level_string(l), "weights": rows}

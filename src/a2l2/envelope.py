@@ -16,9 +16,13 @@ the remaining pure-Cartan monomials as monomials in the Cartan coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
+from . import format_sum
 from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
-from .linalg import Coeff, exact, format_sum, vec_add_into, vec_add_term, vec_scale
+from .linalg import Coeff, exact, vec_add_into, vec_add_term, vec_scale
 
 # monomial = tuple of basis indices in non-decreasing order
 UEAElt = dict[tuple[int, ...], Coeff]
@@ -215,19 +219,6 @@ class CartanPoly:
                 vec_add_term(out, tuple(a + b for a, b in zip(ka, kb)), ca * cb)
         return CartanPoly(self.nvars, out)
 
-    def eval(self, vals) -> Fraction:
-        vals = [Fraction(v) for v in vals]
-        if len(vals) != self.nvars:
-            raise ValueError("wrong number of values")
-        total = Fraction(0)
-        for k, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, k):
-                for _ in range(e):
-                    term *= v
-            total += term
-        return total
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -309,6 +300,90 @@ def _generic_poly_string(p: CartanPoly) -> str:
         factors = [f"h{j}" if e == 1 else f"h{j}^{e}" for j, e in powers if e]
         terms.append((c, "*".join(factors)))
     return format_sum(terms)
+
+
+# ------------------------------------------- zeros at half-integral points
+#
+# The classified weights have coordinates x in (1/2)Z, so both functions
+# below work on the doubled coordinates X = 2x, in ints.
+
+
+def zero_set(polys: Sequence[CartanPoly]) -> frozenset[tuple[int, ...]]:
+    """The common zeros of a triangular factored system, as doubled
+    coordinates X = 2x; every zero must lie in (1/2)Z.
+
+    Requires the j-th polynomial to factor as x_j times an affine-linear
+    form in x_j..x_l with nonzero x_j coefficient.  Every common zero picks
+    one vanishing factor per polynomial, so a depth-first walk over those
+    choices is exhaustive: it solves x_l first, then down to x_1, and each
+    solved suffix is shared by the branches below it.  Each form is scaled
+    to integer coefficients in X; a zero with a coordinate outside (1/2)Z
+    raises ValueError.  Duplicates collapse in the returned set."""
+    l = len(polys)
+    forms = []  # a with a[0] + sum_t a[t] X_t = 0 iff the cofactor vanishes
+    for j, p in enumerate(polys, start=1):
+        if p.nvars != l:
+            raise ValueError("polynomial arity mismatch")
+        q = p.divide_by_var(j)
+        if q is None:
+            raise ValueError(f"polynomial {j} is not divisible by x_{j}")
+        lp = q.linear_parts()
+        if lp is None:
+            raise ValueError(f"cofactor of x_{j} is not affine-linear")
+        const, coeffs = lp
+        if any(coeffs[t] for t in range(j - 1)):
+            raise ValueError(f"cofactor of x_{j} depends on earlier variables")
+        if coeffs[j - 1] == 0:
+            raise ValueError(f"cofactor of x_{j} is degenerate in x_{j}")
+        row = [2 * const, *coeffs]
+        s = lcm(*(c.denominator for c in row))
+        forms.append([int(c * s) for c in row])
+    out = set()
+    stack: list[tuple[int, ...]] = [()]  # solved suffixes X_{j+1}..X_l
+    while stack:
+        suffix = stack.pop()
+        j = l - len(suffix)
+        if j == 0:
+            out.add(suffix)
+            continue
+        a = forms[j - 1]
+        x, rest = divmod(-a[0] - sum(map(mul, a[j + 1:], suffix)), a[j])
+        if rest:
+            raise ValueError(f"a common zero has x_{j} outside (1/2)Z")
+        stack.append((0,) + suffix)
+        if x:
+            stack.append((x,) + suffix)
+    return frozenset(out)
+
+
+def doubled_residuals(
+    polys: Sequence[CartanPoly], points: Iterable[tuple[int, ...]]
+) -> Iterator[list[int]]:
+    """For each point X, the values of the polynomials at x = X/2, each
+    times 2^deg and the lcm of its denominators: the expanded polynomial
+    with integer coefficients c * lcm * 2^(deg - |term|), evaluated on the
+    sparse (variable, exponent) terms in ints.  A value is 0 exactly where
+    the polynomial vanishes."""
+    systems = []
+    for p in polys:
+        deg = max(map(sum, p.terms), default=0)
+        s = lcm(*(c.denominator for c in p.terms.values()))
+        systems.append([
+            (int(c * s) << (deg - sum(k)), [(v, e) for v, e in enumerate(k) if e])
+            for k, c in p.terms.items()
+        ])
+    for x in points:
+        if any(p.nvars != len(x) for p in polys):
+            raise ValueError("polynomial arity does not match the point")
+        values = []
+        for terms in systems:
+            total = 0
+            for c, powers in terms:
+                for v, e in powers:
+                    c *= x[v] ** e
+                total += c
+            values.append(total)
+        yield values
 
 
 def uea_string(u: UEAElt, alg: "PBWAlgebra") -> str:

@@ -12,76 +12,22 @@ Ep[i,j] or Em[i,j] is (E[i,j] +- nu(E[i,j]))/2, and the basis holds it times
 d[i] as they are.  `G0BasisInfo.scales` records the factor of each even
 element, for the one printer that converts back.
 
-It also holds the studied level, the rank cap (`A2L2_MAX_L`) and the JSON
-encoding of exact rationals, which every command reads.
+It also holds the studied level, `level_for`, as the algebra half reads it.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .linalg import (
-    Coeff,
-    exact,
-    format_sum,
-    rank_of,
-    vec_add_into,
-    vec_add_term,
-    vec_scale,
-)
+from . import format_sum
+from .linalg import Coeff, exact, rank_of, vec_add_into, vec_add_term, vec_scale
 
 
 def level_for(l: int) -> Fraction:
     """The level -(2l+1)/2 at which the extra singular vector appears."""
     return Fraction(-(2 * l + 1), 2)
-
-
-DEFAULT_MAX_RANK = 4
-
-
-def max_rank() -> int:
-    """Largest admitted rank; the A2L2_MAX_L environment variable sets it.
-
-    Raises ValueError unless the variable is unset or an integer >= 1."""
-    raw = os.environ.get("A2L2_MAX_L")
-    if raw is None:
-        return DEFAULT_MAX_RANK
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"A2L2_MAX_L must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def validated_rank(l: int) -> int:
-    """Return l if it is an admitted rank; raise ValueError otherwise."""
-    cap = max_rank()
-    if isinstance(l, bool) or not isinstance(l, int) or not 1 <= l <= cap:
-        raise ValueError(
-            f"rank must be an integer in 1..{cap}, got {l!r}"
-            " (raise the cap with A2L2_MAX_L)"
-        )
-    return l
-
-
-def level_string(l: int) -> str:
-    k = level_for(l)
-    return f"{k.numerator}/{k.denominator}"
-
-
-def _exact(x) -> int | str:
-    """JSON encoding of an exact rational: int when integral, else "p/q"."""
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _exact_list(vals) -> list:
-    return [_exact(v) for v in vals]
 
 
 class LieElt:

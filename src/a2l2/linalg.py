@@ -8,8 +8,7 @@ int and the equal Fraction print, compare and hash alike.  Integral values
 thus stay on the fast int arithmetic, and every division is a Fraction.
 `vec_add_term`, `vec_add_into` and `vec_scale` are the one sparse kernel
 that every exact algebra in the package (matrices, vacuum states, envelope
-elements, polynomials) adds and scales through, and `format_sum` is the
-one printer of an exact signed sum.  `SpanSolver` keeps a fully reduced
+elements, polynomials) adds and scales through.  `SpanSolver` keeps a fully reduced
 (Gauss-Jordan) row basis in ints, so rank, membership, and coordinate
 queries are all single reduction passes with no floating point anywhere.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable
+from typing import Hashable
 
 Coeff = int | Fraction
 Vec = dict[Hashable, Coeff]
@@ -57,28 +56,6 @@ def vec_add_into(dst: Vec, src: Vec, c: Coeff = 1) -> None:
         vec_add_term(dst, k, c * x)
 
 
-def format_sum(terms: Iterable[tuple[Coeff, str]]) -> str:
-    """Print (coefficient, label) pairs, in the given order, as a signed sum.
-
-    A coefficient of +-1 is dropped before a label, an empty label is the
-    unit term (printed as its bare magnitude), and no terms print as "0".
-    """
-    pieces: list[str] = []
-    for c, label in terms:
-        mag = abs(c)
-        if not label:
-            body = str(mag)
-        elif mag == 1:
-            body = label
-        else:
-            body = f"{mag}*{label}"
-        if pieces:
-            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-        else:
-            pieces.append(f"-{body}" if c < 0 else body)
-    return " ".join(pieces) if pieces else "0"
-
-
 class SpanSolver:
     """Incremental span of sparse vectors over the rationals, solved in ints.
 
@@ -95,6 +72,7 @@ class SpanSolver:
         self._rows: list[Vec] = []
         self._combos: list[Vec] = []
         self._row_of: dict[Hashable, int] = {}  # pivot key -> row index
+        self._rows_with: dict[Hashable, set[int]] = {}  # key -> rows holding it
 
     @property
     def rank(self) -> int:
@@ -126,11 +104,20 @@ class SpanSolver:
         piv = min(r)
         combo[self.rank] = -s  # v is generator number `rank`
         r, combo = _primitive(r, combo, r[piv])
-        # keep older rows free of the new pivot (full Gauss-Jordan)
-        for i, row in enumerate(self._rows):
-            if piv in row:
-                _, row, row_combo = _eliminate(row, self._combos[i], r, combo, piv)
-                self._rows[i], self._combos[i] = _primitive(row, row_combo, 1)
+        # keep older rows free of the new pivot (full Gauss-Jordan), visiting
+        # only the rows that hold it
+        rows_with = self._rows_with
+        for i in sorted(rows_with.get(piv, ())):
+            old = set(self._rows[i])  # _eliminate may update the row in place
+            _, row, row_combo = _eliminate(self._rows[i], self._combos[i], r, combo, piv)
+            row, self._combos[i] = _primitive(row, row_combo, 1)
+            self._rows[i] = row
+            for k in old - row.keys():
+                rows_with[k].discard(i)
+            for k in row.keys() - old:
+                rows_with.setdefault(k, set()).add(i)
+        for k in r:
+            rows_with.setdefault(k, set()).add(len(self._rows))
         self._row_of[piv] = len(self._rows)
         self._rows.append(r)
         self._combos.append(combo)

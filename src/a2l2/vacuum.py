@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add
 
+from . import format_sum
 from .liealg import (
     E,
     H,
@@ -32,7 +33,6 @@ from .liealg import (
 from .linalg import (
     Coeff,
     SpanSolver,
-    format_sum,
     vec_add_into,
     vec_add_term,
     vec_integral,

@@ -1,11 +1,15 @@
 """Rational oracle for the admissibility decision.
 
 `a2l2.affroots.check_admissible` decides admissibility in closed form at
-the studied level.  This module keeps the general decision in `Fraction`
-arithmetic: the table of positive real root families, the pairing
-progression of each family read off the eps coordinates, the first
-integral parameter of a rational progression, and the coroot rank from the
-general `SpanSolver` rank (`linalg.rank_of`).
+the studied level, on integers over a common denominator.  This module
+keeps affine weights with `Fraction` coefficients and their arithmetic, the
+Weyl vector, coroot pairings, the affine lift of a classified weight and the
+general decision in `Fraction` arithmetic: the table of positive real root
+families, the pairing progression of each family read off the eps
+coordinates, the first integral parameter of a rational progression, and
+the coroot rank from the general `SpanSolver` rank (`linalg.rank_of`).
+`admissible_input` builds the integer input of `check_admissible` from a
+weight, independently of the integer weight table of `a2l2.classify`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,131 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
-from a2l2.affroots import AdmissibilityReport, AffineWeight, rho
+from a2l2 import affroots
+from a2l2.affroots import AdmissibilityReport, check_admissible, ip
+from a2l2.classify import all_highest_weights
 from a2l2.liealg import level_for
 from a2l2.linalg import rank_of
+
+
+class AffineWeight(affroots.AffineWeight):
+    """An affine weight with every coefficient a Fraction, with the vector
+    arithmetic the oracles use."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps, d_delta=0, k0=0) -> "AffineWeight":
+        eps = tuple(Fraction(v) for v in eps)
+        return super().__new__(cls, eps, Fraction(d_delta), Fraction(k0))
+
+    @property
+    def rank(self) -> int:
+        return len(self.eps)
+
+    @property
+    def level(self) -> Fraction:
+        """Value of the pairing with delta (the central charge direction)."""
+        return self.k0
+
+    def __add__(self, other: "AffineWeight") -> "AffineWeight":
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
+        return AffineWeight(
+            tuple(a + b for a, b in zip(self.eps, other.eps)),
+            self.d_delta + other.d_delta,
+            self.k0 + other.k0,
+        )
+
+    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "AffineWeight":
+        c = Fraction(c)
+        return AffineWeight(tuple(c * a for a in self.eps), c * self.d_delta, c * self.k0)
+
+
+def eps_unit(l: int, i: int) -> AffineWeight:
+    """eps_i as an AffineWeight, 1-based."""
+    if not 1 <= i <= l:
+        raise ValueError("index out of range")
+    return AffineWeight(tuple(int(j == i) for j in range(1, l + 1)))
+
+
+def delta(l: int) -> AffineWeight:
+    return AffineWeight((0,) * l, d_delta=1)
+
+
+def simple_roots(l: int) -> tuple[AffineWeight, ...]:
+    """`affroots.simple_roots`, with Fraction coefficients and arithmetic."""
+    return tuple(AffineWeight(*a) for a in affroots.simple_roots(l))
+
+
+def coroot_pairing(lam, root) -> Fraction:
+    """(lam, root^vee) = 2 (lam, root) / (root, root); real roots only."""
+    norm = ip(root, root)
+    if norm == 0:
+        raise ValueError("isotropic root has no coroot")
+    return Fraction(2 * ip(lam, root), norm)
+
+
+@lru_cache(maxsize=None)
+def rho(l: int) -> AffineWeight:
+    """The Weyl vector: (2l+1) Lambda0c + sum_i (l - i + 1/2) eps_i; pairs to
+    1 with every simple coroot."""
+    r = AffineWeight(
+        tuple(Fraction(2 * (l - i) + 1, 2) for i in range(1, l + 1)),
+        k0=2 * l + 1,
+    )
+    for a in simple_roots(l):
+        if coroot_pairing(r, a) != 1:
+            raise AssertionError("Weyl vector normalization failed")
+    return r
+
+
+def affinize(x, l: int) -> AffineWeight:
+    """The lift of the finite weight with doubled coroot coordinates x to the
+    studied level: eps coordinates m_l = c_l / 2, then m_j = c_j + m_{j+1}
+    walking down, with c = x/2; no delta component."""
+    if len(x) != l:
+        raise ValueError("rank mismatch")
+    eps = [Fraction(x[-1], 4)]
+    for c in reversed(x[:-1]):
+        eps.insert(0, Fraction(c, 2) + eps[0])
+    return AffineWeight(eps, k0=level_for(l))
+
+
+def admissible_input(lam: AffineWeight) -> tuple[list[int], int]:
+    """The input (y, d) of `check_admissible` for lam: y_i / d =
+    2(lam + rho, eps_i) with d the lcm of their denominators.  Refuses a
+    weight that is not at the studied level, the only level the closed form
+    decides."""
+    l = lam.rank
+    if lam.level != level_for(l):
+        raise ValueError("weight is not at the studied level")
+    doubled = [2 * c for c in (lam + rho(l)).eps]
+    d = lcm(*(c.denominator for c in doubled))
+    return [c.numerator * (d // c.denominator) for c in doubled], d
+
+
+def decide(lam: AffineWeight) -> AdmissibilityReport:
+    """`check_admissible` on the integer input built from lam."""
+    return check_admissible(*admissible_input(lam))
+
+
+def coroot_perturbations(l: int) -> list[tuple[int, ...]]:
+    """The weights one step of +-1/2 or +-1 away from a classified weight in
+    one coroot coordinate, as doubled coordinates X, less the classified
+    weights themselves; sorted."""
+    classified = set(all_highest_weights(l))
+    out = set()
+    for x in classified:
+        for i in range(l):
+            for step in (-2, -1, 1, 2):
+                out.add(x[:i] + (x[i] + step,) + x[i + 1:])
+    return sorted(out - classified)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Tests for the affine root-system layer: bilinear form, Cartan data,
-real-root families, Weyl vector, and the admissibility decision procedure."""
+real-root families, Weyl vector, and the admissibility decision procedure.
+
+`check_admissible` reads integers over a common denominator; its input is
+built here by `helpers_roots.admissible_input` from a weight with Fraction
+coefficients, and its verdicts are compared with the rational oracles."""
 
 from __future__ import annotations
 
@@ -11,27 +15,29 @@ import pytest
 
 from a2l2.affroots import (
     AdmissibilityReport,
-    AffineWeight,
     algebra_data,
     cartan_matrix_from_form,
-    check_admissible,
-    coroot_pairing,
-    delta,
-    eps_unit,
     ip,
     kw_positivity,
-    rho,
-    simple_roots,
 )
-from a2l2.classify import affinize, all_highest_weights
+from a2l2.classify import admissibility, all_highest_weights
 from a2l2.liealg import E, b_type_generators, bracket, eigen_ratio, level_for
 from a2l2.linalg import SpanSolver
 from helpers_roots import (
+    AffineWeight,
     RealRootFamily,
+    affinize,
+    coroot_pairing,
+    coroot_perturbations,
+    decide,
+    delta,
+    eps_unit,
     first_integral_parameter,
     fraction_admissible,
     pairing_progression,
     positive_real_families,
+    rho,
+    simple_roots,
 )
 
 
@@ -271,10 +277,16 @@ def test_family_roots_are_positive_and_have_stated_norms():
 
 
 def test_rho_and_families_computed_once_per_rank():
+    # the rational oracle and the integer input read one cached Weyl vector
+    # and family table per rank
     rho.cache_clear()
+    positive_real_families.cache_clear()
     for mu in all_highest_weights(3):
-        check_admissible(affinize(mu, 3))
+        lam = affinize(mu, 3)
+        decide(lam)
+        fraction_admissible(lam)
     assert rho.cache_info().misses == 1
+    assert positive_real_families.cache_info().misses == 1
 
 
 def reflection_orbit(l: int, max_delta: int) -> set[AffineWeight]:
@@ -370,7 +382,7 @@ def test_reflection_orbit_matches_family_table(l):
         assert firsts == oracle_condition1_values(lam)
         values = [v for v in firsts.values() if v is not None]
         zero_first_values += 0 in values
-        assert check_admissible(lam).cond1_pass == all(v > 0 for v in values)
+        assert decide(lam).cond1_pass == all(v > 0 for v in values)
     # a first value of 0 tells condition 1's > from >=
     assert zero_first_values > 0
 
@@ -443,7 +455,7 @@ def _families_of_kind(l, kind):
 
 def test_rank1_admissibility_reports():
     for lam in _weights_rank1():
-        report = check_admissible(lam)
+        report = decide(lam)
         assert report.passed and report.cond1_pass and report.cond2_pass
         assert report.cond2_rank == 2
         # long families never meet an integer: the shifted pairing is
@@ -530,14 +542,34 @@ def test_admissible_matches_oracle_on_classified_weights():
     for l in (1, 2, 3, 4):
         for mu in all_highest_weights(l):
             lam = affinize(mu, l)
-            assert check_admissible(lam) == admissible_oracle(lam)
+            assert decide(lam) == admissible_oracle(lam)
 
 
 def test_admissible_matches_fraction_oracle_to_rank_8():
+    # both integer inputs: the lcm-denominator one built from the rational
+    # lift, and the table's 4(lam + rho) over 2 from the doubled coordinates
     for l in range(1, 9):
         for mu in all_highest_weights(l):
             lam = affinize(mu, l)
-            assert check_admissible(lam) == fraction_admissible(lam)
+            expected = fraction_admissible(lam)
+            assert decide(lam) == expected
+            assert admissibility(mu) == expected
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_admissible_matches_oracles_on_coroot_perturbations(l):
+    # one step of +-1/2 or +-1 in one coroot coordinate of a classified
+    # weight: inputs near the accepted ones that the decision must reject
+    # or accept exactly as the oracles do
+    verdicts = set()
+    for x in coroot_perturbations(l):
+        lam = affinize(x, l)
+        expected = fraction_admissible(lam)
+        assert expected == admissible_oracle(lam)
+        assert decide(lam) == expected
+        assert admissibility(x) == expected
+        verdicts.add(expected.passed)
+    assert verdicts == {False, True}
 
 
 def random_weight(rng: random.Random, l: int, max_den: int) -> AffineWeight:
@@ -554,7 +586,7 @@ def test_admissible_matches_oracle_on_random_weights():
     for l, count in RANDOM_WEIGHTS.items():
         for _ in range(count):
             lam = random_weight(rng, l, 6)
-            report = check_admissible(lam)
+            report = decide(lam)
             assert report == admissible_oracle(lam)
             assert report == fraction_admissible(lam)
             seen.add((report.cond1_pass, report.cond2_pass))
@@ -586,7 +618,7 @@ def test_admissible_matches_oracle_on_wide_denominators():
     for weights in (narrow, wide):
         seen = set()
         for lam in weights:
-            report = check_admissible(lam)
+            report = decide(lam)
             assert report == admissible_oracle(lam)
             assert report == fraction_admissible(lam)
             seen.add((report.cond1_pass, report.cond2_pass))
@@ -597,34 +629,37 @@ def test_admissible_matches_oracle_on_wide_denominators():
 
 
 def test_check_admissible_rejects_wrong_level():
+    # the closed form decides only the studied level, so every place that
+    # turns a weight into its input refuses another level
+    off_level = AffineWeight((Fraction(0),), k0=Fraction(0))
     with pytest.raises(ValueError):
-        check_admissible(AffineWeight((Fraction(0),), k0=Fraction(0)))
+        decide(off_level)
+    with pytest.raises(ValueError):
+        fraction_admissible(off_level)
 
 
 def test_admissibility_failure_case_detected():
     # at the studied level, a generic irrational-looking rational finite part
     # breaks condition 2 (only the long families stay integral)
     lam = AffineWeight((Fraction(1, 7), Fraction(0)), k0=Fraction(-5, 2))
-    report = check_admissible(lam)
+    report = decide(lam)
     assert not report.cond2_pass
     assert not report.passed
     # -eps_1/2 at rank 1 breaks condition 1 alone: its shifted pairing is
     # 0 on the short family +eps_1 at m = 0
     lam = AffineWeight((Fraction(-1, 2),), k0=Fraction(-3, 2))
-    report = check_admissible(lam)
+    report = decide(lam)
     assert not report.cond1_pass
     assert report.cond2_pass and report.cond2_rank == 2
     assert not report.passed
 
 
 def test_kw_positivity():
-    for l in (1, 2, 3):
-        studied = AffineWeight(
-            (Fraction(0),) * l, k0=Fraction(-(2 * l + 1), 2)
-        )
-        assert kw_positivity(studied)
-        too_low = AffineWeight((Fraction(0),) * l, k0=Fraction(-(2 * l + 2)))
-        assert not kw_positivity(too_low)
+    # every lift has the level of its rank, so l alone decides positivity;
+    # the rational level plus the dual Coxeter number agrees
+    for l in (1, 2, 3, 8, 14):
+        assert kw_positivity(l)
+        assert level_for(l) + algebra_data(l).h_dual == Fraction(2 * l + 1, 2) > 0
 
 
 def test_finite_weight_helper_and_arithmetic():

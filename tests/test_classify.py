@@ -1,24 +1,29 @@
-"""Tests for the highest-weight enumeration, the zero-set oracle, the
-dominant-integral filter, and the affine lift, plus the end-to-end
+"""Tests for the integer weight table (the weight formulas in doubled
+coroot coordinates, eps coordinates, rendering), the zero-set walk and the
+integer residuals of the polynomial system, the dominant-integral
+predicate, and the affine lift, plus the end-to-end
 classification-to-admissibility pipeline."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from helpers_polys import eval_polys
+from helpers_roots import affinize, decide, delta, rho
 
-from a2l2.affroots import check_admissible, ip, delta, kw_positivity
+from a2l2.affroots import ip, kw_positivity
 from a2l2.classify import (
-    FiniteWeight,
-    affinize,
+    admissibility_table,
     all_highest_weights,
-    dominant_integral_filter,
-    eval_polys,
+    dominant_integral,
+    eps4,
     mu_weight,
-    zero_set_oracle,
+    omega_string,
+    weight_strings,
 )
-from a2l2.envelope import CartanPoly
+from a2l2.envelope import CartanPoly, doubled_residuals, zero_set
 from a2l2.twzhu import (
     lowered_polynomials,
     projection_context,
@@ -29,29 +34,37 @@ from a2l2.twzhu import (
 F = Fraction
 
 
-def from_eps(coords) -> FiniteWeight:
-    """Build a finite weight from eps-coefficients."""
+def halves(x) -> tuple[Fraction, ...]:
+    """The coroot coordinates c = X/2 of doubled coordinates X."""
+    return tuple(F(v, 2) for v in x)
+
+
+def doubled_from_eps(coords) -> tuple[int, ...]:
+    """Doubled coroot coordinates of the weight with these eps coefficients:
+    c_j = m_j - m_{j+1}, c_l = 2 m_l."""
     coords = tuple(F(v) for v in coords)
     l = len(coords)
-    vals = [coords[j] - coords[j + 1] for j in range(l - 1)]
-    vals.append(2 * coords[l - 1])
-    return FiniteWeight(tuple(vals))
+    vals = [coords[j] - coords[j + 1] for j in range(l - 1)] + [2 * coords[l - 1]]
+    assert all((2 * c).denominator == 1 for c in vals)
+    return tuple(int(2 * c) for c in vals)
 
 
 # ---------------------------------------------------------- weight formulas
 
 def test_mu_weight_pinned_values():
+    # doubled coroot coordinates X = 2c
     for l in (1, 2, 3):
-        assert mu_weight(l, (), False).coroot_vals == (F(0),) * l
-        omega_l = tuple(F(0) if i < l - 1 else F(1) for i in range(l))
-        assert mu_weight(l, (), True).coroot_vals == omega_l
-    assert mu_weight(2, (1,), False).coroot_vals == (F(-1, 2), F(0))
-    assert mu_weight(2, (1,), True).coroot_vals == (F(-3, 2), F(1))
+        assert mu_weight(l, (), False) == (0,) * l
+        omega_l = tuple(0 if i < l - 1 else 2 for i in range(l))
+        assert mu_weight(l, (), True) == omega_l
+    assert halves(mu_weight(2, (1,), False)) == (F(-1, 2), F(0))
+    assert halves(mu_weight(2, (1,), True)) == (F(-3, 2), F(1))
     # rank 3, both indices chosen: hand-evaluated coefficient streams
-    assert mu_weight(3, (1, 2), False).coroot_vals == (F(-1, 2), F(-1, 2), F(0))
-    assert mu_weight(3, (1, 2), True).coroot_vals == (F(1, 2), F(-3, 2), F(1))
-    assert mu_weight(3, (1,), False).coroot_vals == (F(-3, 2), F(0), F(0))
-    assert mu_weight(3, (2,), True).coroot_vals == (F(0), F(-3, 2), F(1))
+    assert halves(mu_weight(3, (1, 2), False)) == (F(-1, 2), F(-1, 2), F(0))
+    assert halves(mu_weight(3, (1, 2), True)) == (F(1, 2), F(-3, 2), F(1))
+    assert halves(mu_weight(3, (1,), False)) == (F(-3, 2), F(0), F(0))
+    assert halves(mu_weight(3, (2,), True)) == (F(0), F(-3, 2), F(1))
+    assert all(type(c) is int for l in (1, 2, 3, 4) for x in all_highest_weights(l) for c in x)
 
 
 def test_mu_weight_validation():
@@ -77,59 +90,79 @@ def test_all_highest_weights_enumeration():
 
 
 def test_coroot_eps_coordinate_conversion():
-    # top fundamental weight is half the sum of the eps basis
+    # eps4 is 4 times the eps coordinates; the top fundamental weight is
+    # half the sum of the eps basis
     for l in (1, 2, 3):
-        top = mu_weight(l, (), True)
-        assert top.eps_coords == (F(1, 2),) * l
-        for w in all_highest_weights(l):
-            assert from_eps(w.eps_coords) == w
-    assert FiniteWeight((F(1), F(0))).eps_coords == (F(1), F(0))
-    assert FiniteWeight((F(0), F(1))).eps_coords == (F(1, 2), F(1, 2))
+        assert eps4(mu_weight(l, (), True)) == (2,) * l
+        for x in all_highest_weights(l):
+            eps = tuple(F(v, 4) for v in eps4(x))
+            assert doubled_from_eps(eps) == x
+            assert eps == affinize(x, l).eps
+    assert eps4((2, 0)) == (4, 0)
+    assert eps4((0, 2)) == (2, 2)
 
 
 def test_omega_string_rendering():
-    assert mu_weight(1, (), False).omega_string() == "0"
-    assert mu_weight(1, (), True).omega_string() == "w1"
-    assert mu_weight(2, (1,), False).omega_string() == "-1/2*w1"
-    assert mu_weight(2, (1,), True).omega_string() == "-3/2*w1 + w2"
+    assert omega_string(mu_weight(1, (), False)) == "0"
+    assert omega_string(mu_weight(1, (), True)) == "w1"
+    assert omega_string(mu_weight(2, (1,), False)) == "-1/2*w1"
+    assert omega_string(mu_weight(2, (1,), True)) == "-3/2*w1 + w2"
+    assert omega_string((4, -2, 1)) == "2*w1 - w2 + 1/2*w3"
+    for l in (1, 2, 3):
+        assert weight_strings(l) == tuple(map(omega_string, all_highest_weights(l)))
 
 
 # ------------------------------------------------------------- evaluations
 
 def test_eval_polys_all_zero_on_classified_weights():
+    # the integer residuals of the expanded polynomials and their rational
+    # values both vanish on every weight of the table
     for l in (1, 2, 3):
         ctx = projection_context(l)
         polys = lowered_polynomials(ctx)
-        for w in all_highest_weights(l):
-            assert eval_polys(polys, w) == [F(0)] * l
+        weights = all_highest_weights(l)
+        assert list(doubled_residuals(polys, weights)) == [[0] * l] * 2**l
+        for x in weights:
+            assert eval_polys(polys, halves(x)) == [F(0)] * l
 
 
 def test_eval_polys_nonzero_elsewhere():
-    polys = reference_polynomials(2)
-    probe = FiniteWeight((F(1), F(1)))
-    values = eval_polys(polys, probe)
-    assert any(values)
+    # each integer residual is the rational value times 2^deg and the lcm
+    # of the polynomial's denominators
+    for l in (2, 3):
+        polys = reference_polynomials(l)
+        probes = [(2,) * l, (1, -3) + (5,) * (l - 2), (-1,) * l]
+        for x, got in zip(probes, doubled_residuals(polys, probes)):
+            values = eval_polys(polys, halves(x))
+            assert any(values)
+            for p, value, residual in zip(polys, values, got):
+                deg = max(sum(k) for k in p.terms)
+                den = lcm(*(F(c).denominator for c in p.terms.values()))
+                assert type(residual) is int
+                assert residual == value * den * 2**deg
 
 
 def test_eval_polys_arity_mismatch():
     with pytest.raises(ValueError):
-        eval_polys(reference_polynomials(2), FiniteWeight((F(0),)))
+        eval_polys(reference_polynomials(2), (F(0),))
+    with pytest.raises(ValueError):
+        list(doubled_residuals(reference_polynomials(2), [(0,)]))
 
 
-# ---------------------------------------------------------- zero-set oracle
+# ---------------------------------------------------------- zero-set walk
 
 def test_zero_set_oracle_matches_weight_formulas():
     for l in (1, 2, 3):
         expected = frozenset(all_highest_weights(l))
         assert len(expected) == 2**l
-        assert zero_set_oracle(reference_polynomials(l)) == expected
+        assert zero_set(reference_polynomials(l)) == expected
         ctx = projection_context(l)
-        assert zero_set_oracle(lowered_polynomials(ctx)) == expected
+        assert zero_set(lowered_polynomials(ctx)) == expected
 
 
 def test_zero_set_agrees_with_sympy_solver():
-    # an oracle sharing no assumption with zero_set_oracle: sympy solves the
-    # polynomial system directly, without the triangular factored form
+    # an oracle sharing no assumption with the zero-set walk: sympy solves
+    # the polynomial system directly, without the triangular factored form
     sympy = pytest.importorskip("sympy")
     for l in (1, 2, 3, 4):
         polys = lowered_polynomials(projection_context(l))
@@ -143,75 +176,74 @@ def test_zero_set_agrees_with_sympy_solver():
             for p in polys
         ]
         solutions = sympy.solve_poly_system(system, *xs)
-        found = {
-            FiniteWeight(tuple(F(int(v.p), int(v.q)) for v in sol))
-            for sol in solutions
-        }
+        found = {tuple(F(int(v.p), int(v.q)) for v in sol) for sol in solutions}
         assert len(solutions) == 2**l
-        assert found == zero_set_oracle(polys)
-        assert found == set(all_highest_weights(l))
+        assert found == {halves(x) for x in zero_set(polys)}
+        assert found == {halves(x) for x in all_highest_weights(l)}
 
 
 def test_zero_set_oracle_rank1_literal():
-    got = zero_set_oracle(reference_polynomials(1))
-    assert got == frozenset({FiniteWeight((F(0),)), FiniteWeight((F(1),))})
+    got = zero_set(reference_polynomials(1))
+    assert got == frozenset({(0,), (2,)})
 
 
 def test_plus_half_variant_classifies_differently():
     # the alternative constant would produce a different zero set entirely
     for l in (1, 2, 3):
-        variant = zero_set_oracle(reference_polynomials(l, plus_half=True))
+        variant = zero_set(reference_polynomials(l, plus_half=True))
         assert variant != frozenset(all_highest_weights(l))
 
 
 def test_zero_set_oracle_divides_exactly():
-    # x1 (3 x1 + x2 + 1) and x2 (3 x2 - 2): every constant and coefficient is
-    # an int, and the roots are thirds and ninths, which no float holds
+    # x1 (3 x1 + x2 + 3/2) and x2 (2 x2 - 3): the forms scale to ints in
+    # the doubled coordinates, and the walk divides by 3 exactly
     x1, x2 = CartanPoly.variable(2, 1), CartanPoly.variable(2, 2)
+    p1 = x1.mul(x1.scale(3).add(x2).add(CartanPoly.const(2, F(3, 2))))
+    p2 = x2.mul(x2.scale(2).add(CartanPoly.const(2, -3)))
+    assert zero_set([p1, p2]) == frozenset({(0, 0), (-1, 0), (0, 3), (-2, 3)})
+    # x1 (3 x1 + x2 + 1) and x2 (3 x2 - 2): the roots are thirds and ninths,
+    # outside (1/2)Z, and the walk raises rather than rounds
     p1 = x1.mul(x1.scale(3).add(x2).add(CartanPoly.const(2, 1)))
     p2 = x2.mul(x2.scale(3).add(CartanPoly.const(2, -2)))
     assert all(type(c) is int for p in (p1, p2) for c in p.terms.values())
-    assert zero_set_oracle([p1, p2]) == frozenset(
-        FiniteWeight(v)
-        for v in ((0, 0), (F(-1, 3), 0), (0, F(2, 3)), (F(-5, 9), F(2, 3)))
-    )
+    with pytest.raises(ValueError, match="outside"):
+        zero_set([p1, p2])
 
 
 def test_zero_set_oracle_structural_errors():
     x1 = CartanPoly.variable(1, 1)
     not_divisible = x1.add(CartanPoly.const(1, 1))
     with pytest.raises(ValueError):
-        zero_set_oracle([not_divisible])
+        zero_set([not_divisible])
     quadratic_cofactor = x1.mul(x1).mul(x1)
     with pytest.raises(ValueError):
-        zero_set_oracle([quadratic_cofactor])
+        zero_set([quadratic_cofactor])
     # cofactor depending on an earlier variable breaks triangularity
     x1_2, x2_2 = CartanPoly.variable(2, 1), CartanPoly.variable(2, 2)
     bad = [x1_2.mul(x1_2), x2_2.mul(x1_2)]
     with pytest.raises(ValueError):
-        zero_set_oracle(bad)
+        zero_set(bad)
     # degenerate: cofactor of x_1 missing x_1 entirely
     degen = [x1_2.mul(x2_2), x2_2.mul(x2_2)]
     with pytest.raises(ValueError):
-        zero_set_oracle(degen)
+        zero_set(degen)
     with pytest.raises(ValueError):
-        zero_set_oracle([CartanPoly.variable(2, 1)])
+        zero_set([CartanPoly.variable(2, 1)])
 
 
 # ------------------------------------------------------------ dominant set
 
 def test_dominant_integral_filter():
     for l in (1, 2, 3):
-        ws = all_highest_weights(l)
-        kept = dominant_integral_filter(ws)
+        kept = frozenset(x for x in all_highest_weights(l) if dominant_integral(x))
         assert kept == frozenset({mu_weight(l, (), False), mu_weight(l, (), True)})
         assert len(kept) == 2
 
 
 def test_dominant_integral_predicate():
-    assert FiniteWeight((F(0), F(3))).is_dominant_integral()
-    assert not FiniteWeight((F(-1), F(0))).is_dominant_integral()
-    assert not FiniteWeight((F(1, 2),)).is_dominant_integral()
+    assert dominant_integral((0, 6))
+    assert not dominant_integral((-2, 0))
+    assert not dominant_integral((1,))
 
 
 # ------------------------------------------------------------- affine lift
@@ -224,10 +256,14 @@ def test_affinize_pinned_rank1():
 
 
 def test_affinize_level_read_back():
+    # the lift is at the studied level, and the table's shifted coordinates
+    # 4(lam + rho) are those of the lift
     for l in (1, 2, 3):
-        for w in all_highest_weights(l):
-            lam = affinize(w, l)
+        for x in all_highest_weights(l):
+            lam = affinize(x, l)
             assert ip(lam, delta(l)) == F(-(2 * l + 1), 2)
+            shifted = eps4([c + 2 for c in x])
+            assert shifted == tuple(4 * c for c in (lam + rho(l)).eps)
     with pytest.raises(ValueError):
         affinize(mu_weight(2, (), False), 3)
 
@@ -236,9 +272,8 @@ def test_affinize_level_read_back():
 
 def test_all_classified_weights_admissible_and_positive():
     for l in (1, 2, 3):
-        for w in all_highest_weights(l):
-            lam = affinize(w, l)
-            report = check_admissible(lam)
-            assert report.passed, (l, w.coroot_vals)
+        assert kw_positivity(l)
+        for x, report in admissibility_table(l):
+            assert report.passed, (l, x)
             assert report.cond2_rank == l + 1
-            assert kw_positivity(lam)
+            assert report == decide(affinize(x, l))

@@ -421,10 +421,10 @@ def _golden_hashes(name: str) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
-@pytest.mark.parametrize("l", (7, 8, 9, 10, 11, 12))
+@pytest.mark.parametrize("l", (7, 8, 9, 10, 11, 12, 13, 14))
 def test_cli_classify_matches_golden_above_default_cap(monkeypatch, l, fmt):
-    # l = 7, 8 are stored whole; l = 9..12 by the sha256 of the output
-    monkeypatch.setenv("A2L2_MAX_L", "12")
+    # l = 7, 8 are stored whole; l = 9..14 by the sha256 of the output
+    monkeypatch.setenv("A2L2_MAX_L", "14")
     code, out, _ = run_cli(["classify", "--l", str(l), "--format", fmt])
     assert code == 0
     stored = GOLDEN / f"classify-l{l}-{fmt}.out"
@@ -444,9 +444,11 @@ def test_cli_dump_matches_golden(monkeypatch, l, which):
     assert out == (GOLDEN / f"dump-{which}-l{l}.out").read_bytes()
 
 
-@pytest.mark.parametrize("l", (6, 7, 8, 9, 10))
+# the hash of verify at l = 14 is stored too, but that run takes about 5 s
+# and stays out of the suite
+@pytest.mark.parametrize("l", (6, 7, 8, 9, 10, 11, 12, 13))
 def test_cli_verify_json_matches_golden_hash(monkeypatch, l):
-    monkeypatch.setenv("A2L2_MAX_L", "10")
+    monkeypatch.setenv("A2L2_MAX_L", "13")
     code, out, _ = run_cli(["verify", "--l", str(l), "--format", "json"])
     assert code == 0
     got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", out)
@@ -554,6 +556,8 @@ def test_cold_start_loads_no_algebra_half(args):
     assert "a2l2.cli" in loaded
     unused = {
         "click", "a2l2.checks", "a2l2.twzhu", "a2l2.vacuum", "a2l2.envelope", "dataclasses",
+        # the integer weight table needs neither the exact kernel nor Fractions
+        "a2l2.liealg", "a2l2.linalg", "fractions", "decimal",
     }
     assert not loaded & unused
     if args:

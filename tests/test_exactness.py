@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.classify import zero_set_oracle
+from a2l2.envelope import zero_set
 from a2l2.liealg import nu
 from a2l2.linalg import SpanSolver
 from a2l2.twzhu import (
@@ -52,11 +52,10 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
         assert_exact(p.terms.values(), "lowered polynomial")
     for u in r0_basis(ctx):
         assert_exact(u.values(), "r0 basis")
-    # FiniteWeight stores Fractions, and a float passed through Fraction()
-    # would keep a large binary denominator: the classified weights are
-    # half-integral
-    for w in zero_set_oracle(polys):
-        assert all(type(c) is Fraction and c.denominator <= 2 for c in w.coroot_vals), w
+    # the classified weights are half-integral: the zero-set walk returns
+    # their doubled coordinates as ints, and raises on any other zero
+    for x in zero_set(polys):
+        assert all(type(c) is int for c in x), x
 
 
 @pytest.mark.parametrize("l", (5, 6, 7, 8))

@@ -9,11 +9,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from a2l2 import format_sum
 from a2l2.envelope import CartanPoly
 from a2l2.liealg import E, H
 from a2l2.linalg import (
     SpanSolver,
-    format_sum,
     rank_of,
     vec_add_into,
     vec_add_term,
@@ -263,3 +263,50 @@ def test_format_sum_rule():
     )
     assert format_sum([(F(3, 2), "x")]) == "3/2*x"
     assert format_sum(iter([(F(1), "a*b"), (F(-3, 2), "c")])) == "a*b - 3/2*c"
+    # int coefficients over a common denominator print in lowest terms
+    assert format_sum([(3, "x"), (-2, "y"), (-4, "z"), (1, "")], 2) == (
+        "3/2*x - y - 2*z + 1/2"
+    )
+    assert format_sum([(-6, "x"), (2, "")], 4) == "-3/2*x + 1/2"
+
+
+class CountedKey(int):
+    """An int key whose hashes are counted: every dict or set lookup of it
+    hashes it once."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        CountedKey.hashes += 1
+        return int.__hash__(self)
+
+
+def _key_hashes_of_a_basis(n: int) -> int:
+    """Key hashes made while adding n independent vectors, each with a new
+    pivot below every older one and one key that the first row holds."""
+    keys = [CountedKey(k) for k in range(n)]
+    s = SpanSolver()
+    CountedKey.hashes = 0
+    assert s.add({keys[-1]: 1})
+    for k in reversed(keys[:-1]):
+        assert s.add({k: 1, keys[-1]: 1})
+    assert s.rank == n
+    return CountedKey.hashes
+
+
+def test_span_add_visits_only_the_rows_holding_the_new_pivot():
+    # Back-substitution clears the new pivot from the older rows.  Scanning
+    # every row for it hashes the pivot once per row, quadratic in the
+    # size of the basis; the key-to-rows index looks it up a bounded number
+    # of times per add.
+    small, large = _key_hashes_of_a_basis(200), _key_hashes_of_a_basis(400)
+    assert large < 2.5 * small
+    assert large < 20 * 400
+    # a pivot that older rows do hold is cleared from each of them
+    s = SpanSolver()
+    for k in range(49):
+        assert s.add({k: 2, 99: 1})
+    assert s.add({99: 1})
+    assert all(99 not in row for row in s._rows[:-1])
+    assert s.coords({5: 2, 99: 1}) == {5: 1}
+    assert s.coords({5: 2}) == {5: 1, 49: -1}

@@ -16,7 +16,8 @@ tests kill them:
 - in the closed form of `check_admissible`: `>=` for `>` on the first
   intermediate value, m >= 0 for a negative first coordinate, half-integer
   classes counted as balanced and `<=` for `<` in 0 < y_i < h: the
-  rational admissibility oracle on seeded random weights, below;
+  rational admissibility oracle on seeded random weights and on the +-1/2
+  and +-1 coroot perturbations of the classified weights, below;
 - only the weight 0 in degree 1 of the raising sweep's grading, which the
   singular vector passes anyway: the full sweep of `helpers_sweep.py` on
   perturbed singular vectors, below.
@@ -29,7 +30,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers_roots import fraction_admissible
+from helpers_roots import (
+    admissible_input,
+    affinize,
+    coroot_perturbations,
+    fraction_admissible,
+)
 from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors
 from test_affroots import random_weight
 
@@ -41,7 +47,7 @@ PER_RANK_CACHES = (
     twzhu.projection_context,
     vacuum.standard_mode_basis,
     vacuum.split_mode_basis,
-    affroots.rho,
+    classify.all_highest_weights,
 )
 
 
@@ -50,7 +56,7 @@ def wrong_level(monkeypatch):
     def level(l):
         return Fraction(-(2 * l - 1), 2)
 
-    for module in (liealg, vacuum, twzhu, checks, classify, affroots):
+    for module in (liealg, vacuum, twzhu, checks):
         monkeypatch.setattr(module, "level_for", level)
 
 
@@ -144,7 +150,8 @@ def source_mutant(name: str, old: str, new: str, module=affroots):
 def random_weights_with_oracle():
     rng = random.Random(300)
     weights = [random_weight(rng, 1 + n % 6, 6) for n in range(300)]
-    return [(lam, fraction_admissible(lam)) for lam in weights]
+    weights += [affinize(x, l) for l in (1, 2, 3) for x in coroot_perturbations(l)]
+    return [(admissible_input(lam), fraction_admissible(lam)) for lam in weights]
 
 
 @pytest.mark.parametrize("defect", sorted(INTEGER_PATH_DEFECTS))
@@ -154,9 +161,24 @@ def test_integer_path_defect_disagrees_with_fraction_oracle(
     name, old, new = INTEGER_PATH_DEFECTS[defect]
     monkeypatch.setattr(affroots, name, source_mutant(name, old, new))
     wrong = [
-        lam
-        for lam, expected in random_weights_with_oracle
-        if affroots.check_admissible(lam) != expected
+        y_d
+        for y_d, expected in random_weights_with_oracle
+        if affroots.check_admissible(*y_d) != expected
+    ]
+    assert wrong
+
+
+@pytest.mark.parametrize("l", (2, 3))
+@pytest.mark.parametrize("defect", sorted(INTEGER_PATH_DEFECTS))
+def test_integer_path_defect_misjudges_a_coroot_perturbation(monkeypatch, defect, l):
+    """Through the table's input, 4(lam + rho) over 2, the perturbations of
+    the classified weights alone catch each lenient closed form."""
+    name, old, new = INTEGER_PATH_DEFECTS[defect]
+    monkeypatch.setattr(classify, name, source_mutant(name, old, new))
+    wrong = [
+        x
+        for x in coroot_perturbations(l)
+        if classify.admissibility(x) != fraction_admissible(affinize(x, l))
     ]
     assert wrong
 

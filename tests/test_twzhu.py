@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers_polys import poly_eval
 
 from a2l2 import twzhu
 from a2l2.checks import run_checks
@@ -254,10 +255,10 @@ def test_lowered_elements_vanish_at_both_dominant_integral_weights():
 def test_reference_polynomial_eval_spot_checks():
     # rank 2: p_1 = x1(x1 + x2 + 1/2), p_2 = x2(x2 - 1)/4
     p1, p2 = reference_polynomials(2)
-    assert p1.eval((Fraction(-1, 2), Fraction(0))) == 0
-    assert p1.eval((Fraction(1), Fraction(1))) == Fraction(5, 2)
-    assert p2.eval((Fraction(0), Fraction(1))) == 0
-    assert p2.eval((Fraction(0), Fraction(3))) == Fraction(3, 2)
+    assert poly_eval(p1, (Fraction(-1, 2), Fraction(0))) == 0
+    assert poly_eval(p1, (Fraction(1), Fraction(1))) == Fraction(5, 2)
+    assert poly_eval(p2, (Fraction(0), Fraction(1))) == 0
+    assert poly_eval(p2, (Fraction(0), Fraction(3))) == Fraction(3, 2)
 
 
 # ------------------------------------------------------------ the closure
