@@ -11,21 +11,25 @@ The Cartan-polynomial map sends a weight-zero element u to the polynomial
 p_u with u . v = p_u(lambda) v on any highest-weight vector v of weight
 lambda; it drops every ordered monomial containing a raising factor and reads
 the remaining pure-Cartan monomials as monomials in the Cartan coordinates.
+A polynomial is a plain sparse dict too, from exponent tuples to exact
+coefficients (`Poly`); `linear_cofactor` is the one place that splits it as
+x_j times an affine-linear form, for its display and for the zero set.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import format_sum
 from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
-from .linalg import Coeff, exact, vec_add_into, vec_add_term, vec_scale
+from .linalg import Coeff, exact, vec_add_into, vec_add_term
 
 # monomial = tuple of basis indices in non-decreasing order
 UEAElt = dict[tuple[int, ...], Coeff]
+# monomial = tuple of exponents of the Cartan coordinates x_1..x_l
+Poly = dict[tuple[int, ...], Coeff]
 
 
 def uea_unit() -> UEAElt:
@@ -154,7 +158,7 @@ class PBWAlgebra:
 
     # ------------------------------------------------- Cartan polynomial
 
-    def cartan_polynomial(self, u: UEAElt) -> "CartanPoly":
+    def cartan_polynomial(self, u: UEAElt) -> Poly:
         """Eigenvalue polynomial of a weight-zero element on highest-weight
         vectors, in the Cartan coordinates (h_1..h_{l-1}, hbar_l)."""
         zero_wt = (0,) * len(self.cartan_indices)
@@ -163,7 +167,7 @@ class PBWAlgebra:
         lo = self.info.cartan_start
         hi = self.info.pos_start
         nvars = self.info.cartan_count
-        poly = CartanPoly(nvars, {})
+        poly: Poly = {}
         for word, c in u.items():
             if any(s >= hi for s in word):
                 continue  # ends in a raising factor: kills highest-weight vectors
@@ -172,130 +176,51 @@ class PBWAlgebra:
             expo = [0] * nvars
             for s in word:
                 expo[s - lo] += 1
-            vec_add_term(poly.terms, tuple(expo), c)
+            vec_add_term(poly, tuple(expo), c)
         return poly
 
 
 # ------------------------------------------------------------ polynomials
+#
+# A polynomial in the Cartan coordinates x_1..x_l is a `Poly`: x_i is the
+# value on h_i for i < l and on hbar_l for i = l, and each key is an
+# exponent tuple of length l.
 
 
-class CartanPoly:
-    """Polynomial in the Cartan coordinates x_1..x_nvars.
-
-    x_i is the value on h_i for i < nvars and on hbar_l for i = nvars;
-    keys are exponent tuples of length nvars.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Coeff]) -> None:
-        self.nvars = nvars
-        self.terms = terms
-
-    @staticmethod
-    def variable(nvars: int, j: int) -> "CartanPoly":
-        """The coordinate x_j, 1-based."""
-        e = [0] * nvars
-        e[j - 1] = 1
-        return CartanPoly(nvars, {tuple(e): 1})
-
-    @staticmethod
-    def const(nvars: int, c) -> "CartanPoly":
-        c = exact(Fraction(c))
-        return CartanPoly(nvars, {(0,) * nvars: c} if c else {})
-
-    def add(self, other: "CartanPoly") -> "CartanPoly":
-        out = dict(self.terms)
-        vec_add_into(out, other.terms)
-        return CartanPoly(self.nvars, out)
-
-    def scale(self, c) -> "CartanPoly":
-        return CartanPoly(self.nvars, vec_scale(self.terms, Fraction(c)))
-
-    def mul(self, other: "CartanPoly") -> "CartanPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                vec_add_term(out, tuple(a + b for a, b in zip(ka, kb)), ca * cb)
-        return CartanPoly(self.nvars, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CartanPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    # -------------------------------------------------- structure helpers
-
-    def divide_by_var(self, j: int) -> "CartanPoly | None":
-        """Quotient by x_j (1-based) if x_j divides every monomial."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k, c in self.terms.items():
-            if k[j - 1] < 1:
-                return None
-            kk = list(k)
-            kk[j - 1] -= 1
-            out[tuple(kk)] = c
-        return CartanPoly(self.nvars, out)
-
-    def linear_parts(self) -> tuple[Fraction, list[Fraction]] | None:
-        """(constant, coefficient list) if the polynomial is affine-linear."""
-        const = Fraction(0)
-        coeffs = [Fraction(0)] * self.nvars
-        for k, c in self.terms.items():
-            deg = sum(k)
-            if deg == 0:
-                const = c
-            elif deg == 1:
-                coeffs[k.index(1)] = c
-            else:
-                return None
-        return const, coeffs
-
-    # ----------------------------------------------------------- display
-
-    def _h_substituted(self) -> "CartanPoly":
-        """Rewrite in the display coordinates h_1..h_l with x_l = 2 h_l."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k, c in self.terms.items():
-            out[k] = c * (Fraction(2) ** k[-1])
-        return CartanPoly(self.nvars, out)
-
-    def factored_h_string(self) -> str:
-        """Render in h-coordinates, factored as hj*(linear) when possible."""
-        p = self._h_substituted()
-        if p.is_zero():
-            return "0"
-        common = [
-            j
-            for j in range(1, p.nvars + 1)
-            if all(k[j - 1] >= 1 for k in p.terms)
-        ]
-        if common:
-            j = common[0]
-            q = p.divide_by_var(j)
-            lin = q.linear_parts() if q is not None else None
-            if lin is not None:
-                const, coeffs = lin
-                inner = _linear_string(const, coeffs)
-                return f"h{j}*({inner})"
-        return _generic_poly_string(p)
+def linear_cofactor(p: Poly, j: int) -> tuple[Coeff, dict[int, Coeff]] | None:
+    """(constant, {t: coefficient of x_t}) of the affine-linear q with
+    p = x_j q, variables 1-based; None unless x_j divides every monomial
+    of p and the quotient has degree at most one."""
+    const: Coeff = 0
+    coeffs: dict[int, Coeff] = {}
+    for k, c in p.items():
+        q = list(k)
+        q[j - 1] -= 1
+        if q[j - 1] < 0 or sum(q) > 1:
+            return None
+        if 1 in q:
+            coeffs[q.index(1) + 1] = c
+        else:
+            const = c
+    return const, coeffs
 
 
-def _linear_string(const: Fraction, coeffs: list[Fraction]) -> str:
-    terms = [(c, f"h{j}") for j, c in enumerate(coeffs, start=1) if c]
-    if const:
-        terms.append((const, ""))
-    return format_sum(terms)
-
-
-def _generic_poly_string(p: CartanPoly) -> str:
+def factored_h_string(p: Poly) -> str:
+    """Render in the display coordinates h_1..h_l, with x_l = 2 h_l, as
+    hj*(linear) for the first j that splits off, else expanded."""
+    if not p:
+        return "0"
+    h = {k: c * 2 ** k[-1] for k, c in p.items()}
+    for j in range(1, len(next(iter(h))) + 1):
+        lin = linear_cofactor(h, j)
+        if lin is not None:
+            const, coeffs = lin
+            terms = [(coeffs[t], f"h{t}") for t in sorted(coeffs)]
+            if const:
+                terms.append((const, ""))
+            return f"h{j}*({format_sum(terms)})"
     terms = []
-    for k, c in sorted(p.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0])):
+    for k, c in sorted(h.items(), key=lambda kv: (-sum(kv[0]), kv[0])):
         powers = enumerate(k, start=1)
         factors = [f"h{j}" if e == 1 else f"h{j}^{e}" for j, e in powers if e]
         terms.append((c, "*".join(factors)))
@@ -308,7 +233,7 @@ def _generic_poly_string(p: CartanPoly) -> str:
 # below work on the doubled coordinates X = 2x, in ints.
 
 
-def zero_set(polys: Sequence[CartanPoly]) -> frozenset[tuple[int, ...]]:
+def zero_set(polys: Sequence[Poly]) -> frozenset[tuple[int, ...]]:
     """The common zeros of a triangular factored system, as doubled
     coordinates X = 2x; every zero must lie in (1/2)Z.
 
@@ -322,20 +247,17 @@ def zero_set(polys: Sequence[CartanPoly]) -> frozenset[tuple[int, ...]]:
     l = len(polys)
     forms = []  # a with a[0] + sum_t a[t] X_t = 0 iff the cofactor vanishes
     for j, p in enumerate(polys, start=1):
-        if p.nvars != l:
+        if any(len(k) != l for k in p):
             raise ValueError("polynomial arity mismatch")
-        q = p.divide_by_var(j)
-        if q is None:
-            raise ValueError(f"polynomial {j} is not divisible by x_{j}")
-        lp = q.linear_parts()
-        if lp is None:
-            raise ValueError(f"cofactor of x_{j} is not affine-linear")
-        const, coeffs = lp
-        if any(coeffs[t] for t in range(j - 1)):
+        lin = linear_cofactor(p, j)
+        if lin is None:
+            raise ValueError(f"polynomial {j} is not x_{j} times an affine-linear form")
+        const, coeffs = lin
+        if min(coeffs, default=j) < j:
             raise ValueError(f"cofactor of x_{j} depends on earlier variables")
-        if coeffs[j - 1] == 0:
+        if j not in coeffs:
             raise ValueError(f"cofactor of x_{j} is degenerate in x_{j}")
-        row = [2 * const, *coeffs]
+        row = [2 * const, *(coeffs.get(t, 0) for t in range(1, l + 1))]
         s = lcm(*(c.denominator for c in row))
         forms.append([int(c * s) for c in row])
     out = set()
@@ -357,7 +279,7 @@ def zero_set(polys: Sequence[CartanPoly]) -> frozenset[tuple[int, ...]]:
 
 
 def doubled_residuals(
-    polys: Sequence[CartanPoly], points: Iterable[tuple[int, ...]]
+    polys: Sequence[Poly], points: Iterable[tuple[int, ...]]
 ) -> Iterator[list[int]]:
     """For each point X, the values of the polynomials at x = X/2, each
     times 2^deg and the lcm of its denominators: the expanded polynomial
@@ -366,14 +288,15 @@ def doubled_residuals(
     the polynomial vanishes."""
     systems = []
     for p in polys:
-        deg = max(map(sum, p.terms), default=0)
-        s = lcm(*(c.denominator for c in p.terms.values()))
+        deg = max(map(sum, p), default=0)
+        s = lcm(*(c.denominator for c in p.values()))
         systems.append([
             (int(c * s) << (deg - sum(k)), [(v, e) for v, e in enumerate(k) if e])
-            for k, c in p.terms.items()
+            for k, c in p.items()
         ])
+    arities = {len(k) for p in polys for k in p}
     for x in points:
-        if any(p.nvars != len(x) for p in polys):
+        if arities - {len(x)}:
             raise ValueError("polynomial arity does not match the point")
         values = []
         for terms in systems:

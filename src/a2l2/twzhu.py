@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .envelope import CartanPoly, PBWAlgebra, UEAElt, uea_unit
+from .envelope import PBWAlgebra, Poly, UEAElt, uea_unit
 from .liealg import E, LieElt, b_type_generators, eplus, level_for
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
@@ -69,7 +69,7 @@ class ProjectionContext:
         self.memo: dict[Monomial, UEAElt] = {}
         self._image: UEAElt | None = None
         self._v1: UEAElt | None = None
-        self._polys: list[CartanPoly] | None = None
+        self._polys: list[Poly] | None = None
         self._r0: list[UEAElt] | None = None
 
     # ------------------------------------------------------------ rules
@@ -217,32 +217,31 @@ def lowered_elements(ctx: ProjectionContext) -> list[UEAElt]:
     return out
 
 
-def lowered_polynomials(ctx: ProjectionContext) -> list[CartanPoly]:
+def lowered_polynomials(ctx: ProjectionContext) -> list[Poly]:
     """Highest-weight eigenvalue polynomials p_1..p_l of the lowered elements."""
     if ctx._polys is None:
         ctx._polys = [ctx.alg.cartan_polynomial(u) for u in lowered_elements(ctx)]
     return list(ctx._polys)
 
 
-def reference_polynomials(l: int, plus_half: bool = False) -> list[CartanPoly]:
+def reference_polynomials(l: int, plus_half: bool = False) -> list[Poly]:
     """Closed-form polynomials in the Cartan coordinates.
 
     p_j = x_j (x_j + 2 x_{j+1} + .. + 2 x_{l-1} + x_l + (l-j) + c)   (j < l)
     p_l = (1/4) x_l (x_l + 2c)
     with c = -1/2, or +1/2 for the rejected sign variant."""
     c = Fraction(1, 2) if plus_half else Fraction(-1, 2)
-    out: list[CartanPoly] = []
-    for j in range(1, l + 1):
-        if j < l:
-            lin = CartanPoly.variable(l, j)
-            for t in range(j + 1, l):
-                lin = lin.add(CartanPoly.variable(l, t).scale(2))
-            lin = lin.add(CartanPoly.variable(l, l))
-            lin = lin.add(CartanPoly.const(l, Fraction(l - j) + c))
-            out.append(CartanPoly.variable(l, j).mul(lin))
-        else:
-            lin = CartanPoly.variable(l, l).add(CartanPoly.const(l, 2 * c))
-            out.append(CartanPoly.variable(l, l).mul(lin).scale(Fraction(1, 4)))
+
+    def x(*ts: int) -> tuple[int, ...]:
+        """Exponent tuple of the monomial x_t1 x_t2 ..., 1-based."""
+        return tuple(ts.count(t) for t in range(1, l + 1))
+
+    out: list[Poly] = []
+    for j in range(1, l):
+        p = {x(j, j): 1, x(j, l): 1, x(j): l - j + c}
+        p.update({x(j, t): 2 for t in range(j + 1, l)})
+        out.append(p)
+    out.append({x(l, l): Fraction(1, 4), x(l): c / 2})
     return out
 
 
@@ -288,7 +287,6 @@ def r0_zero_weight_members(ctx: ProjectionContext) -> list[UEAElt]:
     return [u for u in r0_basis(ctx) if alg.weight_of(u) == zero]
 
 
-def poly_span_equal(pa: list[CartanPoly], pb: list[CartanPoly]) -> bool:
+def poly_span_equal(pa: list[Poly], pb: list[Poly]) -> bool:
     """True iff the two families span the same space of polynomials."""
-    va, vb = [p.terms for p in pa], [p.terms for p in pb]
-    return rank_of(va) == rank_of(vb) == rank_of(va + vb)
+    return rank_of(pa) == rank_of(pb) == rank_of(pa + pb)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -572,3 +574,20 @@ def test_cold_start_of_the_algebra_checks_loads_no_classification_layer():
     assert {"a2l2.checks", "a2l2.twzhu"} <= loaded
     assert not loaded & {"a2l2.affroots", "a2l2.classify", "dataclasses"}
     assert out.decode().endswith("overall: PASS\n")
+
+
+def test_benchmark_layers_name_every_module():
+    # bench/traced_cli.py imports each name of its LAYERS tuple as a module
+    # of the package, so no module may be added, removed or renamed without
+    # that tuple following
+    tree = ast.parse((ROOT / "bench" / "traced_cli.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    )
+    for name in layers:
+        assert importlib.import_module(f"a2l2.{name}").__name__ == f"a2l2.{name}"
+    modules = {p.stem for p in (ROOT / "src" / "a2l2").glob("*.py")} - {"__init__"}
+    assert sorted(layers) == sorted(modules)

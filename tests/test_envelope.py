@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.envelope import CartanPoly, uea_unit
+from a2l2.envelope import factored_h_string, linear_cofactor, uea_unit
 from a2l2.liealg import E, b_type_generators, bracket, g0_basis_info
 from a2l2.linalg import vec_add_into, vec_add_term, vec_scale
 from a2l2.twzhu import projection_context
 
-from helpers_polys import poly_eval
+from helpers_polys import mono, poly_eval
 from helpers_spin import (
     spin_highest_weight_checks,
     spin_hw_coefficient,
@@ -205,21 +205,15 @@ def test_cartan_polynomial_pinned_examples():
     gens = b_type_generators(2)
     h1 = alg.lie2uea(gens.h[0])
     hb = alg.lie2uea(gens.hbar_l)
-    assert alg.cartan_polynomial(h1) == CartanPoly(2, {(1, 0): Fraction(1)})
-    assert alg.cartan_polynomial(alg.mul(hb, hb)) == CartanPoly(
-        2, {(0, 2): Fraction(1)}
-    )
+    assert alg.cartan_polynomial(h1) == {(1, 0): Fraction(1)}
+    assert alg.cartan_polynomial(alg.mul(hb, hb)) == {(0, 2): Fraction(1)}
     e1 = alg.lie2uea(gens.e[0])
     f1 = alg.lie2uea(gens.f[0])
-    assert alg.cartan_polynomial(alg.mul(e1, f1)) == CartanPoly(
-        2, {(1, 0): Fraction(1)}
-    )
-    assert alg.cartan_polynomial(alg.mul(f1, e1)).is_zero()
+    assert alg.cartan_polynomial(alg.mul(e1, f1)) == {(1, 0): Fraction(1)}
+    assert alg.cartan_polynomial(alg.mul(f1, e1)) == {}
     el = alg.lie2uea(gens.e_l)
     fl = alg.lie2uea(gens.f_l)
-    assert alg.cartan_polynomial(alg.mul(el, fl)) == CartanPoly(
-        2, {(0, 1): Fraction(1, 2)}
-    )
+    assert alg.cartan_polynomial(alg.mul(el, fl)) == {(0, 1): Fraction(1, 2)}
     with pytest.raises(ValueError):
         alg.cartan_polynomial(e1)
 
@@ -268,34 +262,40 @@ def test_weight_of_mixed_and_pure():
 
 def test_factored_h_strings():
     quarter = Fraction(1, 4)
-    p1 = CartanPoly(1, {(2,): quarter, (1,): -quarter})
-    assert p1.factored_h_string() == "h1*(h1 - 1/2)"
-    p2 = CartanPoly(
-        2, {(2, 0): Fraction(1), (1, 1): Fraction(1), (1, 0): Fraction(1, 2)}
-    )
-    assert p2.factored_h_string() == "h1*(h1 + 2*h2 + 1/2)"
-    p3 = CartanPoly(
-        3,
-        {
-            (2, 0, 0): Fraction(1),
-            (1, 1, 0): Fraction(2),
-            (1, 0, 1): Fraction(1),
-            (1, 0, 0): Fraction(3, 2),
-        },
-    )
-    assert p3.factored_h_string() == "h1*(h1 + 2*h2 + 2*h3 + 3/2)"
-    assert CartanPoly(2, {}).factored_h_string() == "0"
-    generic = CartanPoly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
-    assert generic.factored_h_string() == "h1^2 + 2*h2"
+    p1 = {(2,): quarter, (1,): -quarter}
+    assert factored_h_string(p1) == "h1*(h1 - 1/2)"
+    p2 = {(2, 0): Fraction(1), (1, 1): Fraction(1), (1, 0): Fraction(1, 2)}
+    assert factored_h_string(p2) == "h1*(h1 + 2*h2 + 1/2)"
+    p3 = {
+        (2, 0, 0): Fraction(1),
+        (1, 1, 0): Fraction(2),
+        (1, 0, 1): Fraction(1),
+        (1, 0, 0): Fraction(3, 2),
+    }
+    assert factored_h_string(p3) == "h1*(h1 + 2*h2 + 2*h3 + 3/2)"
+    assert factored_h_string({}) == "0"
+    generic = {(2, 0): Fraction(1), (0, 1): Fraction(1)}
+    assert factored_h_string(generic) == "h1^2 + 2*h2"
+    # x1 divides every monomial but leaves x1 x2 + 1, which is not linear,
+    # and x2 does not divide x1: printed expanded
+    nonlinear = {(2, 1): Fraction(1), (1, 0): Fraction(1)}
+    assert factored_h_string(nonlinear) == "2*h1^2*h2 + h1"
+    # the first variable that splits off is the one printed outside
+    assert factored_h_string({(1, 1): Fraction(1, 2)}) == "h1*(h2)"
 
 
 def test_poly_arithmetic_and_eval():
-    x1 = CartanPoly.variable(2, 1)
-    x2 = CartanPoly.variable(2, 2)
-    p = x1.mul(x1.add(x2).add(CartanPoly.const(2, Fraction(1, 2))))
+    # p = x1 (x1 + x2 + 1/2)
+    p = {mono(2, 1, 1): 1, mono(2, 1, 2): 1, mono(2, 1): Fraction(1, 2)}
     assert poly_eval(p, (Fraction(2), Fraction(-1))) == 2 * (2 - 1 + Fraction(1, 2))
-    assert p.scale(0).is_zero()
-    assert p.divide_by_var(1) == x1.add(x2).add(CartanPoly.const(2, Fraction(1, 2)))
-    assert p.divide_by_var(2) is None
-    assert x1.add(x2).linear_parts() == (Fraction(0), [Fraction(1), Fraction(1)])
-    assert p.linear_parts() is None
+    assert linear_cofactor(p, 1) == (Fraction(1, 2), {1: 1, 2: 1})
+    assert linear_cofactor(p, 2) is None
+    # x1 x2 splits off either variable; x1 (x1 + x2) x2 off neither
+    assert linear_cofactor({mono(2, 1, 2): 3}, 1) == (0, {2: 3})
+    assert linear_cofactor({mono(2, 1, 2): 3}, 2) == (0, {1: 3})
+    cubic = {mono(2, 1, 1, 2): 1, mono(2, 1, 2, 2): 1}
+    assert linear_cofactor(cubic, 1) is None
+    assert linear_cofactor(cubic, 2) is None
+    # a bare x_j has the constant cofactor 1; the zero polynomial has 0
+    assert linear_cofactor({mono(2, 2): 1}, 2) == (1, {})
+    assert linear_cofactor({}, 1) == (0, {})

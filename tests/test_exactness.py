@@ -49,7 +49,7 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
     assert_exact(compute_v1(ctx).values(), "v1")
     polys = lowered_polynomials(ctx)
     for p in polys:
-        assert_exact(p.terms.values(), "lowered polynomial")
+        assert_exact(p.values(), "lowered polynomial")
     for u in r0_basis(ctx):
         assert_exact(u.values(), "r0 basis")
     # the classified weights are half-integral: the zero-set walk returns

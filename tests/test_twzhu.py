@@ -7,11 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers_polys import poly_eval
+from helpers_polys import mono, poly_eval
 
 from a2l2 import twzhu
 from a2l2.checks import run_checks
-from a2l2.envelope import CartanPoly, uea_string, uea_unit
+from a2l2.envelope import factored_h_string, uea_string, uea_unit
 from a2l2.liealg import (
     E,
     b_type_generators,
@@ -230,14 +230,14 @@ def test_lowered_polynomials_match_reference():
 
 def test_lowered_polynomial_strings():
     ctx = projection_context(3)
-    strings = [p.factored_h_string() for p in lowered_polynomials(ctx)]
+    strings = [factored_h_string(p) for p in lowered_polynomials(ctx)]
     assert strings == [
         "h1*(h1 + 2*h2 + 2*h3 + 3/2)",
         "h2*(h2 + 2*h3 + 1/2)",
         "h3*(h3 - 1/2)",
     ]
     ctx1 = projection_context(1)
-    assert [p.factored_h_string() for p in lowered_polynomials(ctx1)] == [
+    assert [factored_h_string(p) for p in lowered_polynomials(ctx1)] == [
         "h1*(h1 - 1/2)"
     ]
 
@@ -261,6 +261,29 @@ def test_reference_polynomial_eval_spot_checks():
     assert poly_eval(p2, (Fraction(0), Fraction(3))) == Fraction(3, 2)
 
 
+def reference_formula(l, c, x):
+    """The closed forms of `reference_polynomials`' docstring at the point
+    x (0-based here), term by term in Fractions."""
+    out = []
+    for j in range(l - 1):
+        inner = x[j] + 2 * sum(x[j + 1 : l - 1], Fraction(0)) + x[l - 1]
+        out.append(x[j] * (inner + (l - 1 - j) + c))
+    out.append(Fraction(1, 4) * x[l - 1] * (x[l - 1] + 2 * c))
+    return out
+
+
+def test_reference_polynomials_match_formula_at_random_points():
+    rng = random.Random(2718)
+    for l in range(1, 7):
+        for plus_half, c in ((False, Fraction(-1, 2)), (True, Fraction(1, 2))):
+            polys = reference_polynomials(l, plus_half=plus_half)
+            assert len(polys) == l
+            for _ in range(10):
+                x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(l)]
+                got = [poly_eval(p, x) for p in polys]
+                assert got == reference_formula(l, c, x), (l, plus_half, x)
+
+
 # ------------------------------------------------------------ the closure
 
 def test_r0_dimension_and_zero_weight_polynomials():
@@ -273,7 +296,7 @@ def test_r0_dimension_and_zero_weight_polynomials():
         member_polys = [ctx.alg.cartan_polynomial(u) for u in members]
         refs = reference_polynomials(l)
         assert poly_span_equal(member_polys, refs)
-        assert not poly_span_equal(member_polys, [CartanPoly.variable(l, 1)])
+        assert not poly_span_equal(member_polys, [{mono(l, 1): 1}])
 
 
 def r0_oracle(ctx):
