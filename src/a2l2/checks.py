@@ -16,9 +16,9 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from . import _exact, _exact_list, level_string, max_rank, validated_rank  # re-exports max_rank
+from . import _exact, _exact_list, level_string, validated_rank
 from .envelope import doubled_residuals, factored_h_string, uea_string, zero_set
-from .liealg import computed_b_cartan, g1_basis, g1_zero_weight_dim, level_for
+from .liealg import computed_b_cartan, g1_basis_info, g1_zero_weight_dim, level_for
 from .twzhu import (
     compute_v1,
     lowered_polynomials,
@@ -77,7 +77,7 @@ def _check_cartan_matrix(l: int) -> tuple[bool, dict]:
 
 def _check_g1_dim(l: int) -> tuple[bool, dict]:
     zero_dim = g1_zero_weight_dim(l)
-    total = len(g1_basis(l))
+    total = len(g1_basis_info(l).elems)
     ok = zero_dim == l and total == 2 * l * l + 3 * l
     return ok, {
         "zero_weight_dim": zero_dim,

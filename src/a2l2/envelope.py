@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import format_sum
-from .liealg import LieElt, b_type_generators, bracket, eigen_ratio, g0_basis_info
+from .liealg import Matrix, b_type_generators, bracket, eigen_ratio, g0_basis_info
 from .linalg import Coeff, exact, vec_add_into, vec_add_term
 
 # monomial = tuple of basis indices in non-decreasing order
@@ -67,21 +67,21 @@ class PBWAlgebra:
         )
         # ints: each weight coordinate is an integral eigenvalue
         self.weights: tuple[tuple[Coeff, ...], ...] = tuple(
-            tuple(eigen_ratio(bracket(h, x), x) for h in gens.cartan_elements())
+            tuple(eigen_ratio(bracket(h, x), x) for h in gens.h)
             for x in info.elems
         )
 
     # ------------------------------------------------------------ coords
 
-    def lie_coords(self, x: LieElt) -> dict[int, Coeff]:
+    def lie_coords(self, x: Matrix) -> dict[int, Coeff]:
         """Coordinates of an even-part element in the ordered basis."""
         v = self._expand(x)
         if any(s >= self.dim for s in v):
             raise ValueError("element is not in the even part")
         return v
 
-    def lie2uea(self, x: LieElt) -> UEAElt:
-        """Degree-one element of the envelope from a Lie element."""
+    def lie2uea(self, x: Matrix) -> UEAElt:
+        """Degree-one element of the envelope from an even-part matrix."""
         return {(s,): c for s, c in self.lie_coords(x).items()}
 
     # ------------------------------------------------------- normal form
@@ -114,13 +114,12 @@ class PBWAlgebra:
 
     # ---------------------------------------------------------- ad action
 
-    def ad(self, x, u: UEAElt) -> UEAElt:
-        """Adjoint action x.u = xu - ux, extended as a derivation.
+    def ad(self, cx: dict[int, Coeff], u: UEAElt) -> UEAElt:
+        """Adjoint action x.u = xu - ux, extended as a derivation, for x of
+        coordinates `cx` (see `lie_coords`).
 
-        `x` is a Lie element of the even part or a ready coordinate dict.
         The words of x.u are summed unordered, then rewritten together, and
         [x, t] is expanded once per x and basis index t."""
-        cx = self.lie_coords(x) if isinstance(x, LieElt) else x
         ad_x = self._ad_images.setdefault(frozenset(cx.items()), {})
         words: UEAElt = {}
         for word, c in u.items():

@@ -1,9 +1,11 @@
 """Finite-dimensional core: sl(2l+1), its trace form, the order-2 involution,
 the even/odd grading, and the type-B fixed-point subalgebra.
 
-Elements are sparse matrices over the rationals.  The involution is
-x -> involution image with E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]; its fixed
-subalgebra is so(2l+1) and the (-1)-eigenspace is the little adjoint module.
+A matrix is a `Matrix`: a plain sparse dict from index pairs (i, j),
+1 <= i, j <= n, to exact coefficients, added and scaled through the `linalg`
+kernel like every other exact object of the package.  The involution is
+E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]; its fixed subalgebra is so(2l+1)
+and the (-1)-eigenspace is the little adjoint module.
 
 The split basis (even part, then odd part) is rescaled so that every bracket
 constant and trace-form value over it is an integer: the vector labelled
@@ -21,8 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import format_sum
 from .linalg import Coeff, exact, rank_of, vec_add_into, vec_add_term, vec_scale
+
+Matrix = dict[tuple[int, int], Coeff]
 
 
 def level_for(l: int) -> Fraction:
@@ -30,160 +33,61 @@ def level_for(l: int) -> Fraction:
     return Fraction(-(2 * l + 1), 2)
 
 
-class LieElt:
-    """Sparse matrix in gl(n), n = 2l+1 odd; supports the ambient bracket."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict | None = None) -> None:
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"matrix size must be odd and >= 3, got {n}")
-        self.n = n
-        clean: dict[tuple[int, int], Coeff] = {}
-        for (i, j), c in (terms or {}).items():
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"index {(i, j)} out of range for n={n}")
-            c = exact(Fraction(c))
-            if c:
-                clean[(i, j)] = c
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LieElt") -> "LieElt":
-        if self.n != other.n:
-            raise ValueError("matrix size mismatch")
-        t = dict(self.terms)
-        vec_add_into(t, other.terms)
-        out = LieElt.__new__(LieElt)
-        out.n, out.terms = self.n, t
-        return out
-
-    def __neg__(self) -> "LieElt":
-        out = LieElt.__new__(LieElt)
-        out.n = self.n
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "LieElt") -> "LieElt":
-        return self + (-other)
-
-    def __rmul__(self, c) -> "LieElt":
-        out = LieElt.__new__(LieElt)
-        out.n = self.n
-        out.terms = vec_scale(self.terms, Fraction(c))
-        return out
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieElt)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
-
-    def __repr__(self) -> str:
-        terms = ((c, f"E[{i},{j}]") for (i, j), c in sorted(self.terms.items()))
-        return f"LieElt(n={self.n}, {format_sum(terms)})"
-
-    def entry_vector(self) -> dict:
-        """Sparse (i,j)->coeff dict for linear algebra over elements."""
-        return dict(self.terms)
-
-
-def E(n: int, i: int, j: int) -> LieElt:
+def E(i: int, j: int) -> Matrix:
     """Elementary matrix E[i,j]."""
-    return LieElt(n, {(i, j): 1})
+    return {(i, j): 1}
 
 
-def H(n: int, i: int) -> LieElt:
-    """Standard Cartan element E[i,i] - E[i+1,i+1], 1 <= i <= n-1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"H index {i} out of range for n={n}")
-    return LieElt(n, {(i, i): 1, (i + 1, i + 1): -1})
+def H(i: int) -> Matrix:
+    """Standard Cartan element E[i,i] - E[i+1,i+1]."""
+    return {(i, i): 1, (i + 1, i + 1): -1}
 
 
-def bracket(a: LieElt, b: LieElt) -> LieElt:
+def bracket(a: Matrix, b: Matrix) -> Matrix:
     """Matrix commutator [a,b] = ab - ba."""
-    if a.n != b.n:
-        raise ValueError("matrix size mismatch")
-    t: dict[tuple[int, int], Coeff] = {}
-    for (i, j), c in a.terms.items():
-        for (p, q), d in b.terms.items():
+    t: Matrix = {}
+    for (i, j), c in a.items():
+        for (p, q), d in b.items():
             if j == p:
                 vec_add_term(t, (i, q), c * d)
             if q == i:
                 vec_add_term(t, (p, j), -(c * d))
-    out = LieElt.__new__(LieElt)
-    out.n, out.terms = a.n, t
-    return out
+    return t
 
 
-def invariant_form(a: LieElt, b: LieElt) -> Coeff:
+def invariant_form(a: Matrix, b: Matrix) -> Coeff:
     """Trace form tr(ab); normalizes the highest root to squared length 2."""
-    if a.n != b.n:
-        raise ValueError("matrix size mismatch")
     total = 0
-    for (i, j), c in a.terms.items():
-        d = b.terms.get((j, i))
+    for (i, j), c in a.items():
+        d = b.get((j, i))
         if d:
             total = total + c * d
     return exact(total)
 
 
-def nu(a: LieElt) -> LieElt:
-    """The order-2 automorphism E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]."""
-    n = a.n
-    t: dict[tuple[int, int], Coeff] = {}
-    for (i, j), c in a.terms.items():
+def nu(a: Matrix, n: int) -> Matrix:
+    """The order-2 automorphism E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i] of gl(n)."""
+    t: Matrix = {}
+    for (i, j), c in a.items():
         sign = 1 if (i - j) % 2 else -1  # -(-1)^(i-j)
         vec_add_term(t, (n + 1 - j, n + 1 - i), sign * c)
-    out = LieElt.__new__(LieElt)
-    out.n, out.terms = n, t
-    return out
-
-
-class GradedPair(NamedTuple):
-    plus: LieElt   # fixed by the involution (even part)
-    minus: LieElt  # negated by the involution (odd part)
-
-
-def split_pm(a: LieElt) -> GradedPair:
-    """Eigen-split a = plus + minus with plus = (a + nu(a))/2."""
-    na = nu(a)
-    half = Fraction(1, 2)
-    return GradedPair(half * (a + na), half * (a - na))
+    return t
 
 
 class BTypeGenerators(NamedTuple):
-    """Chevalley-style generators of the fixed subalgebra so(2l+1).
+    """Chevalley-style generators of the fixed subalgebra so(2l+1), each a
+    tuple of length l.
 
-    `e`, `f`, `h` hold the first l-1 triples; the last node comes as the
-    triple (`e_l`, `f_l`, `h_l`) together with `hbar_l` = 2*h_l, the Cartan
+    For i < l, (e_i, f_i, h_i) is the triple of node i, with
+    h_i = H_i + H_{2l+1-i}.  The last node has e_l, f_l and
+    [e_l, f_l] = H_l + H_{l+1}; `h` ends with twice that, hbar_l, the Cartan
     element of the sqrt(2)-normalized triple, used as the last Cartan
     coordinate.
     """
 
-    l: int
-    e: tuple[LieElt, ...]
-    f: tuple[LieElt, ...]
-    h: tuple[LieElt, ...]
-    e_l: LieElt
-    f_l: LieElt
-    h_l: LieElt
-    hbar_l: LieElt
-
-    def cartan_elements(self) -> tuple[LieElt, ...]:
-        """(h_1, ..., h_{l-1}, hbar_l): the Cartan basis used everywhere."""
-        return self.h + (self.hbar_l,)
-
-    def raising_elements(self) -> tuple[LieElt, ...]:
-        return self.e + (self.e_l,)
+    e: tuple[Matrix, ...]
+    f: tuple[Matrix, ...]
+    h: tuple[Matrix, ...]
 
 
 @lru_cache(maxsize=None)
@@ -192,24 +96,22 @@ def b_type_generators(l: int) -> BTypeGenerators:
     if l < 1:
         raise ValueError("rank l must be >= 1")
     n = 2 * l + 1
-    e = tuple(E(n, i, i + 1) + E(n, 2 * l + 1 - i, 2 * l + 2 - i) for i in range(1, l))
-    f = tuple(E(n, i + 1, i) + E(n, 2 * l + 2 - i, 2 * l + 1 - i) for i in range(1, l))
-    h = tuple(H(n, i) + H(n, 2 * l + 1 - i) for i in range(1, l))
-    e_l = E(n, l, l + 1) + E(n, l + 1, l + 2)
-    f_l = E(n, l + 1, l) + E(n, l + 2, l + 1)
-    h_l = H(n, l) + H(n, l + 1)
-    return BTypeGenerators(
-        l=l, e=e, f=f, h=h, e_l=e_l, f_l=f_l, h_l=h_l, hbar_l=2 * h_l
-    )
+    e = tuple({(i, i + 1): 1, (n - i, n + 1 - i): 1} for i in range(1, l + 1))
+    f = tuple({(i + 1, i): 1, (n + 1 - i, n - i): 1} for i in range(1, l + 1))
+    h = tuple(
+        {(i, i): 1, (i + 1, i + 1): -1, (n - i, n - i): 1, (n + 1 - i, n + 1 - i): -1}
+        for i in range(1, l)
+    ) + ({(l, l): 2, (l + 2, l + 2): -2},)
+    return BTypeGenerators(e, f, h)
 
 
-def eigen_ratio(image: LieElt, vec: LieElt) -> Coeff:
+def eigen_ratio(image: Matrix, vec: Matrix) -> Coeff:
     """Scalar r with image = r*vec; raises if image is not a multiple."""
-    if image.is_zero():
+    if not image:
         return 0
-    key = min(vec.terms.keys())
-    r = exact(Fraction(image.terms.get(key, 0), vec.terms[key]))
-    if image != r * vec:
+    key = min(vec)
+    r = exact(Fraction(image.get(key, 0), vec[key]))
+    if image != vec_scale(vec, r):
         raise ValueError("not an eigenvector")
     return r
 
@@ -217,16 +119,14 @@ def eigen_ratio(image: LieElt, vec: LieElt) -> Coeff:
 def computed_b_cartan(l: int) -> list[list[int]]:
     """Cartan matrix of the fixed subalgebra, from brackets alone.
 
-    Rows run over (h_1..h_{l-1}, hbar_l), columns over (e_1..e_{l-1}, e_l);
-    entry (i,j) is the eigenvalue of ad(row_i) on column_j.
+    Rows run over (h_1..h_{l-1}, hbar_l), columns over (e_1..e_l); entry
+    (i,j) is the eigenvalue of ad(row_i) on column_j.
     """
     gens = b_type_generators(l)
-    rows = gens.cartan_elements()
-    cols = gens.raising_elements()
     out: list[list[int]] = []
-    for hrow in rows:
+    for hrow in gens.h:
         r: list[int] = []
-        for ecol in cols:
+        for ecol in gens.e:
             val = eigen_ratio(bracket(hrow, ecol), ecol)
             if val.denominator != 1:
                 raise ValueError("non-integer Cartan entry")
@@ -241,12 +141,12 @@ def split_scale(l: int, i: int, j: int) -> int:
     return 4 if l + 1 in (i, j) else 2
 
 
-def _split_vector(l: int, i: int, j: int, sign: int) -> LieElt:
+def _split_vector(l: int, i: int, j: int, sign: int) -> Matrix:
     """split_scale(l, i, j) * (E[i,j] + sign * nu(E[i,j])) / 2, without a
     division: E +- nu(E) for a long root, twice that for a short one."""
-    a = E(2 * l + 1, i, j)
-    half_scale = split_scale(l, i, j) // 2
-    return half_scale * (a + nu(a) if sign > 0 else a - nu(a))
+    a = E(i, j)
+    vec_add_into(a, nu(a, 2 * l + 1), sign)
+    return vec_scale(a, split_scale(l, i, j) // 2)
 
 
 class G0BasisInfo(NamedTuple):
@@ -255,12 +155,11 @@ class G0BasisInfo(NamedTuple):
     `elems[k]` is `scales[k]` times the vector `labels[k]` names."""
 
     l: int
-    elems: tuple[LieElt, ...]
+    elems: tuple[Matrix, ...]
     labels: tuple[str, ...]
     scales: tuple[int, ...]
     neg_count: int
     cartan_count: int
-    pos_count: int
     pos_rep_pairs: tuple[tuple[int, int], ...]
 
     @property
@@ -295,8 +194,7 @@ def g0_basis_info(l: int) -> G0BasisInfo:
     reps.sort()
     neg = [_split_vector(l, j, i, 1) for (i, j) in reps]
     neg_labels = [f"Ep[{j},{i}]" for (i, j) in reps]
-    gens = b_type_generators(l)
-    cart = list(gens.cartan_elements())
+    cart = list(b_type_generators(l).h)
     cart_labels = [f"h[{i}]" for i in range(1, l)] + [f"hb[{l}]"]
     pos = [_split_vector(l, i, j, 1) for (i, j) in reps]
     pos_labels = [f"Ep[{i},{j}]" for (i, j) in reps]
@@ -311,7 +209,6 @@ def g0_basis_info(l: int) -> G0BasisInfo:
         scales=tuple(rep_scales + [1] * len(cart) + rep_scales),
         neg_count=len(neg),
         cartan_count=len(cart),
-        pos_count=len(pos),
         pos_rep_pairs=tuple(reps),
     )
 
@@ -323,7 +220,7 @@ class G1BasisInfo(NamedTuple):
     twice (Ea) or once (d)."""
 
     l: int
-    elems: tuple[LieElt, ...]
+    elems: tuple[Matrix, ...]
     labels: tuple[str, ...]
 
 
@@ -333,7 +230,7 @@ def g1_basis_info(l: int) -> G1BasisInfo:
         raise ValueError("rank l must be >= 1")
     n = 2 * l + 1
     info = g0_basis_info(l)
-    elems: list[LieElt] = []
+    elems: list[Matrix] = []
     labels: list[str] = []
     for (i, j) in info.pos_rep_pairs:
         elems.append(_split_vector(l, i, j, -1))
@@ -344,38 +241,34 @@ def g1_basis_info(l: int) -> G1BasisInfo:
     for i in range(1, n + 1):
         if i != l + 1:
             # anti-diagonal entries are purely odd; held twice, like a long Em
-            elems.append(2 * E(n, i, n + 1 - i))
+            elems.append({(i, n + 1 - i): 2})
             labels.append(f"Ea[{i}]")
-    # traceless odd diagonal: v_i = E[i,i] + E[n+1-i,n+1-i]
-    def v(i: int) -> LieElt:
-        return E(n, i, i) + E(n, n + 1 - i, n + 1 - i)
-
+    # traceless odd diagonal: v_i - v_{i+1} and v_l - 2 E[l+1,l+1], with
+    # v_i = E[i,i] + E[n+1-i,n+1-i]
     for i in range(1, l):
-        elems.append(v(i) - v(i + 1))
+        j = n + 1 - i
+        elems.append({(i, i): 1, (j, j): 1, (i + 1, i + 1): -1, (j - 1, j - 1): -1})
         labels.append(f"d[{i}]")
-    elems.append(v(l) - 2 * E(n, l + 1, l + 1))
+    elems.append({(l, l): 1, (l + 2, l + 2): 1, (l + 1, l + 1): -2})
     labels.append(f"d[{l}]")
     if len(elems) != 2 * l * l + 3 * l:
         raise AssertionError("odd-part basis has wrong size")
     return G1BasisInfo(l=l, elems=tuple(elems), labels=tuple(labels))
 
 
-def g1_basis(l: int) -> list[LieElt]:
-    """Basis of the odd part of the grading."""
-    return list(g1_basis_info(l).elems)
-
-
 def g1_zero_weight_dim(l: int) -> int:
     """Dimension of the joint ad-kernel of the even Cartan inside the odd part."""
-    cart = b_type_generators(l).cartan_elements()
+    cart = b_type_generators(l).h
     basis = g1_basis_info(l).elems
     rows = [
-        {(c, k): v for c, h in enumerate(cart) for k, v in bracket(h, x).terms.items()}
+        {(c, k): v for c, h in enumerate(cart) for k, v in bracket(h, x).items()}
         for x in basis
     ]
     return len(basis) - rank_of(rows)
 
 
-def eplus(l: int, i: int, j: int) -> LieElt:
-    """Even-part projection of the elementary matrix E[i,j]."""
-    return split_pm(E(2 * l + 1, i, j)).plus
+def eplus(l: int, i: int, j: int) -> Matrix:
+    """Even-part projection (E[i,j] + nu(E[i,j]))/2 of the elementary matrix."""
+    a = E(i, j)
+    vec_add_into(a, nu(a, 2 * l + 1))
+    return vec_scale(a, Fraction(1, 2))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .envelope import PBWAlgebra, Poly, UEAElt, uea_unit
-from .liealg import E, LieElt, b_type_generators, eplus, level_for
+from .liealg import Matrix, b_type_generators, eplus, level_for
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
     ModeBasis,
@@ -159,11 +159,10 @@ def compute_v1(ctx: ProjectionContext) -> UEAElt:
     """Twice the adjoint action of the middle-column lowering element on
     the singular image."""
     if ctx._v1 is None:
-        l = ctx.l
+        l, alg = ctx.l, ctx.alg
         n = 2 * l + 1
-        sign = 1 if l % 2 == 0 else -1  # (-1)^l
-        x = E(n, l + 1, 1) - sign * E(n, n, l + 1)
-        ctx._v1 = vec_scale(ctx.alg.ad(x, zhu_singular_image(ctx)), 2)
+        x = alg.lie_coords({(l + 1, 1): 1, (n, l + 1): -((-1) ** l)})
+        ctx._v1 = vec_scale(alg.ad(x, zhu_singular_image(ctx)), 2)
     return dict(ctx._v1)
 
 
@@ -174,18 +173,19 @@ def v1_closed_form(ctx: ProjectionContext) -> UEAElt:
     n = 2 * l + 1
     sign_l = Fraction(1 if l % 2 == 0 else -1)
 
-    def left_factor(i: int) -> LieElt:
-        return E(n, 1, i + 1) - (-1) ** i * E(n, n - i, n)
+    def left_factor(i: int) -> Matrix:
+        return {(1, i + 1): 1, (n - i, n): -((-1) ** i)}
 
-    def right_factor(i: int) -> LieElt:
-        return E(n, i + 1, l + 1) - (-1) ** (l - i) * E(n, l + 1, n - i)
+    def right_factor(i: int) -> Matrix:
+        # abs: (-1) ** (l - i) is a float for i > l
+        return {(i + 1, l + 1): 1, (l + 1, n - i): -((-1) ** abs(l - i))}
 
     out: UEAElt = {}
     for i in range(1, l):
         prod = alg.mul(alg.lie2uea(left_factor(i)), alg.lie2uea(right_factor(i)))
         vec_add_into(out, prod, sign_l)
-    diag = E(n, 1, 1) - E(n, n, n)
-    mid = E(n, 1, l + 1) - (1 if l % 2 == 0 else -1) * E(n, l + 1, n)
+    diag = {(1, 1): 1, (n, n): -1}
+    mid = {(1, l + 1): 1, (l + 1, n): -((-1) ** l)}
     vec_add_into(out, alg.mul(alg.lie2uea(diag), alg.lie2uea(mid)), sign_l)
     vec_add_into(out, alg.lie2uea(mid), -sign_l / 2)
     for i in range(l + 1, 2 * l):
@@ -203,8 +203,7 @@ def lowered_elements(ctx: ProjectionContext) -> list[UEAElt]:
     and then f_1, ..., f_j.  The first half is a prefix of the one for j - 1,
     so the chain is built once: l - 1 + l(l+1)/2 adjoint actions in all."""
     l, alg = ctx.l, ctx.alg
-    gens = b_type_generators(l)
-    fs = list(gens.f) + [gens.f_l]
+    fs = [alg.lie_coords(f) for f in b_type_generators(l).f]
     prefixes = [compute_v1(ctx)]  # prefixes[i]: f_l, ..., f_{l-i+1} applied
     for t in range(l - 1, 0, -1):  # f_l, ..., f_2
         prefixes.append(alg.ad(fs[t], prefixes[-1]))
@@ -264,9 +263,9 @@ def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
         alg = ctx.alg
         gens = b_type_generators(ctx.l)
         seed = vec_integral(zhu_singular_image(ctx))
-        if any(alg.ad(e, seed) for e in gens.raising_elements()):
+        if any(alg.ad(alg.lie_coords(e), seed) for e in gens.e):
             raise ValueError("singular image is not a highest-weight vector")
-        lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f + (gens.f_l,)]
+        lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f]
         solver = SpanSolver()
         out = [seed] if solver.add(seed) else []
         queue = list(out)

@@ -22,7 +22,7 @@ from . import format_sum
 from .liealg import (
     E,
     H,
-    LieElt,
+    Matrix,
     bracket,
     g0_basis_info,
     g1_basis_info,
@@ -52,7 +52,7 @@ class ModeBasis:
     which keeps the normal-ordering loops on integer arithmetic; a table
     entry that is not one raises ValueError as it is first computed."""
 
-    def __init__(self, l: int, elems: tuple[LieElt, ...], labels: tuple[str, ...],
+    def __init__(self, l: int, elems: tuple[Matrix, ...], labels: tuple[str, ...],
                  g0_count: int | None = None) -> None:
         self.l = l
         self.elems = tuple(elems)
@@ -60,15 +60,15 @@ class ModeBasis:
         self.g0_count = g0_count
         self._span = SpanSolver()
         for x in self.elems:
-            if not self._span.add(x.entry_vector()):
+            if not self._span.add(x):
                 raise AssertionError("mode basis is not independent")
         self._brackets: dict[tuple[int, int], dict[int, Coeff]] = {}
         self._grams: dict[tuple[int, int], Coeff] = {}
         self._nu: dict[int, dict[int, Coeff]] = {}
 
-    def expand(self, x: LieElt) -> dict[int, Coeff]:
+    def expand(self, x: Matrix) -> dict[int, Coeff]:
         """Coordinates of x in the basis, an int wherever integral."""
-        v = self._span.coords(x.entry_vector())
+        v = self._span.coords(x)
         if v is None:
             raise ValueError("element is outside the mode basis span")
         return dict(v)
@@ -94,7 +94,7 @@ class ModeBasis:
     def nu_coords(self, s: int) -> dict[int, Coeff]:
         got = self._nu.get(s)
         if got is None:
-            got = self.expand(nu(self.elems[s]))
+            got = self.expand(nu(self.elems[s], 2 * self.l + 1))
             self._nu[s] = got
         return got
 
@@ -110,7 +110,7 @@ class ModeBasis:
         for label, x in zip(self.labels, self.elems):
             found = {
                 tuple((i == k) - (i == k + 1) - (j == k) + (j == k + 1) for k in range(1, n))
-                for i, j in x.terms
+                for i, j in x
             }
             if len(found) != 1:
                 raise ValueError(f"basis element {label} is not a weight vector")
@@ -127,12 +127,12 @@ def _require_ints(values, what: str, key) -> None:
 def standard_mode_basis(l: int) -> ModeBasis:
     """Cartan differences H_1..H_{2l}, then off-diagonal units in index order."""
     n = 2 * l + 1
-    elems: list[LieElt] = [H(n, i) for i in range(1, n)]
+    elems: list[Matrix] = [H(i) for i in range(1, n)]
     labels: list[str] = [f"H[{i}]" for i in range(1, n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                elems.append(E(n, i, j))
+                elems.append(E(i, j))
                 labels.append(f"E[{i},{j}]")
     return ModeBasis(l, tuple(elems), tuple(labels))
 
@@ -195,9 +195,6 @@ class VermaState:
 
     def scale(self, c) -> "VermaState":
         return VermaState(self.basis, self.k, vec_scale(self.terms, Fraction(c)))
-
-    def __sub__(self, other: "VermaState") -> "VermaState":
-        return self + other.scale(-1)
 
 
 def vacuum(basis: ModeBasis, k: Fraction) -> VermaState:
@@ -266,7 +263,7 @@ def _word_of(mono: Monomial) -> tuple[tuple[int, int], ...]:
     return tuple((idx, -depth) for idx, depth in mono)
 
 
-def mode_action(op: tuple[LieElt, int], s: VermaState) -> VermaState:
+def mode_action(op: tuple[Matrix, int], s: VermaState) -> VermaState:
     """Apply the mode operator elt(mode) to a state."""
     elt, mode = op
     coords = s.basis.expand(elt)
@@ -279,7 +276,7 @@ def mode_action(op: tuple[LieElt, int], s: VermaState) -> VermaState:
 
 
 def state_from_ops(basis: ModeBasis, k: Fraction,
-                   ops: list[tuple[LieElt, int]]) -> VermaState:
+                   ops: list[tuple[Matrix, int]]) -> VermaState:
     """Apply mode operators to the vacuum, rightmost operator first."""
     s = vacuum(basis, k)
     for op in reversed(ops):
@@ -336,14 +333,14 @@ def singular_vector(l: int) -> VermaState:
     n = 2 * l + 1
     basis = standard_mode_basis(l)
     k = level_for(l)
-    top = E(n, 1, n)
+    top = E(1, n)
     total = VermaState(basis, k, {})
     for i in range(1, 2 * l + 1):
         c = Fraction(2 * l - 2 * i + 1, 2 * l + 1)
-        total = total + state_from_ops(basis, k, [(top, -1), (H(n, i), -1)]).scale(c)
+        total = total + state_from_ops(basis, k, [(top, -1), (H(i), -1)]).scale(c)
     for i in range(1, 2 * l):
         total = total + state_from_ops(
-            basis, k, [(E(n, 1, i + 1), -1), (E(n, i + 1, n), -1)]
+            basis, k, [(E(1, i + 1), -1), (E(i + 1, n), -1)]
         )
     total = total + state_from_ops(basis, k, [(top, -2)]).scale(Fraction(-(2 * l - 1), 2))
     return total
@@ -353,9 +350,9 @@ def check_singular(s: VermaState, l: int) -> bool:
     """True iff the raising zero modes and the affine raising mode kill s."""
     n = 2 * l + 1
     for i in range(1, n):
-        if not mode_action((E(n, i, i + 1), 0), s).is_zero():
+        if not mode_action((E(i, i + 1), 0), s).is_zero():
             return False
-    return mode_action((E(n, n, 1), 1), s).is_zero()
+    return mode_action((E(n, 1), 1), s).is_zero()
 
 
 def sweep_operators(s: VermaState) -> list[tuple[int, int]]:

@@ -15,17 +15,34 @@ from fractions import Fraction
 from functools import lru_cache
 
 from a2l2.liealg import (
-    LieElt,
+    Matrix,
     b_type_generators,
     bracket,
     g0_basis_info,
+    nu,
 )
-from a2l2.linalg import SpanSolver
+from a2l2.linalg import SpanSolver, vec_add_into
 
 
-def g0_basis(l: int) -> list[LieElt]:
+def g0_basis(l: int) -> list[Matrix]:
     """Ordered basis of the even part: negative block, Cartan, positive block."""
     return list(g0_basis_info(l).elems)
+
+
+def lin(*terms) -> Matrix:
+    """The matrix sum of c * m over the (c, m) pairs, through the kernel."""
+    out: Matrix = {}
+    for c, m in terms:
+        vec_add_into(out, m, c)
+    return out
+
+
+def split_pm(a: Matrix, n: int) -> tuple[Matrix, Matrix]:
+    """Eigen-split a = plus + minus under the involution of gl(n), with
+    plus = (a + nu(a))/2 fixed by it and minus = (a - nu(a))/2 negated."""
+    na = nu(a, n)
+    half = Fraction(1, 2)
+    return lin((half, a), (half, na)), lin((half, a), (-half, na))
 
 
 # ------------------------------------------------- QuadScalar matrix layer
@@ -167,9 +184,9 @@ def _unit_vector(n, a):
     return v
 
 
-def _lie_apply(x: LieElt, v):
+def _lie_apply(x: Matrix, v):
     out = [Fraction(0)] * len(v)
-    for (i, j), c in x.terms.items():
+    for (i, j), c in x.items():
         if v[j - 1]:
             out[i - 1] += c * v[j - 1]
     return out
@@ -280,7 +297,7 @@ def _spin_data(l: int) -> _SpinData:
     return _SpinData(l)
 
 
-def sigma_matrix(l: int, x: LieElt):
+def sigma_matrix(l: int, x: Matrix):
     """Spinor matrix of an even-part element."""
     data = _spin_data(l)
     total = _mat_zero(data.d)
@@ -300,12 +317,12 @@ def spin_basis_matrices(l: int):
 def _g0_coords_solver(l: int) -> SpanSolver:
     solver = SpanSolver()
     for x in g0_basis(l):
-        assert solver.add(x.entry_vector())
+        assert solver.add(x)
     return solver
 
 
-def _g0_coords(l: int, x: LieElt):
-    v = _g0_coords_solver(l).coords(x.entry_vector())
+def _g0_coords(l: int, x: Matrix):
+    v = _g0_coords_solver(l).coords(x)
     assert v is not None
     return v
 
@@ -335,7 +352,7 @@ def spin_highest_weight_checks(l: int) -> bool:
     hw = d - 1
     for s in range(info.pos_start, info.dim):
         assert all(not bool(mats[s][r][hw]) for r in range(d))
-    for i, h in enumerate(b_type_generators(l).cartan_elements()):
+    for i, h in enumerate(b_type_generators(l).h):
         m = sigma_matrix(l, h)
         expect = QuadScalar(1 if i == l - 1 else 0)
         assert m[hw][hw] == expect

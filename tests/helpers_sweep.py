@@ -54,7 +54,7 @@ def perturbed_singular_vectors(l: int, seed: int = 7, per_depth: int = 4) -> lis
     seeded perturbations by states of depth 0, 1 and 2."""
     v = singular_vector(l)
     eps = Fraction(1, 2 * l + 1)
-    out = [v, v + state_from_ops(v.basis, v.k, [(H(2 * l + 1, 1), -2)]).scale(eps)]
+    out = [v, v + state_from_ops(v.basis, v.k, [(H(1), -2)]).scale(eps)]
     mono = min(m for m in v.terms if len(m) == 2)
     terms = dict(v.terms)
     terms[mono] += eps

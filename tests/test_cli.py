@@ -21,13 +21,13 @@ import a2l2.checks as checks
 import a2l2.classify as classify
 import a2l2.twzhu as twzhu
 import a2l2.vacuum as vacuum
+from a2l2 import max_rank
 from a2l2.checks import (
     CHECK_IDS,
     CheckResult,
     Report,
     dump_object,
     level_string,
-    max_rank,
     render_report,
     run_checks,
 )
@@ -437,8 +437,11 @@ def test_cli_classify_matches_golden_above_default_cap(monkeypatch, l, fmt):
         assert digest == _golden_hashes("classify-sha256.txt")[stored.stem]
 
 
-@pytest.mark.parametrize("which", ("zhu-image", "v1", "polys"))
-@pytest.mark.parametrize("l", (1, 2, 3, 4, 5, 6))
+@pytest.mark.parametrize(
+    "l, which",
+    [(l, which) for l in range(1, 7) for which in ("zhu-image", "v1", "polys")]
+    + [(l, "singular") for l in range(1, 9)],
+)
 def test_cli_dump_matches_golden(monkeypatch, l, which):
     monkeypatch.setenv("A2L2_MAX_L", "8")
     code, out, _ = run_cli(["dump", "--l", str(l), "--object", which])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from a2l2.envelope import zero_set
-from a2l2.liealg import nu
+from a2l2.liealg import b_type_generators, eplus, nu
 from a2l2.linalg import SpanSolver
 from a2l2.twzhu import (
     compute_v1,
@@ -58,6 +58,26 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
         assert all(type(c) is int for c in x), x
 
 
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_matrices_are_ints_or_fractions(l):
+    # a matrix is a plain dict, so no constructor normalizes its entries:
+    # every basis, generator and even projection must be built exact
+    n = 2 * l + 1
+    gens = b_type_generators(l)
+    matrices = {
+        "standard basis": standard_mode_basis(l).elems,
+        "split basis": split_mode_basis(l).elems,
+        "e": gens.e,
+        "f": gens.f,
+        "h": gens.h,
+        "eplus": [eplus(l, i, j) for i in range(1, n + 1) for j in range(1, n + 1)],
+    }
+    for stage, elems in matrices.items():
+        for m in elems:
+            assert_exact(m.values(), stage)
+            assert 0 not in m.values(), (stage, m)
+
+
 @pytest.mark.parametrize("l", (5, 6, 7, 8))
 def test_split_table_is_integral_above_the_pipeline_ranks(l):
     # a fresh, uncached table, so the full one is dropped after the test
@@ -78,7 +98,7 @@ def test_split_coordinates_are_ints_wherever_integral(l):
     split = split_mode_basis(l)
     seen = set()
     for x in standard_mode_basis(l).elems + split.elems:
-        for y in (x, nu(x)):
+        for y in (x, nu(x, 2 * l + 1)):
             coords = split.expand(y).values()
             assert_exact(coords, "split coordinates")
             seen.update(type(c) for c in coords)

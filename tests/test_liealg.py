@@ -14,42 +14,45 @@ import pytest
 from a2l2.liealg import (
     E,
     H,
-    LieElt,
+    Matrix,
     b_type_generators,
     bracket,
     computed_b_cartan,
     eigen_ratio,
     eplus,
     g0_basis_info,
-    g1_basis,
+    g1_basis_info,
     g1_zero_weight_dim,
     invariant_form,
     nu,
-    split_pm,
 )
-from a2l2.linalg import SpanSolver
+from a2l2.linalg import SpanSolver, vec_add_into, vec_add_term, vec_scale
 
-from helpers_spin import QuadScalar, g0_basis
+from helpers_spin import QuadScalar, g0_basis, lin, split_pm
 
 
 # ---------------------------------------------------------------- helpers
 
-def trace(a: LieElt) -> Fraction:
-    return sum((c for (i, j), c in a.terms.items() if i == j), Fraction(0))
+def trace(a: Matrix) -> Fraction:
+    return sum((c for (i, j), c in a.items() if i == j), Fraction(0))
 
 
-def in_even_part(a: LieElt) -> bool:
-    return nu(a) == a
+def in_even_part(a: Matrix, n: int) -> bool:
+    return nu(a, n) == a
 
 
-def in_odd_part(a: LieElt) -> bool:
-    return nu(a) == -a
+def in_odd_part(a: Matrix, n: int) -> bool:
+    return nu(a, n) == vec_scale(a, -1)
 
 
-def sample_sparse(rng, l: int, max_terms: int = 3, traceless: bool = True) -> LieElt:
+def g1_basis(l: int) -> list[Matrix]:
+    return list(g1_basis_info(l).elems)
+
+
+def sample_sparse(rng, l: int, max_terms: int = 3, traceless: bool = True) -> Matrix:
     """Random sparse element for property tests (seeded RNG passed in)."""
     n = 2 * l + 1
-    t: dict[tuple[int, int], Fraction] = {}
+    t: Matrix = {}
     for _ in range(rng.randint(1, max_terms)):
         i = rng.randint(1, n)
         j = rng.randint(1, n)
@@ -58,11 +61,10 @@ def sample_sparse(rng, l: int, max_terms: int = 3, traceless: bool = True) -> Li
             if i == n:
                 continue
             # use H-style traceless diagonal contributions
-            for key, val in H(n, i).terms.items():
-                t[key] = t.get(key, Fraction(0)) + c * val
+            vec_add_into(t, H(i), c)
             continue
-        t[(i, j)] = t.get((i, j), Fraction(0)) + c
-    return LieElt(n, t)
+        vec_add_term(t, (i, j), c)
+    return t
 
 
 # ---------------------------------------------------------------- oracle
@@ -88,9 +90,9 @@ def expected_b_cartan(l: int) -> list[list[int]]:
 # ---------------------------------------------------------------- bracket
 
 def test_bracket_elementary_identities():
-    assert bracket(E(3, 1, 2), E(3, 2, 3)) == E(3, 1, 3)
-    assert bracket(E(3, 1, 2), E(3, 2, 1)) == H(3, 1)
-    assert bracket(E(5, 1, 2), E(5, 3, 4)).is_zero()
+    assert bracket(E(1, 2), E(2, 3)) == E(1, 3)
+    assert bracket(E(1, 2), E(2, 1)) == H(1)
+    assert bracket(E(1, 2), E(3, 4)) == {}
 
 
 def test_bracket_antisymmetry_and_bilinearity():
@@ -99,15 +101,10 @@ def test_bracket_antisymmetry_and_bilinearity():
         l = rng.choice([1, 2, 3])
         a = sample_sparse(rng, l)
         b = sample_sparse(rng, l)
-        assert bracket(a, a).is_zero()
-        assert bracket(a, b) == -bracket(b, a)
+        assert bracket(a, a) == {}
+        assert bracket(a, b) == vec_scale(bracket(b, a), -1)
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        assert bracket(c * a, b) == c * bracket(a, b)
-
-
-def test_bracket_rank_mismatch():
-    with pytest.raises(ValueError):
-        bracket(E(3, 1, 2), E(5, 1, 2))
+        assert bracket(vec_scale(a, c), b) == vec_scale(bracket(a, b), c)
 
 
 def test_jacobi_identity_100_triples():
@@ -115,27 +112,31 @@ def test_jacobi_identity_100_triples():
     for _ in range(100):
         l = rng.choice([1, 2, 3])
         a, b, c = (sample_sparse(rng, l) for _ in range(3))
-        lhs = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
-        assert lhs.is_zero()
+        lhs = lin(
+            (1, bracket(a, bracket(b, c))),
+            (1, bracket(b, bracket(c, a))),
+            (1, bracket(c, bracket(a, b))),
+        )
+        assert lhs == {}
 
 
 # ------------------------------------------------------------- eigen ratio
 
 def test_eigen_ratio_divides_exactly():
     # int entries on both sides: the ratio is an int or a Fraction, never a float
-    two_e = E(3, 1, 2) + E(3, 1, 2)
-    r = eigen_ratio(bracket(H(3, 1), two_e), two_e)
+    two_e = lin((1, E(1, 2)), (1, E(1, 2)))
+    r = eigen_ratio(bracket(H(1), two_e), two_e)
     assert r == 2 and type(r) is int
-    half = eigen_ratio(E(3, 1, 2), two_e)
+    half = eigen_ratio(E(1, 2), two_e)
     assert half == Fraction(1, 2) and type(half) is Fraction
 
 
 # ---------------------------------------------------------------- trace form
 
 def test_invariant_form_examples():
-    assert invariant_form(E(3, 1, 2), E(3, 2, 1)) == 1
-    assert invariant_form(H(3, 1), H(3, 1)) == 2
-    assert invariant_form(E(3, 1, 2), E(3, 1, 2)) == 0
+    assert invariant_form(E(1, 2), E(2, 1)) == 1
+    assert invariant_form(H(1), H(1)) == 2
+    assert invariant_form(E(1, 2), E(1, 2)) == 0
 
 
 def test_invariant_form_symmetric_and_invariant():
@@ -152,72 +153,80 @@ def test_invariant_form_symmetric_and_invariant():
 def test_nu_pinned_images():
     for l in (1, 2, 3):
         n = 2 * l + 1
-        assert nu(E(n, 1, n)) == -E(n, 1, n)  # top-root matrix is odd
+        assert nu(E(1, n), n) == {(1, n): -1}  # top-root matrix is odd
         for i in range(1, n):
-            assert nu(H(n, i)) == H(n, n - i)
-    assert nu(E(3, 2, 3)) == E(3, 1, 2)
+            assert nu(H(i), n) == H(n - i)
+    assert nu(E(2, 3), 3) == E(1, 2)
 
 
 def test_nu_involution_automorphism_form_200_samples():
     rng = random.Random(5)
     for _ in range(200):
         l = rng.choice([1, 2, 3])
+        n = 2 * l + 1
         a = sample_sparse(rng, l)
         b = sample_sparse(rng, l)
-        assert nu(nu(a)) == a
-        assert nu(bracket(a, b)) == bracket(nu(a), nu(b))
-        assert invariant_form(nu(a), nu(b)) == invariant_form(a, b)
+        assert nu(nu(a, n), n) == a
+        assert nu(bracket(a, b), n) == bracket(nu(a, n), nu(b, n))
+        assert invariant_form(nu(a, n), nu(b, n)) == invariant_form(a, b)
 
 
 # ---------------------------------------------------------------- grading
 
 def test_split_pm_examples():
     n = 3
-    p, m = split_pm(E(n, 1, 3))
-    assert p.is_zero() and m == E(n, 1, 3)
-    p, m = split_pm(E(3, 1, 2))
-    assert p == Fraction(1, 2) * (E(3, 1, 2) + E(3, 2, 3))
-    assert m == Fraction(1, 2) * (E(3, 1, 2) - E(3, 2, 3))
-    h = H(3, 1) + H(3, 2)  # fixed by the involution
-    p, m = split_pm(h)
-    assert p == h and m.is_zero()
+    half = Fraction(1, 2)
+    p, m = split_pm(E(1, 3), n)
+    assert p == {} and m == E(1, 3)
+    p, m = split_pm(E(1, 2), n)
+    assert p == lin((half, E(1, 2)), (half, E(2, 3)))
+    assert m == lin((half, E(1, 2)), (-half, E(2, 3)))
+    h = lin((1, H(1)), (1, H(2)))  # fixed by the involution
+    p, m = split_pm(h, n)
+    assert p == h and m == {}
 
 
 def test_split_pm_reconstruction_and_eigenspaces():
     rng = random.Random(31)
     for _ in range(60):
         l = rng.choice([1, 2, 3])
+        n = 2 * l + 1
         a = sample_sparse(rng, l)
-        p, m = split_pm(a)
-        assert p + m == a
-        assert in_even_part(p)
-        assert in_odd_part(m)
+        p, m = split_pm(a, n)
+        assert lin((1, p), (1, m)) == a
+        assert in_even_part(p, n)
+        assert in_odd_part(m, n)
 
 
 # ---------------------------------------------------------------- B_l generators
 
 def test_generator_pinned_values():
     g2 = b_type_generators(2)
-    assert g2.h[0] == H(5, 1) + H(5, 4)  # h_i = H_i + H_{2l+1-i}
-    assert g2.hbar_l == 2 * (H(5, 2) + H(5, 3))
+    assert g2.h[0] == lin((1, H(1)), (1, H(4)))  # h_i = H_i + H_{2l+1-i}
+    assert g2.h[-1] == lin((2, H(2)), (2, H(3)))  # hbar_l
     g1 = b_type_generators(1)
-    assert g1.hbar_l == 2 * (H(3, 1) + H(3, 2))
-    assert g1.e_l == E(3, 1, 2) + E(3, 2, 3)
+    assert g1.h[-1] == lin((2, H(1)), (2, H(2)))
+    assert g1.e[-1] == lin((1, E(1, 2)), (1, E(2, 3)))
+    for l in (1, 2, 3):
+        assert all(len(x) == l for x in b_type_generators(l))
 
 
 def test_generators_live_in_even_part():
     for l in (1, 2, 3):
         g = b_type_generators(l)
-        for x in g.e + g.f + g.h + (g.e_l, g.f_l, g.h_l, g.hbar_l):
-            assert in_even_part(x)
+        h_l = bracket(g.e[-1], g.f[-1])
+        for x in g.e + g.f + g.h + (h_l,):
+            assert in_even_part(x, 2 * l + 1)
 
 
 def test_sqrt2_normalized_triple():
     for l in (1, 2, 3):
         g = b_type_generators(l)
+        e_l, f_l, hbar_l = g.e[-1], g.f[-1], g.h[-1]
+        h_l = lin((1, H(l)), (1, H(l + 1)))
         # sqrt(2)^2 = 2 relates the normalized and plain triples
-        assert 2 * bracket(g.e_l, g.f_l) == g.hbar_l
-        assert bracket(g.e_l, g.f_l) == g.h_l
+        assert vec_scale(bracket(e_l, f_l), 2) == hbar_l
+        assert bracket(e_l, f_l) == h_l
 
 
 def test_cartan_matrix_matches_type_b():
@@ -240,15 +249,15 @@ def test_g0_basis_counts_and_order():
         assert info.dim == d == l * (2 * l + 1)
         assert info.neg_count == l * l
         assert info.cartan_count == l
-        assert info.pos_count == l * l
+        assert info.dim - info.pos_start == l * l
         gens = b_type_generators(l)
-        assert info.elems[info.cartan_start:info.pos_start] == gens.cartan_elements()
+        assert info.elems[info.cartan_start:info.pos_start] == gens.h
         # positive block: even projections of upper representatives, each
         # times its split scale
         for k, (i, j) in enumerate(info.pos_rep_pairs):
             scale = info.scales[info.pos_start + k]
             assert scale == (4 if l + 1 in (i, j) else 2)
-            assert info.elems[info.pos_start + k] == scale * eplus(l, i, j)
+            assert info.elems[info.pos_start + k] == vec_scale(eplus(l, i, j), scale)
             assert i < j and i + j != 2 * l + 2
         assert info.scales[info.cartan_start:info.pos_start] == (1,) * l
 
@@ -259,7 +268,7 @@ def test_anti_diagonal_even_projection_vanishes():
         for i in range(1, n + 1):
             j = n + 1 - i
             if i != j:
-                assert eplus(l, i, j).is_zero()
+                assert eplus(l, i, j) == {}
 
 
 def test_eigen_split_dimensions():
@@ -269,7 +278,7 @@ def test_eigen_split_dimensions():
         solver = SpanSolver()
         count = 0
         for x in g0_basis(l) + g1_basis(l):
-            assert solver.add(x.entry_vector())
+            assert solver.add(x)
             count += 1
         assert count == n * n - 1
         assert all(trace(x) == 0 for x in g0_basis(l) + g1_basis(l))
@@ -284,19 +293,17 @@ def test_g1_zero_weight_dimension():
 def test_g1_basis_is_odd():
     for l in (1, 2, 3):
         for x in g1_basis(l):
-            assert in_odd_part(x)
+            assert in_odd_part(x, 2 * l + 1)
 
 
 # ---------------------------------------------------------------- misc
 
 def test_zero_and_validation():
-    assert LieElt(3).is_zero()
+    # the zero matrix is the empty dict: a sum that cancels stores no entry
+    assert lin((1, E(1, 2)), (-1, E(1, 2))) == {}
+    assert eigen_ratio({}, E(1, 2)) == 0
     with pytest.raises(ValueError):
-        LieElt(4)  # even size rejected
-    with pytest.raises(ValueError):
-        E(3, 0, 1)
-    with pytest.raises(ValueError):
-        H(3, 3)
+        eigen_ratio(E(1, 2), E(2, 1))  # not a multiple
 
 
 def test_quadscalar_ring():

@@ -17,7 +17,6 @@ from a2l2.liealg import (
     g0_basis_info,
     level_for,
     nu,
-    split_pm,
 )
 from a2l2.linalg import SpanSolver, vec_add_into
 from a2l2.vacuum import (
@@ -39,6 +38,7 @@ from a2l2.vacuum import (
     vacuum,
 )
 from a2l2 import vacuum as vacuum_module
+from helpers_spin import split_pm
 from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors
 
 
@@ -88,19 +88,19 @@ def test_mode_pinned_examples_rank1():
         "H[1]", "H[2]", "E[1,2]", "E[1,3]", "E[2,1]", "E[2,3]", "E[3,1]", "E[3,2]"
     )
     # annihilator meeting its partner across the vacuum leaves the level
-    s = state_from_ops(basis, k, [(E(3, 2, 1), 1), (E(3, 1, 2), -1)])
+    s = state_from_ops(basis, k, [(E(2, 1), 1), (E(1, 2), -1)])
     assert s == vacuum(basis, k).scale(Fraction(-3, 2))
     # diagonal contraction picks up the form <H1,H1> = 2
-    s = state_from_ops(basis, k, [(H(3, 1), 1), (H(3, 1), -1)])
+    s = state_from_ops(basis, k, [(H(1), 1), (H(1), -1)])
     assert s == vacuum(basis, k).scale(-3)
     # zero mode acts by the bracket
-    s = state_from_ops(basis, k, [(E(3, 1, 2), 0), (E(3, 2, 3), -1)])
+    s = state_from_ops(basis, k, [(E(1, 2), 0), (E(2, 3), -1)])
     assert s.terms == {((3, 1),): Fraction(1)}
     # reordering two creations leaves a deeper correction term
-    s = state_from_ops(basis, k, [(E(3, 1, 3), -1), (H(3, 1), -1)])
+    s = state_from_ops(basis, k, [(E(1, 3), -1), (H(1), -1)])
     assert s.terms == {((0, 1), (3, 1)): Fraction(1), ((3, 2),): Fraction(-1)}
     # already-ordered creations are stored as written
-    s = state_from_ops(basis, k, [(H(3, 1), -2), (E(3, 1, 2), -1)])
+    s = state_from_ops(basis, k, [(H(1), -2), (E(1, 2), -1)])
     assert s.terms == {((0, 2), (2, 1)): Fraction(1)}
 
 
@@ -124,9 +124,9 @@ def test_affine_commutation_relation_50_samples():
         y = basis.elems[rng.randrange(len(basis.elems))]
         m = rng.randint(-2, 2)
         n = rng.randint(-2, 2)
-        lhs = mode_action((x, m), mode_action((y, n), w)) - mode_action(
+        lhs = mode_action((x, m), mode_action((y, n), w)) + mode_action(
             (y, n), mode_action((x, m), w)
-        )
+        ).scale(-1)
         from a2l2.liealg import bracket, invariant_form
 
         rhs = mode_action((bracket(x, y), m + n), w)
@@ -160,8 +160,8 @@ def test_normal_order_of_several_annihilators_50_samples():
 def test_nu_state_basics():
     basis = standard_mode_basis(1)
     k = level_for(1)
-    s = state_from_ops(basis, k, [(E(3, 2, 3), -1)])
-    assert nu_state(s) == state_from_ops(basis, k, [(nu(E(3, 2, 3)), -1)])
+    s = state_from_ops(basis, k, [(E(2, 3), -1)])
+    assert nu_state(s) == state_from_ops(basis, k, [(nu(E(2, 3), 3), -1)])
     rng = random.Random(9)
     for _ in range(20):
         l = rng.choice([1, 2])
@@ -198,7 +198,7 @@ def test_singular_vector_annihilated():
 def test_check_singular_rejects_non_singular():
     basis = standard_mode_basis(1)
     k = level_for(1)
-    s = state_from_ops(basis, k, [(E(3, 1, 2), -1)])
+    s = state_from_ops(basis, k, [(E(1, 2), -1)])
     assert not check_singular(s, 1)
 
 
@@ -212,10 +212,9 @@ def test_positive_mode_sweep_rejects_fractional_perturbations():
     # the sweep scales its input to integers; a perturbation by 1/(2l+1),
     # a denominator the singular vector already has, must still show
     for l in (1, 2, 3):
-        n = 2 * l + 1
         v = singular_vector(l)
         eps = Fraction(1, 2 * l + 1)
-        extra = state_from_ops(v.basis, v.k, [(H(n, 1), -2)]).scale(eps)
+        extra = state_from_ops(v.basis, v.k, [(H(1), -2)]).scale(eps)
         assert not positive_mode_sweep(v + extra)
         mono = min(m for m in v.terms if len(m) == 2)
         terms = dict(v.terms)
@@ -262,7 +261,7 @@ def test_weights_read_from_entries_match_eigenvalues():
         basis = standard_mode_basis(l)
         n = 2 * l + 1
         for x, wt in zip(basis.elems, basis.weights):
-            assert wt == tuple(eigen_ratio(bracket(H(n, i), x), x) for i in range(1, n))
+            assert wt == tuple(eigen_ratio(bracket(H(i), x), x) for i in range(1, n))
     with pytest.raises(ValueError, match="not a weight vector"):
         split_mode_basis(1).weights
 
@@ -270,9 +269,9 @@ def test_weights_read_from_entries_match_eigenvalues():
 def test_mode_basis_refuses_fractional_constants():
     # the split basis before rescaling: [Ep[1,2], Ep[2,1]] = hb[1]/8 and
     # the trace form of the pair is 1/2
-    gens = b_type_generators(1)
-    up, down = (split_pm(E(3, i, j)).plus for i, j in ((1, 2), (2, 1)))
-    basis = ModeBasis(1, (down, gens.hbar_l, up), ("Ep[2,1]", "hb[1]", "Ep[1,2]"))
+    hbar = b_type_generators(1).h[-1]
+    up, down = (split_pm(E(i, j), 3)[0] for i, j in ((1, 2), (2, 1)))
+    basis = ModeBasis(1, (down, hbar, up), ("Ep[2,1]", "hb[1]", "Ep[1,2]"))
     with pytest.raises(ValueError, match="not an integer"):
         basis.bracket_coords(2, 0)
     with pytest.raises(ValueError, match="not an integer"):
@@ -294,7 +293,7 @@ def test_singular_vector_weight_is_top_root():
 def so_weight(s: VermaState) -> tuple[Fraction, ...]:
     """Common eigenvalue tuple of s under the so(2l+1) Cartan
     (h_1..h_{l-1}, hbar_l); fails if s mixes weights."""
-    cartan = b_type_generators(s.basis.l).cartan_elements()
+    cartan = b_type_generators(s.basis.l).h
     elems = s.basis.elems
     weights = {
         tuple(
@@ -359,9 +358,9 @@ def test_state_validation_and_depth_cap():
     with pytest.raises(ValueError):
         VermaState(basis, k, {((0, 1), (0, 2)): Fraction(1)})  # wrong depth order
     with pytest.raises(ValueError):
-        state_from_ops(basis, k, [(H(3, 1), -1)] * 9)
+        state_from_ops(basis, k, [(H(1), -1)] * 9)
     # exactly at the cap is fine
-    s = state_from_ops(basis, k, [(H(3, 1), -1)] * 8)
+    s = state_from_ops(basis, k, [(H(1), -1)] * 8)
     assert not s.is_zero()
 
 
