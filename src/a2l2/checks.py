@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import _exact, _exact_list, level_string, validated_rank
@@ -36,6 +35,7 @@ from .vacuum import (
     nu_state,
     positive_mode_sweep,
     singular_vector,
+    standard_mode_basis,
     state_string,
     state_weight,
 )
@@ -88,25 +88,23 @@ def _check_g1_dim(l: int) -> tuple[bool, dict]:
 
 
 def _check_singular(l: int) -> tuple[bool, dict]:
-    v = singular_vector(l)
-    annihilated = check_singular(v, l)
-    swept = positive_mode_sweep(v)
-    weight = state_weight(v)
-    expected_weight = tuple(
-        Fraction(1 if i in (1, 2 * l) else 0) for i in range(1, 2 * l + 1)
-    )
+    basis, v = standard_mode_basis(l), singular_vector(l)
+    annihilated = check_singular(basis, v)
+    swept = positive_mode_sweep(basis, v)
+    weight = state_weight(basis, v)
+    expected_weight = tuple(int(i in (1, 2 * l)) for i in range(1, 2 * l + 1))
     ok = annihilated and swept and weight == expected_weight
     return ok, {
         "raising_annihilation": annihilated,
         "positive_mode_sweep": swept,
         "weight": _exact_list(weight),
-        "terms": len(v.terms),
+        "terms": len(v),
     }
 
 
 def _check_nu_fixed(l: int) -> tuple[bool, dict]:
     v = singular_vector(l)
-    ok = nu_state(v) == v
+    ok = nu_state(standard_mode_basis(l), v) == v
     return ok, {"fixed_by_twist": ok}
 
 
@@ -115,9 +113,7 @@ def _check_zhu_image(l: int) -> tuple[bool, dict]:
     image = zhu_singular_image(ctx)
     closed = zhu_image_closed_form(ctx)
     weight = ctx.alg.weight_of(image)
-    expected_weight = tuple(
-        Fraction(4 if l == 1 else 2) if i == 0 else Fraction(0) for i in range(l)
-    )
+    expected_weight = (4 if l == 1 else 2,) + (0,) * (l - 1)
     ok = image == closed and weight == expected_weight
     return ok, {
         "matches_closed_form": image == closed,
@@ -341,7 +337,7 @@ def dump_object(l: int, which: str) -> str:
     """Plain-text rendering of one of the central symbolic objects."""
     validated_rank(l)
     if which == "singular":
-        return state_string(singular_vector(l)) + "\n"
+        return state_string(standard_mode_basis(l), singular_vector(l)) + "\n"
     if which in ("zhu-image", "v1"):
         ctx = projection_context(l)
         u = zhu_singular_image(ctx) if which == "zhu-image" else compute_v1(ctx)

@@ -25,16 +25,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .envelope import PBWAlgebra, Poly, UEAElt, uea_unit
-from .liealg import Matrix, b_type_generators, eplus, level_for
+from .liealg import Matrix, b_type_generators, bracket, eplus
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
     ModeBasis,
     Monomial,
-    VermaState,
+    State,
     convert_state,
     mode_action,
     singular_vector,
     split_mode_basis,
+    standard_mode_basis,
 )
 
 
@@ -63,7 +64,6 @@ class ProjectionContext:
 
     def __init__(self, l: int) -> None:
         self.l = l
-        self.level_k = level_for(l)
         self.split: ModeBasis = split_mode_basis(l)
         self.alg = PBWAlgebra(self.split)
         self.memo: dict[Monomial, UEAElt] = {}
@@ -94,18 +94,15 @@ class ProjectionContext:
                 result = vec_scale(prod, -1 if (depth - 1) % 2 else 1)
             else:
                 result = {}
-                rest_state = VermaState(
-                    self.split, self.level_k, {rest: 1}
-                )
                 jmax = depth + _total_depth(rest)
                 for j in range(1, jmax + 1):
                     moved = mode_action(
-                        (self.split.elems[idx], -depth + j), rest_state
+                        self.split, (self.split.elems[idx], -depth + j), {rest: 1}
                     )
-                    if moved.is_zero():
+                    if not moved:
                         continue
                     sub: UEAElt = {}
-                    for m2, c2 in moved.terms.items():
+                    for m2, c2 in moved.items():
                         vec_add_into(sub, self.project_monomial(m2), c2)
                     vec_add_into(result, sub, -_binom_half(j))
         self.memo[mono] = result
@@ -118,14 +115,12 @@ def projection_context(l: int) -> ProjectionContext:
     return ProjectionContext(l)
 
 
-def project(s: VermaState, ctx: ProjectionContext) -> UEAElt:
-    """Project a state onto the envelope of the even part."""
-    if s.basis.labels != ctx.split.labels:
-        s = convert_state(s, ctx.split)
-    if s.k != ctx.level_k:
-        raise ValueError("state level does not match the context")
+def project(basis: ModeBasis, s: State, ctx: ProjectionContext) -> UEAElt:
+    """Project a state over `basis` onto the envelope of the even part."""
+    if basis.labels != ctx.split.labels:
+        s = convert_state(basis, s, ctx.split)
     out: UEAElt = {}
-    for mono, c in s.terms.items():
+    for mono, c in s.items():
         vec_add_into(out, ctx.project_monomial(mono), c)
     return out
 
@@ -136,7 +131,7 @@ def project(s: VermaState, ctx: ProjectionContext) -> UEAElt:
 def zhu_singular_image(ctx: ProjectionContext) -> UEAElt:
     """Projection of the degree-2 singular vector."""
     if ctx._image is None:
-        ctx._image = project(singular_vector(ctx.l), ctx)
+        ctx._image = project(standard_mode_basis(ctx.l), singular_vector(ctx.l), ctx)
     return dict(ctx._image)
 
 
@@ -258,6 +253,11 @@ def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
     vector is a weight vector, being a lowering word applied to the seed.
     The span does not change when the seed or a generator is scaled, so
     both are cleared of denominators and the closure runs on ints.
+
+    A lowering that provably vanishes is skipped: if f_i kills u and
+    [f_i, f_j] = 0 for i != j, then f_i f_j u = f_j f_i u = 0.  So each
+    queued vector carries the zero set of its parent and the index j that
+    made it, and only calls that would return 0 are left out.
     """
     if ctx._r0 is None:
         alg = ctx.alg
@@ -266,16 +266,24 @@ def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
         if any(alg.ad(alg.lie_coords(e), seed) for e in gens.e):
             raise ValueError("singular image is not a highest-weight vector")
         lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f]
+        commute = [[i != j and not bracket(a, b) for j, b in enumerate(gens.f)]
+                   for i, a in enumerate(gens.f)]
         solver = SpanSolver()
         out = [seed] if solver.add(seed) else []
-        queue = list(out)
+        queue = [(u, (), 0) for u in out]  # (vector, parent's zero set, j)
         while queue:
-            u = queue.pop()
-            for f in lowering:
+            u, parent_zeros, j = queue.pop()
+            # the children share `zeros`, complete before any is popped
+            zeros = {i for i in parent_zeros if commute[i][j]}
+            for i, f in enumerate(lowering):
+                if i in zeros:
+                    continue
                 w = alg.ad(f, u)
-                if w and solver.add(w):
+                if not w:
+                    zeros.add(i)
+                elif solver.add(w):
                     out.append(w)
-                    queue.append(w)
+                    queue.append((w, zeros, i))
         ctx._r0 = out
     return list(ctx._r0)
 

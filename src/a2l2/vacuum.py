@@ -1,8 +1,11 @@
 """Vacuum module over the affinization: mode operators on states.
 
-States are finite sums of normal-ordered creation monomials applied to the
-vacuum.  A monomial is a tuple of (basis index, depth) pairs with depth >= 1,
-stored deepest-first with ties broken by basis index.  Mode operators act via
+A state is a finite sum of normal-ordered creation monomials applied to the
+vacuum, held as a plain kernel dict from monomial to coefficient over a
+`ModeBasis`, which also carries the level; every function on states takes
+that basis first.  A monomial is a tuple of (basis index, depth) pairs with
+depth >= 1, stored deepest-first with ties broken by basis index, and
+`_normal_order` is the one place that makes them.  Mode operators act via
 the affine commutation rule
 
     [a(m), b(n)] = [a,b](m+n) + m * delta(m+n, 0) * <a,b> * level,
@@ -43,10 +46,12 @@ DEPTH_CAP = 8  # total creation depth allowed in any stored monomial
 
 # monomial: tuple of (basis index, depth), depth desc then index asc
 Monomial = tuple[tuple[int, int], ...]
+State = dict[Monomial, Coeff]
 
 
 class ModeBasis:
-    """Ordered basis of the finite algebra with cached structure constants.
+    """Ordered basis of the finite algebra with cached structure constants,
+    and the level of the vacuum module over it, which the rank fixes.
 
     Every bracket constant and Gram value over the basis must be an int,
     which keeps the normal-ordering loops on integer arithmetic; a table
@@ -55,6 +60,7 @@ class ModeBasis:
     def __init__(self, l: int, elems: tuple[Matrix, ...], labels: tuple[str, ...],
                  g0_count: int | None = None) -> None:
         self.l = l
+        self.k = level_for(l)
         self.elems = tuple(elems)
         self.labels = tuple(labels)
         self.g0_count = g0_count
@@ -150,66 +156,14 @@ def split_mode_basis(l: int) -> ModeBasis:
     )
 
 
-class VermaState:
-    """Finite combination of normal-ordered creation monomials on the vacuum."""
-
-    __slots__ = ("basis", "k", "terms")
-
-    def __init__(self, basis: ModeBasis, k: Fraction, terms: dict[Monomial, Coeff]) -> None:
-        self.basis, self.k, self.terms = basis, k, terms
-        for mono, c in terms.items():
-            if not c:
-                raise ValueError("zero coefficient stored")
-            total = 0
-            prev = None
-            for idx, depth in mono:
-                if depth < 1:
-                    raise ValueError("creation depth must be >= 1")
-                if not 0 <= idx < len(self.basis.elems):
-                    raise ValueError("basis index out of range")
-                key = (-depth, idx)
-                if prev is not None and key < prev:
-                    raise ValueError("monomial is not in canonical order")
-                prev = key
-                total += depth
-            if total > DEPTH_CAP:
-                raise ValueError(f"monomial depth {total} exceeds cap {DEPTH_CAP}")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VermaState)
-            and self.basis.labels == other.basis.labels
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "VermaState") -> "VermaState":
-        if self.basis is not other.basis or self.k != other.k:
-            raise ValueError("state context mismatch")
-        t = dict(self.terms)
-        vec_add_into(t, other.terms)
-        return VermaState(self.basis, self.k, t)
-
-    def scale(self, c) -> "VermaState":
-        return VermaState(self.basis, self.k, vec_scale(self.terms, Fraction(c)))
-
-
-def vacuum(basis: ModeBasis, k: Fraction) -> VermaState:
-    return VermaState(basis, Fraction(k), {(): 1})
-
-
 def _normal_order(
-    basis: ModeBasis, k: Fraction, word: tuple[tuple[int, int], ...],
-    coeff: Coeff = 1,
-) -> dict[Monomial, Coeff]:
+    basis: ModeBasis, word: tuple[tuple[int, int], ...], coeff: Coeff = 1
+) -> State:
     """Normal-order a word of (index, mode) operators applied to the vacuum.
 
     A non-negative mode annihilates the vacuum, so a word whose rightmost
     factor is one is zero and is never pushed."""
-    out: dict[Monomial, Coeff] = {}
+    out: State = {}
     if not coeff or (word and word[-1][1] >= 0):
         return out
     pending = [(tuple(word), coeff)]
@@ -235,7 +189,7 @@ def _normal_order(
             if m + n == 0 and m != 0 and (tail or not head or head[-1][1] < 0):
                 g = basis.gram(s_idx, t_idx)
                 if g:
-                    pending.append((head + tail, c * m * g * k))
+                    pending.append((head + tail, c * m * g * basis.k))
             continue
         # all creations: sort by (mode asc, index asc)
         pos = next(
@@ -263,32 +217,31 @@ def _word_of(mono: Monomial) -> tuple[tuple[int, int], ...]:
     return tuple((idx, -depth) for idx, depth in mono)
 
 
-def mode_action(op: tuple[Matrix, int], s: VermaState) -> VermaState:
+def mode_action(basis: ModeBasis, op: tuple[Matrix, int], s: State) -> State:
     """Apply the mode operator elt(mode) to a state."""
     elt, mode = op
-    coords = s.basis.expand(elt)
-    out: dict[Monomial, Coeff] = {}
-    for mono, c in s.terms.items():
+    coords = basis.expand(elt)
+    out: State = {}
+    for mono, c in s.items():
         word = _word_of(mono)
         for idx, a in coords.items():
-            vec_add_into(out, _normal_order(s.basis, s.k, ((idx, mode),) + word, c * a))
-    return VermaState(s.basis, s.k, out)
+            vec_add_into(out, _normal_order(basis, ((idx, mode),) + word, c * a))
+    return out
 
 
-def state_from_ops(basis: ModeBasis, k: Fraction,
-                   ops: list[tuple[Matrix, int]]) -> VermaState:
+def state_from_ops(basis: ModeBasis, ops: list[tuple[Matrix, int]]) -> State:
     """Apply mode operators to the vacuum, rightmost operator first."""
-    s = vacuum(basis, k)
+    s: State = {(): 1}
     for op in reversed(ops):
-        s = mode_action(op, s)
+        s = mode_action(basis, op, s)
     return s
 
 
-def _map_factors(s: VermaState, target: ModeBasis, coords) -> VermaState:
+def _map_factors(s: State, target: ModeBasis, coords) -> State:
     """Expand every creation factor of s through the coordinate map
     `coords(index)` into `target`, then normal-order into that basis."""
-    out: dict[Monomial, Coeff] = {}
-    for mono, c in s.terms.items():
+    out: State = {}
+    for mono, c in s.items():
         expanded: list[tuple[tuple[tuple[int, int], ...], Coeff]] = [((), c)]
         for idx, depth in mono:
             images = coords(idx).items()
@@ -298,13 +251,13 @@ def _map_factors(s: VermaState, target: ModeBasis, coords) -> VermaState:
                 for t, b in images
             ]
         for word, cc in expanded:
-            vec_add_into(out, _normal_order(target, s.k, word, cc))
-    return VermaState(target, s.k, out)
+            vec_add_into(out, _normal_order(target, word, cc))
+    return out
 
 
-def nu_state(s: VermaState) -> VermaState:
+def nu_state(basis: ModeBasis, s: State) -> State:
     """Apply the involution factorwise to every creation monomial."""
-    return _map_factors(s, s.basis, s.basis.nu_coords)
+    return _map_factors(s, basis, basis.nu_coords)
 
 
 def _monomial_weight(basis: ModeBasis, mono: Monomial) -> tuple[int, ...]:
@@ -315,47 +268,45 @@ def _monomial_weight(basis: ModeBasis, mono: Monomial) -> tuple[int, ...]:
     return tuple(tot)
 
 
-def state_weight(s: VermaState) -> tuple[int, ...]:
+def state_weight(basis: ModeBasis, s: State) -> tuple[int, ...]:
     """Common eigenvalue tuple under the diagonal zero modes H_1..H_{2l}.
 
     Raises if the state mixes weights (every state built here from weight
     vectors is weight-pure)."""
-    found = {_monomial_weight(s.basis, mono) for mono in s.terms}
+    found = {_monomial_weight(basis, mono) for mono in s}
     if len(found) > 1:
         raise ValueError("state mixes weights")
-    return found.pop() if found else (0,) * (2 * s.basis.l)
+    return found.pop() if found else (0,) * (2 * basis.l)
 
 
 @lru_cache(maxsize=None)
-def singular_vector(l: int) -> VermaState:
+def singular_vector(l: int) -> State:
     """Degree-2 singular vector of the vacuum module at the special level,
-    built once per rank and shared: callers must not modify it."""
+    over `standard_mode_basis(l)`, built once per rank and shared: callers
+    must not modify it."""
     n = 2 * l + 1
     basis = standard_mode_basis(l)
-    k = level_for(l)
     top = E(1, n)
-    total = VermaState(basis, k, {})
+    total: State = {}
     for i in range(1, 2 * l + 1):
         c = Fraction(2 * l - 2 * i + 1, 2 * l + 1)
-        total = total + state_from_ops(basis, k, [(top, -1), (H(i), -1)]).scale(c)
+        vec_add_into(total, state_from_ops(basis, [(top, -1), (H(i), -1)]), c)
     for i in range(1, 2 * l):
-        total = total + state_from_ops(
-            basis, k, [(E(1, i + 1), -1), (E(i + 1, n), -1)]
-        )
-    total = total + state_from_ops(basis, k, [(top, -2)]).scale(Fraction(-(2 * l - 1), 2))
+        vec_add_into(total, state_from_ops(basis, [(E(1, i + 1), -1), (E(i + 1, n), -1)]))
+    vec_add_into(total, state_from_ops(basis, [(top, -2)]), Fraction(-(2 * l - 1), 2))
     return total
 
 
-def check_singular(s: VermaState, l: int) -> bool:
+def check_singular(basis: ModeBasis, s: State) -> bool:
     """True iff the raising zero modes and the affine raising mode kill s."""
-    n = 2 * l + 1
+    n = 2 * basis.l + 1
     for i in range(1, n):
-        if not mode_action((E(i, i + 1), 0), s).is_zero():
+        if mode_action(basis, (E(i, i + 1), 0), s):
             return False
-    return mode_action((E(n, 1), 1), s).is_zero()
+    return not mode_action(basis, (E(n, 1), 1), s)
 
 
-def sweep_operators(s: VermaState) -> list[tuple[int, int]]:
+def sweep_operators(basis: ModeBasis, s: State) -> list[tuple[int, int]]:
     """The (basis index, mode) pairs, modes 1 and 2, whose action on s the
     grading of the vacuum module does not force to be zero.
 
@@ -364,10 +315,10 @@ def sweep_operators(s: VermaState) -> list[tuple[int, int]]:
     of the basis elements and 0, so x(m) can act nonzero on the term only if
     D - m >= 2 or that weight occurs in degree D - m.  The weights are read
     term by term, so a state that mixes weights is still swept in full."""
-    weights = s.basis.weights
-    zero = (0,) * (2 * s.basis.l)
+    weights = basis.weights
+    zero = (0,) * (2 * basis.l)
     degree_weights = ({zero}, {zero, *weights})
-    terms = {(_monomial_weight(s.basis, mono), sum(d for _, d in mono)) for mono in s.terms}
+    terms = {(_monomial_weight(basis, mono), sum(d for _, d in mono)) for mono in s}
     return [
         (idx, m)
         for idx, wt in enumerate(weights)
@@ -380,7 +331,7 @@ def sweep_operators(s: VermaState) -> list[tuple[int, int]]:
     ]
 
 
-def positive_mode_sweep(s: VermaState) -> bool:
+def positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     """True iff every basis operator at modes 1 and 2 kills s.
 
     Only the operators of `sweep_operators` act, since the grading kills the
@@ -391,23 +342,23 @@ def positive_mode_sweep(s: VermaState) -> bool:
     consumes the only annihilator), and the basis has integral structure
     constants and Gram values, so every coefficient of the sweep is an int.
     The basis must consist of weight vectors, like the standard one."""
-    scaled = VermaState(s.basis, s.k, vec_scale(vec_integral(s.terms), s.k.denominator))
-    elems = s.basis.elems
-    return all(
-        mode_action((elems[idx], m), scaled).is_zero()
-        for idx, m in sweep_operators(s)
+    scaled = vec_scale(vec_integral(s), basis.k.denominator)
+    elems = basis.elems
+    return not any(
+        mode_action(basis, (elems[idx], m), scaled)
+        for idx, m in sweep_operators(basis, s)
     )
 
 
-def convert_state(s: VermaState, target: ModeBasis) -> VermaState:
+def convert_state(basis: ModeBasis, s: State, target: ModeBasis) -> State:
     """Re-express a state over another basis of the same finite algebra."""
-    return _map_factors(s, target, lambda idx: target.expand(s.basis.elems[idx]))
+    return _map_factors(s, target, lambda idx: target.expand(basis.elems[idx]))
 
 
-def state_string(s: VermaState) -> str:
+def state_string(basis: ModeBasis, s: State) -> str:
     """Single-line rendering: factors as label(-depth), vacuum as |0>."""
     terms = []
-    for mono, c in sorted(s.terms.items()):
-        factors = "".join(f"{s.basis.labels[idx]}({-depth})" for idx, depth in mono)
+    for mono, c in sorted(s.items()):
+        factors = "".join(f"{basis.labels[idx]}({-depth})" for idx, depth in mono)
         terms.append((c, factors + "|0>"))
     return format_sum(terms)

@@ -12,59 +12,69 @@ from fractions import Fraction
 from math import lcm
 
 from a2l2.liealg import H
+from a2l2.linalg import vec_add_into, vec_scale
 from a2l2.vacuum import (
-    VermaState,
+    ModeBasis,
+    State,
     mode_action,
     singular_vector,
+    standard_mode_basis,
     state_from_ops,
-    vacuum,
 )
 
 
-def full_positive_mode_sweep(s: VermaState) -> bool:
+def full_positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     """True iff all 2 * dim basis operators at modes 1 and 2 kill s."""
-    scale = lcm(*(c.denominator for c in s.terms.values())) * s.k.denominator
-    scaled = s.scale(scale)
-    for x in s.basis.elems:
+    scale = lcm(*(c.denominator for c in s.values())) * basis.k.denominator
+    scaled = vec_scale(s, scale)
+    for x in basis.elems:
         for m in (1, 2):
-            if not mode_action((x, m), scaled).is_zero():
+            if mode_action(basis, (x, m), scaled):
                 return False
     return True
 
 
-def _seeded_state(rng: random.Random, v: VermaState, depth: int) -> VermaState:
+def _seeded_state(rng: random.Random, basis: ModeBasis, depth: int) -> State:
     """The vacuum, x(-1)|0>, or one of x(-2)|0> and x(-1)y(-1)|0>, for
     basis elements x, y drawn by rng."""
-    basis, k = v.basis, v.k
     if depth == 0:
-        return vacuum(basis, k)
+        return state_from_ops(basis, [])
 
     def pick():
         return basis.elems[rng.randrange(len(basis.elems))]
 
     if depth == 1:
-        return state_from_ops(basis, k, [(pick(), -1)])
+        return state_from_ops(basis, [(pick(), -1)])
     if rng.random() < 0.5:
-        return state_from_ops(basis, k, [(pick(), -2)])
-    return state_from_ops(basis, k, [(pick(), -1), (pick(), -1)])
+        return state_from_ops(basis, [(pick(), -2)])
+    return state_from_ops(basis, [(pick(), -1), (pick(), -1)])
 
 
-def perturbed_singular_vectors(l: int, seed: int = 7, per_depth: int = 4) -> list[VermaState]:
+def plus(*terms: tuple[State, Fraction | int]) -> State:
+    """The sum of c * s over the (s, c) pairs, through the kernel."""
+    out: State = {}
+    for s, c in terms:
+        vec_add_into(out, s, c)
+    return out
+
+
+def perturbed_singular_vectors(l: int, seed: int = 7, per_depth: int = 4) -> list[State]:
     """The singular vector of rank l, its two fractional perturbations, and
-    seeded perturbations by states of depth 0, 1 and 2."""
-    v = singular_vector(l)
+    seeded perturbations by states of depth 0, 1 and 2, all over
+    `standard_mode_basis(l)`."""
+    basis, v = standard_mode_basis(l), singular_vector(l)
     eps = Fraction(1, 2 * l + 1)
-    out = [v, v + state_from_ops(v.basis, v.k, [(H(1), -2)]).scale(eps)]
-    mono = min(m for m in v.terms if len(m) == 2)
-    terms = dict(v.terms)
+    out = [v, plus((v, 1), (state_from_ops(basis, [(H(1), -2)]), eps))]
+    mono = min(m for m in v if len(m) == 2)
+    terms = dict(v)
     terms[mono] += eps
-    out.append(VermaState(v.basis, v.k, terms))
+    out.append(terms)
     rng = random.Random(seed * 100 + l)
     for depth in (0, 1, 2):
         for _ in range(per_depth):
-            extra = _seeded_state(rng, v, depth)
-            if extra.is_zero():
+            extra = _seeded_state(rng, basis, depth)
+            if not extra:
                 continue
             c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
-            out.append(v + extra.scale(c))
+            out.append(plus((v, 1), (extra, c)))
     return out

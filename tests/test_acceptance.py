@@ -55,6 +55,7 @@ from a2l2.vacuum import (
     nu_state,
     positive_mode_sweep,
     singular_vector,
+    standard_mode_basis,
 )
 
 RANKS = (1, 2, 3)
@@ -131,9 +132,9 @@ def test_criterion_03_singularity_with_redundant_sweep():
     t0 = time.perf_counter()
     ok = True
     for l in RANKS:
-        v = singular_vector(l)
-        ok = ok and check_singular(v, l)
-        ok = ok and positive_mode_sweep(v)
+        basis, v = standard_mode_basis(l), singular_vector(l)
+        ok = ok and check_singular(basis, v)
+        ok = ok and positive_mode_sweep(basis, v)
     _criterion(
         3,
         ok,
@@ -148,7 +149,7 @@ def test_criterion_04_involution_fixes_the_vector():
     ok = True
     for l in RANKS:
         v = singular_vector(l)
-        ok = ok and nu_state(v) == v
+        ok = ok and nu_state(standard_mode_basis(l), v) == v
     _criterion(
         4,
         ok,

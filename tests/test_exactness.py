@@ -31,8 +31,8 @@ def assert_exact(values, stage: str) -> None:
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_pipeline_coefficients_are_ints_or_fractions(l):
     v = singular_vector(l)
-    assert_exact(v.terms.values(), "singular vector")
-    assert_exact(nu_state(v).terms.values(), "nu image")
+    assert_exact(v.values(), "singular vector")
+    assert_exact(nu_state(standard_mode_basis(l), v).values(), "nu image")
     ctx = projection_context(l)
     split = ctx.split
     dim = len(split.elems)

@@ -20,8 +20,9 @@ from a2l2.liealg import (
 )
 from a2l2.linalg import SpanSolver, vec_add_into
 from a2l2.vacuum import (
+    DEPTH_CAP,
     ModeBasis,
-    VermaState,
+    State,
     _normal_order,
     check_singular,
     convert_state,
@@ -35,46 +36,47 @@ from a2l2.vacuum import (
     state_string,
     state_weight,
     sweep_operators,
-    vacuum,
 )
 from a2l2 import vacuum as vacuum_module
 from helpers_spin import split_pm
-from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors
+from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors, plus
 
 
-def zero_mode_orbit(v: VermaState, l: int) -> list[VermaState]:
-    """Basis of the closure of v under even-part zero modes."""
+def zero_mode_orbit(v: State, l: int) -> list[State]:
+    """Basis of the closure of v, a state over the standard basis, under
+    even-part zero modes."""
+    basis = standard_mode_basis(l)
     solver = SpanSolver()
-    out: list[VermaState] = []
-    queue: list[VermaState] = []
-    if solver.add(dict(v.terms)):
+    out: list[State] = []
+    queue: list[State] = []
+    if solver.add(v):
         out.append(v)
         queue.append(v)
     elems = g0_basis_info(l).elems
     while queue:
         w = queue.pop()
         for x in elems:
-            u = mode_action((x, 0), w)
-            if not u.is_zero() and solver.add(dict(u.terms)):
+            u = mode_action(basis, (x, 0), w)
+            if u and solver.add(u):
                 out.append(u)
                 queue.append(u)
     return out
 
 
-def orbit_contains(states: list[VermaState], s: VermaState) -> bool:
+def orbit_contains(states: list[State], s: State) -> bool:
     solver = SpanSolver()
     for w in states:
-        solver.add(dict(w.terms))
-    return solver.coords(dict(s.terms)) is not None
+        solver.add(w)
+    return solver.coords(s) is not None
 
 
-def _rand_state(rng, basis, k, max_ops=2):
-    n = 2 * basis.l + 1
+def _rand_state(rng, basis, max_ops=2):
     ops = []
     for _ in range(rng.randint(0, max_ops)):
         x = basis.elems[rng.randrange(len(basis.elems))]
         ops.append((x, -rng.randint(1, 2)))
-    return state_from_ops(basis, k, ops)
+    return state_from_ops(basis, ops)
+
 
 
 # ------------------------------------------------------------ mode action
@@ -82,35 +84,35 @@ def _rand_state(rng, basis, k, max_ops=2):
 def test_mode_pinned_examples_rank1():
     basis = standard_mode_basis(1)
     k = level_for(1)
-    assert k == Fraction(-3, 2)
+    assert k == basis.k == Fraction(-3, 2)
     # labels fix the index layout used in the monomial literals below
     assert basis.labels == (
         "H[1]", "H[2]", "E[1,2]", "E[1,3]", "E[2,1]", "E[2,3]", "E[3,1]", "E[3,2]"
     )
     # annihilator meeting its partner across the vacuum leaves the level
-    s = state_from_ops(basis, k, [(E(2, 1), 1), (E(1, 2), -1)])
-    assert s == vacuum(basis, k).scale(Fraction(-3, 2))
+    s = state_from_ops(basis, [(E(2, 1), 1), (E(1, 2), -1)])
+    assert s == {(): Fraction(-3, 2)}
     # diagonal contraction picks up the form <H1,H1> = 2
-    s = state_from_ops(basis, k, [(H(1), 1), (H(1), -1)])
-    assert s == vacuum(basis, k).scale(-3)
+    s = state_from_ops(basis, [(H(1), 1), (H(1), -1)])
+    assert s == {(): -3}
     # zero mode acts by the bracket
-    s = state_from_ops(basis, k, [(E(1, 2), 0), (E(2, 3), -1)])
-    assert s.terms == {((3, 1),): Fraction(1)}
+    s = state_from_ops(basis, [(E(1, 2), 0), (E(2, 3), -1)])
+    assert s == {((3, 1),): Fraction(1)}
     # reordering two creations leaves a deeper correction term
-    s = state_from_ops(basis, k, [(E(1, 3), -1), (H(1), -1)])
-    assert s.terms == {((0, 1), (3, 1)): Fraction(1), ((3, 2),): Fraction(-1)}
+    s = state_from_ops(basis, [(E(1, 3), -1), (H(1), -1)])
+    assert s == {((0, 1), (3, 1)): Fraction(1), ((3, 2),): Fraction(-1)}
     # already-ordered creations are stored as written
-    s = state_from_ops(basis, k, [(H(1), -2), (E(1, 2), -1)])
-    assert s.terms == {((0, 2), (2, 1)): Fraction(1)}
+    s = state_from_ops(basis, [(H(1), -2), (E(1, 2), -1)])
+    assert s == {((0, 2), (2, 1)): Fraction(1)}
 
 
 def test_positive_modes_annihilate_vacuum():
     basis = standard_mode_basis(2)
-    k = level_for(2)
-    v = vacuum(basis, k)
+    v = state_from_ops(basis, [])
+    assert v == {(): 1}
     for x in basis.elems[:4]:
         for m in (0, 1, 3):
-            assert mode_action((x, m), v).is_zero()
+            assert mode_action(basis, (x, m), v) == {}
 
 
 def test_affine_commutation_relation_50_samples():
@@ -119,19 +121,20 @@ def test_affine_commutation_relation_50_samples():
         l = rng.choice([1, 2])
         basis = standard_mode_basis(l)
         k = level_for(l)
-        w = _rand_state(rng, basis, k)
+        w = _rand_state(rng, basis)
         x = basis.elems[rng.randrange(len(basis.elems))]
         y = basis.elems[rng.randrange(len(basis.elems))]
         m = rng.randint(-2, 2)
         n = rng.randint(-2, 2)
-        lhs = mode_action((x, m), mode_action((y, n), w)) + mode_action(
-            (y, n), mode_action((x, m), w)
-        ).scale(-1)
+        lhs = plus(
+            (mode_action(basis, (x, m), mode_action(basis, (y, n), w)), 1),
+            (mode_action(basis, (y, n), mode_action(basis, (x, m), w)), -1),
+        )
         from a2l2.liealg import bracket, invariant_form
 
-        rhs = mode_action((bracket(x, y), m + n), w)
+        rhs = mode_action(basis, (bracket(x, y), m + n), w)
         if m + n == 0 and m != 0:
-            rhs = rhs + w.scale(m * invariant_form(x, y) * k)
+            vec_add_into(rhs, w, m * invariant_form(x, y) * k)
         assert lhs == rhs
 
 
@@ -142,38 +145,36 @@ def test_normal_order_of_several_annihilators_50_samples():
     for _ in range(50):
         l = rng.choice([1, 2])
         basis = standard_mode_basis(l)
-        k = level_for(l)
-        w = _rand_state(rng, basis, k)
+        w = _rand_state(rng, basis)
         ops = [(rng.randrange(len(basis.elems)), rng.randint(0, 2)) for _ in range(2)]
         one_by_one = w
         for idx, mode in reversed(ops):
-            one_by_one = mode_action((basis.elems[idx], mode), one_by_one)
+            one_by_one = mode_action(basis, (basis.elems[idx], mode), one_by_one)
         rewritten: dict = {}
-        for mono, c in w.terms.items():
+        for mono, c in w.items():
             word = tuple(ops) + tuple((idx, -depth) for idx, depth in mono)
-            vec_add_into(rewritten, _normal_order(basis, k, word, c))
-        assert rewritten == one_by_one.terms
+            vec_add_into(rewritten, _normal_order(basis, word, c))
+        assert rewritten == one_by_one
 
 
 # -------------------------------------------------------------- involution
 
 def test_nu_state_basics():
     basis = standard_mode_basis(1)
-    k = level_for(1)
-    s = state_from_ops(basis, k, [(E(2, 3), -1)])
-    assert nu_state(s) == state_from_ops(basis, k, [(nu(E(2, 3), 3), -1)])
+    s = state_from_ops(basis, [(E(2, 3), -1)])
+    assert nu_state(basis, s) == state_from_ops(basis, [(nu(E(2, 3), 3), -1)])
     rng = random.Random(9)
     for _ in range(20):
         l = rng.choice([1, 2])
         b = standard_mode_basis(l)
-        w = _rand_state(rng, b, level_for(l))
-        assert nu_state(nu_state(w)) == w
+        w = _rand_state(rng, b)
+        assert nu_state(b, nu_state(b, w)) == w
 
 
 def test_singular_vector_is_nu_fixed():
     for l in (1, 2, 3):
         v = singular_vector(l)
-        assert nu_state(v) == v
+        assert nu_state(standard_mode_basis(l), v) == v
 
 
 # --------------------------------------------------------- singular vector
@@ -181,7 +182,7 @@ def test_singular_vector_is_nu_fixed():
 def test_singular_vector_literal_rank1():
     v = singular_vector(1)
     third = Fraction(1, 3)
-    assert v.terms == {
+    assert v == {
         ((0, 1), (3, 1)): third,
         ((1, 1), (3, 1)): -third,
         ((2, 1), (5, 1)): Fraction(1),
@@ -192,68 +193,69 @@ def test_singular_vector_literal_rank1():
 def test_singular_vector_annihilated():
     for l in (1, 2, 3):
         v = singular_vector(l)
-        assert check_singular(v, l)
+        assert check_singular(standard_mode_basis(l), v)
 
 
 def test_check_singular_rejects_non_singular():
     basis = standard_mode_basis(1)
-    k = level_for(1)
-    s = state_from_ops(basis, k, [(E(1, 2), -1)])
-    assert not check_singular(s, 1)
+    s = state_from_ops(basis, [(E(1, 2), -1)])
+    assert not check_singular(basis, s)
 
 
 def test_positive_mode_sweep_on_singular_vectors():
     for l in (1, 2, 3):
         v = singular_vector(l)
-        assert positive_mode_sweep(v)
+        assert positive_mode_sweep(standard_mode_basis(l), v)
 
 
 def test_positive_mode_sweep_rejects_fractional_perturbations():
     # the sweep scales its input to integers; a perturbation by 1/(2l+1),
     # a denominator the singular vector already has, must still show
     for l in (1, 2, 3):
-        v = singular_vector(l)
+        basis, v = standard_mode_basis(l), singular_vector(l)
         eps = Fraction(1, 2 * l + 1)
-        extra = state_from_ops(v.basis, v.k, [(H(1), -2)]).scale(eps)
-        assert not positive_mode_sweep(v + extra)
-        mono = min(m for m in v.terms if len(m) == 2)
-        terms = dict(v.terms)
+        extra = state_from_ops(basis, [(H(1), -2)])
+        assert not positive_mode_sweep(basis, plus((v, 1), (extra, eps)))
+        mono = min(m for m in v if len(m) == 2)
+        terms = dict(v)
         terms[mono] += eps
-        assert not positive_mode_sweep(VermaState(v.basis, v.k, terms))
+        assert not positive_mode_sweep(basis, terms)
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_positive_mode_sweep_agrees_with_full_sweep_oracle(l):
+    basis = standard_mode_basis(l)
     states = perturbed_singular_vectors(l)
-    verdicts = [full_positive_mode_sweep(s) for s in states]
-    assert [positive_mode_sweep(s) for s in states] == verdicts
+    verdicts = [full_positive_mode_sweep(basis, s) for s in states]
+    assert [positive_mode_sweep(basis, s) for s in states] == verdicts
     # the singular vector passes, its two fractional perturbations fail
     assert verdicts[0] and not verdicts[1] and not verdicts[2]
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_operators_the_sweep_skips_act_as_zero(l):
+    basis = standard_mode_basis(l)
     for s in perturbed_singular_vectors(l):
-        acting = set(sweep_operators(s))
-        for idx, x in enumerate(s.basis.elems):
+        acting = set(sweep_operators(basis, s))
+        for idx, x in enumerate(basis.elems):
             for m in (1, 2):
                 if (idx, m) not in acting:
-                    assert mode_action((x, m), s).is_zero(), (s.basis.labels[idx], m)
+                    assert mode_action(basis, (x, m), s) == {}, (basis.labels[idx], m)
 
 
 @pytest.mark.parametrize("l", (1, 2, 3, 6))
 def test_sweep_acts_with_6l_operators_on_the_singular_vector(monkeypatch, l):
-    v = singular_vector(l)  # built before the count starts
+    basis, v = standard_mode_basis(l), singular_vector(l)  # built before the count starts
     calls = []
     action = vacuum_module.mode_action
 
-    def counted(op, s):
+    def counted(basis, op, s):
         calls.append(op)
-        return action(op, s)
+        return action(basis, op, s)
 
     monkeypatch.setattr(vacuum_module, "mode_action", counted)
-    assert positive_mode_sweep(v)
-    assert len(calls) == len(sweep_operators(v)) == 6 * l
+    assert positive_mode_sweep(basis, v)
+    assert len(calls) == len(sweep_operators(basis, v)) == 6 * l
 
 
 def test_weights_read_from_entries_match_eigenvalues():
@@ -281,7 +283,7 @@ def test_mode_basis_refuses_fractional_constants():
 def test_singular_vector_weight_is_top_root():
     for l in (1, 2, 3):
         v = singular_vector(l)
-        w = state_weight(v)
+        w = state_weight(standard_mode_basis(l), v)
         expect = tuple(
             Fraction(1 if i in (1, 2 * l) else 0) for i in range(1, 2 * l + 1)
         )
@@ -290,11 +292,11 @@ def test_singular_vector_weight_is_top_root():
 
 # -------------------------------------------------------- zero-mode orbit
 
-def so_weight(s: VermaState) -> tuple[Fraction, ...]:
+def so_weight(basis: ModeBasis, s: State) -> tuple[Fraction, ...]:
     """Common eigenvalue tuple of s under the so(2l+1) Cartan
     (h_1..h_{l-1}, hbar_l); fails if s mixes weights."""
-    cartan = b_type_generators(s.basis.l).h
-    elems = s.basis.elems
+    cartan = b_type_generators(basis.l).h
+    elems = basis.elems
     weights = {
         tuple(
             sum(
@@ -303,7 +305,7 @@ def so_weight(s: VermaState) -> tuple[Fraction, ...]:
             )
             for h in cartan
         )
-        for mono in s.terms
+        for mono in s
     }
     assert len(weights) == 1
     return weights.pop()
@@ -315,10 +317,11 @@ def test_zero_mode_orbit_dimensions_and_stability():
         orbit = zero_mode_orbit(v, l)
         assert len(orbit) == dim == 2 * l * l + 3 * l
         zero_wt = tuple(Fraction(0) for _ in range(l))
-        zero_count = sum(1 for s in orbit if so_weight(s) == zero_wt)
+        basis = standard_mode_basis(l)
+        zero_count = sum(1 for s in orbit if so_weight(basis, s) == zero_wt)
         assert zero_count == l
         for s in orbit:
-            assert orbit_contains(orbit, nu_state(s))
+            assert orbit_contains(orbit, nu_state(basis, s))
 
 
 # ----------------------------------------------------------- conversions
@@ -326,11 +329,11 @@ def test_zero_mode_orbit_dimensions_and_stability():
 def test_convert_state_round_trip():
     for l in (1, 2):
         v = singular_vector(l)
-        split = split_mode_basis(l)
-        there = convert_state(v, split)
-        back = convert_state(there, standard_mode_basis(l))
+        standard, split = standard_mode_basis(l), split_mode_basis(l)
+        there = convert_state(standard, v, split)
+        back = convert_state(split, there, standard)
         assert back == v
-        assert not there.is_zero()
+        assert there
 
 
 def test_split_basis_layout_matches_envelope():
@@ -348,27 +351,54 @@ def test_split_basis_layout_matches_envelope():
 
 def test_state_validation_and_depth_cap():
     basis = standard_mode_basis(1)
-    k = level_for(1)
     with pytest.raises(ValueError):
-        VermaState(basis, k, {((0, 1),): Fraction(0)})
-    with pytest.raises(ValueError):
-        VermaState(basis, k, {((0, 0),): Fraction(1)})
-    with pytest.raises(ValueError):
-        VermaState(basis, k, {((3, 1), (0, 1)): Fraction(1)})  # wrong index order
-    with pytest.raises(ValueError):
-        VermaState(basis, k, {((0, 1), (0, 2)): Fraction(1)})  # wrong depth order
-    with pytest.raises(ValueError):
-        state_from_ops(basis, k, [(H(1), -1)] * 9)
+        state_from_ops(basis, [(H(1), -1)] * 9)
     # exactly at the cap is fine
-    s = state_from_ops(basis, k, [(H(1), -1)] * 8)
-    assert not s.is_zero()
+    s = state_from_ops(basis, [(H(1), -1)] * 8)
+    assert s
+
+
+def assert_canonical(basis: ModeBasis, s: State) -> None:
+    """Every monomial of s is in canonical order (depth descending, then
+    index ascending), with depths >= 1 summing to at most the cap and
+    indices in range, and no coefficient is zero."""
+    for mono, c in s.items():
+        assert c, mono
+        assert list(mono) == sorted(mono, key=lambda f: (-f[1], f[0])), mono
+        assert all(depth >= 1 for _, depth in mono), mono
+        assert all(0 <= idx < len(basis.elems) for idx, _ in mono), mono
+        assert sum(depth for _, depth in mono) <= DEPTH_CAP, mono
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_every_state_operation_keeps_monomials_canonical(l):
+    rng = random.Random(40 + l)
+    standard, split = standard_mode_basis(l), split_mode_basis(l)
+    seen = 0
+    for _ in range(12):
+        basis, other = (standard, split) if rng.random() < 0.5 else (split, standard)
+        ops = [
+            (basis.elems[rng.randrange(len(basis.elems))], rng.randint(-2, 1))
+            for _ in range(rng.randint(0, 3))
+        ]
+        s = state_from_ops(basis, ops)
+        x = other.elems[rng.randrange(len(other.elems))]
+        for b, t in (
+            (basis, s),
+            (basis, mode_action(basis, (x, rng.randint(-2, 2)), s)),
+            (basis, nu_state(basis, s)),
+            (other, convert_state(basis, s, other)),
+        ):
+            assert_canonical(b, t)
+            seen += len(t)
+    assert seen  # the samples are not all zero
 
 
 def test_state_string_rank1():
     v = singular_vector(1)
-    assert state_string(v) == (
+    basis = standard_mode_basis(1)
+    assert state_string(basis, v) == (
         "1/3*H[1](-1)E[1,3](-1)|0> - 1/3*H[2](-1)E[1,3](-1)|0> "
         "+ E[1,2](-1)E[2,3](-1)|0> - 1/2*E[1,3](-2)|0>"
     )
-    basis = standard_mode_basis(1)
-    assert state_string(VermaState(basis, level_for(1), {})) == "0"
+    assert state_string(basis, {}) == "0"
