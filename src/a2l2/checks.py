@@ -17,7 +17,8 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import _exact, _exact_list, level_string, validated_rank
 from .envelope import doubled_residuals, factored_h_string, uea_string, zero_set
-from .liealg import computed_b_cartan, g1_basis_info, g1_zero_weight_dim, level_for
+from .liealg import computed_b_cartan, g1_zero_weight_dim, level_for, nu, split_basis
+from .linalg import vec_scale
 from .twzhu import (
     compute_v1,
     lowered_polynomials,
@@ -77,8 +78,11 @@ def _check_cartan_matrix(l: int) -> tuple[bool, dict]:
 
 def _check_g1_dim(l: int) -> tuple[bool, dict]:
     zero_dim = g1_zero_weight_dim(l)
-    total = len(g1_basis_info(l).elems)
-    ok = zero_dim == l and total == 2 * l * l + 3 * l
+    elems, n = split_basis(l)[0], 2 * l + 1
+    # the graded parts as nu sees them, not as the builder lays them out
+    even = sum(1 for x in elems if nu(x, n) == x)
+    total = sum(1 for x in elems if nu(x, n) == vec_scale(x, -1))
+    ok = zero_dim == l and total == 2 * l * l + 3 * l and even == l * (2 * l + 1)
     return ok, {
         "zero_weight_dim": zero_dim,
         "expected_zero_weight_dim": l,

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import format_sum
-from .liealg import Matrix, b_type_generators, bracket, eigen_ratio, g0_basis_info
+from .liealg import Matrix, bracket, eigen_ratio
 from .linalg import Coeff, exact, vec_add_into, vec_add_term
 
 # monomial = tuple of basis indices in non-decreasing order
@@ -39,36 +39,32 @@ def uea_unit() -> UEAElt:
 class PBWAlgebra:
     """Enveloping algebra of the even part over its ordered basis.
 
-    Monomial indices refer to the ordered basis of `g0_basis_info(l)`:
-    lowering block first, then the Cartan elements (h_1..h_{l-1}, hbar_l),
-    then the raising block.  `table` is a structure-constant table of the
-    whole algebra (`expand`, `bracket_coords`) whose first `g0_count`
-    elements are exactly that basis, so the envelope shares its brackets.
-    Every Cartan element acts diagonally on basis elements, so each monomial
-    is a weight vector; the constructor verifies this while tabulating the
-    weights.
+    `table` is a structure-constant table of the whole algebra (`expand`,
+    `bracket_coords`) whose first `g0_count` elements are the even part of
+    `liealg.split_basis(l)`, so the envelope shares its brackets, labels and
+    scales.  Monomial indices refer to that basis: l^2 lowering elements,
+    then the Cartan elements (h_1..h_{l-1}, hbar_l) at l^2..l^2+l-1, then the
+    raising block from l^2+l.  Every Cartan element acts diagonally on basis
+    elements, so each monomial is a weight vector; the constructor verifies
+    this while tabulating the weights.
     """
 
     def __init__(self, table) -> None:
-        info = g0_basis_info(table.l)
-        if table.elems[: table.g0_count] != info.elems:
-            raise ValueError("table does not start with the even-part basis")
-        self.l = table.l
-        self.info = info
-        self.dim = info.dim
+        self.l = l = table.l
+        self.dim = dim = table.g0_count
+        self.labels = table.labels[:dim]
+        self.scales = table.scales[:dim]
         self._expand = table.expand
         # bound once: the rewrite loop calls it on every swap
         self.bracket_coords = table.bracket_coords
         # coordinates of x -> {t: coordinates of [x, t]}, filled by `ad`
         self._ad_images: dict[frozenset, dict[int, dict[int, Coeff]]] = {}
-        gens = b_type_generators(self.l)
-        self.cartan_indices = tuple(
-            range(info.cartan_start, info.cartan_start + info.cartan_count)
-        )
+        self.cartan_indices = tuple(range(l * l, l * l + l))
+        cartan = [table.elems[s] for s in self.cartan_indices]
         # ints: each weight coordinate is an integral eigenvalue
         self.weights: tuple[tuple[Coeff, ...], ...] = tuple(
-            tuple(eigen_ratio(bracket(h, x), x) for h in gens.h)
-            for x in info.elems
+            tuple(eigen_ratio(bracket(h, x), x) for h in cartan)
+            for x in table.elems[:dim]
         )
 
     # ------------------------------------------------------------ coords
@@ -163,16 +159,15 @@ class PBWAlgebra:
         zero_wt = (0,) * len(self.cartan_indices)
         if self.weight_of(u) != zero_wt:
             raise ValueError("element is not of weight zero")
-        lo = self.info.cartan_start
-        hi = self.info.pos_start
-        nvars = self.info.cartan_count
+        l = self.l
+        lo, hi = l * l, l * l + l  # the Cartan block
         poly: Poly = {}
         for word, c in u.items():
             if any(s >= hi for s in word):
                 continue  # ends in a raising factor: kills highest-weight vectors
             if any(s < lo for s in word):
                 raise ValueError("weight-zero monomial with unmatched lowering factor")
-            expo = [0] * nvars
+            expo = [0] * l
             for s in word:
                 expo[s - lo] += 1
             vec_add_term(poly, tuple(expo), c)
@@ -314,7 +309,7 @@ def uea_string(u: UEAElt, alg: "PBWAlgebra") -> str:
     The one place that converts back from the rescaled basis: a basis
     element is its label's vector times its scale, so each coefficient is
     multiplied by the product of its word's scales."""
-    labels, scales = alg.info.labels, alg.info.scales
+    labels, scales = alg.labels, alg.scales
 
     def labelled(key: tuple[int, ...]) -> Coeff:
         c = u[key]

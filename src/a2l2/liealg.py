@@ -7,12 +7,13 @@ kernel like every other exact object of the package.  The involution is
 E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]; its fixed subalgebra is so(2l+1)
 and the (-1)-eigenspace is the little adjoint module.
 
-The split basis (even part, then odd part) is rescaled so that every bracket
-constant and trace-form value over it is an integer: the vector labelled
-Ep[i,j] or Em[i,j] is (E[i,j] +- nu(E[i,j]))/2, and the basis holds it times
+`split_basis(l)` is the one ordered basis graded by nu: even part, then odd
+part.  It is rescaled so that every bracket constant and trace-form value
+over it is an integer: the vector labelled Ep[i,j] or Em[i,j] is
+(E[i,j] +- nu(E[i,j]))/2, and the basis holds it times
 `split_scale(l, i, j)`; Ea[i] is held twice, and the Cartan elements and the
-d[i] as they are.  `G0BasisInfo.scales` records the factor of each even
-element, for the one printer that converts back.
+d[i] as they are.  Its `scales` record each factor, for the one printer that
+converts back.
 
 It also holds the studied level, `level_for`, as the algebra half reads it.
 """
@@ -149,117 +150,48 @@ def _split_vector(l: int, i: int, j: int, sign: int) -> Matrix:
     return vec_scale(a, split_scale(l, i, j) // 2)
 
 
-class G0BasisInfo(NamedTuple):
-    """Ordered basis of the even part: negatives, Cartan, positives.
-
-    `elems[k]` is `scales[k]` times the vector `labels[k]` names."""
-
-    l: int
-    elems: tuple[Matrix, ...]
-    labels: tuple[str, ...]
-    scales: tuple[int, ...]
-    neg_count: int
-    cartan_count: int
-    pos_rep_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.elems)
-
-    @property
-    def cartan_start(self) -> int:
-        return self.neg_count
-
-    @property
-    def pos_start(self) -> int:
-        return self.neg_count + self.cartan_count
-
-
-def _orbit_partner(n: int, i: int, j: int) -> tuple[int, int]:
-    return (n + 1 - j, n + 1 - i)
-
-
 @lru_cache(maxsize=None)
-def g0_basis_info(l: int) -> G0BasisInfo:
+def split_basis(l: int) -> tuple[tuple[Matrix, ...], tuple[str, ...], tuple[int, ...]]:
+    """(elems, labels, scales) of the split basis of sl(2l+1), the one place
+    that decides its layout.
+
+    The even part comes first: l^2 lowering vectors, the l Cartan elements
+    (h_1..h_{l-1}, hbar_l), l^2 raising vectors.  Then the odd part: the Em
+    pairs, the Ea and the d.  `elems[k]` is `scales[k]` times the vector
+    `labels[k]` names."""
     if l < 1:
         raise ValueError("rank l must be >= 1")
     n = 2 * l + 1
-    reps: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if i + j == n + 1:
-                continue  # anti-diagonal orbits project to zero in the even part
-            if (i, j) <= _orbit_partner(n, i, j):
-                reps.append((i, j))
-    reps.sort()
-    neg = [_split_vector(l, j, i, 1) for (i, j) in reps]
-    neg_labels = [f"Ep[{j},{i}]" for (i, j) in reps]
-    cart = list(b_type_generators(l).h)
+    # one pair i < j per nu-orbit {E[i,j], E[n+1-j,n+1-i]}; the anti-diagonal
+    # orbits (i + j = n + 1) project to zero in the even part
+    reps = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1 - i)]
+    rows = [(_split_vector(l, j, i, 1), f"Ep[{j},{i}]", split_scale(l, i, j)) for i, j in reps]
     cart_labels = [f"h[{i}]" for i in range(1, l)] + [f"hb[{l}]"]
-    pos = [_split_vector(l, i, j, 1) for (i, j) in reps]
-    pos_labels = [f"Ep[{i},{j}]" for (i, j) in reps]
-    elems = tuple(neg + cart + pos)
-    if len(elems) != l * (2 * l + 1):
-        raise AssertionError("even-part basis has wrong size")
-    rep_scales = [split_scale(l, i, j) for (i, j) in reps]
-    return G0BasisInfo(
-        l=l,
-        elems=elems,
-        labels=tuple(neg_labels + cart_labels + pos_labels),
-        scales=tuple(rep_scales + [1] * len(cart) + rep_scales),
-        neg_count=len(neg),
-        cartan_count=len(cart),
-        pos_rep_pairs=tuple(reps),
-    )
-
-
-class G1BasisInfo(NamedTuple):
-    """Ordered basis of the odd part: Em pairs, then Ea, then d.
-
-    `elems[k]` is the vector `labels[k]` names times its split scale (Em),
-    twice (Ea) or once (d)."""
-
-    l: int
-    elems: tuple[Matrix, ...]
-    labels: tuple[str, ...]
-
-
-@lru_cache(maxsize=None)
-def g1_basis_info(l: int) -> G1BasisInfo:
-    if l < 1:
-        raise ValueError("rank l must be >= 1")
-    n = 2 * l + 1
-    info = g0_basis_info(l)
-    elems: list[Matrix] = []
-    labels: list[str] = []
-    for (i, j) in info.pos_rep_pairs:
-        elems.append(_split_vector(l, i, j, -1))
-        labels.append(f"Em[{i},{j}]")
-    for (i, j) in info.pos_rep_pairs:
-        elems.append(_split_vector(l, j, i, -1))
-        labels.append(f"Em[{j},{i}]")
-    for i in range(1, n + 1):
-        if i != l + 1:
-            # anti-diagonal entries are purely odd; held twice, like a long Em
-            elems.append({(i, n + 1 - i): 2})
-            labels.append(f"Ea[{i}]")
+    rows += [(h, label, 1) for h, label in zip(b_type_generators(l).h, cart_labels)]
+    for sign, prefix in ((1, "Ep"), (-1, "Em")):
+        rows += [(_split_vector(l, i, j, sign), f"{prefix}[{i},{j}]", split_scale(l, i, j))
+                 for i, j in reps]
+    rows += [(_split_vector(l, j, i, -1), f"Em[{j},{i}]", split_scale(l, i, j)) for i, j in reps]
+    # anti-diagonal entries are purely odd; held twice, like a long Em
+    rows += [({(i, n + 1 - i): 2}, f"Ea[{i}]", 2) for i in range(1, n + 1) if i != l + 1]
     # traceless odd diagonal: v_i - v_{i+1} and v_l - 2 E[l+1,l+1], with
     # v_i = E[i,i] + E[n+1-i,n+1-i]
-    for i in range(1, l):
-        j = n + 1 - i
-        elems.append({(i, i): 1, (j, j): 1, (i + 1, i + 1): -1, (j - 1, j - 1): -1})
-        labels.append(f"d[{i}]")
-    elems.append({(l, l): 1, (l + 2, l + 2): 1, (l + 1, l + 1): -2})
-    labels.append(f"d[{l}]")
-    if len(elems) != 2 * l * l + 3 * l:
-        raise AssertionError("odd-part basis has wrong size")
-    return G1BasisInfo(l=l, elems=tuple(elems), labels=tuple(labels))
+    rows += [
+        ({(i, i): 1, (n + 1 - i, n + 1 - i): 1, (i + 1, i + 1): -1, (n - i, n - i): -1},
+         f"d[{i}]", 1)
+        for i in range(1, l)
+    ]
+    rows.append(({(l, l): 1, (l + 2, l + 2): 1, (l + 1, l + 1): -2}, f"d[{l}]", 1))
+    if len(reps) != l * l or len(rows) != n * n - 1:
+        raise AssertionError("split basis has wrong size")
+    elems, labels, scales = zip(*rows)
+    return elems, labels, scales
 
 
 def g1_zero_weight_dim(l: int) -> int:
     """Dimension of the joint ad-kernel of the even Cartan inside the odd part."""
     cart = b_type_generators(l).h
-    basis = g1_basis_info(l).elems
+    basis = split_basis(l)[0][l * (2 * l + 1):]
     rows = [
         {(c, k): v for c, h in enumerate(cart) for k, v in bracket(h, x).items()}
         for x in basis

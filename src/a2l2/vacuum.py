@@ -3,10 +3,11 @@
 A state is a finite sum of normal-ordered creation monomials applied to the
 vacuum, held as a plain kernel dict from monomial to coefficient over a
 `ModeBasis`, which also carries the level; every function on states takes
-that basis first.  A monomial is a tuple of (basis index, depth) pairs with
-depth >= 1, stored deepest-first with ties broken by basis index, and
-`_normal_order` is the one place that makes them.  Mode operators act via
-the affine commutation rule
+that basis first.  The basis is the standard one, or the split one that
+`liealg.split_basis` lays out and the envelope shares.  A monomial is a
+tuple of (basis index, depth) pairs with depth >= 1, stored deepest-first
+with ties broken by basis index, and `_normal_order` is the one place that
+makes them.  Mode operators act via the affine commutation rule
 
     [a(m), b(n)] = [a,b](m+n) + m * delta(m+n, 0) * <a,b> * level,
 
@@ -27,11 +28,10 @@ from .liealg import (
     H,
     Matrix,
     bracket,
-    g0_basis_info,
-    g1_basis_info,
     invariant_form,
     level_for,
     nu,
+    split_basis,
 )
 from .linalg import (
     Coeff,
@@ -53,17 +53,23 @@ class ModeBasis:
     """Ordered basis of the finite algebra with cached structure constants,
     and the level of the vacuum module over it, which the rank fixes.
 
+    The split basis also sets `g0_count`, the size of its leading even part,
+    and `scales`, the factor of each element over the vector its label
+    names; both are None on the standard basis.
+
     Every bracket constant and Gram value over the basis must be an int,
     which keeps the normal-ordering loops on integer arithmetic; a table
     entry that is not one raises ValueError as it is first computed."""
 
     def __init__(self, l: int, elems: tuple[Matrix, ...], labels: tuple[str, ...],
-                 g0_count: int | None = None) -> None:
+                 g0_count: int | None = None,
+                 scales: tuple[int, ...] | None = None) -> None:
         self.l = l
         self.k = level_for(l)
         self.elems = tuple(elems)
         self.labels = tuple(labels)
         self.g0_count = g0_count
+        self.scales = scales
         self._span = SpanSolver()
         for x in self.elems:
             if not self._span.add(x):
@@ -145,15 +151,9 @@ def standard_mode_basis(l: int) -> ModeBasis:
 
 @lru_cache(maxsize=None)
 def split_mode_basis(l: int) -> ModeBasis:
-    """Even-part basis (same order as the envelope) followed by the odd part."""
-    info0 = g0_basis_info(l)
-    info1 = g1_basis_info(l)
-    return ModeBasis(
-        l,
-        info0.elems + info1.elems,
-        info0.labels + info1.labels,
-        g0_count=info0.dim,
-    )
+    """`split_basis(l)`: its even part, the envelope's basis, then the odd part."""
+    elems, labels, scales = split_basis(l)
+    return ModeBasis(l, elems, labels, g0_count=l * (2 * l + 1), scales=scales)
 
 
 def _normal_order(

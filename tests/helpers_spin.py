@@ -18,15 +18,15 @@ from a2l2.liealg import (
     Matrix,
     b_type_generators,
     bracket,
-    g0_basis_info,
     nu,
+    split_basis,
 )
 from a2l2.linalg import SpanSolver, vec_add_into
 
 
 def g0_basis(l: int) -> list[Matrix]:
     """Ordered basis of the even part: negative block, Cartan, positive block."""
-    return list(g0_basis_info(l).elems)
+    return list(split_basis(l)[0][: l * (2 * l + 1)])
 
 
 def lin(*terms) -> Matrix:
@@ -346,11 +346,11 @@ def verify_spin_homomorphism(l: int) -> bool:
 @lru_cache(maxsize=None)
 def spin_highest_weight_checks(l: int) -> bool:
     """The full-subset line is the unique top line, of weight (0,..,0,1)."""
-    info = g0_basis_info(l)
+    raising = range(l * l + l, l * (2 * l + 1))
     mats = spin_basis_matrices(l)
     d = 1 << l
     hw = d - 1
-    for s in range(info.pos_start, info.dim):
+    for s in raising:
         assert all(not bool(mats[s][r][hw]) for r in range(d))
     for i, h in enumerate(b_type_generators(l).h):
         m = sigma_matrix(l, h)
@@ -360,7 +360,7 @@ def spin_highest_weight_checks(l: int) -> bool:
     # joint kernel of the raising block has dimension 1 over the quadratic
     # field; realify (a + b sqrt2 per coordinate) and count rational rank
     solver = SpanSolver()
-    for s in range(info.pos_start, info.dim):
+    for s in raising:
         m = mats[s]
         for r in range(d):
             row_rat: dict = {}

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -579,18 +580,46 @@ def test_cold_start_of_the_algebra_checks_loads_no_classification_layer():
     assert out.decode().endswith("overall: PASS\n")
 
 
+def _traced_cli_constant(name: str):
+    """The literal value bound to `name` at the top of bench/traced_cli.py."""
+    tree = ast.parse((ROOT / "bench" / "traced_cli.py").read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    )
+
+
 def test_benchmark_layers_name_every_module():
     # bench/traced_cli.py imports each name of its LAYERS tuple as a module
     # of the package, so no module may be added, removed or renamed without
     # that tuple following
-    tree = ast.parse((ROOT / "bench" / "traced_cli.py").read_text(encoding="utf-8"))
-    layers = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
-    )
+    layers = _traced_cli_constant("LAYERS")
     for name in layers:
         assert importlib.import_module(f"a2l2.{name}").__name__ == f"a2l2.{name}"
     modules = {p.stem for p in (ROOT / "src" / "a2l2").glob("*.py")} - {"__init__"}
     assert sorted(layers) == sorted(modules)
+
+
+def test_benchmark_counted_and_timed_names_resolve():
+    # bench/traced_cli.py creates the counter of a COUNTED name only when it
+    # finds that function at its module path, so a function renamed or moved
+    # (say `affroots.ip` to `_ip`) drops its `<name>.calls` metric from every
+    # traced run without an error.  The traced benchmark run then prints one
+    # per-layer metric short and is refused as malformed output, which only
+    # the benchmark saw until this test; TIMED names are found the same way
+    names = [*_traced_cli_constant("COUNTED"), *_traced_cli_constant("TIMED")]
+    assert names
+    for name in names:
+        layer, *path = name.split(".")
+        owner = importlib.import_module(f"a2l2.{layer}")
+        for attr in path:
+            # traced_cli wraps public names only, found in their owner's own
+            # namespace (a class attribute, not an inherited one)
+            assert not attr.startswith("_"), name
+            assert attr in vars(owner), name
+            owner = vars(owner)[attr]
+        # a function (plain or lru_cache) defined in its module
+        assert isinstance(owner, types.FunctionType) or hasattr(owner, "cache_info"), name
+        assert owner.__module__ == f"a2l2.{layer}", name

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from a2l2.envelope import factored_h_string, linear_cofactor, uea_unit
-from a2l2.liealg import E, b_type_generators, bracket, g0_basis_info
+from a2l2.liealg import E, b_type_generators, bracket, split_basis
 from a2l2.linalg import vec_add_into, vec_add_term, vec_scale
 from a2l2.twzhu import projection_context
 
@@ -63,7 +63,7 @@ def _random_lie(rng, alg, max_terms=2):
     out = {}
     for _ in range(rng.randint(1, max_terms)):
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        vec_add_into(out, alg.info.elems[rng.randrange(alg.dim)], c)
+        vec_add_into(out, split_basis(alg.l)[0][rng.randrange(alg.dim)], c)
     return out
 
 
@@ -74,8 +74,8 @@ def test_normal_form_pinned_values_rank1():
     # basis order: lowering Ep[2,1] (0), Cartan hb[1] (1), raising Ep[1,2] (2);
     # the short-root vectors are held four times over, so the Cartan
     # correction 1/8 of Ep[1,2]*Ep[2,1] becomes 16/8
-    assert alg.info.labels == ("Ep[2,1]", "hb[1]", "Ep[1,2]")
-    assert alg.info.scales == (4, 1, 4)
+    assert alg.labels == ("Ep[2,1]", "hb[1]", "Ep[1,2]")
+    assert alg.scales == (4, 1, 4)
     nf = alg.normal_form({(2, 0): 1})
     assert nf == {(0, 2): 1, (1,): 2}
 

@@ -20,11 +20,10 @@ from a2l2.liealg import (
     computed_b_cartan,
     eigen_ratio,
     eplus,
-    g0_basis_info,
-    g1_basis_info,
     g1_zero_weight_dim,
     invariant_form,
     nu,
+    split_basis,
 )
 from a2l2.linalg import SpanSolver, vec_add_into, vec_add_term, vec_scale
 
@@ -46,7 +45,7 @@ def in_odd_part(a: Matrix, n: int) -> bool:
 
 
 def g1_basis(l: int) -> list[Matrix]:
-    return list(g1_basis_info(l).elems)
+    return list(split_basis(l)[0][l * (2 * l + 1):])
 
 
 def sample_sparse(rng, l: int, max_terms: int = 3, traceless: bool = True) -> Matrix:
@@ -243,23 +242,39 @@ def test_rank_zero_rejected():
 
 # ---------------------------------------------------------------- bases
 
-def test_g0_basis_counts_and_order():
+def test_split_basis_counts_and_order():
     for l, d in ((1, 3), (2, 10), (3, 21)):
-        info = g0_basis_info(l)
-        assert info.dim == d == l * (2 * l + 1)
-        assert info.neg_count == l * l
-        assert info.cartan_count == l
-        assert info.dim - info.pos_start == l * l
-        gens = b_type_generators(l)
-        assert info.elems[info.cartan_start:info.pos_start] == gens.h
-        # positive block: even projections of upper representatives, each
-        # times its split scale
-        for k, (i, j) in enumerate(info.pos_rep_pairs):
-            scale = info.scales[info.pos_start + k]
-            assert scale == (4 if l + 1 in (i, j) else 2)
-            assert info.elems[info.pos_start + k] == vec_scale(eplus(l, i, j), scale)
-            assert i < j and i + j != 2 * l + 2
-        assert info.scales[info.cartan_start:info.pos_start] == (1,) * l
+        n, sq = 2 * l + 1, l * l
+        elems, labels, scales = split_basis(l)
+        assert d == l * (2 * l + 1)
+        assert len(elems) == len(labels) == len(scales) == d + 2 * sq + 3 * l
+        # even part: l^2 lowering, l Cartan, l^2 raising
+        assert elems[sq:sq + l] == b_type_generators(l).h
+        assert labels[sq:sq + l] == tuple(f"h[{i}]" for i in range(1, l)) + (f"hb[{l}]",)
+        assert scales[sq:sq + l] == (1,) * l
+        pairs = [tuple(map(int, x[3:-1].split(","))) for x in labels[sq + l:d]]
+        assert len(pairs) == sq
+        for k, (i, j) in enumerate(pairs):
+            # raising and lowering blocks: even projections of an upper
+            # representative and of its transpose, each times its split scale
+            scale = scales[sq + l + k]
+            assert scale == scales[k] == (4 if l + 1 in (i, j) else 2)
+            assert i < j and i + j != n + 1
+            assert labels[sq + l + k] == f"Ep[{i},{j}]" and labels[k] == f"Ep[{j},{i}]"
+            assert elems[sq + l + k] == vec_scale(eplus(l, i, j), scale)
+            assert elems[k] == vec_scale(eplus(l, j, i), scale)
+        # odd part: the Em pairs over the same representatives, Ea, d
+        odd = [f"Em[{i},{j}]" for i, j in pairs] + [f"Em[{j},{i}]" for i, j in pairs]
+        odd += [f"Ea[{i}]" for i in range(1, n + 1) if i != l + 1]
+        odd += [f"d[{i}]" for i in range(1, l + 1)]
+        assert labels[d:] == tuple(odd)
+        assert len(odd) == 2 * sq + 3 * l
+        assert scales[d:] == scales[sq + l:d] * 2 + (2,) * (2 * l) + (1,) * l
+        for k, (i, j) in enumerate(pairs):
+            for x, (a, b) in ((elems[d + k], (i, j)), (elems[d + sq + k], (j, i))):
+                assert x == vec_scale(split_pm(E(a, b), n)[1], scales[d + k])
+        for k, i in enumerate(i for i in range(1, n + 1) if i != l + 1):
+            assert elems[d + 2 * sq + k] == {(i, n + 1 - i): 2}
 
 
 def test_anti_diagonal_even_projection_vanishes():

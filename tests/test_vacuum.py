@@ -14,9 +14,9 @@ from a2l2.liealg import (
     b_type_generators,
     bracket,
     eigen_ratio,
-    g0_basis_info,
     level_for,
     nu,
+    split_basis,
 )
 from a2l2.linalg import SpanSolver, vec_add_into
 from a2l2.vacuum import (
@@ -52,7 +52,7 @@ def zero_mode_orbit(v: State, l: int) -> list[State]:
     if solver.add(v):
         out.append(v)
         queue.append(v)
-    elems = g0_basis_info(l).elems
+    elems = split_basis(l)[0][: l * (2 * l + 1)]
     while queue:
         w = queue.pop()
         for x in elems:
@@ -337,14 +337,21 @@ def test_convert_state_round_trip():
 
 
 def test_split_basis_layout_matches_envelope():
-    from a2l2.liealg import g0_basis_info
+    # the envelope reads its basis off the even prefix of the split mode
+    # basis, the one copy that `split_basis` builds
+    from a2l2.envelope import PBWAlgebra
 
     for l in (1, 2, 3):
         split = split_mode_basis(l)
-        info = g0_basis_info(l)
-        assert split.g0_count == info.dim
-        assert split.elems[: info.dim] == info.elems
-        assert split.labels[: info.dim] == info.labels
+        alg = PBWAlgebra(split)
+        d = l * (2 * l + 1)
+        assert (split.elems, split.labels, split.scales) == split_basis(l)
+        assert split.g0_count == alg.dim == d
+        assert alg.labels == split.labels[:d]
+        assert alg.scales == split.scales[:d]
+        assert alg.cartan_indices == tuple(range(l * l, l * l + l))
+        cartan = tuple(split.elems[s] for s in alg.cartan_indices)
+        assert cartan == b_type_generators(l).h
 
 
 # ------------------------------------------------------------- invariants
