@@ -113,25 +113,21 @@ def _check_nu_fixed(l: int) -> tuple[bool, dict]:
 
 
 def _check_zhu_image(l: int) -> tuple[bool, dict]:
-    ctx = projection_context(l)
-    image = zhu_singular_image(ctx)
-    closed = zhu_image_closed_form(ctx)
-    weight = ctx.alg.weight_of(image)
+    alg, image = projection_context(l), zhu_singular_image(l)
+    closed, weight = zhu_image_closed_form(l), alg.weight_of(image)
     expected_weight = (4 if l == 1 else 2,) + (0,) * (l - 1)
     ok = image == closed and weight == expected_weight
     return ok, {
         "matches_closed_form": image == closed,
         "monomials": len(image),
         "weight": _exact_list(weight),
-        "rendered": uea_string(image, ctx.alg),
+        "rendered": uea_string(image, alg),
     }
 
 
 def _check_v1(l: int) -> tuple[bool, dict]:
-    ctx = projection_context(l)
-    computed = compute_v1(ctx)
-    closed = v1_closed_form(ctx)
-    ok = computed == closed
+    computed = compute_v1(l)
+    ok = computed == v1_closed_form(l)
     return ok, {
         "matches_closed_form": ok,
         "monomials": len(computed),
@@ -139,8 +135,7 @@ def _check_v1(l: int) -> tuple[bool, dict]:
 
 
 def _check_polynomials(l: int) -> tuple[bool, dict]:
-    ctx = projection_context(l)
-    polys = lowered_polynomials(ctx)
+    polys = lowered_polynomials(l)
     adopted = reference_polynomials(l)
     rejected = reference_polynomials(l, plus_half=True)
     ok = polys == adopted and polys != rejected
@@ -152,11 +147,9 @@ def _check_polynomials(l: int) -> tuple[bool, dict]:
 
 
 def _check_r0(l: int) -> tuple[bool, dict]:
-    ctx = projection_context(l)
-    orbit = r0_basis(ctx)
-    members = r0_zero_weight_members(ctx)
-    member_polys = [ctx.alg.cartan_polynomial(u) for u in members]
-    span_ok = poly_span_equal(member_polys, lowered_polynomials(ctx))
+    orbit, members = r0_basis(l), r0_zero_weight_members(l)
+    member_polys = [projection_context(l).cartan_polynomial(u) for u in members]
+    span_ok = poly_span_equal(member_polys, lowered_polynomials(l))
     ok = len(orbit) == 2 * l * l + 3 * l and len(members) == l and span_ok
     return ok, {
         "orbit_dim": len(orbit),
@@ -176,7 +169,7 @@ def _weight_names(l: int) -> dict[tuple[int, ...], str]:
 def _check_classification(l: int) -> tuple[bool, dict]:
     from .classify import all_highest_weights, omega_string
 
-    polys = lowered_polynomials(projection_context(l))
+    polys = lowered_polynomials(l)
     found = zero_set(polys)
     formulas = all_highest_weights(l)
     matches = found == frozenset(formulas)
@@ -343,13 +336,10 @@ def dump_object(l: int, which: str) -> str:
     if which == "singular":
         return state_string(standard_mode_basis(l), singular_vector(l)) + "\n"
     if which in ("zhu-image", "v1"):
-        ctx = projection_context(l)
-        u = zhu_singular_image(ctx) if which == "zhu-image" else compute_v1(ctx)
-        return uea_string(u, ctx.alg) + "\n"
+        u = zhu_singular_image(l) if which == "zhu-image" else compute_v1(l)
+        return uea_string(u, projection_context(l)) + "\n"
     if which == "polys":
-        ctx = projection_context(l)
-        lines = [factored_h_string(p) for p in lowered_polynomials(ctx)]
-        return "\n".join(lines) + "\n"
+        return "\n".join(map(factored_h_string, lowered_polynomials(l))) + "\n"
     if which == "weights":
         from .classify import weight_strings
 

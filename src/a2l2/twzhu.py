@@ -16,7 +16,9 @@ zero part of the associated associative algebra follows four rules:
 The image of the degree-2 singular vector, its partner under one lowering
 step, the resulting highest-weight eigenvalue polynomials and the module the
 image generates under the adjoint action of the even part are computed here,
-together with closed forms to compare against.
+together with closed forms to compare against.  Each stage, the projection
+of each monomial included, is an `lru_cache`d function of the rank l, built
+once and shared; `projection_context(l)` is the rank's PBW algebra.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .envelope import PBWAlgebra, Poly, UEAElt, uea_unit
 from .liealg import Matrix, b_type_generators, bracket, eplus
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
-    ModeBasis,
     Monomial,
     State,
     convert_state,
@@ -49,95 +50,65 @@ def _binom_half(j: int) -> Fraction:
     return num
 
 
-def _total_depth(mono: Monomial) -> int:
-    return sum(d for _, d in mono)
+@lru_cache(maxsize=None)
+def projection_context(l: int) -> PBWAlgebra:
+    """The PBW algebra of rank l on the even part of the split mode basis,
+    whose structure constants it shares."""
+    return PBWAlgebra(split_mode_basis(l))
 
 
-class ProjectionContext:
-    """The pipeline of one rank at the special level.
-
-    It holds the split mode basis, whose structure constants also serve the
-    envelope, the projection memo, and each pipeline stage once computed:
-    the singular image, its lowered partner, the lowered polynomials and the
-    adjoint closure.
-    """
-
-    def __init__(self, l: int) -> None:
-        self.l = l
-        self.split: ModeBasis = split_mode_basis(l)
-        self.alg = PBWAlgebra(self.split)
-        self.memo: dict[Monomial, UEAElt] = {}
-        self._image: UEAElt | None = None
-        self._v1: UEAElt | None = None
-        self._polys: list[Poly] | None = None
-        self._r0: list[UEAElt] | None = None
-
-    # ------------------------------------------------------------ rules
-
-    def _odd_count(self, mono: Monomial) -> int:
-        g0 = self.split.g0_count
-        return sum(1 for idx, _ in mono if idx >= g0)
-
-    def project_monomial(self, mono: Monomial) -> UEAElt:
-        cached = self.memo.get(mono)
-        if cached is not None:
-            return dict(cached)
-        if not mono:
-            result = uea_unit()
-        elif self._odd_count(mono) % 2 == 1:
-            result = {}
-        else:
-            (idx, depth), rest = mono[0], mono[1:]
-            if idx < self.split.g0_count:
-                rest_proj = self.project_monomial(rest)
-                prod = self.alg.mul(rest_proj, {(idx,): 1})
-                result = vec_scale(prod, -1 if (depth - 1) % 2 else 1)
-            else:
-                result = {}
-                jmax = depth + _total_depth(rest)
-                for j in range(1, jmax + 1):
-                    moved = mode_action(
-                        self.split, (self.split.elems[idx], -depth + j), {rest: 1}
-                    )
-                    if not moved:
-                        continue
-                    sub: UEAElt = {}
-                    for m2, c2 in moved.items():
-                        vec_add_into(sub, self.project_monomial(m2), c2)
-                    vec_add_into(result, sub, -_binom_half(j))
-        self.memo[mono] = result
-        return dict(result)
+def _odd_count(mono: Monomial, g0: int) -> int:
+    return sum(1 for idx, _ in mono if idx >= g0)
 
 
 @lru_cache(maxsize=None)
-def projection_context(l: int) -> ProjectionContext:
-    """The pipeline of rank l, built once and shared by every caller."""
-    return ProjectionContext(l)
+def project_monomial(l: int, mono: Monomial) -> UEAElt:
+    """Projection of one monomial over the split mode basis of rank l,
+    computed once and shared: callers must not modify it."""
+    if not mono:
+        return uea_unit()
+    split = split_mode_basis(l)
+    if _odd_count(mono, split.g0_count) % 2 == 1:
+        return {}
+    (idx, depth), rest = mono[0], mono[1:]
+    if idx < split.g0_count:
+        prod = projection_context(l).mul(project_monomial(l, rest), {(idx,): 1})
+        return vec_scale(prod, -1 if (depth - 1) % 2 else 1)
+    result: UEAElt = {}
+    for j in range(1, depth + sum(d for _, d in rest) + 1):
+        moved = mode_action(split, (split.elems[idx], -depth + j), {rest: 1})
+        if not moved:
+            continue
+        sub: UEAElt = {}
+        for m2, c2 in moved.items():
+            vec_add_into(sub, project_monomial(l, m2), c2)
+        vec_add_into(result, sub, -_binom_half(j))
+    return result
 
 
-def project(basis: ModeBasis, s: State, ctx: ProjectionContext) -> UEAElt:
-    """Project a state over `basis` onto the envelope of the even part."""
-    if basis.labels != ctx.split.labels:
-        s = convert_state(basis, s, ctx.split)
+def project(l: int, s: State) -> UEAElt:
+    """Project a state over the split mode basis of rank l onto the envelope
+    of the even part."""
     out: UEAElt = {}
     for mono, c in s.items():
-        vec_add_into(out, ctx.project_monomial(mono), c)
+        vec_add_into(out, project_monomial(l, mono), c)
     return out
 
 
 # -------------------------------------------------------- singular image
 
 
-def zhu_singular_image(ctx: ProjectionContext) -> UEAElt:
-    """Projection of the degree-2 singular vector."""
-    if ctx._image is None:
-        ctx._image = project(standard_mode_basis(ctx.l), singular_vector(ctx.l), ctx)
-    return dict(ctx._image)
+@lru_cache(maxsize=None)
+def zhu_singular_image(l: int) -> UEAElt:
+    """Projection of the degree-2 singular vector, computed once and shared:
+    callers must not modify it."""
+    split = split_mode_basis(l)
+    return project(l, convert_state(standard_mode_basis(l), singular_vector(l), split))
 
 
-def zhu_image_closed_form(ctx: ProjectionContext) -> UEAElt:
+def zhu_image_closed_form(l: int) -> UEAElt:
     """Sum over i < 2l of (even part of E[i+1,2l+1]) * (even part of E[1,i+1])."""
-    l, alg = ctx.l, ctx.alg
+    alg = projection_context(l)
     n = 2 * l + 1
     out: UEAElt = {}
     for i in range(1, 2 * l):
@@ -150,21 +121,19 @@ def zhu_image_closed_form(ctx: ProjectionContext) -> UEAElt:
 # ------------------------------------------------------- lowered partner
 
 
-def compute_v1(ctx: ProjectionContext) -> UEAElt:
+@lru_cache(maxsize=None)
+def compute_v1(l: int) -> UEAElt:
     """Twice the adjoint action of the middle-column lowering element on
-    the singular image."""
-    if ctx._v1 is None:
-        l, alg = ctx.l, ctx.alg
-        n = 2 * l + 1
-        x = alg.lie_coords({(l + 1, 1): 1, (n, l + 1): -((-1) ** l)})
-        ctx._v1 = vec_scale(alg.ad(x, zhu_singular_image(ctx)), 2)
-    return dict(ctx._v1)
+    the singular image, computed once and shared: callers must not modify it."""
+    alg = projection_context(l)
+    x = alg.lie_coords({(l + 1, 1): 1, (2 * l + 1, l + 1): -((-1) ** l)})
+    return vec_scale(alg.ad(x, zhu_singular_image(l)), 2)
 
 
-def v1_closed_form(ctx: ProjectionContext) -> UEAElt:
+def v1_closed_form(l: int) -> UEAElt:
     """Four-block closed expression for the lowered image, multiplied out
     factor by factor in the written order."""
-    l, alg = ctx.l, ctx.alg
+    alg = projection_context(l)
     n = 2 * l + 1
     sign_l = Fraction(1 if l % 2 == 0 else -1)
 
@@ -192,14 +161,14 @@ def v1_closed_form(ctx: ProjectionContext) -> UEAElt:
 # -------------------------------------------------------- polynomials
 
 
-def lowered_elements(ctx: ProjectionContext) -> list[UEAElt]:
+def lowered_elements(l: int) -> list[UEAElt]:
     """Weight-zero elements u_1..u_l obtained by lowering the partner along
     each staircase of simple lowering generators: u_j applies f_l, ..., f_{j+1}
     and then f_1, ..., f_j.  The first half is a prefix of the one for j - 1,
     so the chain is built once: l - 1 + l(l+1)/2 adjoint actions in all."""
-    l, alg = ctx.l, ctx.alg
+    alg = projection_context(l)
     fs = [alg.lie_coords(f) for f in b_type_generators(l).f]
-    prefixes = [compute_v1(ctx)]  # prefixes[i]: f_l, ..., f_{l-i+1} applied
+    prefixes = [compute_v1(l)]  # prefixes[i]: f_l, ..., f_{l-i+1} applied
     for t in range(l - 1, 0, -1):  # f_l, ..., f_2
         prefixes.append(alg.ad(fs[t], prefixes[-1]))
     out: list[UEAElt] = []
@@ -211,11 +180,12 @@ def lowered_elements(ctx: ProjectionContext) -> list[UEAElt]:
     return out
 
 
-def lowered_polynomials(ctx: ProjectionContext) -> list[Poly]:
-    """Highest-weight eigenvalue polynomials p_1..p_l of the lowered elements."""
-    if ctx._polys is None:
-        ctx._polys = [ctx.alg.cartan_polynomial(u) for u in lowered_elements(ctx)]
-    return list(ctx._polys)
+@lru_cache(maxsize=None)
+def lowered_polynomials(l: int) -> list[Poly]:
+    """Highest-weight eigenvalue polynomials p_1..p_l of the lowered elements,
+    computed once and shared: callers must not modify them."""
+    alg = projection_context(l)
+    return [alg.cartan_polynomial(u) for u in lowered_elements(l)]
 
 
 def reference_polynomials(l: int, plus_half: bool = False) -> list[Poly]:
@@ -242,7 +212,8 @@ def reference_polynomials(l: int, plus_half: bool = False) -> list[Poly]:
 # ------------------------------------------------------------ the orbit
 
 
-def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
+@lru_cache(maxsize=None)
+def r0_basis(l: int) -> list[UEAElt]:
     """Basis of the closure of the singular image under the adjoint action
     of the even part.
 
@@ -257,41 +228,40 @@ def r0_basis(ctx: ProjectionContext) -> list[UEAElt]:
     A lowering that provably vanishes is skipped: if f_i kills u and
     [f_i, f_j] = 0 for i != j, then f_i f_j u = f_j f_i u = 0.  So each
     queued vector carries the zero set of its parent and the index j that
-    made it, and only calls that would return 0 are left out.
+    made it, and only calls that would return 0 are left out.  The basis is
+    computed once and shared: callers must not modify it.
     """
-    if ctx._r0 is None:
-        alg = ctx.alg
-        gens = b_type_generators(ctx.l)
-        seed = vec_integral(zhu_singular_image(ctx))
-        if any(alg.ad(alg.lie_coords(e), seed) for e in gens.e):
-            raise ValueError("singular image is not a highest-weight vector")
-        lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f]
-        commute = [[i != j and not bracket(a, b) for j, b in enumerate(gens.f)]
-                   for i, a in enumerate(gens.f)]
-        solver = SpanSolver()
-        out = [seed] if solver.add(seed) else []
-        queue = [(u, (), 0) for u in out]  # (vector, parent's zero set, j)
-        while queue:
-            u, parent_zeros, j = queue.pop()
-            # the children share `zeros`, complete before any is popped
-            zeros = {i for i in parent_zeros if commute[i][j]}
-            for i, f in enumerate(lowering):
-                if i in zeros:
-                    continue
-                w = alg.ad(f, u)
-                if not w:
-                    zeros.add(i)
-                elif solver.add(w):
-                    out.append(w)
-                    queue.append((w, zeros, i))
-        ctx._r0 = out
-    return list(ctx._r0)
+    alg = projection_context(l)
+    gens = b_type_generators(l)
+    seed = vec_integral(zhu_singular_image(l))
+    if any(alg.ad(alg.lie_coords(e), seed) for e in gens.e):
+        raise ValueError("singular image is not a highest-weight vector")
+    lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f]
+    commute = [[i != j and not bracket(a, b) for j, b in enumerate(gens.f)]
+               for i, a in enumerate(gens.f)]
+    solver = SpanSolver()
+    out = [seed] if solver.add(seed) else []
+    queue = [(u, (), 0) for u in out]  # (vector, parent's zero set, j)
+    while queue:
+        u, parent_zeros, j = queue.pop()
+        # the children share `zeros`, complete before any is popped
+        zeros = {i for i in parent_zeros if commute[i][j]}
+        for i, f in enumerate(lowering):
+            if i in zeros:
+                continue
+            w = alg.ad(f, u)
+            if not w:
+                zeros.add(i)
+            elif solver.add(w):
+                out.append(w)
+                queue.append((w, zeros, i))
+    return out
 
 
-def r0_zero_weight_members(ctx: ProjectionContext) -> list[UEAElt]:
-    alg = ctx.alg
+def r0_zero_weight_members(l: int) -> list[UEAElt]:
+    alg = projection_context(l)
     zero = (0,) * len(alg.cartan_indices)
-    return [u for u in r0_basis(ctx) if alg.weight_of(u) == zero]
+    return [u for u in r0_basis(l) if alg.weight_of(u) == zero]
 
 
 def poly_span_equal(pa: list[Poly], pb: list[Poly]) -> bool:

@@ -172,34 +172,18 @@ def _normal_order(
         if not w:
             vec_add_term(out, (), c)
             continue
-        pos = next(
-            (i for i in range(len(w) - 2, -1, -1) if w[i][1] >= 0), None
-        )
-        if pos is not None:
-            (s_idx, m), (t_idx, n) = w[pos], w[pos + 1]
-            head, tail = w[:pos], w[pos + 2 :]
-            # push no word that ends in an annihilator: with no tail the swap
-            # does, a bracket at a non-negative mode does, and the central
-            # term does when head ends in one
-            if tail:
-                pending.append((head + (w[pos + 1], w[pos]) + tail, c))
-            if tail or m + n < 0:
-                for r, b in basis.bracket_coords(s_idx, t_idx).items():
-                    pending.append((head + ((r, m + n),) + tail, c * b))
-            if m + n == 0 and m != 0 and (tail or not head or head[-1][1] < 0):
-                g = basis.gram(s_idx, t_idx)
-                if g:
-                    pending.append((head + tail, c * m * g * basis.k))
-            continue
-        # all creations: sort by (mode asc, index asc)
-        pos = next(
-            (
-                i
-                for i in range(len(w) - 1)
-                if (w[i][1], w[i][0]) > (w[i + 1][1], w[i + 1][0])
-            ),
-            None,
-        )
+        # the rightmost annihilator, else the leftmost creation pair out of
+        # (mode asc, index asc) order
+        pos = next((i for i in range(len(w) - 2, -1, -1) if w[i][1] >= 0), None)
+        if pos is None:
+            pos = next(
+                (
+                    i
+                    for i in range(len(w) - 1)
+                    if (w[i][1], w[i][0]) > (w[i + 1][1], w[i + 1][0])
+                ),
+                None,
+            )
         if pos is None:
             total = sum(-m for _, m in w)
             if total > DEPTH_CAP:
@@ -207,9 +191,19 @@ def _normal_order(
             vec_add_term(out, tuple((idx, -m) for idx, m in w), c)
             continue
         (s_idx, m), (t_idx, n) = w[pos], w[pos + 1]
-        pending.append((w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :], c))
-        for r, b in basis.bracket_coords(s_idx, t_idx).items():
-            pending.append((w[:pos] + ((r, m + n),) + w[pos + 2 :], c * b))
+        head, tail = w[:pos], w[pos + 2 :]
+        # push no word that ends in an annihilator: with no tail the swap
+        # does when m >= 0, a bracket at a non-negative mode does, and the
+        # central term does when head ends in one
+        if tail or m < 0:
+            pending.append((head + (w[pos + 1], w[pos]) + tail, c))
+        if tail or m + n < 0:
+            for r, b in basis.bracket_coords(s_idx, t_idx).items():
+                pending.append((head + ((r, m + n),) + tail, c * b))
+        if m + n == 0 and m != 0 and (tail or not head or head[-1][1] < 0):
+            g = basis.gram(s_idx, t_idx)
+            if g:
+                pending.append((head + tail, c * m * g * basis.k))
     return out
 
 

@@ -160,15 +160,14 @@ def test_criterion_04_involution_fixes_the_vector():
 def test_criterion_05_associative_image_closed_form():
     ok = True
     for l in RANKS:
-        ctx = projection_context(l)
-        alg = ctx.alg
+        alg = projection_context(l)
         n = 2 * l + 1
         want = {}
         for i in range(1, 2 * l):
             left = alg.lie2uea(eplus(l, i + 1, n))
             right = alg.lie2uea(eplus(l, 1, i + 1))
             vec_add_into(want, alg.mul(left, right))
-        ok = ok and zhu_singular_image(ctx) == want
+        ok = ok and zhu_singular_image(l) == want
     _criterion(
         5,
         ok,
@@ -180,8 +179,7 @@ def test_criterion_05_associative_image_closed_form():
 def test_criterion_06_lowered_image_closed_form():
     ok = True
     for l in RANKS:
-        ctx = projection_context(l)
-        ok = ok and compute_v1(ctx) == v1_closed_form(ctx)
+        ok = ok and compute_v1(l) == v1_closed_form(l)
     _criterion(
         6,
         ok,
@@ -193,8 +191,7 @@ def test_criterion_06_lowered_image_closed_form():
 def test_criterion_07_factored_polynomials_and_rejected_variant():
     ok = True
     for l in RANKS:
-        ctx = projection_context(l)
-        polys = lowered_polynomials(ctx)
+        polys = lowered_polynomials(l)
         ok = ok and polys == reference_polynomials(l)
         # The sign variant with +1/2 in place of -1/2 must NOT match:
         # the suite records which of the two written forms the computation
@@ -211,12 +208,11 @@ def test_criterion_07_factored_polynomials_and_rejected_variant():
 def test_criterion_08_zero_weight_span():
     ok = True
     for l in RANKS:
-        ctx = projection_context(l)
-        ok = ok and len(r0_basis(ctx)) == 2 * l * l + 3 * l
-        members = r0_zero_weight_members(ctx)
+        ok = ok and len(r0_basis(l)) == 2 * l * l + 3 * l
+        members = r0_zero_weight_members(l)
         ok = ok and len(members) == l
-        member_polys = [ctx.alg.cartan_polynomial(u) for u in members]
-        ok = ok and poly_span_equal(member_polys, lowered_polynomials(ctx))
+        member_polys = [projection_context(l).cartan_polynomial(u) for u in members]
+        ok = ok and poly_span_equal(member_polys, lowered_polynomials(l))
     _criterion(
         8,
         ok,
@@ -228,8 +224,7 @@ def test_criterion_08_zero_weight_span():
 def test_criterion_09_classification_zero_set():
     ok = True
     for l in RANKS:
-        ctx = projection_context(l)
-        found = zero_set(lowered_polynomials(ctx))
+        found = zero_set(lowered_polynomials(l))
         expected = frozenset(all_highest_weights(l))
         ok = ok and len(found) == 2**l and found == expected
     _criterion(

@@ -24,11 +24,7 @@ from a2l2.classify import (
     weight_strings,
 )
 from a2l2.envelope import doubled_residuals, zero_set
-from a2l2.twzhu import (
-    lowered_polynomials,
-    projection_context,
-    reference_polynomials,
-)
+from a2l2.twzhu import lowered_polynomials, reference_polynomials
 
 
 F = Fraction
@@ -118,8 +114,7 @@ def test_eval_polys_all_zero_on_classified_weights():
     # the integer residuals of the expanded polynomials and their rational
     # values both vanish on every weight of the table
     for l in (1, 2, 3):
-        ctx = projection_context(l)
-        polys = lowered_polynomials(ctx)
+        polys = lowered_polynomials(l)
         weights = all_highest_weights(l)
         assert list(doubled_residuals(polys, weights)) == [[0] * l] * 2**l
         for x in weights:
@@ -156,8 +151,7 @@ def test_zero_set_oracle_matches_weight_formulas():
         expected = frozenset(all_highest_weights(l))
         assert len(expected) == 2**l
         assert zero_set(reference_polynomials(l)) == expected
-        ctx = projection_context(l)
-        assert zero_set(lowered_polynomials(ctx)) == expected
+        assert zero_set(lowered_polynomials(l)) == expected
 
 
 def test_zero_set_agrees_with_sympy_solver():
@@ -165,7 +159,7 @@ def test_zero_set_agrees_with_sympy_solver():
     # the polynomial system directly, without the triangular factored form
     sympy = pytest.importorskip("sympy")
     for l in (1, 2, 3, 4):
-        polys = lowered_polynomials(projection_context(l))
+        polys = lowered_polynomials(l)
         xs = sympy.symbols(f"x1:{l + 1}")
         system = [
             sympy.Add(*(

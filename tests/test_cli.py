@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import importlib
 import io
@@ -33,6 +34,8 @@ from a2l2.checks import (
     run_checks,
 )
 from a2l2.cli import main
+
+from test_mutants import PER_RANK_CACHES
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,30 +122,49 @@ def test_rank_cap_env_override(monkeypatch):
             run_checks(1, ["g1-dim"])
 
 
-def test_full_verify_builds_each_stage_once(monkeypatch):
-    vacuum.singular_vector.cache_clear()
-    twzhu.projection_context.cache_clear()
-    classify.all_highest_weights.cache_clear()
-    calls = {"project": 0, "lowered_elements": 0}
+def clear_per_rank_caches():
+    for cached in PER_RANK_CACHES:
+        cached.cache_clear()
 
-    def counted(name):
-        real = getattr(twzhu, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(twzhu, name, counted(name))
+def test_full_verify_builds_each_stage_once():
+    clear_per_rank_caches()
     code, _, _ = run_cli(["verify", "--l", "2"])
     assert code == 0
-    assert vacuum.singular_vector.cache_info().misses == 1
-    assert twzhu.projection_context.cache_info().misses == 1
-    assert classify.all_highest_weights.cache_info().misses == 1
-    # the singular image is projected, and the partner lowered, only once
-    assert calls == {"project": 1, "lowered_elements": 1}
+    for stage in (
+        vacuum.singular_vector,
+        twzhu.projection_context,
+        twzhu.zhu_singular_image,
+        twzhu.compute_v1,
+        twzhu.lowered_polynomials,
+        twzhu.r0_basis,
+        classify.all_highest_weights,
+    ):
+        assert stage.cache_info().misses == 1, stage.__name__
+
+
+def test_checks_and_dumps_leave_the_shared_stages_unchanged():
+    # a cached stage is shared, not copied, so a caller that modified it
+    # would change what every later caller reads.  The mode bases and the
+    # PBW algebra fill memo tables as they are read, and the projection of
+    # a monomial is read through the stages, so those are left out.
+    clear_per_rank_caches()
+    l = 3
+    stages = [
+        stage for stage in PER_RANK_CACHES
+        if stage not in (
+            vacuum.standard_mode_basis,
+            vacuum.split_mode_basis,
+            twzhu.projection_context,
+            twzhu.project_monomial,
+        )
+    ]
+    before = [copy.deepcopy(stage(l)) for stage in stages]
+    assert run_checks(l).overall == "pass"
+    for which in checks.DUMP_OBJECTS:
+        dump_object(l, which)
+    for stage, copied in zip(stages, before):
+        assert stage(l) == copied, stage.__name__
 
 
 def test_dependency_failure_skips_downstream(monkeypatch):

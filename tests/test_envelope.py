@@ -24,11 +24,6 @@ from helpers_spin import (
 )
 
 
-def pbw_algebra(l):
-    """The envelope of rank l, over the rank's shared structure constants."""
-    return projection_context(l).alg
-
-
 def normal_form_rightmost(alg, word, coeff):
     """Reference rewrite that resolves the rightmost adjacent inversion
     first; the library resolves the leftmost one."""
@@ -70,7 +65,7 @@ def _random_lie(rng, alg, max_terms=2):
 # ------------------------------------------------------------ normal form
 
 def test_normal_form_pinned_values_rank1():
-    alg = pbw_algebra(1)
+    alg = projection_context(1)
     # basis order: lowering Ep[2,1] (0), Cartan hb[1] (1), raising Ep[1,2] (2);
     # the short-root vectors are held four times over, so the Cartan
     # correction 1/8 of Ep[1,2]*Ep[2,1] becomes 16/8
@@ -81,7 +76,7 @@ def test_normal_form_pinned_values_rank1():
 
 
 def test_normal_form_pinned_values_rank2():
-    alg = pbw_algebra(2)
+    alg = projection_context(2)
     gens = b_type_generators(2)
     e1 = alg.lie2uea(gens.e[0])
     f1 = alg.lie2uea(gens.f[0])
@@ -98,7 +93,7 @@ def test_normal_form_pinned_values_rank2():
 
 
 def test_normal_form_sorted_word_is_fixed():
-    alg = pbw_algebra(2)
+    alg = projection_context(2)
     word = (0, 0, 4, 7)
     assert alg.normal_form({word: Fraction(3, 2)}) == {word: Fraction(3, 2)}
 
@@ -107,7 +102,7 @@ def test_normal_form_confluence_100_words():
     rng = random.Random(101)
     for _ in range(100):
         l = rng.choice([1, 2])
-        alg = pbw_algebra(l)
+        alg = projection_context(l)
         length = rng.randint(0, 4)
         word = tuple(rng.randrange(alg.dim) for _ in range(length))
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -121,7 +116,7 @@ def test_normal_form_confluence_100_words():
 def test_normal_form_of_a_sum_is_the_sum_of_normal_forms():
     rng = random.Random(102)
     for _ in range(50):
-        alg = pbw_algebra(rng.choice([1, 2]))
+        alg = projection_context(rng.choice([1, 2]))
         words = {}
         expected = {}
         for _ in range(rng.randint(1, 4)):
@@ -135,7 +130,7 @@ def test_normal_form_of_a_sum_is_the_sum_of_normal_forms():
 def test_mul_associative_and_unit():
     rng = random.Random(55)
     for _ in range(30):
-        alg = pbw_algebra(rng.choice([1, 2]))
+        alg = projection_context(rng.choice([1, 2]))
         u, v, w = (_random_uea(rng, alg) for _ in range(3))
         assert alg.mul(alg.mul(u, v), w) == alg.mul(u, alg.mul(v, w))
         assert alg.mul(u, uea_unit()) == u
@@ -144,7 +139,7 @@ def test_mul_associative_and_unit():
 def test_mul_matches_spinor_matrices():
     rng = random.Random(77)
     verify_spin_homomorphism(2)
-    alg = pbw_algebra(2)
+    alg = projection_context(2)
     for _ in range(20):
         u, v = (_random_uea(rng, alg) for _ in range(2))
         lhs = spin_matrix_of(2, alg.mul(u, v))
@@ -160,7 +155,7 @@ def test_mul_matches_spinor_matrices():
 def test_ad_is_derivation_and_bracket_compatible():
     rng = random.Random(303)
     for _ in range(50):
-        alg = pbw_algebra(rng.choice([1, 2]))
+        alg = projection_context(rng.choice([1, 2]))
         x = _random_lie(rng, alg)
         y = _random_lie(rng, alg)
         u = _random_uea(rng, alg)
@@ -181,7 +176,7 @@ def test_ad_is_derivation_and_bracket_compatible():
 def test_ad_matches_commutator_multiplication():
     rng = random.Random(404)
     for _ in range(20):
-        alg = pbw_algebra(rng.choice([1, 2]))
+        alg = projection_context(rng.choice([1, 2]))
         x = _random_lie(rng, alg)
         u = _random_uea(rng, alg)
         xu = alg.lie2uea(x)
@@ -192,7 +187,7 @@ def test_ad_matches_commutator_multiplication():
 
 
 def test_lie_coords_rejects_odd_elements():
-    alg = pbw_algebra(2)
+    alg = projection_context(2)
     with pytest.raises(ValueError):
         alg.lie_coords(E(1, 5))
 
@@ -200,7 +195,7 @@ def test_lie_coords_rejects_odd_elements():
 # ------------------------------------------------------ Cartan polynomial
 
 def test_cartan_polynomial_pinned_examples():
-    alg = pbw_algebra(2)
+    alg = projection_context(2)
     gens = b_type_generators(2)
     h1 = alg.lie2uea(gens.h[0])
     hb = alg.lie2uea(gens.h[-1])
@@ -221,7 +216,7 @@ def test_cartan_polynomial_against_spin_oracle():
     for l in (1, 2, 3):
         assert verify_spin_homomorphism(l)
         assert spin_highest_weight_checks(l)
-        alg = pbw_algebra(l)
+        alg = projection_context(l)
         gens = b_type_generators(l)
         el = alg.lie2uea(gens.e[-1])
         fl = alg.lie2uea(gens.f[-1])
@@ -247,7 +242,7 @@ def test_cartan_polynomial_against_spin_oracle():
 
 
 def test_weight_of_mixed_and_pure():
-    alg = pbw_algebra(2)
+    alg = projection_context(2)
     gens = b_type_generators(2)
     e1 = alg.lie2uea(gens.e[0])
     assert alg.weight_of(e1) == (Fraction(2), Fraction(-2))

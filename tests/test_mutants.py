@@ -25,7 +25,9 @@ tests kill them:
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -39,15 +41,18 @@ from helpers_roots import (
 from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors
 from test_affroots import random_weight
 
+import a2l2
 from a2l2 import affroots, checks, classify, liealg, twzhu, vacuum
 from a2l2.checks import run_checks
 
-PER_RANK_CACHES = (
-    vacuum.singular_vector,
-    twzhu.projection_context,
-    vacuum.standard_mode_basis,
-    vacuum.split_mode_basis,
-    classify.all_highest_weights,
+# every `lru_cache` function that a module of the package defines, found by
+# scanning, so that no stage cache is left out as stages are added
+PER_RANK_CACHES = tuple(
+    fn
+    for info in pkgutil.iter_modules(a2l2.__path__)
+    for module in [importlib.import_module(f"a2l2.{info.name}")]
+    for fn in vars(module).values()
+    if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__
 )
 
 
@@ -70,8 +75,8 @@ def flipped_v1_sign(monkeypatch):
     """One coefficient of the closed form of v1 changes sign."""
     closed_form = twzhu.v1_closed_form
 
-    def flipped(ctx):
-        v = dict(closed_form(ctx))
+    def flipped(l):
+        v = closed_form(l)
         key = min(v)
         v[key] = -v[key]
         return v

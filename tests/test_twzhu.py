@@ -11,7 +11,7 @@ from helpers_polys import mono, poly_eval
 
 from a2l2 import twzhu
 from a2l2.checks import run_checks
-from a2l2.envelope import factored_h_string, uea_string, uea_unit
+from a2l2.envelope import PBWAlgebra, factored_h_string, uea_string, uea_unit
 from a2l2.liealg import (
     b_type_generators,
     bracket,
@@ -19,7 +19,6 @@ from a2l2.liealg import (
 )
 from a2l2.linalg import SpanSolver, vec_add_into, vec_integral, vec_scale
 from a2l2.twzhu import (
-    ProjectionContext,
     _binom_half,
     compute_v1,
     lowered_elements,
@@ -35,6 +34,7 @@ from a2l2.twzhu import (
     zhu_singular_image,
 )
 from a2l2.vacuum import (
+    convert_state,
     mode_action,
     singular_vector,
     split_mode_basis,
@@ -56,36 +56,32 @@ def test_binom_half_values():
 # ------------------------------------------------------------- projection
 
 def test_project_pinned_values_rank1():
-    ctx = projection_context(1)
-    basis = ctx.split
+    basis = split_mode_basis(1)
     # even factor at depth 2 flips sign: image of hb1(-2)|0> is -hb1
     hbar = b_type_generators(1).h[-1]
     s = state_from_ops(basis, [(hbar, -2)])
-    assert project(basis, s, ctx) == {(1,): Fraction(-1)}
+    assert project(1, s) == {(1,): Fraction(-1)}
     # ordered even pair: raising then lowering multiplies on the right
     ep = basis.elems[2]  # Ep[1,2]
     em = basis.elems[0]  # Ep[2,1]
     s = state_from_ops(basis, [(ep, -1), (em, -1)])
-    assert project(basis, s, ctx) == {(0, 2): Fraction(1)}
+    assert project(1, s) == {(0, 2): Fraction(1)}
     # single odd factor dies
     odd = basis.elems[basis.g0_count]
     s = state_from_ops(basis, [(odd, -1)])
-    assert project(basis, s, ctx) == {}
+    assert project(1, s) == {}
     s = state_from_ops(basis, [(odd, -2)])
-    assert project(basis, s, ctx) == {}
+    assert project(1, s) == {}
 
 
 def test_project_pair_closed_form_100_samples():
     rng = random.Random(314)
     for _ in range(100):
         l = rng.choice([1, 2])
-        ctx = projection_context(l)
-        alg = ctx.alg
-        k = ctx.split.k
+        alg, split = projection_context(l), split_mode_basis(l)
         a = sample_sparse(rng, l)
         b = sample_sparse(rng, l)
-        s = state_from_ops(ctx.split, [(a, -1), (b, -1)])
-        got = project(ctx.split, s, ctx)
+        got = project(l, state_from_ops(split, [(a, -1), (b, -1)]))
         ap, am = split_pm(a, 2 * l + 1)
         bp, bm = split_pm(b, 2 * l + 1)
         want = {}
@@ -96,112 +92,123 @@ def test_project_pair_closed_form_100_samples():
             vec_add_into(want, alg.lie2uea(comm), Fraction(-1, 2))
         pairing = invariant_form(am, bm)
         if pairing:
-            vec_add_into(want, uea_unit(), k * pairing / 8)
+            vec_add_into(want, uea_unit(), split.k * pairing / 8)
         assert got == want
+
+
+def project_standard(l, s):
+    """Project a state over the standard mode basis of rank l."""
+    return project(l, convert_state(standard_mode_basis(l), s, split_mode_basis(l)))
 
 
 def test_project_intertwines_zero_modes():
     # projecting x(0).w equals the adjoint action of x on the projection
     for l in (1, 2):
-        ctx = projection_context(l)
-        alg = ctx.alg
+        alg = projection_context(l)
         basis = standard_mode_basis(l)
         orbit = zero_mode_orbit(singular_vector(l), l)
         sample = orbit[:: max(1, len(orbit) // 4)]
         gens = g0_basis(l)[:: max(1, len(g0_basis(l)) // 5)]
         for w in sample:
-            pw = project(basis, w, ctx)
+            pw = project_standard(l, w)
             for x in gens:
-                lhs = project(basis, mode_action(basis, (x, 0), w), ctx)
+                lhs = project_standard(l, mode_action(basis, (x, 0), w))
                 assert lhs == alg.ad(alg.lie_coords(x), pw)
 
 
-def test_project_odd_shortcut_agrees():
+@pytest.fixture
+def cold_projection():
+    twzhu.project_monomial.cache_clear()
+    yield
+    twzhu.project_monomial.cache_clear()
+
+
+def test_project_odd_shortcut_agrees(monkeypatch, cold_projection):
     rng = random.Random(99)
+    states = []
     for l in (1, 2):
-        with_cut = projection_context(l)
-        # a fresh context that sees no odd factor never takes the shortcut
-        without = ProjectionContext(l)
-        without._odd_count = lambda mono: 0
-        v, standard = singular_vector(l), standard_mode_basis(l)
-        assert project(standard, v, with_cut) == project(standard, v, without)
         basis = split_mode_basis(l)
+        states.append((l, convert_state(standard_mode_basis(l), singular_vector(l), basis)))
         for _ in range(10):
             ops = []
             for _ in range(rng.randint(1, 2)):
                 x = basis.elems[rng.randrange(len(basis.elems))]
                 ops.append((x, -rng.randint(1, 2)))
-            s = state_from_ops(basis, ops)
-            assert project(basis, s, with_cut) == project(basis, s, without)
+            states.append((l, state_from_ops(basis, ops)))
+    with_cut = [project(l, s) for l, s in states]
+    # a projection that sees no odd factor never takes the shortcut
+    monkeypatch.setattr(twzhu, "_odd_count", lambda mono, g0: 0)
+    twzhu.project_monomial.cache_clear()
+    assert [project(l, s) for l, s in states] == with_cut
 
 
 # ---------------------------------------------------------- singular image
 
 def test_singular_image_matches_closed_form():
     for l in (1, 2, 3):
-        ctx = projection_context(l)
-        assert zhu_singular_image(ctx) == zhu_image_closed_form(ctx)
+        assert zhu_singular_image(l) == zhu_image_closed_form(l)
 
 
 def test_singular_image_literal_rank1():
-    ctx = projection_context(1)
     # Ep[1,2]*Ep[1,2], over a basis that holds Ep[1,2] four times over
-    assert zhu_singular_image(ctx) == {(2, 2): Fraction(1, 16)}
-    assert uea_string(zhu_singular_image(ctx), ctx.alg) == "Ep[1,2]*Ep[1,2]"
+    assert zhu_singular_image(1) == {(2, 2): Fraction(1, 16)}
+    assert uea_string(zhu_singular_image(1), projection_context(1)) == "Ep[1,2]*Ep[1,2]"
 
 
 def test_singular_image_weight():
     for l in (1, 2, 3):
-        ctx = projection_context(l)
-        img = zhu_singular_image(ctx)
+        img = zhu_singular_image(l)
         expect = [Fraction(0)] * l
         if l == 1:
             expect[0] = Fraction(4)
         else:
             expect[0] = Fraction(2)
-        assert ctx.alg.weight_of(img) == tuple(expect)
+        assert projection_context(l).weight_of(img) == tuple(expect)
 
 
 # --------------------------------------------------------- lowered partner
 
 def test_v1_matches_closed_form():
     for l in (1, 2, 3):
-        ctx = projection_context(l)
-        assert compute_v1(ctx) == v1_closed_form(ctx)
+        assert compute_v1(l) == v1_closed_form(l)
 
 
 def test_v1_literal_rank1():
-    ctx = projection_context(1)
-    assert compute_v1(ctx) == {(1, 2): Fraction(-1, 4), (2,): Fraction(1, 4)}
-    assert uea_string(compute_v1(ctx), ctx.alg) == "-hb[1]*Ep[1,2] + Ep[1,2]"
+    assert compute_v1(1) == {(1, 2): Fraction(-1, 4), (2,): Fraction(1, 4)}
+    assert uea_string(compute_v1(1), projection_context(1)) == "-hb[1]*Ep[1,2] + Ep[1,2]"
 
 
 # ------------------------------------------------------------- polynomials
 
 def test_lowered_elements_have_weight_zero():
     for l in (1, 2, 3):
-        ctx = projection_context(l)
         zero = tuple(Fraction(0) for _ in range(l))
-        for u in lowered_elements(ctx):
-            assert ctx.alg.weight_of(u) == zero
+        for u in lowered_elements(l):
+            assert projection_context(l).weight_of(u) == zero
+
+
+def counted_ad(monkeypatch) -> list:
+    """Record every `PBWAlgebra.ad` call of this test in the returned list."""
+    calls = []
+    ad = PBWAlgebra.ad
+
+    def counted(self, x, u):
+        calls.append(x)
+        return ad(self, x, u)
+
+    monkeypatch.setattr(PBWAlgebra, "ad", counted)
+    return calls
 
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_lowered_elements_share_the_prefix_chain(monkeypatch, l):
-    ctx = ProjectionContext(l)
-    v1 = compute_v1(ctx)
-    real_ad = ctx.alg.ad
-    calls = []
-
-    def counted(x, u):
-        calls.append(x)
-        return real_ad(x, u)
-
-    monkeypatch.setattr(ctx.alg, "ad", counted)
-    got = lowered_elements(ctx)
+    alg, v1 = projection_context(l), compute_v1(l)
+    real_ad = alg.ad
+    calls = counted_ad(monkeypatch)
+    got = lowered_elements(l)
     assert len(calls) == l - 1 + l * (l + 1) // 2
     # each staircase applied from v1 on its own gives the same elements
-    fs = [ctx.alg.lie_coords(f) for f in b_type_generators(l).f]
+    fs = [alg.lie_coords(f) for f in b_type_generators(l).f]
     for j, u in enumerate(got, start=1):
         w = v1
         for t in [*range(l - 1, j - 1, -1), *range(j)]:  # f_l..f_{j+1}, f_1..f_j
@@ -211,22 +218,19 @@ def test_lowered_elements_share_the_prefix_chain(monkeypatch, l):
 
 def test_lowered_polynomials_match_reference():
     for l in (1, 2, 3):
-        ctx = projection_context(l)
-        polys = lowered_polynomials(ctx)
+        polys = lowered_polynomials(l)
         assert polys == reference_polynomials(l)
         assert polys != reference_polynomials(l, plus_half=True)
 
 
 def test_lowered_polynomial_strings():
-    ctx = projection_context(3)
-    strings = [factored_h_string(p) for p in lowered_polynomials(ctx)]
+    strings = [factored_h_string(p) for p in lowered_polynomials(3)]
     assert strings == [
         "h1*(h1 + 2*h2 + 2*h3 + 3/2)",
         "h2*(h2 + 2*h3 + 1/2)",
         "h3*(h3 - 1/2)",
     ]
-    ctx1 = projection_context(1)
-    assert [factored_h_string(p) for p in lowered_polynomials(ctx1)] == [
+    assert [factored_h_string(p) for p in lowered_polynomials(1)] == [
         "h1*(h1 - 1/2)"
     ]
 
@@ -235,8 +239,7 @@ def test_lowered_elements_vanish_at_both_dominant_integral_weights():
     # trivial weight: constant term; top spin weight: spinor-module oracle
     for l in (1, 2, 3):
         verify_spin_homomorphism(l)
-        ctx = projection_context(l)
-        for u in lowered_elements(ctx):
+        for u in lowered_elements(l):
             assert u.get((), Fraction(0)) == 0
             assert spin_hw_coefficient(l, u) == 0
 
@@ -277,24 +280,23 @@ def test_reference_polynomials_match_formula_at_random_points():
 
 def test_r0_dimension_and_zero_weight_polynomials():
     for l in (1, 2, 3):
-        ctx = projection_context(l)
-        basis = r0_basis(ctx)
+        basis = r0_basis(l)
         assert len(basis) == 2 * l * l + 3 * l
-        members = r0_zero_weight_members(ctx)
+        members = r0_zero_weight_members(l)
         assert len(members) == l
-        member_polys = [ctx.alg.cartan_polynomial(u) for u in members]
+        member_polys = [projection_context(l).cartan_polynomial(u) for u in members]
         refs = reference_polynomials(l)
         assert poly_span_equal(member_polys, refs)
         assert not poly_span_equal(member_polys, [{mono(l, 1): 1}])
 
 
-def r0_oracle(ctx):
+def r0_oracle(l):
     """The closure of the singular image under ad of every PBW basis element
     of the even part: no highest-weight assumption."""
-    alg = ctx.alg
+    alg = projection_context(l)
     solver = SpanSolver()
     out, queue = [], []
-    seed = zhu_singular_image(ctx)
+    seed = zhu_singular_image(l)
     if solver.add(dict(seed)):
         out.append(seed)
         queue.append(seed)
@@ -317,22 +319,21 @@ def span_of(vectors):
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_r0_lowering_closure_matches_full_basis_oracle(l):
-    ctx = projection_context(l)
-    basis = r0_basis(ctx)
-    oracle = r0_oracle(ctx)
+    basis = r0_basis(l)
+    oracle = r0_oracle(l)
     assert len(basis) == len(oracle) == 2 * l * l + 3 * l
     basis_span, oracle_span = span_of(basis), span_of(oracle)
     assert all(basis_span.coords(dict(v)) is not None for v in oracle)
     assert all(oracle_span.coords(dict(v)) is not None for v in basis)
-    assert all(ctx.alg.weight_of(u) is not None for u in basis)
+    assert all(projection_context(l).weight_of(u) is not None for u in basis)
 
 
-def naive_lowering_closure(ctx):
+def naive_lowering_closure(l):
     """The closure under the l simple lowering generators with every
     ad(f_i, u) computed, in the order `r0_basis` visits them."""
-    alg = ctx.alg
-    seed = vec_integral(zhu_singular_image(ctx))
-    lowering = [vec_integral(alg.lie_coords(f)) for f in b_type_generators(ctx.l).f]
+    alg = projection_context(l)
+    seed = vec_integral(zhu_singular_image(l))
+    lowering = [vec_integral(alg.lie_coords(f)) for f in b_type_generators(l).f]
     solver = SpanSolver()
     out = [seed] if solver.add(seed) else []
     queue = list(out)
@@ -346,57 +347,43 @@ def naive_lowering_closure(ctx):
     return out
 
 
-def counted_ad(ctx) -> list:
-    """Record every call of `ctx.alg.ad` from now on in the returned list."""
-    calls = []
-    ad = ctx.alg.ad
-
-    def counted(x, u):
-        calls.append(x)
-        return ad(x, u)
-
-    ctx.alg.ad = counted
-    return calls
-
-
 @pytest.mark.parametrize("l", (1, 2, 3, 4, 5, 6))
-def test_r0_skips_only_vanishing_lowerings(l):
+def test_r0_skips_only_vanishing_lowerings(monkeypatch, l):
     # a skipped call is one that returns 0, so the vectors and their order
     # are those of the closure that computes every ad(f_i, u)
-    ctx = ProjectionContext(l)
-    calls = counted_ad(ctx)
-    assert r0_basis(ctx) == naive_lowering_closure(ProjectionContext(l))
+    naive = naive_lowering_closure(l)
+    twzhu.r0_basis.cache_clear()
+    calls = counted_ad(monkeypatch)
+    assert r0_basis(l) == naive
     if l == 6:
         # 546 calls without the skip: 6 raising checks and 540 lowerings
         assert len(calls) == 302
 
 
-def plant_lowered_image(ctx):
-    """Replace the singular image of `ctx` by ad(f_1) of it, which the
-    raising generator e_1 does not kill."""
-    f_1 = ctx.alg.lie_coords(b_type_generators(ctx.l).f[0])
-    ctx._image = ctx.alg.ad(f_1, zhu_singular_image(ctx))
-    return ctx
-
-
-@pytest.mark.parametrize("l", (1, 2))
-def test_r0_rejects_seed_that_is_not_highest_weight(l):
-    with pytest.raises(ValueError, match="not a highest-weight vector"):
-        r0_basis(plant_lowered_image(ProjectionContext(l)))
-
-
 @pytest.fixture
-def cold_projection_cache():
-    twzhu.projection_context.cache_clear()
+def lowered_seed(monkeypatch):
+    """`r0_basis` reads ad(f_1) of the singular image as its seed, which the
+    raising generator e_1 does not kill."""
+    image = twzhu.zhu_singular_image
+
+    def lowered(l):
+        alg = projection_context(l)
+        return alg.ad(alg.lie_coords(b_type_generators(l).f[0]), image(l))
+
+    monkeypatch.setattr(twzhu, "zhu_singular_image", lowered)
+    twzhu.r0_basis.cache_clear()
     yield
-    twzhu.projection_context.cache_clear()
+    twzhu.r0_basis.cache_clear()
 
 
 @pytest.mark.parametrize("l", (1, 2))
-def test_r0_check_fails_on_seed_that_is_not_highest_weight(
-    cold_projection_cache, l
-):
-    plant_lowered_image(projection_context(l))
+def test_r0_rejects_seed_that_is_not_highest_weight(lowered_seed, l):
+    with pytest.raises(ValueError, match="not a highest-weight vector"):
+        r0_basis(l)
+
+
+@pytest.mark.parametrize("l", (1, 2))
+def test_r0_check_fails_on_seed_that_is_not_highest_weight(lowered_seed, l):
     report = run_checks(l, "r0-dim")
     (result,) = report.checks
     assert report.overall == "fail"
