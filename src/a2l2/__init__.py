@@ -14,9 +14,9 @@ float.  The classification half runs on ints alone: a weight is held by
 its doubled coroot coordinates.
 
 The package module holds what every command reads: the rank cap
-(`A2L2_MAX_L`), the studied level as text, the JSON encoding of exact
-rationals and the one printer of an exact signed sum.  None of it needs
-`fractions`, so `classify` runs without loading it.
+(`A2L2_MAX_L`), the studied level as two ints and as text, the JSON
+encoding of exact rationals and the one printer of an exact signed sum.
+None of it needs `fractions`, so `classify` runs without loading it.
 """
 
 from __future__ import annotations
@@ -56,9 +56,14 @@ def validated_rank(l: int) -> int:
     return l
 
 
+def level(l: int) -> tuple[int, int]:
+    """The studied level -(2l+1)/2, as its numerator and denominator."""
+    return -(2 * l + 1), 2
+
+
 def level_string(l: int) -> str:
-    """The studied level -(2l+1)/2 as text."""
-    return f"{-(2 * l + 1)}/2"
+    """The studied level as text."""
+    return "%d/%d" % level(l)
 
 
 def _exact(x, d: int = 1) -> int | str:

@@ -190,8 +190,3 @@ def check_admissible(y: Sequence[int], d: int) -> AdmissibilityReport:
     cond2_pass = rank == l + 1
     return AdmissibilityReport(cond1_pass, rank, cond2_pass, cond1_pass and cond2_pass)
 
-
-def kw_positivity(l: int) -> bool:
-    """Level plus dual Coxeter number must be positive; at the studied level
-    -(2l+1)/2, twice it is 2(2l+1) - (2l+1) = 2l+1, for every weight."""
-    return 2 * (2 * l + 1) - (2 * l + 1) > 0

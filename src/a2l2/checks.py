@@ -15,9 +15,9 @@ import json
 import time
 from typing import Callable, Iterable, NamedTuple
 
-from . import _exact, _exact_list, level_string, validated_rank
+from . import _exact, _exact_list, level, level_string, validated_rank
 from .envelope import doubled_residuals, factored_h_string, uea_string, zero_set
-from .liealg import computed_b_cartan, g1_zero_weight_dim, level_for, nu, split_basis
+from .liealg import computed_b_cartan, g1_zero_weight_dim, nu, split_basis
 from .linalg import vec_scale
 from .twzhu import (
     compute_v1,
@@ -218,16 +218,14 @@ def _check_admissible_all(l: int) -> tuple[bool, dict]:
 
 
 def _check_kw(l: int) -> tuple[bool, dict]:
-    from .affroots import kw_positivity
+    from .affroots import algebra_data
 
-    # kw_positivity reads only l: every classified weight lifts to the level
-    # -(2l+1)/2
-    positive = kw_positivity(l)
-    shifted = level_for(l) + (2 * l + 1)
-    ok = positive and shifted > 0
-    return ok, {
-        "level_plus_dual_coxeter": _exact(shifted),
-        "all_positive": positive,
+    # every classified weight lifts to the studied level, so one sum serves
+    num, den = level(l)
+    shifted = num + algebra_data(l).h_dual * den
+    return shifted > 0, {
+        "level_plus_dual_coxeter": _exact(shifted, den),
+        "all_positive": shifted > 0,
     }
 
 

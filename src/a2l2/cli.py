@@ -18,7 +18,7 @@ import os
 import sys
 from typing import NoReturn
 
-from . import _exact_list, level_string, validated_rank
+from . import _exact_list, level, level_string, validated_rank
 
 
 def _validated_rank(args: argparse.Namespace) -> int:
@@ -75,11 +75,12 @@ _FLAGS = ("dominant_integral", "admissible", "kw_positive")
 def _classify(args: argparse.Namespace) -> int:
     """List the classified highest weights with their status flags."""
     l = _validated_rank(args)
-    from .affroots import kw_positivity
     from .classify import admissibility_table, dominant_integral, eps4, weight_strings
 
-    # kw_positivity reads only l: every weight lifts to the level -(2l+1)/2
-    kw_positive = kw_positivity(l)
+    # every weight lifts to the studied level, whose sum with the dual
+    # Coxeter number 2l+1 decides the flag for all of them
+    num, den = level(l)
+    kw_positive = num + (2 * l + 1) * den > 0
     rows = [
         {
             "weight": name,

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import format_sum
-from .liealg import Matrix, bracket, eigen_ratio
+from .liealg import Matrix, common_weight
 from .linalg import Coeff, exact, vec_add_into, vec_add_term
 
 # monomial = tuple of basis indices in non-decreasing order
@@ -41,16 +41,17 @@ class PBWAlgebra:
 
     `table` is a structure-constant table of the whole algebra (`expand`,
     `bracket_coords`) whose first `g0_count` elements are the even part of
-    `liealg.split_basis(l)`, so the envelope shares its brackets, labels and
-    scales.  Monomial indices refer to that basis: l^2 lowering elements,
-    then the Cartan elements (h_1..h_{l-1}, hbar_l) at l^2..l^2+l-1, then the
-    raising block from l^2+l.  Every Cartan element acts diagonally on basis
-    elements, so each monomial is a weight vector; the constructor verifies
-    this while tabulating the weights.
+    `liealg.split_basis(l)`, so the envelope shares its brackets, labels,
+    scales, Cartan block and weights (`cartan_indices`, `weights`).
+    Monomial indices refer to that basis: l^2 lowering elements, then the
+    Cartan elements (h_1..h_{l-1}, hbar_l) at l^2..l^2+l-1, then the raising
+    block from l^2+l.  The table reads every weight off its matrices, which
+    checks that each basis element is a weight vector, so each monomial is
+    one too.
     """
 
     def __init__(self, table) -> None:
-        self.l = l = table.l
+        self.l = table.l
         self.dim = dim = table.g0_count
         self.labels = table.labels[:dim]
         self.scales = table.scales[:dim]
@@ -59,13 +60,8 @@ class PBWAlgebra:
         self.bracket_coords = table.bracket_coords
         # coordinates of x -> {t: coordinates of [x, t]}, filled by `ad`
         self._ad_images: dict[frozenset, dict[int, dict[int, Coeff]]] = {}
-        self.cartan_indices = tuple(range(l * l, l * l + l))
-        cartan = [table.elems[s] for s in self.cartan_indices]
-        # ints: each weight coordinate is an integral eigenvalue
-        self.weights: tuple[tuple[Coeff, ...], ...] = tuple(
-            tuple(eigen_ratio(bracket(h, x), x) for h in cartan)
-            for x in table.elems[:dim]
-        )
+        self.cartan_indices = table.cartan_indices
+        self.weights = table.weights[:dim]
 
     # ------------------------------------------------------------ coords
 
@@ -131,43 +127,25 @@ class PBWAlgebra:
 
     # ------------------------------------------------------------ weights
 
-    def monomial_weight(self, word: tuple[int, ...]) -> tuple[Coeff, ...]:
-        tot = [0] * len(self.cartan_indices)
-        for s in word:
-            for i, wc in enumerate(self.weights[s]):
-                tot[i] += wc
-        return tuple(tot)
-
-    def weight_of(self, u: UEAElt) -> tuple[Coeff, ...] | None:
-        """Common weight of all monomials, or None if u mixes weights."""
-        if not u:
-            return (0,) * len(self.cartan_indices)
-        seen = None
-        for word in u:
-            w = self.monomial_weight(word)
-            if seen is None:
-                seen = w
-            elif seen != w:
-                return None
-        return seen
+    def weight_of(self, u: UEAElt) -> tuple[Coeff, ...]:
+        """Common weight of all monomials; ValueError if u mixes weights."""
+        return common_weight(self.weights, u)
 
     # ------------------------------------------------- Cartan polynomial
 
     def cartan_polynomial(self, u: UEAElt) -> Poly:
         """Eigenvalue polynomial of a weight-zero element on highest-weight
         vectors, in the Cartan coordinates (h_1..h_{l-1}, hbar_l)."""
-        zero_wt = (0,) * len(self.cartan_indices)
-        if self.weight_of(u) != zero_wt:
+        if any(self.weight_of(u)):
             raise ValueError("element is not of weight zero")
-        l = self.l
-        lo, hi = l * l, l * l + l  # the Cartan block
+        lo, hi = self.cartan_indices[0], self.cartan_indices[-1] + 1
         poly: Poly = {}
         for word, c in u.items():
             if any(s >= hi for s in word):
                 continue  # ends in a raising factor: kills highest-weight vectors
             if any(s < lo for s in word):
                 raise ValueError("weight-zero monomial with unmatched lowering factor")
-            expo = [0] * l
+            expo = [0] * (hi - lo)
             for s in word:
                 expo[s - lo] += 1
             vec_add_term(poly, tuple(expo), c)

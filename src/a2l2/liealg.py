@@ -15,23 +15,26 @@ over it is an integer: the vector labelled Ep[i,j] or Em[i,j] is
 d[i] as they are.  Its `scales` record each factor, for the one printer that
 converts back.
 
-It also holds the studied level, `level_for`, as the algebra half reads it.
+`entry_weights` reads every weight of the algebra half off matrix entries,
+and `common_weight` sums weights over words of basis indices.  `level_for`
+is the studied level as the algebra half reads it, a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import Coeff, exact, rank_of, vec_add_into, vec_add_term, vec_scale
+from . import level
+from .linalg import Coeff, exact, vec_add_into, vec_add_term, vec_scale
 
 Matrix = dict[tuple[int, int], Coeff]
 
 
 def level_for(l: int) -> Fraction:
-    """The level -(2l+1)/2 at which the extra singular vector appears."""
-    return Fraction(-(2 * l + 1), 2)
+    """The level at which the extra singular vector appears, as a Fraction."""
+    return Fraction(*level(l))
 
 
 def E(i: int, j: int) -> Matrix:
@@ -106,34 +109,50 @@ def b_type_generators(l: int) -> BTypeGenerators:
     return BTypeGenerators(e, f, h)
 
 
-def eigen_ratio(image: Matrix, vec: Matrix) -> Coeff:
-    """Scalar r with image = r*vec; raises if image is not a multiple."""
-    if not image:
-        return 0
-    key = min(vec)
-    r = exact(Fraction(image.get(key, 0), vec[key]))
-    if image != vec_scale(vec, r):
-        raise ValueError("not an eigenvector")
-    return r
+def entry_weights(
+    elems: Iterable[Matrix], cartan: Sequence[Matrix]
+) -> tuple[tuple[Coeff, ...], ...]:
+    """Weight of each matrix of `elems` under the diagonal matrices `cartan`,
+    read off the entries: under a diagonal h, E[i,j] has weight
+    h[i,i] - h[j,j].  Raises ValueError unless every Cartan matrix is
+    diagonal and every matrix of `elems` a nonzero weight vector."""
+    if any(i != j for h in cartan for i, j in h):
+        raise ValueError("Cartan matrix is not diagonal")
+    out = []
+    for k, x in enumerate(elems):
+        found = {tuple(h.get((i, i), 0) - h.get((j, j), 0) for h in cartan) for i, j in x}
+        if len(found) != 1:
+            raise ValueError(f"matrix {k} is not a weight vector")
+        out.append(found.pop())
+    return tuple(out)
+
+
+def common_weight(
+    weights: Sequence[tuple[Coeff, ...]], words: Iterable[Iterable[int]]
+) -> tuple[Coeff, ...]:
+    """The weight all `words` share, where a word of basis indices weighs
+    the sum of its indices' `weights`: zero when there are no words, and
+    ValueError when two words weigh differently."""
+    common = None
+    for word in words:
+        total = [0] * len(weights[0])
+        for s in word:
+            for c, w in enumerate(weights[s]):
+                total[c] += w
+        if common is None:
+            common = total
+        elif total != common:
+            raise ValueError("the words mix weights")
+    return tuple(common or [0] * len(weights[0]))
 
 
 def computed_b_cartan(l: int) -> list[list[int]]:
-    """Cartan matrix of the fixed subalgebra, from brackets alone.
+    """Cartan matrix of the fixed subalgebra, read off its generators.
 
     Rows run over (h_1..h_{l-1}, hbar_l), columns over (e_1..e_l); entry
-    (i,j) is the eigenvalue of ad(row_i) on column_j.
-    """
+    (i,j) is the weight of e_j under row_i."""
     gens = b_type_generators(l)
-    out: list[list[int]] = []
-    for hrow in gens.h:
-        r: list[int] = []
-        for ecol in gens.e:
-            val = eigen_ratio(bracket(hrow, ecol), ecol)
-            if val.denominator != 1:
-                raise ValueError("non-integer Cartan entry")
-            r.append(int(val))
-        out.append(r)
-    return out
+    return [list(row) for row in zip(*entry_weights(gens.e, gens.h))]
 
 
 def split_scale(l: int, i: int, j: int) -> int:
@@ -189,14 +208,10 @@ def split_basis(l: int) -> tuple[tuple[Matrix, ...], tuple[str, ...], tuple[int,
 
 
 def g1_zero_weight_dim(l: int) -> int:
-    """Dimension of the joint ad-kernel of the even Cartan inside the odd part."""
-    cart = b_type_generators(l).h
-    basis = split_basis(l)[0][l * (2 * l + 1):]
-    rows = [
-        {(c, k): v for c, h in enumerate(cart) for k, v in bracket(h, x).items()}
-        for x in basis
-    ]
-    return len(basis) - rank_of(rows)
+    """Dimension of the weight-zero space of the odd part under the even
+    Cartan: the odd split basis elements of weight zero."""
+    odd = split_basis(l)[0][l * (2 * l + 1):]
+    return sum(1 for wt in entry_weights(odd, b_type_generators(l).h) if not any(wt))
 
 
 def eplus(l: int, i: int, j: int) -> Matrix:

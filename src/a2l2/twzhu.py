@@ -260,8 +260,7 @@ def r0_basis(l: int) -> list[UEAElt]:
 
 def r0_zero_weight_members(l: int) -> list[UEAElt]:
     alg = projection_context(l)
-    zero = (0,) * len(alg.cartan_indices)
-    return [u for u in r0_basis(l) if alg.weight_of(u) == zero]
+    return [u for u in r0_basis(l) if not any(alg.weight_of(u))]
 
 
 def poly_span_equal(pa: list[Poly], pb: list[Poly]) -> bool:

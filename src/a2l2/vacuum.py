@@ -28,6 +28,8 @@ from .liealg import (
     H,
     Matrix,
     bracket,
+    common_weight,
+    entry_weights,
     invariant_form,
     level_for,
     nu,
@@ -55,7 +57,9 @@ class ModeBasis:
 
     The split basis also sets `g0_count`, the size of its leading even part,
     and `scales`, the factor of each element over the vector its label
-    names; both are None on the standard basis.
+    names; both are None on the standard basis.  Each basis reads its
+    weights under its own Cartan block (`cartan_indices`): the diagonal
+    elements of its even part, or of the whole basis when it is ungraded.
 
     Every bracket constant and Gram value over the basis must be an int,
     which keeps the normal-ordering loops on integer arithmetic; a table
@@ -77,6 +81,9 @@ class ModeBasis:
         self._brackets: dict[tuple[int, int], dict[int, Coeff]] = {}
         self._grams: dict[tuple[int, int], Coeff] = {}
         self._nu: dict[int, dict[int, Coeff]] = {}
+        self.cartan_indices = tuple(
+            s for s, x in enumerate(self.elems[:g0_count]) if all(i == j for i, j in x)
+        )
 
     def expand(self, x: Matrix) -> dict[int, Coeff]:
         """Coordinates of x in the basis, an int wherever integral."""
@@ -112,22 +119,11 @@ class ModeBasis:
 
     @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
-        """Weight of each element under the diagonal zero modes H_1..H_{2l}.
-
-        Read off the matrix entries: E[i,j] has weight e_i - e_j, and
-        e_i(H_k) is [i == k] - [i == k + 1].  Raises ValueError unless every
-        element is a weight vector (the split basis is not)."""
-        n = 2 * self.l + 1
-        out = []
-        for label, x in zip(self.labels, self.elems):
-            found = {
-                tuple((i == k) - (i == k + 1) - (j == k) + (j == k + 1) for k in range(1, n))
-                for i, j in x
-            }
-            if len(found) != 1:
-                raise ValueError(f"basis element {label} is not a weight vector")
-            out.append(found.pop())
-        return tuple(out)
+        """Weight of each element under the Cartan block, read off the matrix
+        entries: H_1..H_{2l} on the standard basis, (h_1..h_{l-1}, hbar_l)
+        on the split one.  Raises ValueError unless every element is a
+        weight vector, as on both."""
+        return entry_weights(self.elems, [self.elems[s] for s in self.cartan_indices])
 
 
 def _require_ints(values, what: str, key) -> None:
@@ -254,23 +250,10 @@ def nu_state(basis: ModeBasis, s: State) -> State:
     return _map_factors(s, basis, basis.nu_coords)
 
 
-def _monomial_weight(basis: ModeBasis, mono: Monomial) -> tuple[int, ...]:
-    tot = [0] * (2 * basis.l)
-    for idx, _ in mono:
-        for i, wv in enumerate(basis.weights[idx]):
-            tot[i] += wv
-    return tuple(tot)
-
-
 def state_weight(basis: ModeBasis, s: State) -> tuple[int, ...]:
-    """Common eigenvalue tuple under the diagonal zero modes H_1..H_{2l}.
-
-    Raises if the state mixes weights (every state built here from weight
-    vectors is weight-pure)."""
-    found = {_monomial_weight(basis, mono) for mono in s}
-    if len(found) > 1:
-        raise ValueError("state mixes weights")
-    return found.pop() if found else (0,) * (2 * basis.l)
+    """Common weight of the terms of s under the basis's Cartan block; raises
+    ValueError if s mixes weights, as no state built here does."""
+    return common_weight(basis.weights, ([idx for idx, _ in mono] for mono in s))
 
 
 @lru_cache(maxsize=None)
@@ -310,9 +293,12 @@ def sweep_operators(basis: ModeBasis, s: State) -> list[tuple[int, int]]:
     D - m >= 2 or that weight occurs in degree D - m.  The weights are read
     term by term, so a state that mixes weights is still swept in full."""
     weights = basis.weights
-    zero = (0,) * (2 * basis.l)
+    zero = (0,) * len(basis.cartan_indices)
     degree_weights = ({zero}, {zero, *weights})
-    terms = {(_monomial_weight(basis, mono), sum(d for _, d in mono)) for mono in s}
+    terms = {
+        (common_weight(weights, ([idx for idx, _ in mono],)), sum(d for _, d in mono))
+        for mono in s
+    }
     return [
         (idx, m)
         for idx, wt in enumerate(weights)
@@ -335,7 +321,7 @@ def positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     rewrite of one operator meets the level at most once (the central term
     consumes the only annihilator), and the basis has integral structure
     constants and Gram values, so every coefficient of the sweep is an int.
-    The basis must consist of weight vectors, like the standard one."""
+    The basis must consist of weight vectors, as both mode bases do."""
     scaled = vec_scale(vec_integral(s), basis.k.denominator)
     elems = basis.elems
     return not any(

@@ -7,6 +7,9 @@ The construction is checked to be a Lie-algebra homomorphism and to have a
 one-dimensional top weight line of weight (0,...,0,1) in the Cartan
 coordinates (h_1..h_{l-1}, hbar_l).  Eigenvalues of envelope elements on
 that line give reference values for the Cartan-polynomial machinery.
+
+`eigen_ratio` is the bracket oracle for weights: the library reads them off
+matrix entries instead.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from a2l2.liealg import (
     nu,
     split_basis,
 )
-from a2l2.linalg import SpanSolver, vec_add_into
+from a2l2.linalg import Coeff, SpanSolver, exact, vec_add_into, vec_scale
 
 
 def g0_basis(l: int) -> list[Matrix]:
@@ -35,6 +38,20 @@ def lin(*terms) -> Matrix:
     for c, m in terms:
         vec_add_into(out, m, c)
     return out
+
+
+def eigen_ratio(image: Matrix, vec: Matrix) -> Coeff:
+    """Scalar r with image = r*vec; raises if image is not a multiple.
+
+    The oracle for weights read off matrix entries: the weight of x under
+    h is `eigen_ratio(bracket(h, x), x)`, worked out from brackets."""
+    if not image:
+        return 0
+    key = min(vec)
+    r = exact(Fraction(image.get(key, 0), vec[key]))
+    if image != vec_scale(vec, r):
+        raise ValueError("not an eigenvector")
+    return r
 
 
 def split_pm(a: Matrix, n: int) -> tuple[Matrix, Matrix]:

@@ -28,7 +28,7 @@ from helpers_roots import (
     rho,
 )
 
-from a2l2.affroots import kw_positivity
+from a2l2 import level
 from a2l2.checks import run_checks
 from a2l2.classify import (
     admissibility_table,
@@ -299,7 +299,8 @@ def test_criterion_11_admissibility():
 def test_criterion_12_positivity_of_shifted_level():
     ok = True
     for l in RANKS:
-        ok = ok and kw_positivity(l)
+        num, den = level(l)
+        ok = ok and num + (2 * l + 1) * den > 0
         for mu in all_highest_weights(l):
             lam = affinize(mu, l)
             ok = ok and lam.level + (2 * l + 1) == Fraction(2 * l + 1, 2)

@@ -13,15 +13,15 @@ from functools import lru_cache
 
 import pytest
 
+from a2l2 import level
 from a2l2.affroots import (
     AdmissibilityReport,
     algebra_data,
     cartan_matrix_from_form,
     ip,
-    kw_positivity,
 )
 from a2l2.classify import admissibility, all_highest_weights
-from a2l2.liealg import b_type_generators, bracket, eigen_ratio, level_for
+from a2l2.liealg import b_type_generators, bracket, level_for
 from a2l2.linalg import SpanSolver
 from helpers_roots import (
     AffineWeight,
@@ -39,6 +39,7 @@ from helpers_roots import (
     rho,
     simple_roots,
 )
+from helpers_spin import eigen_ratio
 
 
 def is_zero(w: AffineWeight) -> bool:
@@ -654,10 +655,13 @@ def test_admissibility_failure_case_detected():
 
 
 def test_kw_positivity():
-    # every lift has the level of its rank, so l alone decides positivity;
-    # the rational level plus the dual Coxeter number agrees
+    # every lift has the level of its rank, so l alone decides positivity:
+    # the level's numerator and denominator decide it in ints, and the
+    # rational level plus the dual Coxeter number agrees
     for l in (1, 2, 3, 8, 14):
-        assert kw_positivity(l)
+        num, den = level(l)
+        assert (num, den) == (-(2 * l + 1), 2)
+        assert num + algebra_data(l).h_dual * den == 2 * l + 1 > 0
         assert level_for(l) + algebra_data(l).h_dual == Fraction(2 * l + 1, 2) > 0
 
 

@@ -248,7 +248,10 @@ def test_weight_of_mixed_and_pure():
     assert alg.weight_of(e1) == (Fraction(2), Fraction(-2))
     mix = dict(e1)
     vec_add_into(mix, uea_unit())
-    assert alg.weight_of(mix) is None
+    with pytest.raises(ValueError, match="mix weights"):
+        alg.weight_of(mix)
+    with pytest.raises(ValueError, match="mix weights"):
+        alg.cartan_polynomial(mix)
     assert alg.weight_of({}) == (Fraction(0), Fraction(0))
 
 

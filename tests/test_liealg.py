@@ -17,17 +17,18 @@ from a2l2.liealg import (
     Matrix,
     b_type_generators,
     bracket,
+    common_weight,
     computed_b_cartan,
-    eigen_ratio,
+    entry_weights,
     eplus,
     g1_zero_weight_dim,
     invariant_form,
     nu,
     split_basis,
 )
-from a2l2.linalg import SpanSolver, vec_add_into, vec_add_term, vec_scale
+from a2l2.linalg import SpanSolver, rank_of, vec_add_into, vec_add_term, vec_scale
 
-from helpers_spin import QuadScalar, g0_basis, lin, split_pm
+from helpers_spin import QuadScalar, eigen_ratio, g0_basis, lin, split_pm
 
 
 # ---------------------------------------------------------------- helpers
@@ -303,6 +304,32 @@ def test_g1_zero_weight_dimension():
     assert g1_zero_weight_dim(1) == 1
     assert g1_zero_weight_dim(2) == 2
     assert g1_zero_weight_dim(3) == 3
+
+
+@pytest.mark.parametrize("l", range(1, 7))
+def test_weight_reader_matches_the_bracket_code_it_replaced(l):
+    """The Cartan matrix and the odd zero-weight dimension, read off matrix
+    entries, against the bracket computations they replaced."""
+    gens = b_type_generators(l)
+    by_brackets = [[eigen_ratio(bracket(h, e), e) for e in gens.e] for h in gens.h]
+    assert computed_b_cartan(l) == by_brackets
+    odd = split_basis(l)[0][l * (2 * l + 1):]
+    rows = [
+        {(c, k): v for c, h in enumerate(gens.h) for k, v in bracket(h, x).items()}
+        for x in odd
+    ]
+    assert g1_zero_weight_dim(l) == len(odd) - rank_of(rows)
+
+
+def test_entry_weights_and_common_weight():
+    cartan = (H(1), H(2))
+    assert entry_weights((E(1, 2), E(3, 1), H(2)), cartan) == ((2, -1), (-1, -1), (0, 0))
+    weights = ((2, -1), (-1, 2), (0, 0))
+    # words of basis indices weigh the sum of their indices' weights
+    assert common_weight(weights, [(0, 1), (2, 0, 1)]) == (1, 1)
+    assert common_weight(weights, []) == (0, 0)
+    with pytest.raises(ValueError, match="mix weights"):
+        common_weight(weights, [(0,), (1,)])
 
 
 def test_g1_basis_is_odd():

@@ -1,7 +1,8 @@
 """Mutation gate: each seeded defect must turn `run_checks` red.
 
 A check suite that stays green under a wrong level, a dropped central term,
-a sign flip in a closed form or a coroot span one short shows nothing.
+a sign flip in a closed form, weights read with the wrong sign or a coroot
+span one short shows nothing.
 Each defect is applied by monkeypatch, and the per-rank caches are cleared
 before and after every case, so no stage computed under a defect outlives
 it.
@@ -57,13 +58,14 @@ PER_RANK_CACHES = tuple(
 
 
 def wrong_level(monkeypatch):
-    """Level -(2l-1)/2 in place of -(2l+1)/2, wherever it is read: the
-    mode bases take theirs from `vacuum`'s import as they are built."""
+    """Level -(2l-1)/2 in place of -(2l+1)/2, wherever its two ints are
+    read: the mode bases take theirs through `liealg.level_for` as they are
+    built."""
     def level(l):
-        return Fraction(-(2 * l - 1), 2)
+        return -(2 * l - 1), 2
 
-    for module in (liealg, vacuum, checks):
-        monkeypatch.setattr(module, "level_for", level)
+    for module in (a2l2, liealg, checks):
+        monkeypatch.setattr(module, "level", level)
 
 
 def no_central_term(monkeypatch):
@@ -84,6 +86,18 @@ def flipped_v1_sign(monkeypatch):
     monkeypatch.setattr(checks, "v1_closed_form", flipped)
 
 
+def reversed_entry_weights(monkeypatch):
+    """The weight reader takes h[j,j] - h[i,i] for E[i,j], negating every
+    weight the mode bases read."""
+    mutant = source_mutant(
+        "entry_weights",
+        "h.get((i, i), 0) - h.get((j, j), 0)",
+        "h.get((j, j), 0) - h.get((i, i), 0)",
+        module=liealg,
+    )
+    monkeypatch.setattr(vacuum, "entry_weights", mutant)
+
+
 def short_coroot_span(monkeypatch):
     """The coroot-span rank leaves out the central coroot."""
     mutant = source_mutant(
@@ -100,6 +114,7 @@ DEFECTS = (
     (wrong_level, "singular"),
     (no_central_term, "singular"),
     (flipped_v1_sign, "v1-closed-form"),
+    (reversed_entry_weights, "singular"),
     (short_coroot_span, "admissible"),
 )
 

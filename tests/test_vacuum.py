@@ -13,7 +13,7 @@ from a2l2.liealg import (
     H,
     b_type_generators,
     bracket,
-    eigen_ratio,
+    entry_weights,
     level_for,
     nu,
     split_basis,
@@ -38,7 +38,7 @@ from a2l2.vacuum import (
     sweep_operators,
 )
 from a2l2 import vacuum as vacuum_module
-from helpers_spin import split_pm
+from helpers_spin import eigen_ratio, split_pm
 from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors, plus
 
 
@@ -259,13 +259,24 @@ def test_sweep_acts_with_6l_operators_on_the_singular_vector(monkeypatch, l):
 
 
 def test_weights_read_from_entries_match_eigenvalues():
-    for l in (1, 2):
-        basis = standard_mode_basis(l)
-        n = 2 * l + 1
-        for x, wt in zip(basis.elems, basis.weights):
-            assert wt == tuple(eigen_ratio(bracket(H(i), x), x) for i in range(1, n))
+    # both mode bases are weight bases, each under its own Cartan block
+    for l in (1, 2, 3, 4):
+        standard = standard_mode_basis(l)
+        cartan = [H(i) for i in range(1, 2 * l + 1)]
+        assert [standard.elems[s] for s in standard.cartan_indices] == cartan
+        for x, wt in zip(standard.elems, standard.weights):
+            assert wt == tuple(eigen_ratio(bracket(h, x), x) for h in cartan)
+        split = split_mode_basis(l)
+        cartan = b_type_generators(l).h
+        assert tuple(split.elems[s] for s in split.cartan_indices) == cartan
+        for x, wt in zip(split.elems, split.weights):
+            assert wt == tuple(eigen_ratio(bracket(h, x), x) for h in cartan)
+    # a matrix that is not a weight vector, and a Cartan matrix that is not
+    # diagonal, are refused
     with pytest.raises(ValueError, match="not a weight vector"):
-        split_mode_basis(1).weights
+        entry_weights(({(1, 2): 1, (2, 1): 1},), cartan)
+    with pytest.raises(ValueError, match="not diagonal"):
+        entry_weights(split.elems, (split.elems[0],))
 
 
 def test_mode_basis_refuses_fractional_constants():
