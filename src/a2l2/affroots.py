@@ -148,11 +148,13 @@ def check_admissible(y: Sequence[int], d: int) -> AdmissibilityReport:
     - long 2(+-eps_i) + (2m+1) delta: (z + (2m+1) h)/4 with z = +-2 y_i,
       integral iff z is odd, first at the m in {0, 1} with
       z + (2m+1) h = 0 (mod 4);
-    - intermediate s eps_i + t eps_j + m delta (i < j): (u + m h)/2 with
-      u = s y_i + t y_j, integral iff u is an integer, first at the least
-      m = u (mod 2).
+    - intermediate s (eps_i + t eps_j) + m delta (i < j): (s w + m h)/2,
+      w = y_i + t y_j, integral iff w is an integer; both first values,
+      s = +-1, are positive iff 0 < w < 2h (w even) or -h < w < h (w odd).
     Condition 1 asks each first integral value to be positive (every
-    progression increases with m); on the short roots, 0 < y_i < h.
+    progression increases with m); on the short roots, 0 < y_i < h.  Each
+    class of y_j mod 2 fixes the parity of w, which is monotone in y_j, so
+    a window is tested at the least and greatest later y_j of each class.
 
     Condition 2 asks the integral coroots to span the (l+1)-dimensional
     coroot space.  Two integral members of a family differ by a nonzero
@@ -169,22 +171,21 @@ def check_admissible(y: Sequence[int], d: int) -> AdmissibilityReport:
     """
     l = len(y)
     h = 2 * l + 1
-    cond1_pass = True
-    for i, yi in enumerate(y):
+    cond1_pass, later = True, {}  # later: y_j mod 2d -> (least, greatest)
+    for yi in reversed(y):
         if yi % d == 0:
             cond1_pass = cond1_pass and 0 < yi < h * d
         elif 2 * yi % d == 0:
             for z in (2 * yi // d, -2 * yi // d):
                 m = (z + h) % 4 // 2
                 cond1_pass = cond1_pass and z + (2 * m + 1) * h > 0
-        for yj in y[i + 1:]:
-            for pair in (yi + yj, yi - yj):
-                w, rest = divmod(pair, d)  # u = +-w for s = +-1: one test
-                if not rest:
-                    for s, m_min in ((1, 0), (-1, 1)):
-                        u = s * w
-                        m = m_min + (u - m_min) % 2
-                        cond1_pass = cond1_pass and u + m * h > 0
+        for c, (lo, hi) in later.items():
+            for r, a, b in ((yi + c, yi + lo, yi + hi), (yi - c, yi - hi, yi - lo)):
+                if r % d == 0:  # d w runs from a to b; w is odd iff r % 2d
+                    low, high = (-h, h) if r % (2 * d) else (0, 2 * h)
+                    cond1_pass = cond1_pass and low * d < a and b < high * d
+        lo, hi = later.get(yi % (2 * d), (yi, yi))
+        later[yi % (2 * d)] = (min(lo, yi), max(hi, yi))
     balanced = len({min(yi % d, -yi % d) for yi in y if 2 * yi % d})
     rank = l + 1 - balanced if balanced < l else 0
     cond2_pass = rank == l + 1

@@ -51,7 +51,6 @@ class PBWAlgebra:
     """
 
     def __init__(self, table) -> None:
-        self.l = table.l
         self.dim = dim = table.g0_count
         self.labels = table.labels[:dim]
         self.scales = table.scales[:dim]

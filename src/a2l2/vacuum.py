@@ -19,7 +19,7 @@ fewer creation factor, or removes an adjacent inversion among creations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import add
 
 from . import format_sum
@@ -78,9 +78,6 @@ class ModeBasis:
         for x in self.elems:
             if not self._span.add(x):
                 raise AssertionError("mode basis is not independent")
-        self._brackets: dict[tuple[int, int], dict[int, Coeff]] = {}
-        self._grams: dict[tuple[int, int], Coeff] = {}
-        self._nu: dict[int, dict[int, Coeff]] = {}
         self.cartan_indices = tuple(
             s for s, x in enumerate(self.elems[:g0_count]) if all(i == j for i, j in x)
         )
@@ -92,30 +89,21 @@ class ModeBasis:
             raise ValueError("element is outside the mode basis span")
         return dict(v)
 
+    @cache
     def bracket_coords(self, s: int, t: int) -> dict[int, Coeff]:
-        key = (s, t)
-        got = self._brackets.get(key)
-        if got is None:
-            got = self.expand(bracket(self.elems[s], self.elems[t]))
-            _require_ints(got.values(), "bracket", key)
-            self._brackets[key] = got
+        got = self.expand(bracket(self.elems[s], self.elems[t]))
+        _require_ints(got.values(), "bracket", (s, t))
         return got
 
+    @cache
     def gram(self, s: int, t: int) -> int:
-        key = (s, t)
-        got = self._grams.get(key)
-        if got is None:
-            got = invariant_form(self.elems[s], self.elems[t])
-            _require_ints((got,), "Gram value", key)
-            self._grams[key] = got
+        got = invariant_form(self.elems[s], self.elems[t])
+        _require_ints((got,), "Gram value", (s, t))
         return got
 
+    @cache
     def nu_coords(self, s: int) -> dict[int, Coeff]:
-        got = self._nu.get(s)
-        if got is None:
-            got = self.expand(nu(self.elems[s], 2 * self.l + 1))
-            self._nu[s] = got
-        return got
+        return self.expand(nu(self.elems[s], 2 * self.l + 1))
 
     @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:

@@ -9,7 +9,9 @@ families, the pairing progression of each family read off the eps
 coordinates, the first integral parameter of a rational progression, and
 the coroot rank from the general `SpanSolver` rank (`linalg.rank_of`).
 `admissible_input` builds the integer input of `check_admissible` from a
-weight, independently of the integer weight table of `a2l2.classify`.
+weight, independently of the integer weight table of `a2l2.classify`, and
+`pairwise_condition1` decides its condition 1 on that input one pair of
+coordinates at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from a2l2 import affroots
 from a2l2.affroots import AdmissibilityReport, check_admissible, ip
@@ -124,6 +126,30 @@ def admissible_input(lam: AffineWeight) -> tuple[list[int], int]:
     doubled = [2 * c for c in (lam + rho(l)).eps]
     d = lcm(*(c.denominator for c in doubled))
     return [c.numerator * (d // c.denominator) for c in doubled], d
+
+
+def pairwise_condition1(y: Sequence[int], d: int) -> bool:
+    """Condition 1 of `check_admissible(y, d)` by a loop over every pair of
+    coordinates, O(l^2): each integral pair value w = (y_i +- y_j)/d is
+    tested at the first m of u = w (m >= 0) and of u = -w (m >= 1)."""
+    h = 2 * len(y) + 1
+    cond1_pass = True
+    for i, yi in enumerate(y):
+        if yi % d == 0:
+            cond1_pass = cond1_pass and 0 < yi < h * d
+        elif 2 * yi % d == 0:
+            for z in (2 * yi // d, -2 * yi // d):
+                m = (z + h) % 4 // 2
+                cond1_pass = cond1_pass and z + (2 * m + 1) * h > 0
+        for yj in y[i + 1:]:
+            for pair in (yi + yj, yi - yj):
+                w, rest = divmod(pair, d)  # u = +-w for s = +-1: one test
+                if not rest:
+                    for s, m_min in ((1, 0), (-1, 1)):
+                        u = s * w
+                        m = m_min + (u - m_min) % 2
+                        cond1_pass = cond1_pass and u + m * h > 0
+    return cond1_pass
 
 
 def decide(lam: AffineWeight) -> AdmissibilityReport:

@@ -18,9 +18,10 @@ from a2l2.affroots import (
     AdmissibilityReport,
     algebra_data,
     cartan_matrix_from_form,
+    check_admissible,
     ip,
 )
-from a2l2.classify import admissibility, all_highest_weights
+from a2l2.classify import admissibility, all_highest_weights, eps4
 from a2l2.liealg import b_type_generators, bracket, level_for
 from a2l2.linalg import SpanSolver
 from helpers_roots import (
@@ -35,6 +36,7 @@ from helpers_roots import (
     first_integral_parameter,
     fraction_admissible,
     pairing_progression,
+    pairwise_condition1,
     positive_real_families,
     rho,
     simple_roots,
@@ -626,6 +628,30 @@ def test_admissible_matches_oracle_on_wide_denominators():
         # all four outcomes of the two conditions, and the empty span
         assert {(False, True), (True, False), (False, False), (True, True)} <= seen
         assert {0, 2, 3, 4, 5, 6} <= seen and 1 not in seen
+
+
+def test_condition1_matches_pair_loop_on_random_integer_inputs():
+    # strictly decreasing entries in (0, h d) pass often; every other draw
+    # moves one entry anywhere in [-h d, 2 h d], where most fail
+    rng = random.Random(24)
+    verdicts = []
+    for n in range(20_000):
+        l, d = rng.randint(1, 8), rng.choice((1, 2, 3, 4, 6))
+        h = 2 * l + 1
+        y = sorted(rng.sample(range(1, h * d), l), reverse=True)
+        if n % 2:
+            y[rng.randrange(l)] = rng.randint(-h * d, 2 * h * d)
+        verdict = pairwise_condition1(y, d)
+        assert check_admissible(y, d).cond1_pass == verdict, (y, d)
+        verdicts.append(verdict)
+    assert 4_000 < sum(verdicts) < 16_000
+
+
+def test_condition1_matches_pair_loop_on_classified_weights():
+    for l in range(1, 13):
+        for x in all_highest_weights(l):
+            y = eps4([c + 2 for c in x])
+            assert admissibility(x).cond1_pass == pairwise_condition1(y, 2), x
 
 
 def test_check_admissible_rejects_wrong_level():

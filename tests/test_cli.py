@@ -474,11 +474,11 @@ def test_cli_dump_matches_golden(monkeypatch, l, which):
     assert out == (GOLDEN / f"dump-{which}-l{l}.out").read_bytes()
 
 
-# the hashes of verify at l = 14, 15, 16 are stored too, but those runs take
-# about 5 s at l = 14 and 13-19 s at l = 16, so they stay out of the suite
-@pytest.mark.parametrize("l", (6, 7, 8, 9, 10, 11, 12, 13))
+# the hashes of verify at l = 15, 16 are stored too, but those runs take
+# 6-9 s at l = 16, so they stay out of the suite
+@pytest.mark.parametrize("l", (6, 7, 8, 9, 10, 11, 12, 13, 14))
 def test_cli_verify_json_matches_golden_hash(monkeypatch, l):
-    monkeypatch.setenv("A2L2_MAX_L", "13")
+    monkeypatch.setenv("A2L2_MAX_L", "14")
     code, out, _ = run_cli(["verify", "--l", str(l), "--format", "json"])
     assert code == 0
     got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", out)

@@ -54,11 +54,11 @@ def _random_uea(rng, alg, max_monomials=2, max_degree=2):
     return u
 
 
-def _random_lie(rng, alg, max_terms=2):
+def _random_lie(rng, l, alg, max_terms=2):
     out = {}
     for _ in range(rng.randint(1, max_terms)):
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        vec_add_into(out, split_basis(alg.l)[0][rng.randrange(alg.dim)], c)
+        vec_add_into(out, split_basis(l)[0][rng.randrange(alg.dim)], c)
     return out
 
 
@@ -155,9 +155,10 @@ def test_mul_matches_spinor_matrices():
 def test_ad_is_derivation_and_bracket_compatible():
     rng = random.Random(303)
     for _ in range(50):
-        alg = projection_context(rng.choice([1, 2]))
-        x = _random_lie(rng, alg)
-        y = _random_lie(rng, alg)
+        l = rng.choice([1, 2])
+        alg = projection_context(l)
+        x = _random_lie(rng, l, alg)
+        y = _random_lie(rng, l, alg)
         u = _random_uea(rng, alg)
         v = _random_uea(rng, alg)
         cx, cy = alg.lie_coords(x), alg.lie_coords(y)
@@ -176,8 +177,9 @@ def test_ad_is_derivation_and_bracket_compatible():
 def test_ad_matches_commutator_multiplication():
     rng = random.Random(404)
     for _ in range(20):
-        alg = projection_context(rng.choice([1, 2]))
-        x = _random_lie(rng, alg)
+        l = rng.choice([1, 2])
+        alg = projection_context(l)
+        x = _random_lie(rng, l, alg)
         u = _random_uea(rng, alg)
         xu = alg.lie2uea(x)
         direct = {}

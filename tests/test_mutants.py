@@ -14,11 +14,13 @@ tests kill them:
 - `m_min + 1` in the root family table of `helpers_roots.py`: the
   reflection-orbit root oracle of `test_affroots.py`, which builds the
   positive real roots from the Cartan matrix without the table;
-- in the closed form of `check_admissible`: `>=` for `>` on the first
-  intermediate value, m >= 0 for a negative first coordinate, half-integer
-  classes counted as balanced and `<=` for `<` in 0 < y_i < h: the
-  rational admissibility oracle on seeded random weights and on the +-1/2
-  and +-1 coroot perturbations of the classified weights, below;
+- in the closed form of `check_admissible`: `<=` for `<` at the lower end
+  of an intermediate window (a first value 0 let through), the even window
+  (0, 2h) emptied to (0, 0) (what m >= 0 for a negative first coordinate
+  does to even w), half-integer classes counted as balanced and `<=` for
+  `<` in 0 < y_i < h: the rational admissibility oracle on seeded random
+  weights and on the +-1/2 and +-1 coroot perturbations of the classified
+  weights, below;
 - only the weight 0 in degree 1 of the raising sweep's grading, which the
   singular vector passes anyway: the full sweep of `helpers_sweep.py` on
   perturbed singular vectors, below.
@@ -145,10 +147,8 @@ def test_seeded_defect_turns_run_checks_red(
 # defects of the closed-form admissibility decision: (function, source
 # text, its replacement)
 INTEGER_PATH_DEFECTS = {
-    "condition1_ge": ("check_admissible", "u + m * h > 0", "u + m * h >= 0"),
-    "negative_m_min": (
-        "check_admissible", "((1, 0), (-1, 1))", "((1, 0), (-1, 0))"
-    ),
+    "condition1_ge": ("check_admissible", "low * d < a", "low * d <= a"),
+    "negative_m_min": ("check_admissible", "(0, 2 * h)", "(0, 0)"),
     "half_integers_balanced": (
         "check_admissible", "for yi in y if 2 * yi % d", "for yi in y if yi % d"
     ),
