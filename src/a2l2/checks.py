@@ -25,7 +25,6 @@ from .twzhu import (
     poly_span_equal,
     projection_context,
     r0_basis,
-    r0_zero_weight_members,
     reference_polynomials,
     v1_closed_form,
     zhu_image_closed_form,
@@ -147,7 +146,7 @@ def _check_polynomials(l: int) -> tuple[bool, dict]:
 
 
 def _check_r0(l: int) -> tuple[bool, dict]:
-    orbit, members = r0_basis(l), r0_zero_weight_members(l)
+    orbit, members = r0_basis(l)
     member_polys = [projection_context(l).cartan_polynomial(u) for u in members]
     span_ok = poly_span_equal(member_polys, lowered_polynomials(l))
     ok = len(orbit) == 2 * l * l + 3 * l and len(members) == l and span_ok

@@ -14,11 +14,11 @@ zero part of the associated associative algebra follows four rules:
     to mode (-d+j).
 
 The image of the degree-2 singular vector, its partner under one lowering
-step, the resulting highest-weight eigenvalue polynomials and the module the
-image generates under the adjoint action of the even part are computed here,
-together with closed forms to compare against.  Each stage, the projection
-of each monomial included, is an `lru_cache`d function of the rank l, built
-once and shared; `projection_context(l)` is the rank's PBW algebra.
+step, the resulting highest-weight eigenvalue polynomials, the module the
+image generates under the adjoint action of the even part and its weight-zero
+part are computed here, with closed forms to compare against.  Each stage, the
+projection of each monomial included, is an `lru_cache`d function of the rank
+l, built once and shared; `projection_context(l)` is the rank's PBW algebra.
 """
 
 from __future__ import annotations
@@ -213,23 +213,24 @@ def reference_polynomials(l: int, plus_half: bool = False) -> list[Poly]:
 
 
 @lru_cache(maxsize=None)
-def r0_basis(l: int) -> list[UEAElt]:
+def r0_basis(l: int) -> tuple[list[UEAElt], list[UEAElt]]:
     """Basis of the closure of the singular image under the adjoint action
-    of the even part.
+    of the even part, and its weight-zero members, in the basis's order.
 
     The seed is checked to be a highest-weight vector: every raising
     generator kills it, else ValueError.  Then U(g0).seed = U(n-).seed by
     PBW, and the simple lowering generators generate n-, so the closure
     under those l generators alone is the whole submodule.  Each returned
-    vector is a weight vector, being a lowering word applied to the seed.
-    The span does not change when the seed or a generator is scaled, so
-    both are cleared of denominators and the closure runs on ints.
+    vector is a lowering word applied to the seed, so its weight is the
+    seed's (ValueError if mixed) plus those of the generators applied.  The
+    span does not change when the seed or a generator is scaled, so both are
+    cleared of denominators and the closure runs on ints.
 
     A lowering that provably vanishes is skipped: if f_i kills u and
     [f_i, f_j] = 0 for i != j, then f_i f_j u = f_j f_i u = 0.  So each
-    queued vector carries the zero set of its parent and the index j that
-    made it, and only calls that would return 0 are left out.  The basis is
-    computed once and shared: callers must not modify it.
+    queued vector carries its weight, the zero set of its parent and the
+    index j that made it, and only calls that would return 0 are left out.
+    The basis is computed once and shared: callers must not modify it.
     """
     alg = projection_context(l)
     gens = b_type_generators(l)
@@ -237,13 +238,15 @@ def r0_basis(l: int) -> list[UEAElt]:
     if any(alg.ad(alg.lie_coords(e), seed) for e in gens.e):
         raise ValueError("singular image is not a highest-weight vector")
     lowering = [vec_integral(alg.lie_coords(f)) for f in gens.f]
+    drops = [alg.weight_of({(s,): c for s, c in f.items()}) for f in lowering]
     commute = [[i != j and not bracket(a, b) for j, b in enumerate(gens.f)]
                for i, a in enumerate(gens.f)]
     solver = SpanSolver()
     out = [seed] if solver.add(seed) else []
-    queue = [(u, (), 0) for u in out]  # (vector, parent's zero set, j)
+    queue = [(u, alg.weight_of(u), (), 0) for u in out]  # (u, weight, parent zeros, j)
+    members = [u for u, weight, _, _ in queue if not any(weight)]
     while queue:
-        u, parent_zeros, j = queue.pop()
+        u, weight, parent_zeros, j = queue.pop()
         # the children share `zeros`, complete before any is popped
         zeros = {i for i in parent_zeros if commute[i][j]}
         for i, f in enumerate(lowering):
@@ -253,14 +256,12 @@ def r0_basis(l: int) -> list[UEAElt]:
             if not w:
                 zeros.add(i)
             elif solver.add(w):
+                wt = tuple(a + b for a, b in zip(weight, drops[i]))
                 out.append(w)
-                queue.append((w, zeros, i))
-    return out
-
-
-def r0_zero_weight_members(l: int) -> list[UEAElt]:
-    alg = projection_context(l)
-    return [u for u in r0_basis(l) if not any(alg.weight_of(u))]
+                if not any(wt):
+                    members.append(w)
+                queue.append((w, wt, zeros, i))
+    return out, members
 
 
 def poly_span_equal(pa: list[Poly], pb: list[Poly]) -> bool:

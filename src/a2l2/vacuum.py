@@ -81,6 +81,8 @@ class ModeBasis:
         self.cartan_indices = tuple(
             s for s, x in enumerate(self.elems[:g0_count]) if all(i == j for i, j in x)
         )
+        for name in ("bracket_coords", "gram", "nu_coords"):  # per-basis memos
+            setattr(self, name, cache(getattr(self, name)))
 
     def expand(self, x: Matrix) -> dict[int, Coeff]:
         """Coordinates of x in the basis, an int wherever integral."""
@@ -89,19 +91,16 @@ class ModeBasis:
             raise ValueError("element is outside the mode basis span")
         return dict(v)
 
-    @cache
     def bracket_coords(self, s: int, t: int) -> dict[int, Coeff]:
         got = self.expand(bracket(self.elems[s], self.elems[t]))
         _require_ints(got.values(), "bracket", (s, t))
         return got
 
-    @cache
     def gram(self, s: int, t: int) -> int:
         got = invariant_form(self.elems[s], self.elems[t])
         _require_ints((got,), "Gram value", (s, t))
         return got
 
-    @cache
     def nu_coords(self, s: int) -> dict[int, Coeff]:
         return self.expand(nu(self.elems[s], 2 * self.l + 1))
 

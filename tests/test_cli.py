@@ -137,7 +137,7 @@ def test_full_verify_builds_each_stage_once():
         twzhu.zhu_singular_image,
         twzhu.compute_v1,
         twzhu.lowered_polynomials,
-        twzhu.r0_basis,
+        twzhu.r0_basis,  # the orbit with its weight-zero members
         classify.all_highest_weights,
     ):
         assert stage.cache_info().misses == 1, stage.__name__

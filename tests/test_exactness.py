@@ -49,7 +49,8 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
     polys = lowered_polynomials(l)
     for p in polys:
         assert_exact(p.values(), "lowered polynomial")
-    for u in r0_basis(l):
+    orbit, _ = r0_basis(l)
+    for u in orbit:
         assert_exact(u.values(), "r0 basis")
     # the classified weights are half-integral: the zero-set walk returns
     # their doubled coordinates as ints, and raises on any other zero

@@ -1,8 +1,9 @@
 """Mutation gate: each seeded defect must turn `run_checks` red.
 
 A check suite that stays green under a wrong level, a dropped central term,
-a sign flip in a closed form, weights read with the wrong sign or a coroot
-span one short shows nothing.
+a sign flip in a closed form, weights read with the wrong sign, weights
+carried wrongly along the r0 closure or a coroot span one short shows
+nothing.
 Each defect is applied by monkeypatch, and the per-rank caches are cleared
 before and after every case, so no stage computed under a defect outlives
 it.
@@ -100,6 +101,14 @@ def reversed_entry_weights(monkeypatch):
     monkeypatch.setattr(vacuum, "entry_weights", mutant)
 
 
+def parent_weight_carried(monkeypatch):
+    """The r0 closure adds the weight of the lowering that made the parent,
+    not of the one applied: the same at l = 1, with one generator."""
+    mutant = source_mutant("r0_basis", "drops[i]", "drops[j]", module=twzhu)
+    # the check calls it through its own import
+    monkeypatch.setattr(checks, "r0_basis", mutant)
+
+
 def short_coroot_span(monkeypatch):
     """The coroot-span rank leaves out the central coroot."""
     mutant = source_mutant(
@@ -111,13 +120,15 @@ def short_coroot_span(monkeypatch):
     monkeypatch.setattr(classify, "check_admissible", mutant)
 
 
-# each defect with the check that turns red under it
+# each defect with the check that turns red under it, and the ranks at
+# which it does
 DEFECTS = (
-    (wrong_level, "singular"),
-    (no_central_term, "singular"),
-    (flipped_v1_sign, "v1-closed-form"),
-    (reversed_entry_weights, "singular"),
-    (short_coroot_span, "admissible"),
+    (wrong_level, "singular", (1, 2, 3)),
+    (no_central_term, "singular", (1, 2, 3)),
+    (flipped_v1_sign, "v1-closed-form", (1, 2, 3)),
+    (reversed_entry_weights, "singular", (1, 2, 3)),
+    (parent_weight_carried, "r0-dim", (2, 3)),
+    (short_coroot_span, "admissible", (1, 2, 3)),
 )
 
 
@@ -130,9 +141,13 @@ def cold_caches():
         cached.cache_clear()
 
 
-@pytest.mark.parametrize("l", (1, 2, 3))
 @pytest.mark.parametrize(
-    "defect,killer", DEFECTS, ids=[d.__name__ for d, _ in DEFECTS]
+    "defect,killer,l",
+    [
+        pytest.param(defect, killer, l, id=f"{defect.__name__}-{l}")
+        for defect, killer, ranks in DEFECTS
+        for l in ranks
+    ],
 )
 def test_seeded_defect_turns_run_checks_red(
     monkeypatch, cold_caches, defect, killer, l

@@ -27,7 +27,6 @@ from a2l2.twzhu import (
     project,
     projection_context,
     r0_basis,
-    r0_zero_weight_members,
     reference_polynomials,
     v1_closed_form,
     zhu_image_closed_form,
@@ -280,9 +279,8 @@ def test_reference_polynomials_match_formula_at_random_points():
 
 def test_r0_dimension_and_zero_weight_polynomials():
     for l in (1, 2, 3):
-        basis = r0_basis(l)
+        basis, members = r0_basis(l)
         assert len(basis) == 2 * l * l + 3 * l
-        members = r0_zero_weight_members(l)
         assert len(members) == l
         member_polys = [projection_context(l).cartan_polynomial(u) for u in members]
         refs = reference_polynomials(l)
@@ -319,7 +317,7 @@ def span_of(vectors):
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_r0_lowering_closure_matches_full_basis_oracle(l):
-    basis = r0_basis(l)
+    basis, _ = r0_basis(l)
     oracle = r0_oracle(l)
     assert len(basis) == len(oracle) == 2 * l * l + 3 * l
     basis_span, oracle_span = span_of(basis), span_of(oracle)
@@ -355,10 +353,67 @@ def test_r0_skips_only_vanishing_lowerings(monkeypatch, l):
     naive = naive_lowering_closure(l)
     twzhu.r0_basis.cache_clear()
     calls = counted_ad(monkeypatch)
-    assert r0_basis(l) == naive
+    orbit, _ = r0_basis(l)
+    assert orbit == naive
     if l == 6:
         # 546 calls without the skip: 6 raising checks and 540 lowerings
         assert len(calls) == 302
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_r0_members_match_the_word_scan(l):
+    # the oracle reads the weight of every word of every orbit vector, which
+    # the weights carried along the closure replace
+    alg = projection_context(l)
+    orbit, members = r0_basis(l)
+    assert len(members) == l
+    assert members == [u for u in orbit if not any(alg.weight_of(u))]
+
+
+@pytest.fixture
+def cold_r0():
+    twzhu.r0_basis.cache_clear()
+    yield
+    twzhu.r0_basis.cache_clear()
+
+
+@pytest.mark.parametrize("l", (1, 2, 6))
+def test_r0_reads_weights_once_per_generator(monkeypatch, cold_r0, l):
+    calls = []
+    weight_of = PBWAlgebra.weight_of
+
+    def counted(self, u):
+        calls.append(u)
+        return weight_of(self, u)
+
+    monkeypatch.setattr(PBWAlgebra, "weight_of", counted)
+    r0_basis(l)
+    # the seed once, then each lowering generator on its one-letter words
+    assert len(calls) == l + 1
+    assert all(len(word) == 1 for u in calls[:-1] for word in u)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_r0_carries_each_vectors_weight(monkeypatch, cold_r0, l):
+    # with the seed's weight read less mu, the members returned are the
+    # vectors whose carried weight is mu; taking mu through every weight of
+    # the orbit shows each carried weight equal to the vector's own
+    alg = projection_context(l)
+    orbit, _ = r0_basis(l)
+    weights = [alg.weight_of(u) for u in orbit]
+    weight_of = PBWAlgebra.weight_of
+    for mu in sorted(set(weights)):
+
+        def shifted(self, u, mu=mu):
+            wt = weight_of(self, u)
+            if any(len(word) != 1 for word in u):  # the seed, not a generator
+                wt = tuple(a - b for a, b in zip(wt, mu))
+            return wt
+
+        monkeypatch.setattr(PBWAlgebra, "weight_of", shifted)
+        twzhu.r0_basis.cache_clear()
+        _, members = r0_basis(l)
+        assert members == [u for u, wt in zip(orbit, weights) if wt == mu], mu
 
 
 @pytest.fixture

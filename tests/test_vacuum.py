@@ -3,11 +3,15 @@ degree-2 singular vector, and its zero-mode orbit."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
+from test_mutants import PER_RANK_CACHES
 
+from a2l2.checks import run_checks
 from a2l2.liealg import (
     E,
     H,
@@ -289,6 +293,19 @@ def test_mode_basis_refuses_fractional_constants():
         basis.bracket_coords(2, 0)
     with pytest.raises(ValueError, match="not an integer"):
         basis.gram(2, 0)
+
+
+def test_mode_bases_die_with_the_per_rank_caches():
+    # each basis holds its own memo tables, so once the per-rank caches that
+    # built it are cleared, nothing keeps the basis or its tables alive
+    for cached in PER_RANK_CACHES:
+        cached.cache_clear()
+    assert run_checks(2).overall == "pass"
+    built = [weakref.ref(standard_mode_basis(2)), weakref.ref(split_mode_basis(2))]
+    for cached in PER_RANK_CACHES:
+        cached.cache_clear()
+    gc.collect()
+    assert [ref() for ref in built] == [None, None]
 
 
 def test_singular_vector_weight_is_top_root():
