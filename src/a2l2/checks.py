@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import _exact, _exact_list, level, level_string, validated_rank
 from .envelope import doubled_residuals, factored_h_string, uea_string, zero_set
-from .liealg import computed_b_cartan, g1_zero_weight_dim, nu, split_basis
+from .liealg import computed_b_cartan, nu
 from .linalg import vec_scale
 from .twzhu import (
     compute_v1,
@@ -76,8 +76,9 @@ def _check_cartan_matrix(l: int) -> tuple[bool, dict]:
 
 
 def _check_g1_dim(l: int) -> tuple[bool, dict]:
-    zero_dim = g1_zero_weight_dim(l)
-    elems, n = split_basis(l)[0], 2 * l + 1
+    table = projection_context(l)
+    zero_dim = sum(1 for wt in table.weights[table.g0_count:] if not any(wt))
+    elems, n = table.elems, 2 * l + 1
     # the graded parts as nu sees them, not as the builder lays them out
     even = sum(1 for x in elems if nu(x, n) == x)
     total = sum(1 for x in elems if nu(x, n) == vec_scale(x, -1))

@@ -1,5 +1,7 @@
 """Ordered-monomial calculus in the enveloping algebra of the even part.
 
+The algebra (`PBWAlgebra`) is the split `vacuum.ModeBasis` itself, so this
+module imports `vacuum`, and one table per rank serves both algebras.
 Elements are sparse dictionaries mapping monomials (tuples of basis indices,
 non-decreasing in the fixed basis order: negative block, Cartan block,
 positive block) to exact coefficients.  Rewriting an arbitrary word into this
@@ -25,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 from . import format_sum
 from .liealg import Matrix, common_weight
 from .linalg import Coeff, exact, vec_add_into, vec_add_term
+from .vacuum import ModeBasis
 
 # monomial = tuple of basis indices in non-decreasing order
 UEAElt = dict[tuple[int, ...], Coeff]
@@ -36,38 +39,27 @@ def uea_unit() -> UEAElt:
     return {(): 1}
 
 
-class PBWAlgebra:
-    """Enveloping algebra of the even part over its ordered basis.
-
-    `table` is a structure-constant table of the whole algebra (`expand`,
-    `bracket_coords`) whose first `g0_count` elements are the even part of
-    `liealg.split_basis(l)`, so the envelope shares its brackets, labels,
-    scales, Cartan block and weights (`cartan_indices`, `weights`).
-    Monomial indices refer to that basis: l^2 lowering elements, then the
-    Cartan elements (h_1..h_{l-1}, hbar_l) at l^2..l^2+l-1, then the raising
-    block from l^2+l.  The table reads every weight off its matrices, which
-    checks that each basis element is a weight vector, so each monomial is
-    one too.
+class PBWAlgebra(ModeBasis):
+    """Enveloping algebra of the even part over its ordered basis: the split
+    mode basis over `liealg.split_basis(l)`, whose brackets, labels, scales,
+    Cartan block and weights it inherits.  Monomial indices refer to its first
+    `g0_count` elements, the even part: l^2 lowering elements, the Cartan
+    elements (h_1..h_{l-1}, hbar_l) at l^2..l^2+l-1, then the raising block
+    from l^2+l.  Every weight is read off the matrices, which checks that each
+    basis element, and so each monomial, is a weight vector.
     """
 
-    def __init__(self, table) -> None:
-        self.dim = dim = table.g0_count
-        self.labels = table.labels[:dim]
-        self.scales = table.scales[:dim]
-        self._expand = table.expand
-        # bound once: the rewrite loop calls it on every swap
-        self.bracket_coords = table.bracket_coords
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         # coordinates of x -> {t: coordinates of [x, t]}, filled by `ad`
         self._ad_images: dict[frozenset, dict[int, dict[int, Coeff]]] = {}
-        self.cartan_indices = table.cartan_indices
-        self.weights = table.weights[:dim]
 
     # ------------------------------------------------------------ coords
 
     def lie_coords(self, x: Matrix) -> dict[int, Coeff]:
         """Coordinates of an even-part element in the ordered basis."""
-        v = self._expand(x)
-        if any(s >= self.dim for s in v):
+        v = self.expand(x)
+        if any(s >= self.g0_count for s in v):
             raise ValueError("element is not in the even part")
         return v
 

@@ -207,13 +207,6 @@ def split_basis(l: int) -> tuple[tuple[Matrix, ...], tuple[str, ...], tuple[int,
     return elems, labels, scales
 
 
-def g1_zero_weight_dim(l: int) -> int:
-    """Dimension of the weight-zero space of the odd part under the even
-    Cartan: the odd split basis elements of weight zero."""
-    odd = split_basis(l)[0][l * (2 * l + 1):]
-    return sum(1 for wt in entry_weights(odd, b_type_generators(l).h) if not any(wt))
-
-
 def eplus(l: int, i: int, j: int) -> Matrix:
     """Even-part projection (E[i,j] + nu(E[i,j]))/2 of the elementary matrix."""
     a = E(i, j)

@@ -18,7 +18,8 @@ step, the resulting highest-weight eigenvalue polynomials, the module the
 image generates under the adjoint action of the even part and its weight-zero
 part are computed here, with closed forms to compare against.  Each stage, the
 projection of each monomial included, is an `lru_cache`d function of the rank
-l, built once and shared; `projection_context(l)` is the rank's PBW algebra.
+l, built once and shared; `projection_context(l)` builds the rank's split
+table, the one `ModeBasis` that is also its PBW algebra.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .envelope import PBWAlgebra, Poly, UEAElt, uea_unit
-from .liealg import Matrix, b_type_generators, bracket, eplus
+from .liealg import Matrix, b_type_generators, bracket, eplus, split_basis
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
     Monomial,
@@ -35,7 +36,6 @@ from .vacuum import (
     convert_state,
     mode_action,
     singular_vector,
-    split_mode_basis,
     standard_mode_basis,
 )
 
@@ -52,9 +52,10 @@ def _binom_half(j: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def projection_context(l: int) -> PBWAlgebra:
-    """The PBW algebra of rank l on the even part of the split mode basis,
-    whose structure constants it shares."""
-    return PBWAlgebra(split_mode_basis(l))
+    """The rank's split table, `split_basis(l)` with its even part first,
+    held once as the PBW algebra: the modes and the envelope both read it."""
+    elems, labels, scales = split_basis(l)
+    return PBWAlgebra(l, elems, labels, g0_count=l * (2 * l + 1), scales=scales)
 
 
 def _odd_count(mono: Monomial, g0: int) -> int:
@@ -67,12 +68,12 @@ def project_monomial(l: int, mono: Monomial) -> UEAElt:
     computed once and shared: callers must not modify it."""
     if not mono:
         return uea_unit()
-    split = split_mode_basis(l)
+    split = projection_context(l)
     if _odd_count(mono, split.g0_count) % 2 == 1:
         return {}
     (idx, depth), rest = mono[0], mono[1:]
     if idx < split.g0_count:
-        prod = projection_context(l).mul(project_monomial(l, rest), {(idx,): 1})
+        prod = split.mul(project_monomial(l, rest), {(idx,): 1})
         return vec_scale(prod, -1 if (depth - 1) % 2 else 1)
     result: UEAElt = {}
     for j in range(1, depth + sum(d for _, d in rest) + 1):
@@ -102,7 +103,7 @@ def project(l: int, s: State) -> UEAElt:
 def zhu_singular_image(l: int) -> UEAElt:
     """Projection of the degree-2 singular vector, computed once and shared:
     callers must not modify it."""
-    split = split_mode_basis(l)
+    split = projection_context(l)
     return project(l, convert_state(standard_mode_basis(l), singular_vector(l), split))
 
 

@@ -4,7 +4,8 @@ A state is a finite sum of normal-ordered creation monomials applied to the
 vacuum, held as a plain kernel dict from monomial to coefficient over a
 `ModeBasis`, which also carries the level; every function on states takes
 that basis first.  The basis is the standard one, or the split one that
-`liealg.split_basis` lays out and the envelope shares.  A monomial is a
+`liealg.split_basis` lays out: the envelope's `PBWAlgebra`, a subclass held
+once per rank by `twzhu.projection_context`.  A monomial is a
 tuple of (basis index, depth) pairs with depth >= 1, stored deepest-first
 with ties broken by basis index, and `_normal_order` is the one place that
 makes them.  Mode operators act via the affine commutation rule
@@ -33,7 +34,6 @@ from .liealg import (
     invariant_form,
     level_for,
     nu,
-    split_basis,
 )
 from .linalg import (
     Coeff,
@@ -130,13 +130,6 @@ def standard_mode_basis(l: int) -> ModeBasis:
                 elems.append(E(i, j))
                 labels.append(f"E[{i},{j}]")
     return ModeBasis(l, tuple(elems), tuple(labels))
-
-
-@lru_cache(maxsize=None)
-def split_mode_basis(l: int) -> ModeBasis:
-    """`split_basis(l)`: its even part, the envelope's basis, then the odd part."""
-    elems, labels, scales = split_basis(l)
-    return ModeBasis(l, elems, labels, g0_count=l * (2 * l + 1), scales=scales)
 
 
 def _normal_order(

@@ -145,16 +145,16 @@ def test_full_verify_builds_each_stage_once():
 
 def test_checks_and_dumps_leave_the_shared_stages_unchanged():
     # a cached stage is shared, not copied, so a caller that modified it
-    # would change what every later caller reads.  The mode bases and the
-    # PBW algebra fill memo tables as they are read, and the projection of
-    # a monomial is read through the stages, so those are left out.
+    # would change what every later caller reads.  The mode bases, the split
+    # one being the PBW algebra, fill memo tables as they are read, and the
+    # projection of a monomial is read through the stages, so those are left
+    # out.
     clear_per_rank_caches()
     l = 3
     stages = [
         stage for stage in PER_RANK_CACHES
         if stage not in (
             vacuum.standard_mode_basis,
-            vacuum.split_mode_basis,
             twzhu.projection_context,
             twzhu.project_monomial,
         )

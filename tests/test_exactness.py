@@ -17,7 +17,7 @@ from a2l2.twzhu import (
     r0_basis,
     zhu_singular_image,
 )
-from a2l2.vacuum import nu_state, singular_vector, split_mode_basis, standard_mode_basis
+from a2l2.vacuum import nu_state, singular_vector, standard_mode_basis
 
 
 def assert_exact(values, stage: str) -> None:
@@ -33,7 +33,7 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
     v = singular_vector(l)
     assert_exact(v.values(), "singular vector")
     assert_exact(nu_state(standard_mode_basis(l), v).values(), "nu image")
-    split = split_mode_basis(l)
+    split = projection_context(l)
     dim = len(split.elems)
     # the rescaled split basis has integral structure constants and Gram
     # values, so the one table the mode and PBW algebras share is all ints
@@ -66,7 +66,7 @@ def test_matrices_are_ints_or_fractions(l):
     gens = b_type_generators(l)
     matrices = {
         "standard basis": standard_mode_basis(l).elems,
-        "split basis": split_mode_basis(l).elems,
+        "split basis": projection_context(l).elems,
         "e": gens.e,
         "f": gens.f,
         "h": gens.h,
@@ -81,7 +81,7 @@ def test_matrices_are_ints_or_fractions(l):
 @pytest.mark.parametrize("l", (5, 6, 7, 8))
 def test_split_table_is_integral_above_the_pipeline_ranks(l):
     # a fresh, uncached table, so the full one is dropped after the test
-    split = split_mode_basis.__wrapped__(l)
+    split = projection_context.__wrapped__(l)
     dim = len(split.elems)
     for s in range(dim):
         for t in range(dim):
@@ -95,7 +95,7 @@ def test_split_coordinates_are_ints_wherever_integral(l):
     # the split basis holds multiples of the labelled vectors, so the
     # standard basis has coordinates with denominators 2 and 4 over it,
     # next to integral ones
-    split = split_mode_basis(l)
+    split = projection_context(l)
     seen = set()
     for x in standard_mode_basis(l).elems + split.elems:
         for y in (x, nu(x, 2 * l + 1)):

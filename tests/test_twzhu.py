@@ -36,12 +36,12 @@ from a2l2.vacuum import (
     convert_state,
     mode_action,
     singular_vector,
-    split_mode_basis,
     standard_mode_basis,
     state_from_ops,
 )
 
 from helpers_spin import g0_basis, spin_hw_coefficient, split_pm, verify_spin_homomorphism
+from helpers_sym import sym_ad, sym_from_uea, uea_from_sym
 from test_liealg import sample_sparse
 from test_vacuum import zero_mode_orbit
 
@@ -55,7 +55,7 @@ def test_binom_half_values():
 # ------------------------------------------------------------- projection
 
 def test_project_pinned_values_rank1():
-    basis = split_mode_basis(1)
+    basis = projection_context(1)
     # even factor at depth 2 flips sign: image of hb1(-2)|0> is -hb1
     hbar = b_type_generators(1).h[-1]
     s = state_from_ops(basis, [(hbar, -2)])
@@ -77,10 +77,10 @@ def test_project_pair_closed_form_100_samples():
     rng = random.Random(314)
     for _ in range(100):
         l = rng.choice([1, 2])
-        alg, split = projection_context(l), split_mode_basis(l)
+        alg = projection_context(l)
         a = sample_sparse(rng, l)
         b = sample_sparse(rng, l)
-        got = project(l, state_from_ops(split, [(a, -1), (b, -1)]))
+        got = project(l, state_from_ops(alg, [(a, -1), (b, -1)]))
         ap, am = split_pm(a, 2 * l + 1)
         bp, bm = split_pm(b, 2 * l + 1)
         want = {}
@@ -91,13 +91,13 @@ def test_project_pair_closed_form_100_samples():
             vec_add_into(want, alg.lie2uea(comm), Fraction(-1, 2))
         pairing = invariant_form(am, bm)
         if pairing:
-            vec_add_into(want, uea_unit(), split.k * pairing / 8)
+            vec_add_into(want, uea_unit(), alg.k * pairing / 8)
         assert got == want
 
 
 def project_standard(l, s):
     """Project a state over the standard mode basis of rank l."""
-    return project(l, convert_state(standard_mode_basis(l), s, split_mode_basis(l)))
+    return project(l, convert_state(standard_mode_basis(l), s, projection_context(l)))
 
 
 def test_project_intertwines_zero_modes():
@@ -126,7 +126,7 @@ def test_project_odd_shortcut_agrees(monkeypatch, cold_projection):
     rng = random.Random(99)
     states = []
     for l in (1, 2):
-        basis = split_mode_basis(l)
+        basis = projection_context(l)
         states.append((l, convert_state(standard_mode_basis(l), singular_vector(l), basis)))
         for _ in range(10):
             ops = []
@@ -215,6 +215,32 @@ def test_lowered_elements_share_the_prefix_chain(monkeypatch, l):
         assert u == vec_scale(w, -1 if j % 2 == 0 else 1)
 
 
+@pytest.mark.parametrize("l", range(1, 9))
+def test_ad_chain_matches_the_symmetric_algebra_oracle(l):
+    # the chain of `compute_v1` and `lowered_elements` run in S(g0), where
+    # ad is a derivation on sorted words and nothing is rewritten, then
+    # carried back to the envelope by symmetrization
+    alg = projection_context(l)
+    x = alg.lie_coords({(l + 1, 1): 1, (2 * l + 1, l + 1): -((-1) ** l)})
+    v1 = vec_scale(sym_ad(alg, x, sym_from_uea(alg, zhu_singular_image(l))), 2)
+    assert uea_from_sym(alg, v1) == compute_v1(l)
+    fs = [alg.lie_coords(f) for f in b_type_generators(l).f]
+    for j, u in enumerate(lowered_elements(l), start=1):
+        p = v1
+        for t in [*range(l - 1, j - 1, -1), *range(j)]:  # f_l..f_{j+1}, f_1..f_j
+            p = sym_ad(alg, fs[t], p)
+        assert u == uea_from_sym(alg, vec_scale(p, -1 if j % 2 == 0 else 1))
+
+
+def test_symmetric_oracle_round_trips_and_stops_at_degree_three():
+    alg = projection_context(2)
+    u = {(): 3, (1,): Fraction(1, 2), (0, 6): 1, (2, 9): -2}
+    assert uea_from_sym(alg, sym_from_uea(alg, u)) == u
+    assert sym_from_uea(alg, {(0, 6): 1}) != {(0, 6): 1}  # [f_1, e_1] != 0
+    with pytest.raises(ValueError, match="degree <= 2"):
+        sym_from_uea(alg, {(0, 1, 2): 1})
+
+
 def test_lowered_polynomials_match_reference():
     for l in (1, 2, 3):
         polys = lowered_polynomials(l)
@@ -300,7 +326,7 @@ def r0_oracle(l):
         queue.append(seed)
     while queue:
         u = queue.pop()
-        for s in range(alg.dim):
+        for s in range(alg.g0_count):
             w = alg.ad({s: Fraction(1)}, u)
             if w and solver.add(dict(w)):
                 out.append(w)

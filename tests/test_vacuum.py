@@ -23,6 +23,7 @@ from a2l2.liealg import (
     split_basis,
 )
 from a2l2.linalg import SpanSolver, vec_add_into
+from a2l2.twzhu import projection_context
 from a2l2.vacuum import (
     DEPTH_CAP,
     ModeBasis,
@@ -34,7 +35,6 @@ from a2l2.vacuum import (
     nu_state,
     positive_mode_sweep,
     singular_vector,
-    split_mode_basis,
     standard_mode_basis,
     state_from_ops,
     state_string,
@@ -270,7 +270,7 @@ def test_weights_read_from_entries_match_eigenvalues():
         assert [standard.elems[s] for s in standard.cartan_indices] == cartan
         for x, wt in zip(standard.elems, standard.weights):
             assert wt == tuple(eigen_ratio(bracket(h, x), x) for h in cartan)
-        split = split_mode_basis(l)
+        split = projection_context(l)
         cartan = b_type_generators(l).h
         assert tuple(split.elems[s] for s in split.cartan_indices) == cartan
         for x, wt in zip(split.elems, split.weights):
@@ -301,7 +301,7 @@ def test_mode_bases_die_with_the_per_rank_caches():
     for cached in PER_RANK_CACHES:
         cached.cache_clear()
     assert run_checks(2).overall == "pass"
-    built = [weakref.ref(standard_mode_basis(2)), weakref.ref(split_mode_basis(2))]
+    built = [weakref.ref(standard_mode_basis(2)), weakref.ref(projection_context(2))]
     for cached in PER_RANK_CACHES:
         cached.cache_clear()
     gc.collect()
@@ -357,28 +357,34 @@ def test_zero_mode_orbit_dimensions_and_stability():
 def test_convert_state_round_trip():
     for l in (1, 2):
         v = singular_vector(l)
-        standard, split = standard_mode_basis(l), split_mode_basis(l)
+        standard, split = standard_mode_basis(l), projection_context(l)
         there = convert_state(standard, v, split)
         back = convert_state(split, there, standard)
         assert back == v
         assert there
 
 
-def test_split_basis_layout_matches_envelope():
-    # the envelope reads its basis off the even prefix of the split mode
-    # basis, the one copy that `split_basis` builds
+def test_projection_context_is_the_one_holder_of_the_split_table():
+    # the rank's PBW algebra is its split mode basis: the one table of
+    # structure constants, laid out by `split_basis`, even part first
     from a2l2.envelope import PBWAlgebra
 
+    # a cold run at one rank holds two tables: the standard basis and the
+    # split one, which no stage copies into a second holder
+    for cached in PER_RANK_CACHES:
+        cached.cache_clear()
+    gc.collect()
+    assert run_checks(3).overall == "pass"
+    gc.collect()
+    live = [x for x in gc.get_objects() if isinstance(x, (ModeBasis, PBWAlgebra))]
+    assert len(live) == 2, live
     for l in (1, 2, 3):
-        split = split_mode_basis(l)
-        alg = PBWAlgebra(split)
-        d = l * (2 * l + 1)
-        assert (split.elems, split.labels, split.scales) == split_basis(l)
-        assert split.g0_count == alg.dim == d
-        assert alg.labels == split.labels[:d]
-        assert alg.scales == split.scales[:d]
+        alg = projection_context(l)
+        assert isinstance(alg, ModeBasis)
+        assert (alg.elems, alg.labels, alg.scales) == split_basis(l)
+        assert alg.g0_count == l * (2 * l + 1)
         assert alg.cartan_indices == tuple(range(l * l, l * l + l))
-        cartan = tuple(split.elems[s] for s in alg.cartan_indices)
+        cartan = tuple(alg.elems[s] for s in alg.cartan_indices)
         assert cartan == b_type_generators(l).h
 
 
@@ -408,7 +414,7 @@ def assert_canonical(basis: ModeBasis, s: State) -> None:
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_every_state_operation_keeps_monomials_canonical(l):
     rng = random.Random(40 + l)
-    standard, split = standard_mode_basis(l), split_mode_basis(l)
+    standard, split = standard_mode_basis(l), projection_context(l)
     seen = 0
     for _ in range(12):
         basis, other = (standard, split) if rng.random() < 0.5 else (split, standard)
