@@ -154,11 +154,8 @@ def _primitive(row: Vec, combo: Vec, sign: int) -> tuple[Vec, Vec]:
 
 
 def rank_of(vectors: list[Vec]) -> int:
-    """Rank of the span; adding stops at the number of distinct keys, its bound."""
-    bound = len(set().union(*vectors))
+    """Rank of the span."""
     s = SpanSolver()
     for v in vectors:
-        if s.rank == bound:
-            break
         s.add(v)
     return s.rank

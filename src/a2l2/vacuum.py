@@ -7,14 +7,18 @@ that basis first.  The basis is the standard one, or the split one that
 `liealg.split_basis` lays out: the envelope's `PBWAlgebra`, a subclass held
 once per rank by `twzhu.projection_context`.  A monomial is a
 tuple of (basis index, depth) pairs with depth >= 1, stored deepest-first
-with ties broken by basis index, and `_normal_order` is the one place that
-makes them.  Mode operators act via the affine commutation rule
+with ties broken by basis index, and `_act` is the one place that makes
+them: it moves one mode operator into a normal-ordered monomial by the
+affine commutation rule
 
     [a(m), b(n)] = [a,b](m+n) + m * delta(m+n, 0) * <a,b> * level,
 
-with non-negative modes annihilating the vacuum.  Normal ordering terminates
-because each rewrite either shortens the word, moves an annihilator past one
-fewer creation factor, or removes an adjacent inversion among creations.
+with non-negative modes annihilating the vacuum.  The recursion terminates:
+each call acts on the shorter rest of the monomial, or, in the swap, with
+the first factor a(-d), which sorts strictly before the operator x(m), on a
+term of x(m) rest, which is no longer than the monomial and lies in the same
+degree of the result.  Within one degree the modes are bounded below, so no
+path of calls is infinite.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class ModeBasis:
     elements of its even part, or of the whole basis when it is ungraded.
 
     Every bracket constant and Gram value over the basis must be an int,
-    which keeps the normal-ordering loops on integer arithmetic; a table
+    which keeps the rewriting on integer arithmetic; a table
     entry that is not one raises ValueError as it is first computed."""
 
     def __init__(self, l: int, elems: tuple[Matrix, ...], labels: tuple[str, ...],
@@ -132,71 +136,46 @@ def standard_mode_basis(l: int) -> ModeBasis:
     return ModeBasis(l, tuple(elems), tuple(labels))
 
 
-def _normal_order(
-    basis: ModeBasis, word: tuple[tuple[int, int], ...], coeff: Coeff = 1
-) -> State:
-    """Normal-order a word of (index, mode) operators applied to the vacuum.
+def _act(basis: ModeBasis, s: int, mode: int, mono: Monomial, c: Coeff,
+         out: State) -> None:
+    """out += c * x_s(mode) mono|0>, in normal order.
 
-    A non-negative mode annihilates the vacuum, so a word whose rightmost
-    factor is one is zero and is never pushed."""
-    out: State = {}
-    if not coeff or (word and word[-1][1] >= 0):
-        return out
-    pending = [(tuple(word), coeff)]
-    while pending:
-        w, c = pending.pop()
-        if not w:
-            vec_add_term(out, (), c)
-            continue
-        # the rightmost annihilator, else the leftmost creation pair out of
-        # (mode asc, index asc) order
-        pos = next((i for i in range(len(w) - 2, -1, -1) if w[i][1] >= 0), None)
-        if pos is None:
-            pos = next(
-                (
-                    i
-                    for i in range(len(w) - 1)
-                    if (w[i][1], w[i][0]) > (w[i + 1][1], w[i + 1][0])
-                ),
-                None,
-            )
-        if pos is None:
-            total = sum(-m for _, m in w)
+    With a(-d) the first factor of mono: an x_s(mode) that sorts at or
+    before it is prepended (its mode is then negative), and one acting on
+    the vacuum is prepended or annihilates.  Else x(mode) a(-d) rest =
+    a(-d) x(mode) rest + [x, a](mode - d) rest + the central term."""
+    if not mono or (mode, s) <= (-mono[0][1], mono[0][0]):
+        if mode < 0:
+            total = sum(d for _, d in mono) - mode
             if total > DEPTH_CAP:
                 raise ValueError(f"monomial depth {total} exceeds cap {DEPTH_CAP}")
-            vec_add_term(out, tuple((idx, -m) for idx, m in w), c)
-            continue
-        (s_idx, m), (t_idx, n) = w[pos], w[pos + 1]
-        head, tail = w[:pos], w[pos + 2 :]
-        # push no word that ends in an annihilator: with no tail the swap
-        # does when m >= 0, a bracket at a non-negative mode does, and the
-        # central term does when head ends in one
-        if tail or m < 0:
-            pending.append((head + (w[pos + 1], w[pos]) + tail, c))
-        if tail or m + n < 0:
-            for r, b in basis.bracket_coords(s_idx, t_idx).items():
-                pending.append((head + ((r, m + n),) + tail, c * b))
-        if m + n == 0 and m != 0 and (tail or not head or head[-1][1] < 0):
-            g = basis.gram(s_idx, t_idx)
-            if g:
-                pending.append((head + tail, c * m * g * basis.k))
+            vec_add_term(out, ((s, -mode),) + mono, c)
+        return
+    (t, d), rest = mono[0], mono[1:]
+    swapped: State = {}
+    _act(basis, s, mode, rest, c, swapped)
+    for m, cm in swapped.items():
+        _act(basis, t, -d, m, cm, out)
+    if rest or mode < d:  # else [x, a](mode - d) kills the vacuum
+        for r, b in basis.bracket_coords(s, t).items():
+            _act(basis, r, mode - d, rest, c * b, out)
+    if mode == d and (g := basis.gram(s, t)):
+        vec_add_term(out, rest, c * mode * g * basis.k)
+
+
+def _apply(basis: ModeBasis, coords: dict[int, Coeff], mode: int, state: State) -> State:
+    """x(mode) state, for the x of the given basis coordinates."""
+    out: State = {}
+    for mono, c in state.items():
+        for s, a in coords.items():
+            _act(basis, s, mode, mono, c * a, out)
     return out
-
-
-def _word_of(mono: Monomial) -> tuple[tuple[int, int], ...]:
-    return tuple((idx, -depth) for idx, depth in mono)
 
 
 def mode_action(basis: ModeBasis, op: tuple[Matrix, int], s: State) -> State:
     """Apply the mode operator elt(mode) to a state."""
     elt, mode = op
-    coords = basis.expand(elt)
-    out: State = {}
-    for mono, c in s.items():
-        word = _word_of(mono)
-        for idx, a in coords.items():
-            vec_add_into(out, _normal_order(basis, ((idx, mode),) + word, c * a))
-    return out
+    return _apply(basis, basis.expand(elt), mode, s)
 
 
 def state_from_ops(basis: ModeBasis, ops: list[tuple[Matrix, int]]) -> State:
@@ -208,20 +187,15 @@ def state_from_ops(basis: ModeBasis, ops: list[tuple[Matrix, int]]) -> State:
 
 
 def _map_factors(s: State, target: ModeBasis, coords) -> State:
-    """Expand every creation factor of s through the coordinate map
-    `coords(index)` into `target`, then normal-order into that basis."""
+    """Replace every creation factor of s by its image under the coordinate
+    map `coords(index)` into `target`: the images of a monomial's factors
+    act on the vacuum of `target` one at a time, rightmost first."""
     out: State = {}
     for mono, c in s.items():
-        expanded: list[tuple[tuple[tuple[int, int], ...], Coeff]] = [((), c)]
-        for idx, depth in mono:
-            images = coords(idx).items()
-            expanded = [
-                (word + ((t, -depth),), cc * b)
-                for word, cc in expanded
-                for t, b in images
-            ]
-        for word, cc in expanded:
-            vec_add_into(out, _normal_order(target, word, cc))
+        image: State = {(): c}
+        for idx, depth in reversed(mono):
+            image = _apply(target, coords(idx), -depth, image)
+        vec_add_into(out, image)
     return out
 
 

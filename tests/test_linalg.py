@@ -219,25 +219,6 @@ def test_rank_of_empty_input():
     assert rank_of([{}, {}]) == 0
 
 
-def test_rank_of_stops_once_the_span_fills_its_keys(monkeypatch):
-    added = []
-    add = SpanSolver.add
-
-    def counted(self, v):
-        added.append(v)
-        return add(self, v)
-
-    monkeypatch.setattr(SpanSolver, "add", counted)
-    vectors = [{0: 1, 1: 1}, {1: 2}, {0: 3}, {0: 1, 1: -1}, {1: F(1, 2)}]
-    assert rank_of(vectors) == 2
-    assert added == vectors[:2]
-    # a dependent vector before the span fills is still reduced
-    added.clear()
-    vectors = [{0: 1, 2: 1}, {0: 2, 2: 2}, {1: 1}, {2: 1}, {0: 1, 1: 1}]
-    assert rank_of(vectors) == 3
-    assert added == vectors[:4]
-
-
 def test_rank_of_matches_full_span_solver_on_random_lists():
     rng = random.Random(11)
     for _ in range(200):

@@ -72,7 +72,7 @@ def wrong_level(monkeypatch):
 
 
 def no_central_term(monkeypatch):
-    """A zero invariant form drops the central term of `_normal_order`."""
+    """A zero invariant form drops the central term of the mode action."""
     monkeypatch.setattr(vacuum.ModeBasis, "gram", lambda self, s, t: Fraction(0))
 
 

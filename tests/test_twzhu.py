@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from helpers_polys import mono, poly_eval
@@ -353,11 +354,17 @@ def test_r0_lowering_closure_matches_full_basis_oracle(l):
         projection_context(l).weight_of(u)  # raises if u mixes weights
 
 
-def naive_lowering_closure(l):
+def naive_lowering_closure(l, symmetric=False):
     """The closure under the l simple lowering generators with every
-    ad(f_i, u) computed, in the order `r0_basis` visits them."""
+    ad(f_i, u) computed, in the order `r0_basis` visits them.  With
+    `symmetric`, beta^-1 of that closure, run in S(g0) by the derivation of
+    `helpers_sym` from the same integral seed and lowering coordinates, its
+    own span and nothing rewritten."""
     alg = projection_context(l)
     seed = vec_integral(zhu_singular_image(l))
+    ad = alg.ad
+    if symmetric:
+        seed, ad = sym_from_uea(alg, seed), partial(sym_ad, alg)
     lowering = [vec_integral(alg.lie_coords(f)) for f in b_type_generators(l).f]
     solver = SpanSolver()
     out = [seed] if solver.add(seed) else []
@@ -365,11 +372,25 @@ def naive_lowering_closure(l):
     while queue:
         u = queue.pop()
         for f in lowering:
-            w = alg.ad(f, u)
+            w = ad(f, u)
             if w and solver.add(w):
                 out.append(w)
                 queue.append(w)
     return out
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_r0_closure_matches_the_symmetric_algebra_oracle(l):
+    # symmetrization is an isomorphism of g0-modules, so it keeps linear
+    # independence: the closure in S(g0) carries back to r0_basis's vectors,
+    # one scalar apart each, in order
+    alg = projection_context(l)
+    orbit, _ = r0_basis(l)
+    closure = naive_lowering_closure(l, symmetric=True)
+    assert len(closure) == len(orbit)
+    for p, u in zip(closure, orbit):
+        image, key = uea_from_sym(alg, p), min(u)
+        assert image and vec_scale(u, Fraction(image.get(key, 0)) / u[key]) == image
 
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4, 5, 6))

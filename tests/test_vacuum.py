@@ -22,13 +22,12 @@ from a2l2.liealg import (
     nu,
     split_basis,
 )
-from a2l2.linalg import SpanSolver, vec_add_into
+from a2l2.linalg import Coeff, SpanSolver, vec_add_into, vec_add_term
 from a2l2.twzhu import projection_context
 from a2l2.vacuum import (
     DEPTH_CAP,
     ModeBasis,
     State,
-    _normal_order,
     check_singular,
     convert_state,
     mode_action,
@@ -81,6 +80,58 @@ def _rand_state(rng, basis, max_ops=2):
         ops.append((x, -rng.randint(1, 2)))
     return state_from_ops(basis, ops)
 
+
+def _normal_order(
+    basis: ModeBasis, word: tuple[tuple[int, int], ...], coeff: Coeff = 1
+) -> State:
+    """Normal-order a word of (index, mode) operators applied to the vacuum,
+    by a loop over whole words: the oracle for `mode_action`, which moves
+    one operator at a time into a normal-ordered monomial.
+
+    A non-negative mode annihilates the vacuum, so a word whose rightmost
+    factor is one is zero and is never pushed."""
+    out: State = {}
+    if not coeff or (word and word[-1][1] >= 0):
+        return out
+    pending = [(tuple(word), coeff)]
+    while pending:
+        w, c = pending.pop()
+        if not w:
+            vec_add_term(out, (), c)
+            continue
+        # the rightmost annihilator, else the leftmost creation pair out of
+        # (mode asc, index asc) order
+        pos = next((i for i in range(len(w) - 2, -1, -1) if w[i][1] >= 0), None)
+        if pos is None:
+            pos = next(
+                (
+                    i
+                    for i in range(len(w) - 1)
+                    if (w[i][1], w[i][0]) > (w[i + 1][1], w[i + 1][0])
+                ),
+                None,
+            )
+        if pos is None:
+            total = sum(-m for _, m in w)
+            if total > DEPTH_CAP:
+                raise ValueError(f"monomial depth {total} exceeds cap {DEPTH_CAP}")
+            vec_add_term(out, tuple((idx, -m) for idx, m in w), c)
+            continue
+        (s_idx, m), (t_idx, n) = w[pos], w[pos + 1]
+        head, tail = w[:pos], w[pos + 2 :]
+        # push no word that ends in an annihilator: with no tail the swap
+        # does when m >= 0, a bracket at a non-negative mode does, and the
+        # central term does when head ends in one
+        if tail or m < 0:
+            pending.append((head + (w[pos + 1], w[pos]) + tail, c))
+        if tail or m + n < 0:
+            for r, b in basis.bracket_coords(s_idx, t_idx).items():
+                pending.append((head + ((r, m + n),) + tail, c * b))
+        if m + n == 0 and m != 0 and (tail or not head or head[-1][1] < 0):
+            g = basis.gram(s_idx, t_idx)
+            if g:
+                pending.append((head + tail, c * m * g * basis.k))
+    return out
 
 
 # ------------------------------------------------------------ mode action
@@ -143,14 +194,14 @@ def test_affine_commutation_relation_50_samples():
 
 
 def test_normal_order_of_several_annihilators_50_samples():
-    # a word with annihilators left of its rightmost one, as one rewrite,
-    # equals the operators applied one at a time
+    # the whole-word rewrite of the oracle equals the operators applied one
+    # at a time, with creation and annihilation operators mixed
     rng = random.Random(2025)
     for _ in range(50):
         l = rng.choice([1, 2])
         basis = standard_mode_basis(l)
         w = _rand_state(rng, basis)
-        ops = [(rng.randrange(len(basis.elems)), rng.randint(0, 2)) for _ in range(2)]
+        ops = [(rng.randrange(len(basis.elems)), rng.randint(-2, 2)) for _ in range(2)]
         one_by_one = w
         for idx, mode in reversed(ops):
             one_by_one = mode_action(basis, (basis.elems[idx], mode), one_by_one)
@@ -261,6 +312,28 @@ def test_sweep_acts_with_6l_operators_on_the_singular_vector(monkeypatch, l):
     assert positive_mode_sweep(basis, v)
     assert len(calls) == len(sweep_operators(basis, v)) == 6 * l
 
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_sweep_adds_only_integral_coefficients(monkeypatch, l):
+    # the sweep's docstring promises ints: the level enters each rewrite at
+    # most once, times a coefficient already scaled by its denominator
+    basis, v = standard_mode_basis(l), singular_vector(l)
+    added = []
+    add_term, add_into = vacuum_module.vec_add_term, vacuum_module.vec_add_into
+
+    def counted_term(dst, key, c):
+        added.append(c)
+        add_term(dst, key, c)
+
+    def counted_into(dst, src, c=1):
+        added.extend(c * x for x in src.values())
+        add_into(dst, src, c)
+
+    monkeypatch.setattr(vacuum_module, "vec_add_term", counted_term)
+    monkeypatch.setattr(vacuum_module, "vec_add_into", counted_into)
+    assert positive_mode_sweep(basis, v)
+    assert added and all(c.denominator == 1 for c in added)
 
 def test_weights_read_from_entries_match_eigenvalues():
     # both mode bases are weight bases, each under its own Cartan block
