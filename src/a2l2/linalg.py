@@ -8,9 +8,9 @@ int and the equal Fraction print, compare and hash alike.  Integral values
 thus stay on the fast int arithmetic, and every division is a Fraction.
 `vec_add_term`, `vec_add_into` and `vec_scale` are the one sparse kernel
 that every exact algebra in the package (matrices, vacuum states, envelope
-elements, polynomials) adds and scales through.  `SpanSolver` keeps a fully reduced
-(Gauss-Jordan) row basis in ints, so rank, membership, and coordinate
-queries are all single reduction passes with no floating point anywhere.
+elements, polynomials) adds and scales through.  `SpanSolver` keeps an
+echelon (not fully reduced) row basis in ints, so rank, membership, and
+coordinate queries are all forward reductions with no floating point.
 """
 
 from __future__ import annotations
@@ -61,18 +61,20 @@ class SpanSolver:
 
     `add` extends the span and reports whether the vector was new;
     `coords` writes a vector as an exact combination of the previously
-    added independent generators (by their insertion index).  Elimination
-    cross-multiplies instead of dividing (fraction-free, as in Bareiss,
-    Math. Comp. 22 (1968)), so the one division is the one `coords` makes.
+    added independent generators (by their insertion index).  The rows stay
+    in echelon form, which is all that rank, membership and coordinates
+    need.  Elimination cross-multiplies instead of dividing (fraction-free,
+    as in Bareiss, Math. Comp. 22 (1968)), so the one division is the one
+    `coords` makes.
     """
 
     def __init__(self) -> None:
-        # int rows, each with a positive pivot that no other row holds, and
-        # row i = -sum combo[i][t] * gen_t; each pair is kept primitive
+        # int echelon rows, never rewritten once stored: each pivot is its
+        # row's least key, positive, and held by no later row; row i =
+        # -sum combo[i][t] * gen_t, and each pair is kept primitive
         self._rows: list[Vec] = []
         self._combos: list[Vec] = []
         self._row_of: dict[Hashable, int] = {}  # pivot key -> row index
-        self._rows_with: dict[Hashable, set[int]] = {}  # key -> rows holding it
 
     @property
     def rank(self) -> int:
@@ -87,10 +89,11 @@ class SpanSolver:
             s = lcm(*(c.denominator for c in v.values()))
             r = {k: c.numerator * (s // c.denominator) for k, c in v.items()}
         combo: Vec = {}
-        # Rows are mutually reduced, so subtracting one never touches another
-        # row's pivot: one pass over the pivots v itself holds.
+        # A row holds no key below its pivot, so clearing the least pivot r
+        # holds never brings back a smaller one: at most `rank` steps.
         row_of = self._row_of
-        for k in [k for k in r if k in row_of]:
+        while pivots := [k for k in r if k in row_of]:
+            k = min(pivots)
             i = row_of[k]
             d, r, combo = _eliminate(r, combo, self._rows[i], self._combos[i], k)
             s *= d
@@ -104,20 +107,6 @@ class SpanSolver:
         piv = min(r)
         combo[self.rank] = -s  # v is generator number `rank`
         r, combo = _primitive(r, combo, r[piv])
-        # keep older rows free of the new pivot (full Gauss-Jordan), visiting
-        # only the rows that hold it
-        rows_with = self._rows_with
-        for i in sorted(rows_with.get(piv, ())):
-            old = set(self._rows[i])  # _eliminate may update the row in place
-            _, row, row_combo = _eliminate(self._rows[i], self._combos[i], r, combo, piv)
-            row, self._combos[i] = _primitive(row, row_combo, 1)
-            self._rows[i] = row
-            for k in old - row.keys():
-                rows_with[k].discard(i)
-            for k in row.keys() - old:
-                rows_with.setdefault(k, set()).add(i)
-        for k in r:
-            rows_with.setdefault(k, set()).add(len(self._rows))
         self._row_of[piv] = len(self._rows)
         self._rows.append(r)
         self._combos.append(combo)

@@ -1,6 +1,6 @@
 """Tests for the sparse exact kernel that every algebra adds and scales
 through (no stored zero ever survives an addition or a scaling), for the
-integer span solver against a Fraction Gauss-Jordan oracle, and for the one
+integer span solver against a Fraction row-echelon oracle, and for the one
 printer of exact signed sums."""
 
 from __future__ import annotations
@@ -8,6 +8,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+
+import pytest
 
 from a2l2 import format_sum
 from a2l2.liealg import E, H
@@ -146,29 +148,40 @@ def random_vectors(rng: random.Random, keys: int, count: int) -> list[dict]:
     return out
 
 
-def assert_integral_reduced_rows(s: SpanSolver) -> None:
+def assert_integral_echelon_rows(s: SpanSolver) -> None:
     """Rows and combinations in ints, each pair primitive, every pivot
-    positive and alone in its column."""
+    positive and its row's least key, and no row holding the pivot of a row
+    stored before it."""
     for piv, i in s._row_of.items():
         row, combo = s._rows[i], s._combos[i]
         assert all(type(x) is int for x in (*row.values(), *combo.values()))
-        assert row[piv] > 0
+        assert row[piv] > 0 and piv == min(row)
         assert gcd(*row.values(), *combo.values()) == 1
-        assert all(piv not in other for j, other in enumerate(s._rows) if j != i)
+        assert all(piv not in later for later in s._rows[i + 1 :])
 
 
-def test_span_solver_matches_fraction_oracle_on_random_vectors():
+# Tuple keys of mixed length, some prefixes of others, as PBW words are:
+# they compare lexicographically, in an order unlike that of their index.
+TUPLE_KEYS = [(2,), (0, 1), (1,), (), (0,), (1, 1, 0), (0, 0, 2), (1, 0)]
+
+
+def tuple_keys(v: dict) -> dict:
+    return {TUPLE_KEYS[k]: c for k, c in v.items()}
+
+
+@pytest.mark.parametrize("rekey", [dict, tuple_keys], ids=["int", "tuple"])
+def test_span_solver_matches_fraction_oracle_on_random_vectors(rekey):
     rng = random.Random(2024)
     for _ in range(150):
         keys = rng.randint(1, 7)
         solver, oracle = SpanSolver(), FractionSpan()
         added = []
-        for v in random_vectors(rng, keys, rng.randint(1, 12)):
+        for v in map(rekey, random_vectors(rng, keys, rng.randint(1, 12))):
             assert solver.add(v) == oracle.add(v), v
             assert solver.rank == len(oracle.rows)
             added.append(v)
-        assert_integral_reduced_rows(solver)
-        probes = random_vectors(rng, keys + 1, 6)
+        assert_integral_echelon_rows(solver)
+        probes = list(map(rekey, random_vectors(rng, keys + 1, 6)))
         for _ in range(4):
             probe: dict = {}
             for u in rng.sample(added, min(3, len(added))):
@@ -278,19 +291,27 @@ def _key_hashes_of_a_basis(n: int) -> int:
     return CountedKey.hashes
 
 
-def test_span_add_visits_only_the_rows_holding_the_new_pivot():
-    # Back-substitution clears the new pivot from the older rows.  Scanning
-    # every row for it hashes the pivot once per row, quadratic in the
-    # size of the basis; the key-to-rows index looks it up a bounded number
-    # of times per add.
+def test_span_add_makes_a_bounded_number_of_key_hashes_per_add():
+    # Each add reduces its vector against only the rows whose pivots it
+    # holds, looking each key up a bounded number of times.  Scanning every
+    # row instead would hash a key once per row, quadratic in the size of
+    # the basis.
     small, large = _key_hashes_of_a_basis(200), _key_hashes_of_a_basis(400)
     assert large < 2.5 * small
     assert large < 20 * 400
-    # a pivot that older rows do hold is cleared from each of them
     s = SpanSolver()
     for k in range(49):
         assert s.add({k: 2, 99: 1})
     assert s.add({99: 1})
-    assert all(99 not in row for row in s._rows[:-1])
     assert s.coords({5: 2, 99: 1}) == {5: 1}
     assert s.coords({5: 2}) == {5: 1, 49: -1}
+
+
+def test_span_add_never_rewrites_a_stored_row():
+    s = SpanSolver()
+    for k in range(49):
+        assert s.add({k: 2, 99: 1})
+    snapshot = [dict(row) for row in s._rows], [dict(c) for c in s._combos]
+    assert s.add({99: 1})
+    assert (s._rows[:49], s._combos[:49]) == snapshot
+    assert s.coords({5: 2, 99: 1}) == {5: 1}
