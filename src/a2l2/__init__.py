@@ -7,8 +7,9 @@ projection (`twzhu`), the twisted affine root system and admissibility
 (`affroots`), the integer weight table of the classification (`classify`),
 and the batch check runner behind the ``a2l2`` command line tool (`checks`,
 `cli`), over one sparse exact kernel (`linalg`).  The envelope's PBW algebra
-is the split mode basis of `vacuum`, which `envelope` imports, so one table
-per rank serves both.
+is the split mode basis of `vacuum`, which `envelope` imports: one split basis
+per rank serves both, computes its constants as they are read, and carries the
+involution as its grading.
 
 All arithmetic is exact: rational numbers throughout, each coefficient a
 Python int when its value is integral and a Fraction otherwise, never a

@@ -20,19 +20,20 @@ from .envelope import doubled_residuals, factored_h_string, uea_string, zero_set
 from .liealg import computed_b_cartan, nu
 from .linalg import vec_scale
 from .twzhu import (
+    _odd_count,
     compute_v1,
     lowered_polynomials,
     poly_span_equal,
     projection_context,
     r0_basis,
     reference_polynomials,
+    split_singular_vector,
     v1_closed_form,
     zhu_image_closed_form,
     zhu_singular_image,
 )
 from .vacuum import (
     check_singular,
-    nu_state,
     positive_mode_sweep,
     singular_vector,
     standard_mode_basis,
@@ -77,11 +78,11 @@ def _check_cartan_matrix(l: int) -> tuple[bool, dict]:
 
 def _check_g1_dim(l: int) -> tuple[bool, dict]:
     table = projection_context(l)
-    zero_dim = sum(1 for wt in table.weights[table.g0_count:] if not any(wt))
-    elems, n = table.elems, 2 * l + 1
-    # the graded parts as nu sees them, not as the builder lays them out
-    even = sum(1 for x in elems if nu(x, n) == x)
-    total = sum(1 for x in elems if nu(x, n) == vec_scale(x, -1))
+    g0, elems, n = table.g0_count, table.elems, 2 * l + 1
+    zero_dim = sum(1 for wt in table.weights[g0:] if not any(wt))
+    # the grading by index, which `nu-fixed` and the projection read
+    even = sum(1 for x in elems[:g0] if nu(x, n) == x)
+    total = sum(1 for x in elems[g0:] if nu(x, n) == vec_scale(x, -1))
     ok = zero_dim == l and total == 2 * l * l + 3 * l and even == l * (2 * l + 1)
     return ok, {
         "zero_weight_dim": zero_dim,
@@ -107,8 +108,9 @@ def _check_singular(l: int) -> tuple[bool, dict]:
 
 
 def _check_nu_fixed(l: int) -> tuple[bool, dict]:
-    v = singular_vector(l)
-    ok = nu_state(standard_mode_basis(l), v) == v
+    # nu negates a split monomial with an odd number of odd factors
+    g0 = projection_context(l).g0_count
+    ok = not any(_odd_count(mono, g0) % 2 for mono in split_singular_vector(l))
     return ok, {"fixed_by_twist": ok}
 
 
@@ -160,14 +162,8 @@ def _check_r0(l: int) -> tuple[bool, dict]:
     }
 
 
-def _weight_names(l: int) -> dict[tuple[int, ...], str]:
-    from .classify import all_highest_weights, weight_strings
-
-    return dict(zip(all_highest_weights(l), weight_strings(l)))
-
-
 def _check_classification(l: int) -> tuple[bool, dict]:
-    from .classify import all_highest_weights, omega_string
+    from .classify import all_highest_weights, omega_string, weight_strings
 
     polys = lowered_polynomials(l)
     found = zero_set(polys)
@@ -175,7 +171,7 @@ def _check_classification(l: int) -> tuple[bool, dict]:
     matches = found == frozenset(formulas)
     residuals_ok = not any(any(r) for r in doubled_residuals(polys, formulas))
     ok = matches and len(found) == 2**l and residuals_ok
-    names = _weight_names(l)
+    names = dict(zip(formulas, weight_strings(l)))
     return ok, {
         "count": len(found),
         "expected_count": 2**l,
@@ -186,15 +182,17 @@ def _check_classification(l: int) -> tuple[bool, dict]:
 
 
 def _check_dominant(l: int) -> tuple[bool, dict]:
-    from .classify import dominant_integral, mu_weight, omega_string
+    from .classify import (
+        all_highest_weights, dominant_integral, mu_weight, omega_string, weight_strings,
+    )
 
-    names = _weight_names(l)
-    kept = frozenset(x for x in names if dominant_integral(x))
+    kept = {x: name for x, name in zip(all_highest_weights(l), weight_strings(l))
+            if dominant_integral(x)}
     expected = frozenset({mu_weight(l, (), False), mu_weight(l, (), True)})
-    ok = kept == expected
+    ok = kept.keys() == expected
     return ok, {
         "count": len(kept),
-        "weights": sorted(names[x] for x in kept),
+        "weights": sorted(kept.values()),
         "expected_weights": sorted(map(omega_string, expected)),
     }
 
@@ -235,7 +233,7 @@ REGISTRY: tuple[tuple[str, tuple[str, ...], CheckFn], ...] = (
     ("cartan-matrix", (), _check_cartan_matrix),
     ("g1-dim", (), _check_g1_dim),
     ("singular", (), _check_singular),
-    ("nu-fixed", ("singular",), _check_nu_fixed),
+    ("nu-fixed", ("g1-dim", "singular"), _check_nu_fixed),
     ("zhu-image", ("singular",), _check_zhu_image),
     ("v1-closed-form", ("zhu-image",), _check_v1),
     ("polynomials", ("v1-closed-form",), _check_polynomials),

@@ -13,13 +13,14 @@ zero part of the associated associative algebra follows four rules:
     binom(1/2, j) times the projection of the state with that factor moved
     to mode (-d+j).
 
-The image of the degree-2 singular vector, its partner under one lowering
-step, the resulting highest-weight eigenvalue polynomials, the module the
-image generates under the adjoint action of the even part and its weight-zero
-part are computed here, with closed forms to compare against.  Each stage, the
-projection of each monomial included, is an `lru_cache`d function of the rank
-l, built once and shared; `projection_context(l)` builds the rank's split
-table, the one `ModeBasis` that is also its PBW algebra.
+The singular vector over the split basis, its image, its partner under one
+lowering step, the resulting highest-weight eigenvalue polynomials, the
+module the image generates under the adjoint action of the even part and its
+weight-zero part are computed here, with closed forms to compare against.
+Each stage is an `lru_cache`d function of the rank l, built once and shared.
+`projection_context(l)` builds the rank's split table, the one `ModeBasis`
+that is also its PBW algebra, graded by the involution: `_odd_count` reads
+a factor as odd when its index is `g0_count` or more.
 """
 
 from __future__ import annotations
@@ -62,10 +63,8 @@ def _odd_count(mono: Monomial, g0: int) -> int:
     return sum(1 for idx, _ in mono if idx >= g0)
 
 
-@lru_cache(maxsize=None)
 def project_monomial(l: int, mono: Monomial) -> UEAElt:
-    """Projection of one monomial over the split mode basis of rank l,
-    computed once and shared: callers must not modify it."""
+    """Projection of one monomial over the split mode basis of rank l."""
     if not mono:
         return uea_unit()
     split = projection_context(l)
@@ -100,11 +99,17 @@ def project(l: int, s: State) -> UEAElt:
 
 
 @lru_cache(maxsize=None)
+def split_singular_vector(l: int) -> State:
+    """The degree-2 singular vector over the split mode basis, computed once
+    and shared: callers must not modify it."""
+    return convert_state(standard_mode_basis(l), singular_vector(l), projection_context(l))
+
+
+@lru_cache(maxsize=None)
 def zhu_singular_image(l: int) -> UEAElt:
     """Projection of the degree-2 singular vector, computed once and shared:
     callers must not modify it."""
-    split = projection_context(l)
-    return project(l, convert_state(standard_mode_basis(l), singular_vector(l), split))
+    return project(l, split_singular_vector(l))
 
 
 def zhu_image_closed_form(l: int) -> UEAElt:

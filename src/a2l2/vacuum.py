@@ -5,11 +5,11 @@ vacuum, held as a plain kernel dict from monomial to coefficient over a
 `ModeBasis`, which also carries the level; every function on states takes
 that basis first.  The basis is the standard one, or the split one that
 `liealg.split_basis` lays out: the envelope's `PBWAlgebra`, a subclass held
-once per rank by `twzhu.projection_context`.  A monomial is a
-tuple of (basis index, depth) pairs with depth >= 1, stored deepest-first
-with ties broken by basis index, and `_act` is the one place that makes
-them: it moves one mode operator into a normal-ordered monomial by the
-affine commutation rule
+once per rank by `twzhu.projection_context`; neither holds a memo table.
+A monomial is a tuple of (basis index, depth) pairs with depth >= 1, stored
+deepest-first with ties broken by basis index, and `_act` is the one place
+that makes them: it moves one mode operator into a normal-ordered monomial
+by the affine commutation rule
 
     [a(m), b(n)] = [a,b](m+n) + m * delta(m+n, 0) * <a,b> * level,
 
@@ -24,7 +24,7 @@ path of calls is infinite.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from . import format_sum
@@ -37,7 +37,6 @@ from .liealg import (
     entry_weights,
     invariant_form,
     level_for,
-    nu,
 )
 from .linalg import (
     Coeff,
@@ -56,18 +55,19 @@ State = dict[Monomial, Coeff]
 
 
 class ModeBasis:
-    """Ordered basis of the finite algebra with cached structure constants,
-    and the level of the vacuum module over it, which the rank fixes.
+    """Ordered basis of the finite algebra, and the level of the vacuum
+    module over it, which the rank fixes.
 
     The split basis also sets `g0_count`, the size of its leading even part,
-    and `scales`, the factor of each element over the vector its label
-    names; both are None on the standard basis.  Each basis reads its
-    weights under its own Cartan block (`cartan_indices`): the diagonal
-    elements of its even part, or of the whole basis when it is ungraded.
+    which the involution fixes while it negates the rest, and `scales`, the
+    factor of each element over the vector its label names; both are None
+    on the standard basis.  Each basis reads its weights under its own
+    Cartan block (`cartan_indices`): the diagonal elements of its even part,
+    or of the whole basis when it is ungraded.
 
     Every bracket constant and Gram value over the basis must be an int,
-    which keeps the rewriting on integer arithmetic; a table
-    entry that is not one raises ValueError as it is first computed."""
+    which keeps the rewriting on integer arithmetic; each is computed on
+    every call, and one that is not an int raises ValueError."""
 
     def __init__(self, l: int, elems: tuple[Matrix, ...], labels: tuple[str, ...],
                  g0_count: int | None = None,
@@ -85,8 +85,6 @@ class ModeBasis:
         self.cartan_indices = tuple(
             s for s, x in enumerate(self.elems[:g0_count]) if all(i == j for i, j in x)
         )
-        for name in ("bracket_coords", "gram", "nu_coords"):  # per-basis memos
-            setattr(self, name, cache(getattr(self, name)))
 
     def expand(self, x: Matrix) -> dict[int, Coeff]:
         """Coordinates of x in the basis, an int wherever integral."""
@@ -104,9 +102,6 @@ class ModeBasis:
         got = invariant_form(self.elems[s], self.elems[t])
         _require_ints((got,), "Gram value", (s, t))
         return got
-
-    def nu_coords(self, s: int) -> dict[int, Coeff]:
-        return self.expand(nu(self.elems[s], 2 * self.l + 1))
 
     @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
@@ -184,24 +179,6 @@ def state_from_ops(basis: ModeBasis, ops: list[tuple[Matrix, int]]) -> State:
     for op in reversed(ops):
         s = mode_action(basis, op, s)
     return s
-
-
-def _map_factors(s: State, target: ModeBasis, coords) -> State:
-    """Replace every creation factor of s by its image under the coordinate
-    map `coords(index)` into `target`: the images of a monomial's factors
-    act on the vacuum of `target` one at a time, rightmost first."""
-    out: State = {}
-    for mono, c in s.items():
-        image: State = {(): c}
-        for idx, depth in reversed(mono):
-            image = _apply(target, coords(idx), -depth, image)
-        vec_add_into(out, image)
-    return out
-
-
-def nu_state(basis: ModeBasis, s: State) -> State:
-    """Apply the involution factorwise to every creation monomial."""
-    return _map_factors(s, basis, basis.nu_coords)
 
 
 def state_weight(basis: ModeBasis, s: State) -> tuple[int, ...]:
@@ -285,8 +262,15 @@ def positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
 
 
 def convert_state(basis: ModeBasis, s: State, target: ModeBasis) -> State:
-    """Re-express a state over another basis of the same finite algebra."""
-    return _map_factors(s, target, lambda idx: target.expand(basis.elems[idx]))
+    """Re-express a state over another basis of the same finite algebra, one
+    factor of each monomial at a time, rightmost first."""
+    out: State = {}
+    for mono, c in s.items():
+        image: State = {(): c}
+        for idx, depth in reversed(mono):
+            image = _apply(target, target.expand(basis.elems[idx]), -depth, image)
+        vec_add_into(out, image)
+    return out
 
 
 def state_string(basis: ModeBasis, s: State) -> str:

@@ -1,8 +1,11 @@
-"""Oracle for the raising sweep, and perturbed singular vectors to feed it.
+"""Oracles for the raising sweep and the involution, and perturbed singular
+vectors to feed them.
 
 `full_positive_mode_sweep` acts with every basis operator at modes 1 and 2,
 2 * dim of them, with no grading argument to skip any; the package's sweep
-must reach the same verdict on every state.
+must reach the same verdict on every state.  `nu_state` applies the
+involution to a state factor by factor, over any mode basis; the package
+reads it instead as the parity of the split table.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from a2l2.liealg import H
+from a2l2.liealg import H, nu
 from a2l2.linalg import vec_add_into, vec_scale
 from a2l2.vacuum import (
     ModeBasis,
@@ -32,6 +35,19 @@ def full_positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
             if mode_action(basis, (x, m), scaled):
                 return False
     return True
+
+
+def nu_state(basis: ModeBasis, s: State) -> State:
+    """Apply the involution factorwise to every creation monomial: the images
+    of a monomial's factors act on the vacuum one at a time, rightmost first."""
+    n = 2 * basis.l + 1
+    out: State = {}
+    for mono, c in s.items():
+        image: State = {(): c}
+        for idx, depth in reversed(mono):
+            image = mode_action(basis, (nu(basis.elems[idx], n), -depth), image)
+        vec_add_into(out, image)
+    return out
 
 
 def _seeded_state(rng: random.Random, basis: ModeBasis, depth: int) -> State:

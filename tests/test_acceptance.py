@@ -27,6 +27,7 @@ from helpers_roots import (
     positive_real_families,
     rho,
 )
+from helpers_sweep import nu_state
 
 from a2l2 import level
 from a2l2.checks import run_checks
@@ -51,7 +52,6 @@ from a2l2.twzhu import (
 )
 from a2l2.vacuum import (
     check_singular,
-    nu_state,
     positive_mode_sweep,
     singular_vector,
     standard_mode_basis,

@@ -34,6 +34,8 @@ from a2l2.checks import (
     run_checks,
 )
 from a2l2.cli import main
+from a2l2.envelope import PBWAlgebra
+from a2l2.liealg import split_basis
 
 from test_mutants import PER_RANK_CACHES
 
@@ -134,6 +136,7 @@ def test_full_verify_builds_each_stage_once():
     for stage in (
         vacuum.singular_vector,
         twzhu.projection_context,
+        twzhu.split_singular_vector,
         twzhu.zhu_singular_image,
         twzhu.compute_v1,
         twzhu.lowered_polynomials,
@@ -145,19 +148,14 @@ def test_full_verify_builds_each_stage_once():
 
 def test_checks_and_dumps_leave_the_shared_stages_unchanged():
     # a cached stage is shared, not copied, so a caller that modified it
-    # would change what every later caller reads.  The mode bases, the split
-    # one being the PBW algebra, fill memo tables as they are read, and the
-    # projection of a monomial is read through the stages, so those are left
-    # out.
+    # would change what every later caller reads.  The mode bases are left
+    # out: a basis compares by identity, not by value, and the split one, the
+    # PBW algebra, fills its table of adjoint images as `ad` reads it.
     clear_per_rank_caches()
     l = 3
     stages = [
         stage for stage in PER_RANK_CACHES
-        if stage not in (
-            vacuum.standard_mode_basis,
-            twzhu.projection_context,
-            twzhu.project_monomial,
-        )
+        if stage not in (vacuum.standard_mode_basis, twzhu.projection_context)
     ]
     before = [copy.deepcopy(stage(l)) for stage in stages]
     assert run_checks(l).overall == "pass"
@@ -195,6 +193,37 @@ def test_dependency_failure_skips_downstream(monkeypatch):
     ):
         assert by_id[downstream].status == "skip"
         assert by_id[downstream].details["blocked_by"]
+
+
+def swapped_split_table(l: int) -> PBWAlgebra:
+    """The rank's split table with its first even and first odd element
+    swapped: the same elements and Cartan block, graded wrongly by index."""
+    elems, labels, scales = split_basis(l)
+    g0 = l * (2 * l + 1)
+    order = (g0, *range(1, g0), 0, *range(g0 + 1, len(elems)))
+    elems, labels, scales = ([seq[i] for i in order] for seq in (elems, labels, scales))
+    return PBWAlgebra(l, elems, labels, g0_count=g0, scales=scales)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_g1_dim_certifies_the_grading_by_index(monkeypatch, l):
+    # `nu-fixed` and the projection read an element's parity off its index,
+    # so a table that holds the right elements in the wrong parts is red
+    monkeypatch.setattr(checks, "projection_context", lambda _: swapped_split_table(l))
+    report = run_checks(l, "g1-dim")
+    assert report.checks[0].status == "fail"
+
+
+def test_nu_fixed_waits_for_the_grading_it_reads(monkeypatch):
+    monkeypatch.setattr(checks, "projection_context", lambda _: swapped_split_table(2))
+    by_id = {r.id: r for r in run_checks(2, ["g1-dim", "singular", "nu-fixed"]).checks}
+    assert by_id["g1-dim"].status == "fail"
+    assert by_id["singular"].status == "pass"
+    assert by_id["nu-fixed"].status == "skip"
+    assert by_id["nu-fixed"].details == {"blocked_by": ["g1-dim"]}
+    # a prerequisite that is not selected is not required
+    monkeypatch.undo()
+    assert [r.status for r in run_checks(2, "nu-fixed").checks] == ["pass"]
 
 
 def test_crashing_check_reports_fail(monkeypatch):

@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from helpers_sweep import nu_state
 
 from a2l2.envelope import zero_set
 from a2l2.liealg import b_type_generators, eplus, nu
@@ -17,7 +18,7 @@ from a2l2.twzhu import (
     r0_basis,
     zhu_singular_image,
 )
-from a2l2.vacuum import nu_state, singular_vector, standard_mode_basis
+from a2l2.vacuum import singular_vector, standard_mode_basis
 
 
 def assert_exact(values, stage: str) -> None:

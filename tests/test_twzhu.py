@@ -116,14 +116,7 @@ def test_project_intertwines_zero_modes():
                 assert lhs == alg.ad(alg.lie_coords(x), pw)
 
 
-@pytest.fixture
-def cold_projection():
-    twzhu.project_monomial.cache_clear()
-    yield
-    twzhu.project_monomial.cache_clear()
-
-
-def test_project_odd_shortcut_agrees(monkeypatch, cold_projection):
+def test_project_odd_shortcut_agrees(monkeypatch):
     rng = random.Random(99)
     states = []
     for l in (1, 2):
@@ -138,7 +131,6 @@ def test_project_odd_shortcut_agrees(monkeypatch, cold_projection):
     with_cut = [project(l, s) for l, s in states]
     # a projection that sees no odd factor never takes the shortcut
     monkeypatch.setattr(twzhu, "_odd_count", lambda mono, g0: 0)
-    twzhu.project_monomial.cache_clear()
     assert [project(l, s) for l, s in states] == with_cut
 
 

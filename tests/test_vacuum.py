@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from test_mutants import PER_RANK_CACHES
 
+from a2l2 import checks
 from a2l2.checks import run_checks
 from a2l2.liealg import (
     E,
@@ -31,7 +32,6 @@ from a2l2.vacuum import (
     check_singular,
     convert_state,
     mode_action,
-    nu_state,
     positive_mode_sweep,
     singular_vector,
     standard_mode_basis,
@@ -42,7 +42,7 @@ from a2l2.vacuum import (
 )
 from a2l2 import vacuum as vacuum_module
 from helpers_spin import eigen_ratio, split_pm
-from helpers_sweep import full_positive_mode_sweep, perturbed_singular_vectors, plus
+from helpers_sweep import full_positive_mode_sweep, nu_state, perturbed_singular_vectors, plus
 
 
 def zero_mode_orbit(v: State, l: int) -> list[State]:
@@ -226,10 +226,27 @@ def test_nu_state_basics():
         assert nu_state(b, nu_state(b, w)) == w
 
 
-def test_singular_vector_is_nu_fixed():
-    for l in (1, 2, 3):
+# `nu-fixed` reads the involution as the parity of the split table, and the
+# factorwise oracle must reach the same verdict
+
+def test_singular_vector_is_nu_fixed(monkeypatch):
+    monkeypatch.setenv("A2L2_MAX_L", "6")
+    for l in range(1, 7):
         v = singular_vector(l)
         assert nu_state(standard_mode_basis(l), v) == v
+        assert run_checks(l, "nu-fixed").checks[0].details == {"fixed_by_twist": True}
+
+
+@pytest.mark.parametrize("l", (2, 3))
+def test_parity_rule_and_nu_oracle_reject_a_nu_odd_perturbation(monkeypatch, l):
+    # v + (x - nu(x))(-2)|0> for x = E[1,2], a term that nu negates
+    standard, split = standard_mode_basis(l), projection_context(l)
+    odd = plus((E(1, 2), 1), (nu(E(1, 2), 2 * l + 1), -1))
+    w = plus((singular_vector(l), 1), (state_from_ops(standard, [(odd, -2)]), 1))
+    assert nu_state(standard, w) != w
+    monkeypatch.setattr(checks, "split_singular_vector",
+                        lambda _: convert_state(standard, w, split))
+    assert run_checks(l, "nu-fixed").checks[0].details == {"fixed_by_twist": False}
 
 
 # --------------------------------------------------------- singular vector
@@ -369,8 +386,8 @@ def test_mode_basis_refuses_fractional_constants():
 
 
 def test_mode_bases_die_with_the_per_rank_caches():
-    # each basis holds its own memo tables, so once the per-rank caches that
-    # built it are cleared, nothing keeps the basis or its tables alive
+    # a basis is held by the per-rank caches that built it and by nothing
+    # else, so once they are cleared, the basis and its weights die with them
     for cached in PER_RANK_CACHES:
         cached.cache_clear()
     assert run_checks(2).overall == "pass"
