@@ -38,7 +38,6 @@ from .vacuum import (
     singular_vector,
     standard_mode_basis,
     state_string,
-    state_weight,
 )
 
 class CheckResult(NamedTuple):
@@ -96,7 +95,7 @@ def _check_singular(l: int) -> tuple[bool, dict]:
     basis, v = standard_mode_basis(l), singular_vector(l)
     annihilated = check_singular(basis, v)
     swept = positive_mode_sweep(basis, v)
-    weight = state_weight(basis, v)
+    weight = basis.weight_of([idx for idx, _ in mono] for mono in v)
     expected_weight = tuple(int(i in (1, 2 * l)) for i in range(1, 2 * l + 1))
     ok = annihilated and swept and weight == expected_weight
     return ok, {

@@ -104,7 +104,7 @@ def _classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parser(prog_name: str | None) -> argparse.ArgumentParser:
+def _parser(prog_name: str) -> argparse.ArgumentParser:
     def new(factory, *args, **kwargs) -> argparse.ArgumentParser:
         # no abbreviated options and no -h: the accepted input stays exact
         parser = factory(*args, allow_abbrev=False, add_help=False, **kwargs)
@@ -135,7 +135,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+def main(args: list[str] | None = None, prog_name: str = "a2l2") -> NoReturn:
     """Parse `args` (default: sys.argv[1:]), run the command, exit with its code."""
     parsed = _parser(prog_name).parse_args(args)
     try:

@@ -25,8 +25,8 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import format_sum
-from .liealg import Matrix, common_weight
-from .linalg import Coeff, exact, vec_add_into, vec_add_term
+from .liealg import Matrix
+from .linalg import Coeff, exact, vec_add_into, vec_add_term, vec_integral
 from .vacuum import ModeBasis
 
 # monomial = tuple of basis indices in non-decreasing order
@@ -35,18 +35,14 @@ UEAElt = dict[tuple[int, ...], Coeff]
 Poly = dict[tuple[int, ...], Coeff]
 
 
-def uea_unit() -> UEAElt:
-    return {(): 1}
-
-
 class PBWAlgebra(ModeBasis):
     """Enveloping algebra of the even part over its ordered basis: the split
     mode basis over `liealg.split_basis(l)`, whose brackets, labels, scales,
-    Cartan block and weights it inherits.  Monomial indices refer to its first
-    `g0_count` elements, the even part: l^2 lowering elements, the Cartan
-    elements (h_1..h_{l-1}, hbar_l) at l^2..l^2+l-1, then the raising block
-    from l^2+l.  Every weight is read off the matrices, which checks that each
-    basis element, and so each monomial, is a weight vector.
+    Cartan block, weights and `weight_of` it inherits.  Its monomials index
+    its first `g0_count` elements, the even part: l^2 lowering elements, the
+    Cartan elements (h_1..h_{l-1}, hbar_l) at l^2..l^2+l-1, then the raising
+    block from l^2+l.  Every weight is read off the matrices, which checks
+    that each basis element, and so each monomial, is a weight vector.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -115,12 +111,6 @@ class PBWAlgebra(ModeBasis):
                 for r, b in image.items():
                     vec_add_term(words, word[:pos] + (r,) + word[pos + 1 :], c * b)
         return self.normal_form(words)
-
-    # ------------------------------------------------------------ weights
-
-    def weight_of(self, u: UEAElt) -> tuple[Coeff, ...]:
-        """Common weight of all monomials; ValueError if u mixes weights."""
-        return common_weight(self.weights, u)
 
     # ------------------------------------------------- Cartan polynomial
 
@@ -252,10 +242,9 @@ def doubled_residuals(
     systems = []
     for p in polys:
         deg = max(map(sum, p), default=0)
-        s = lcm(*(c.denominator for c in p.values()))
         systems.append([
-            (int(c * s) << (deg - sum(k)), [(v, e) for v, e in enumerate(k) if e])
-            for k, c in p.items()
+            (c << (deg - sum(k)), [(v, e) for v, e in enumerate(k) if e])
+            for k, c in vec_integral(p).items()
         ])
     arities = {len(k) for p in polys for k in p}
     for x in points:

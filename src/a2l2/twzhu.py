@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .envelope import PBWAlgebra, Poly, UEAElt, uea_unit
+from .envelope import PBWAlgebra, Poly, UEAElt
 from .liealg import Matrix, b_type_generators, bracket, eplus, split_basis
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
@@ -66,7 +66,7 @@ def _odd_count(mono: Monomial, g0: int) -> int:
 def project_monomial(l: int, mono: Monomial) -> UEAElt:
     """Projection of one monomial over the split mode basis of rank l."""
     if not mono:
-        return uea_unit()
+        return {(): 1}
     split = projection_context(l)
     if _odd_count(mono, split.g0_count) % 2 == 1:
         return {}
@@ -76,7 +76,7 @@ def project_monomial(l: int, mono: Monomial) -> UEAElt:
         return vec_scale(prod, -1 if (depth - 1) % 2 else 1)
     result: UEAElt = {}
     for j in range(1, depth + sum(d for _, d in rest) + 1):
-        moved = mode_action(split, (split.elems[idx], -depth + j), {rest: 1})
+        moved = mode_action(split, {idx: 1}, -depth + j, {rest: 1})
         if not moved:
             continue
         sub: UEAElt = {}

@@ -6,6 +6,8 @@ vacuum, held as a plain kernel dict from monomial to coefficient over a
 that basis first.  The basis is the standard one, or the split one that
 `liealg.split_basis` lays out: the envelope's `PBWAlgebra`, a subclass held
 once per rank by `twzhu.projection_context`; neither holds a memo table.
+`mode_action` takes x(m) as the coordinates of x, as the envelope's `ad`
+does, so a basis element is {idx: 1} and only a matrix is solved for.
 A monomial is a tuple of (basis index, depth) pairs with depth >= 1, stored
 deepest-first with ties broken by basis index, and `_act` is the one place
 that makes them: it moves one mode operator into a normal-ordered monomial
@@ -26,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add
+from typing import Iterable
 
 from . import format_sum
 from .liealg import (
@@ -63,7 +66,7 @@ class ModeBasis:
     factor of each element over the vector its label names; both are None
     on the standard basis.  Each basis reads its weights under its own
     Cartan block (`cartan_indices`): the diagonal elements of its even part,
-    or of the whole basis when it is ungraded.
+    or of the whole basis when it is ungraded, and `weight_of` sums them.
 
     Every bracket constant and Gram value over the basis must be an int,
     which keeps the rewriting on integer arithmetic; each is computed on
@@ -110,6 +113,10 @@ class ModeBasis:
         on the split one.  Raises ValueError unless every element is a
         weight vector, as on both."""
         return entry_weights(self.elems, [self.elems[s] for s in self.cartan_indices])
+
+    def weight_of(self, words: Iterable[Iterable[int]]) -> tuple[Coeff, ...]:
+        """Common weight of words of basis indices; ValueError if they mix."""
+        return common_weight(self.weights, words)
 
 
 def _require_ints(values, what: str, key) -> None:
@@ -158,8 +165,9 @@ def _act(basis: ModeBasis, s: int, mode: int, mono: Monomial, c: Coeff,
         vec_add_term(out, rest, c * mode * g * basis.k)
 
 
-def _apply(basis: ModeBasis, coords: dict[int, Coeff], mode: int, state: State) -> State:
-    """x(mode) state, for the x of the given basis coordinates."""
+def mode_action(basis: ModeBasis, coords: dict[int, Coeff], mode: int, state: State) -> State:
+    """x(mode) state, for the x of the given basis coordinates: a basis
+    element is {idx: 1}, and a matrix is `basis.expand`ed by the caller."""
     out: State = {}
     for mono, c in state.items():
         for s, a in coords.items():
@@ -167,24 +175,12 @@ def _apply(basis: ModeBasis, coords: dict[int, Coeff], mode: int, state: State) 
     return out
 
 
-def mode_action(basis: ModeBasis, op: tuple[Matrix, int], s: State) -> State:
-    """Apply the mode operator elt(mode) to a state."""
-    elt, mode = op
-    return _apply(basis, basis.expand(elt), mode, s)
-
-
 def state_from_ops(basis: ModeBasis, ops: list[tuple[Matrix, int]]) -> State:
     """Apply mode operators to the vacuum, rightmost operator first."""
     s: State = {(): 1}
-    for op in reversed(ops):
-        s = mode_action(basis, op, s)
+    for x, mode in reversed(ops):
+        s = mode_action(basis, basis.expand(x), mode, s)
     return s
-
-
-def state_weight(basis: ModeBasis, s: State) -> tuple[int, ...]:
-    """Common weight of the terms of s under the basis's Cartan block; raises
-    ValueError if s mixes weights, as no state built here does."""
-    return common_weight(basis.weights, ([idx for idx, _ in mono] for mono in s))
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +204,8 @@ def singular_vector(l: int) -> State:
 def check_singular(basis: ModeBasis, s: State) -> bool:
     """True iff the raising zero modes and the affine raising mode kill s."""
     n = 2 * basis.l + 1
-    for i in range(1, n):
-        if mode_action(basis, (E(i, i + 1), 0), s):
-            return False
-    return not mode_action(basis, (E(n, 1), 1), s)
+    ops = [(E(i, i + 1), 0) for i in range(1, n)] + [(E(n, 1), 1)]
+    return not any(mode_action(basis, basis.expand(x), m, s) for x, m in ops)
 
 
 def sweep_operators(basis: ModeBasis, s: State) -> list[tuple[int, int]]:
@@ -227,7 +221,7 @@ def sweep_operators(basis: ModeBasis, s: State) -> list[tuple[int, int]]:
     zero = (0,) * len(basis.cartan_indices)
     degree_weights = ({zero}, {zero, *weights})
     terms = {
-        (common_weight(weights, ([idx for idx, _ in mono],)), sum(d for _, d in mono))
+        (basis.weight_of(([idx for idx, _ in mono],)), sum(d for _, d in mono))
         for mono in s
     }
     return [
@@ -254,10 +248,8 @@ def positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     constants and Gram values, so every coefficient of the sweep is an int.
     The basis must consist of weight vectors, as both mode bases do."""
     scaled = vec_scale(vec_integral(s), basis.k.denominator)
-    elems = basis.elems
     return not any(
-        mode_action(basis, (elems[idx], m), scaled)
-        for idx, m in sweep_operators(basis, s)
+        mode_action(basis, {idx: 1}, m, scaled) for idx, m in sweep_operators(basis, s)
     )
 
 
@@ -268,7 +260,7 @@ def convert_state(basis: ModeBasis, s: State, target: ModeBasis) -> State:
     for mono, c in s.items():
         image: State = {(): c}
         for idx, depth in reversed(mono):
-            image = _apply(target, target.expand(basis.elems[idx]), -depth, image)
+            image = mode_action(target, target.expand(basis.elems[idx]), -depth, image)
         vec_add_into(out, image)
     return out
 

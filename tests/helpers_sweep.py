@@ -32,7 +32,7 @@ def full_positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     scaled = vec_scale(s, scale)
     for x in basis.elems:
         for m in (1, 2):
-            if mode_action(basis, (x, m), scaled):
+            if mode_action(basis, basis.expand(x), m, scaled):
                 return False
     return True
 
@@ -45,7 +45,7 @@ def nu_state(basis: ModeBasis, s: State) -> State:
     for mono, c in s.items():
         image: State = {(): c}
         for idx, depth in reversed(mono):
-            image = mode_action(basis, (nu(basis.elems[idx], n), -depth), image)
+            image = mode_action(basis, basis.expand(nu(basis.elems[idx], n)), -depth, image)
         vec_add_into(out, image)
     return out
 

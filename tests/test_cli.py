@@ -63,7 +63,7 @@ def run_cli(args, env=None) -> tuple[int, bytes, str]:
     stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)
     with mock.patch.dict(os.environ, env or {}), redirect_stdout(stdout), redirect_stderr(err):
         with pytest.raises(SystemExit) as exited:
-            main(args=list(args), prog_name="a2l2")
+            main(args=list(args))
     return exited.value.code, out.getvalue(), err.getvalue()
 
 
@@ -541,7 +541,7 @@ def test_cli_internal_error_exits_3(monkeypatch, target, args):
 def _exit_code(args) -> int:
     """The code of the SystemExit that the console script's call raises."""
     with pytest.raises(SystemExit) as exited:
-        main(args=args, prog_name="a2l2")
+        main(args=args)
     return exited.value.code
 
 
@@ -560,11 +560,13 @@ def _exit_code(args) -> int:
         (["classify", "--l", "1", "-h"], 2),
     ],
 )
-def test_main_exit_codes(capsys, args, expected):
+def test_main_exit_codes(monkeypatch, capsys, args, expected):
+    # the program name is fixed: it does not come from sys.argv[0]
+    monkeypatch.setattr(sys, "argv", ["cli.py"])
     assert _exit_code(args) == expected
     out, err = capsys.readouterr()
     if expected == 2:
-        # usage errors go to stderr, under the program name given
+        # usage errors go to stderr, under the program's own name
         assert out == "" and err.startswith("usage: a2l2")
 
 

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.envelope import factored_h_string, linear_cofactor, uea_unit
+from a2l2.envelope import factored_h_string, linear_cofactor
 from a2l2.liealg import E, b_type_generators, bracket, split_basis
 from a2l2.linalg import vec_add_into, vec_add_term, vec_scale
 from a2l2.twzhu import projection_context
+from a2l2.vacuum import standard_mode_basis
 
 from helpers_polys import mono, poly_eval
 from helpers_spin import (
@@ -133,7 +134,7 @@ def test_mul_associative_and_unit():
         alg = projection_context(rng.choice([1, 2]))
         u, v, w = (_random_uea(rng, alg) for _ in range(3))
         assert alg.mul(alg.mul(u, v), w) == alg.mul(u, alg.mul(v, w))
-        assert alg.mul(u, uea_unit()) == u
+        assert alg.mul(u, {(): 1}) == u
 
 
 def test_mul_matches_spinor_matrices():
@@ -234,7 +235,7 @@ def test_cartan_polynomial_against_spin_oracle():
             f1 = alg.lie2uea(gens.f[0])
             candidates.append(alg.mul(e1, f1))
             mixed = vec_scale(alg.mul(el, fl), Fraction(-2, 3))
-            vec_add_into(mixed, uea_unit(), Fraction(5))
+            vec_add_into(mixed, {(): 1}, Fraction(5))
             candidates.append(mixed)
         top = tuple([Fraction(0)] * (l - 1) + [Fraction(1)])
         for u in candidates:
@@ -249,12 +250,20 @@ def test_weight_of_mixed_and_pure():
     e1 = alg.lie2uea(gens.e[0])
     assert alg.weight_of(e1) == (Fraction(2), Fraction(-2))
     mix = dict(e1)
-    vec_add_into(mix, uea_unit())
+    vec_add_into(mix, {(): 1})
     with pytest.raises(ValueError, match="mix weights"):
         alg.weight_of(mix)
     with pytest.raises(ValueError, match="mix weights"):
         alg.cartan_polynomial(mix)
     assert alg.weight_of({}) == (Fraction(0), Fraction(0))
+    # the standard mode basis reads its words through the same method
+    standard = standard_mode_basis(2)
+    e12, e21 = standard.elems.index(E(1, 2)), standard.elems.index(E(2, 1))
+    assert standard.weight_of([(e12,)]) == (2, -1, 0, 0)
+    assert standard.weight_of([(e12, e21), ()]) == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="mix weights"):
+        standard.weight_of([(e12,), ()])
+    assert standard.weight_of([]) == (0, 0, 0, 0)
 
 
 # ------------------------------------------------------------- rendering

@@ -24,7 +24,7 @@ from a2l2.liealg import (
     split_basis,
 )
 from a2l2.linalg import Coeff, SpanSolver, vec_add_into, vec_add_term
-from a2l2.twzhu import projection_context
+from a2l2.twzhu import project, projection_context, split_singular_vector
 from a2l2.vacuum import (
     DEPTH_CAP,
     ModeBasis,
@@ -37,7 +37,6 @@ from a2l2.vacuum import (
     standard_mode_basis,
     state_from_ops,
     state_string,
-    state_weight,
     sweep_operators,
 )
 from a2l2 import vacuum as vacuum_module
@@ -59,7 +58,7 @@ def zero_mode_orbit(v: State, l: int) -> list[State]:
     while queue:
         w = queue.pop()
         for x in elems:
-            u = mode_action(basis, (x, 0), w)
+            u = mode_action(basis, basis.expand(x), 0, w)
             if u and solver.add(u):
                 out.append(u)
                 queue.append(u)
@@ -167,7 +166,7 @@ def test_positive_modes_annihilate_vacuum():
     assert v == {(): 1}
     for x in basis.elems[:4]:
         for m in (0, 1, 3):
-            assert mode_action(basis, (x, m), v) == {}
+            assert mode_action(basis, basis.expand(x), m, v) == {}
 
 
 def test_affine_commutation_relation_50_samples():
@@ -181,13 +180,17 @@ def test_affine_commutation_relation_50_samples():
         y = basis.elems[rng.randrange(len(basis.elems))]
         m = rng.randint(-2, 2)
         n = rng.randint(-2, 2)
+
+        def act(z, mode, state):
+            return mode_action(basis, basis.expand(z), mode, state)
+
         lhs = plus(
-            (mode_action(basis, (x, m), mode_action(basis, (y, n), w)), 1),
-            (mode_action(basis, (y, n), mode_action(basis, (x, m), w)), -1),
+            (act(x, m, act(y, n, w)), 1),
+            (act(y, n, act(x, m, w)), -1),
         )
         from a2l2.liealg import bracket, invariant_form
 
-        rhs = mode_action(basis, (bracket(x, y), m + n), w)
+        rhs = act(bracket(x, y), m + n, w)
         if m + n == 0 and m != 0:
             vec_add_into(rhs, w, m * invariant_form(x, y) * k)
         assert lhs == rhs
@@ -204,7 +207,7 @@ def test_normal_order_of_several_annihilators_50_samples():
         ops = [(rng.randrange(len(basis.elems)), rng.randint(-2, 2)) for _ in range(2)]
         one_by_one = w
         for idx, mode in reversed(ops):
-            one_by_one = mode_action(basis, (basis.elems[idx], mode), one_by_one)
+            one_by_one = mode_action(basis, {idx: 1}, mode, one_by_one)
         rewritten: dict = {}
         for mono, c in w.items():
             word = tuple(ops) + tuple((idx, -depth) for idx, depth in mono)
@@ -312,7 +315,8 @@ def test_operators_the_sweep_skips_act_as_zero(l):
         for idx, x in enumerate(basis.elems):
             for m in (1, 2):
                 if (idx, m) not in acting:
-                    assert mode_action(basis, (x, m), s) == {}, (basis.labels[idx], m)
+                    got = mode_action(basis, basis.expand(x), m, s)
+                    assert got == {}, (basis.labels[idx], m)
 
 
 @pytest.mark.parametrize("l", (1, 2, 3, 6))
@@ -321,14 +325,34 @@ def test_sweep_acts_with_6l_operators_on_the_singular_vector(monkeypatch, l):
     calls = []
     action = vacuum_module.mode_action
 
-    def counted(basis, op, s):
-        calls.append(op)
-        return action(basis, op, s)
+    def counted(basis, coords, mode, s):
+        calls.append((coords, mode))
+        return action(basis, coords, mode, s)
 
     monkeypatch.setattr(vacuum_module, "mode_action", counted)
     assert positive_mode_sweep(basis, v)
     assert len(calls) == len(sweep_operators(basis, v)) == 6 * l
 
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_no_basis_element_is_solved_for(monkeypatch, l):
+    # a basis element acts as {idx: 1}: neither the sweep nor the projection
+    # solves for one.  Identity, not equality: [E12, E23] is a matrix equal
+    # to E13 that the bracket does solve for.
+    standard, split = standard_mode_basis(l), projection_context(l)
+    v, split_v = singular_vector(l), split_singular_vector(l)
+    solved = []
+    expand = ModeBasis.expand
+
+    def recorded(self, x):
+        if any(x is y for y in self.elems):
+            solved.append(x)
+        return expand(self, x)
+
+    monkeypatch.setattr(ModeBasis, "expand", recorded)
+    assert positive_mode_sweep(standard, v)
+    assert project(l, split_v)
+    assert solved == []
 
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
@@ -401,7 +425,7 @@ def test_mode_bases_die_with_the_per_rank_caches():
 def test_singular_vector_weight_is_top_root():
     for l in (1, 2, 3):
         v = singular_vector(l)
-        w = state_weight(standard_mode_basis(l), v)
+        w = standard_mode_basis(l).weight_of([idx for idx, _ in mono] for mono in v)
         expect = tuple(
             Fraction(1 if i in (1, 2 * l) else 0) for i in range(1, 2 * l + 1)
         )
@@ -516,7 +540,7 @@ def test_every_state_operation_keeps_monomials_canonical(l):
         x = other.elems[rng.randrange(len(other.elems))]
         for b, t in (
             (basis, s),
-            (basis, mode_action(basis, (x, rng.randint(-2, 2)), s)),
+            (basis, mode_action(basis, basis.expand(x), rng.randint(-2, 2), s)),
             (basis, nu_state(basis, s)),
             (other, convert_state(basis, s, other)),
         ):
