@@ -8,11 +8,14 @@ its integer table (`classify`, `affroots`): neither the algebra half
 `fractions`.
 
 Exit codes: 0 pass, 1 a check failed, 2 usage error, 3 internal error.
+As the process's entry point (no `args`), `main` freezes the heap before it
+exits with that code: shutdown skips collecting it, and runs atexit as ever.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -136,13 +139,16 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
 
 
 def main(args: list[str] | None = None, prog_name: str = "a2l2") -> NoReturn:
-    """Parse `args` (default: sys.argv[1:]), run the command, exit with its code."""
+    """Parse `args` (default: sys.argv[1:]), run the command, exit with its
+    code.  In-process callers pass `args` and keep a collectable heap."""
     parsed = _parser(prog_name).parse_args(args)
     try:
         code = parsed.run(parsed)
     except Exception as exc:
         print(f"Error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 3
+    if args is None:
+        gc.freeze()
     raise SystemExit(code)
 
 

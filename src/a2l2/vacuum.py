@@ -5,7 +5,7 @@ vacuum, held as a plain kernel dict from monomial to coefficient over a
 `ModeBasis`, which also carries the level; every function on states takes
 that basis first.  The basis is the standard one, or the split one that
 `liealg.split_basis` lays out: the envelope's `PBWAlgebra`, a subclass held
-once per rank by `twzhu.projection_context`; neither holds a memo table.
+once per rank by `twzhu.projection_context`; only it holds a memo, of `ad`.
 `mode_action` takes x(m) as the coordinates of x, as the envelope's `ad`
 does, so a basis element is {idx: 1} and only a matrix is solved for.
 A monomial is a tuple of (basis index, depth) pairs with depth >= 1, stored
@@ -94,7 +94,7 @@ class ModeBasis:
         v = self._span.coords(x)
         if v is None:
             raise ValueError("element is outside the mode basis span")
-        return dict(v)
+        return v
 
     def bracket_coords(self, s: int, t: int) -> dict[int, Coeff]:
         got = self.expand(bracket(self.elems[s], self.elems[t]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import gc
 import hashlib
 import importlib
 import io
@@ -570,17 +571,92 @@ def test_main_exit_codes(monkeypatch, capsys, args, expected):
         assert out == "" and err.startswith("usage: a2l2")
 
 
+FAILED_REPORT = Report(1, (CheckResult("singular", "fail", 0, {}),), "fail")
+
+
+def _broken(*_args):
+    raise KeyError("boom")
+
+
+def _stub(monkeypatch, stub: str) -> None:
+    """Force exit code 1 ("fail") or 3 ("boom") in this process, as
+    ENTRY_PROBE does in a child; "none" changes nothing."""
+    if stub == "fail":
+        monkeypatch.setattr(checks, "run_checks", lambda l, ids: FAILED_REPORT)
+    elif stub == "boom":
+        monkeypatch.setattr(classify, "admissibility_table", _broken)
+
+
 def test_main_exit_codes_on_failure_and_internal_error(monkeypatch, capsys):
-    fake = Report(1, (CheckResult("singular", "fail", 0, {}),), "fail")
-    monkeypatch.setattr(checks, "run_checks", lambda l, ids: fake)
+    _stub(monkeypatch, "fail")
     assert _exit_code(["verify", "--l", "1"]) == 1
-
-    def broken(*_args):
-        raise KeyError("boom")
-
-    monkeypatch.setattr(classify, "admissibility_table", broken)
+    _stub(monkeypatch, "boom")
     assert _exit_code(["classify", "--l", "1"]) == 3
     assert capsys.readouterr().err == "Error: internal error: KeyError: 'boom'\n"
+
+
+# (args, stub, exit code): one case of each code of the entry point
+ENTRY_CASES = [
+    (["classify", "--l", "1"], "none", 0),
+    (["verify", "--l", "1"], "fail", 1),
+    (["frobnicate"], "none", 2),
+    (["classify", "--l", "1"], "boom", 3),
+]
+
+# The console script's call in a fresh interpreter, after the stub named by
+# the first argument; an atexit hook then reports whether the heap is frozen.
+ENTRY_PROBE = """
+import atexit, gc, sys
+from a2l2 import checks, classify
+from a2l2.checks import CheckResult, Report
+from a2l2.cli import main
+
+def broken(*_args):
+    raise KeyError("boom")
+
+stub = sys.argv.pop(1)
+if stub == "fail":
+    report = Report(1, (CheckResult("singular", "fail", 0, {}),), "fail")
+    checks.run_checks = lambda l, ids: report
+elif stub == "boom":
+    classify.admissibility_table = broken
+atexit.register(lambda: sys.stderr.write(f"frozen: {gc.get_freeze_count() > 0}\\n"))
+main()
+"""
+
+
+def _child_env() -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("A2L2_MAX_L", None)
+    return env
+
+
+@pytest.mark.parametrize("args, stub, expected", ENTRY_CASES)
+def test_console_script_call_matches_the_in_process_call(monkeypatch, args, stub, expected):
+    child = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE, stub, *args],
+        env=_child_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    monkeypatch.delenv("A2L2_MAX_L", raising=False)
+    _stub(monkeypatch, stub)
+    code, out, err = run_cli(args)
+    assert child.returncode == code == expected
+    assert child.stdout == out
+    if expected == 3:
+        assert err == "Error: internal error: KeyError: 'boom'\n"
+    # the atexit hook still runs; a usage error exits inside the parser,
+    # before any command has run, so only then is the heap not frozen
+    assert child.stderr.decode() == err + f"frozen: {expected != 2}\n"
+
+
+@pytest.mark.parametrize("args, stub, expected", ENTRY_CASES)
+def test_in_process_call_freezes_nothing(monkeypatch, args, stub, expected):
+    _stub(monkeypatch, stub)
+    frozen = gc.get_freeze_count()
+    assert _exit_code(args) == expected
+    assert gc.get_freeze_count() == frozen
 
 
 # Runs the console script's call in a fresh interpreter, then lists the
@@ -590,7 +666,7 @@ import sys
 from a2l2.cli import main
 try:
     if sys.argv[1:]:
-        main(sys.argv[1:])
+        main()
 finally:
     sys.stderr.write(" ".join(sys.modules))
 """
@@ -599,11 +675,9 @@ finally:
 def _cold_start(args) -> tuple[set[str], bytes]:
     """(modules loaded, stdout) of the console script's call on `args` in a
     fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("A2L2_MAX_L", None)
     child = subprocess.run(
         [sys.executable, "-c", MODULES_PROBE, *args],
-        env=env,
+        env=_child_env(),
         capture_output=True,
         timeout=60,
     )

@@ -409,6 +409,18 @@ def test_mode_basis_refuses_fractional_constants():
         basis.gram(2, 0)
 
 
+def test_expand_returns_a_dict_of_its_own():
+    # `expand` hands back the dict its solve built, with no copy, so a
+    # caller that edits it must leave the basis and later solves untouched
+    basis = standard_mode_basis(2)
+    for x in (E(1, 2), {**E(1, 2), **H(2)}, {(1, 1): 1, (5, 5): -1}):
+        first = basis.expand(x)
+        kept = dict(first)
+        first.clear()
+        first[0] = 7
+        assert basis.expand(x) == kept
+
+
 def test_mode_bases_die_with_the_per_rank_caches():
     # a basis is held by the per-rank caches that built it and by nothing
     # else, so once they are cleared, the basis and its weights die with them
