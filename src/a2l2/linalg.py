@@ -3,14 +3,14 @@
 Vectors are dicts mapping hashable, mutually comparable keys to exact
 coefficients, with zero entries never stored.  A coefficient is a Python
 int when its value is integral and a Fraction otherwise, never a float:
-`exact` is that rule, the kernel stores every result through it, and an
-int and the equal Fraction print, compare and hash alike.  Integral values
-thus stay on the fast int arithmetic, and every division is a Fraction.
-`vec_add_term`, `vec_add_into` and `vec_scale` are the one sparse kernel
-that every exact algebra in the package (matrices, vacuum states, envelope
-elements, polynomials) adds and scales through.  `SpanSolver` keeps an
-echelon (not fully reduced) row basis in ints, so rank, membership, and
-coordinate queries are all forward reductions with no floating point.
+`exact` is that rule, the kernel stores every result through it (inline in
+`vec_add_term`, its hottest call), and an int and the equal Fraction print,
+compare and hash alike, so integral values stay on int arithmetic and every
+division is a Fraction.  `vec_add_term`, `vec_add_into` and `vec_scale` are
+the one sparse kernel that every exact algebra in the package (matrices,
+vacuum states, envelope elements, polynomials) adds and scales through.
+`SpanSolver` keeps an echelon (not fully reduced) row basis in ints, so
+rank, membership and coordinate queries are forward reductions.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def exact(x: Coeff) -> Coeff:
 def vec_add_term(dst: Vec, key: Hashable, c: Coeff) -> None:
     """dst[key] += c, dropping the entry if it cancels to zero."""
     y = dst.get(key, 0) + c
-    if y:
-        dst[key] = exact(y)
+    if y:  # the rule of `exact`, inline in the kernel's hottest call
+        dst[key] = y if type(y) is int or y.denominator != 1 else y.numerator
     else:
         dst.pop(key, None)
 

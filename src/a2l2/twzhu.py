@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
 from .envelope import PBWAlgebra, Poly, UEAElt
 from .liealg import Matrix, b_type_generators, bracket, eplus, split_basis
@@ -171,10 +172,13 @@ def lowered_elements(l: int) -> list[UEAElt]:
     """Weight-zero elements u_1..u_l obtained by lowering the partner along
     each staircase of simple lowering generators: u_j applies f_l, ..., f_{j+1}
     and then f_1, ..., f_j.  The first half is a prefix of the one for j - 1,
-    so the chain is built once: l - 1 + l(l+1)/2 adjoint actions in all."""
+    so the chain is built once: l - 1 + l(l+1)/2 adjoint actions in all, run
+    in ints on v1 and the f_t cleared of denominators, divided out at the end."""
     alg = projection_context(l)
-    fs = [alg.lie_coords(f) for f in b_type_generators(l).f]
-    prefixes = [compute_v1(l)]  # prefixes[i]: f_l, ..., f_{l-i+1} applied
+    chain = [compute_v1(l), *(alg.lie_coords(f) for f in b_type_generators(l).f)]
+    dens = [lcm(*(c.denominator for c in x.values())) for x in chain]
+    v1, *fs = [vec_scale(x, d) for x, d in zip(chain, dens)]
+    prefixes = [v1]  # prefixes[i]: f_l, ..., f_{l-i+1} applied
     for t in range(l - 1, 0, -1):  # f_l, ..., f_2
         prefixes.append(alg.ad(fs[t], prefixes[-1]))
     out: list[UEAElt] = []
@@ -182,7 +186,7 @@ def lowered_elements(l: int) -> list[UEAElt]:
         u = prefixes[l - j]
         for t in range(0, j):  # f_1, ..., f_j
             u = alg.ad(fs[t], u)
-        out.append(vec_scale(u, -1 if j % 2 == 0 else 1))
+        out.append(vec_scale(u, Fraction(-1 if j % 2 == 0 else 1, prod(dens))))
     return out
 
 

@@ -68,9 +68,9 @@ class ModeBasis:
     Cartan block (`cartan_indices`): the diagonal elements of its even part,
     or of the whole basis when it is ungraded, and `weight_of` sums them.
 
-    Every bracket constant and Gram value over the basis must be an int,
-    which keeps the rewriting on integer arithmetic; each is computed on
-    every call, and one that is not an int raises ValueError."""
+    Every bracket constant and Gram value over the basis must be an int
+    (else ValueError), which keeps the rewriting on integer arithmetic; each
+    is computed on every call, unless the index supports show it is zero."""
 
     def __init__(self, l: int, elems: tuple[Matrix, ...], labels: tuple[str, ...],
                  g0_count: int | None = None,
@@ -88,6 +88,8 @@ class ModeBasis:
         self.cartan_indices = tuple(
             s for s, x in enumerate(self.elems[:g0_count]) if all(i == j for i, j in x)
         )
+        self._rows = tuple(sum({1 << i for i, _ in x}) for x in self.elems)
+        self._cols = tuple(sum({1 << j for _, j in x}) for x in self.elems)
 
     def expand(self, x: Matrix) -> dict[int, Coeff]:
         """Coordinates of x in the basis, an int wherever integral."""
@@ -97,11 +99,15 @@ class ModeBasis:
         return v
 
     def bracket_coords(self, s: int, t: int) -> dict[int, Coeff]:
-        got = self.expand(bracket(self.elems[s], self.elems[t]))
+        if not (self._cols[s] & self._rows[t] or self._cols[t] & self._rows[s]):
+            return {}
+        got = self.expand(x) if (x := bracket(self.elems[s], self.elems[t])) else {}
         _require_ints(got.values(), "bracket", (s, t))
         return got
 
     def gram(self, s: int, t: int) -> int:
+        if not self._cols[s] & self._rows[t]:
+            return 0
         got = invariant_form(self.elems[s], self.elems[t])
         _require_ints((got,), "Gram value", (s, t))
         return got
@@ -201,11 +207,21 @@ def singular_vector(l: int) -> State:
     return total
 
 
+def _integral_multiple(basis: ModeBasis, s: State) -> State:
+    """s times the lcm of its denominators times the level's: the checks test
+    it instead, as a nonzero scale keeps a zero test, and an operator acts on
+    it in ints, as the constants are ints and the central term, consuming the
+    only annihilator, brings in the level at most once per rewrite."""
+    return vec_scale(vec_integral(s), basis.k.denominator)
+
+
 def check_singular(basis: ModeBasis, s: State) -> bool:
-    """True iff the raising zero modes and the affine raising mode kill s."""
+    """True iff the raising zero modes and the affine raising mode kill
+    `_integral_multiple` of s, and so s."""
     n = 2 * basis.l + 1
     ops = [(E(i, i + 1), 0) for i in range(1, n)] + [(E(n, 1), 1)]
-    return not any(mode_action(basis, basis.expand(x), m, s) for x, m in ops)
+    scaled = _integral_multiple(basis, s)
+    return not any(mode_action(basis, basis.expand(x), m, scaled) for x, m in ops)
 
 
 def sweep_operators(basis: ModeBasis, s: State) -> list[tuple[int, int]]:
@@ -240,14 +256,9 @@ def positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     """True iff every basis operator at modes 1 and 2 kills s.
 
     Only the operators of `sweep_operators` act, since the grading kills the
-    rest: 6l of the 2 * dim operators on the singular vector.  A zero test
-    does not change under a nonzero scale, so they act on s times the lcm of
-    its coefficient denominators times the level's denominator.  Each
-    rewrite of one operator meets the level at most once (the central term
-    consumes the only annihilator), and the basis has integral structure
-    constants and Gram values, so every coefficient of the sweep is an int.
-    The basis must consist of weight vectors, as both mode bases do."""
-    scaled = vec_scale(vec_integral(s), basis.k.denominator)
+    rest: 6l of the 2 * dim operators on the singular vector, acting on
+    `_integral_multiple` of s.  The basis must consist of weight vectors."""
+    scaled = _integral_multiple(basis, s)
     return not any(
         mode_action(basis, {idx: 1}, m, scaled) for idx, m in sweep_operators(basis, s)
     )

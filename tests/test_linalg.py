@@ -34,6 +34,11 @@ def test_add_term_drops_cancelled_entry():
     vec_add_term(v, "d", F(0))
     assert "d" not in v
     assert all(v.values())
+    # the coefficient rule, inline: an integral sum is stored as an int
+    vec_add_term(v, "c", F(1, 3))
+    assert v["c"] == 1 and type(v["c"]) is int
+    vec_add_term(v, "c", F(1, 2))
+    assert v["c"] == F(3, 2) and type(v["c"]) is Fraction
 
 
 def test_add_into_with_zero_factor_leaves_dst():

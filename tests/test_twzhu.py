@@ -208,6 +208,24 @@ def test_lowered_elements_share_the_prefix_chain(monkeypatch, l):
         assert u == vec_scale(w, -1 if j % 2 == 0 else 1)
 
 
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_lowered_chain_runs_on_ints(monkeypatch, l):
+    # v1 and the f_t are cleared of denominators once, so every adjoint
+    # action of the chain reads and returns ints
+    compute_v1(l)
+    seen = []
+    ad = PBWAlgebra.ad
+
+    def recorded(self, x, u):
+        w = ad(self, x, u)
+        seen.extend([*x.values(), *u.values(), *w.values()])
+        return w
+
+    monkeypatch.setattr(PBWAlgebra, "ad", recorded)
+    lowered_elements(l)
+    assert seen and all(type(c) is int for c in seen)
+
+
 @pytest.mark.parametrize("l", range(1, 9))
 def test_ad_chain_matches_the_symmetric_algebra_oracle(l):
     # the chain of `compute_v1` and `lowered_elements` run in S(g0), where

@@ -19,6 +19,7 @@ from a2l2.liealg import (
     b_type_generators,
     bracket,
     entry_weights,
+    invariant_form,
     level_for,
     nu,
     split_basis,
@@ -284,17 +285,18 @@ def test_positive_mode_sweep_on_singular_vectors():
 
 
 def test_positive_mode_sweep_rejects_fractional_perturbations():
-    # the sweep scales its input to integers; a perturbation by 1/(2l+1),
+    # both checks scale their input to integers; a perturbation by 1/(2l+1),
     # a denominator the singular vector already has, must still show
     for l in (1, 2, 3):
         basis, v = standard_mode_basis(l), singular_vector(l)
         eps = Fraction(1, 2 * l + 1)
         extra = state_from_ops(basis, [(H(1), -2)])
-        assert not positive_mode_sweep(basis, plus((v, 1), (extra, eps)))
         mono = min(m for m in v if len(m) == 2)
         terms = dict(v)
         terms[mono] += eps
-        assert not positive_mode_sweep(basis, terms)
+        for s in (plus((v, 1), (extra, eps)), terms):
+            assert not positive_mode_sweep(basis, s)
+            assert not check_singular(basis, s)
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
@@ -357,8 +359,8 @@ def test_no_basis_element_is_solved_for(monkeypatch, l):
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_sweep_adds_only_integral_coefficients(monkeypatch, l):
-    # the sweep's docstring promises ints: the level enters each rewrite at
-    # most once, times a coefficient already scaled by its denominator
+    # both checks promise ints: the level enters each rewrite at most once,
+    # times a coefficient already scaled by its denominator
     basis, v = standard_mode_basis(l), singular_vector(l)
     added = []
     add_term, add_into = vacuum_module.vec_add_term, vacuum_module.vec_add_into
@@ -375,6 +377,45 @@ def test_sweep_adds_only_integral_coefficients(monkeypatch, l):
     monkeypatch.setattr(vacuum_module, "vec_add_into", counted_into)
     assert positive_mode_sweep(basis, v)
     assert added and all(c.denominator == 1 for c in added)
+    added.clear()
+    assert check_singular(basis, v)
+    assert added and all(c.denominator == 1 for c in added)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_support_masks_drop_no_bracket_or_gram_value(l):
+    # the masks decide the zero constants first; the long way computes all
+    for basis in (standard_mode_basis(l), projection_context(l)):
+        for s, a in enumerate(basis.elems):
+            for t, b in enumerate(basis.elems):
+                assert basis.bracket_coords(s, t) == basis.expand(bracket(a, b))
+                assert basis.gram(s, t) == invariant_form(a, b)
+
+
+def test_no_bracket_is_formed_for_disjoint_supports(monkeypatch):
+    # [a, b] is zero unless a column of one is a row of the other, so the
+    # algebra checks form no matrix product for any other pair
+    def meets(a, b):
+        return {j for _, j in a} & {i for i, _ in b}
+
+    formed = []
+    real_bracket = vacuum_module.bracket
+
+    def recorded(a, b):
+        formed.append((a, b))
+        return real_bracket(a, b)
+
+    for cached in PER_RANK_CACHES:
+        cached.cache_clear()
+    monkeypatch.setattr(vacuum_module, "bracket", recorded)
+    algebra_checks = ["singular", "nu-fixed", "zhu-image", "v1-closed-form",
+                      "polynomials", "r0-dim"]
+    assert run_checks(2, algebra_checks).overall == "pass"
+    assert formed
+    assert all(meets(a, b) or meets(b, a) for a, b in formed)
+    for cached in PER_RANK_CACHES:
+        cached.cache_clear()
+
 
 def test_weights_read_from_entries_match_eigenvalues():
     # both mode bases are weight bases, each under its own Cartan block
