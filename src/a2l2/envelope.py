@@ -4,10 +4,7 @@ The algebra (`PBWAlgebra`) is the split `vacuum.ModeBasis` itself, so this
 module imports `vacuum`, and one table per rank serves both algebras.
 Elements are sparse dictionaries mapping monomials (tuples of basis indices,
 non-decreasing in the fixed basis order: negative block, Cartan block,
-positive block) to exact coefficients.  Rewriting an arbitrary word into this
-normal form terminates because each swap either shortens the word or removes
-an adjacent inversion; the result does not depend on which inversion is
-resolved first.
+positive block) to exact coefficients.
 
 The Cartan-polynomial map sends a weight-zero element u to the polynomial
 p_u with u . v = p_u(lambda) v on any highest-weight vector v of weight
@@ -66,22 +63,20 @@ class PBWAlgebra(ModeBasis):
     # ------------------------------------------------------- normal form
 
     def normal_form(self, words: UEAElt) -> UEAElt:
-        """Rewrite a sum of words of basis indices into ordered monomials,
-        resolving the leftmost adjacent inversion first; callers sum their
-        words first, so that each distinct word is rewritten once."""
+        """Order a sum of words of at most two basis indices by one swap:
+        (s, t) with s > t is (t, s) + [s, t]; the unit, single letters and
+        ordered pairs pass through.  Every element the pipeline builds has
+        degree at most 2, so a longer word raises ValueError.  Callers sum
+        their words first, so that each distinct word is rewritten once."""
         out: UEAElt = {}
-        pending = [item for item in words.items() if item[1]]
-        bracket_coords = self.bracket_coords
-        while pending:
-            w, c = pending.pop()
-            pos = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
-            if pos is None:
-                vec_add_term(out, w, c)
-                continue
-            s, t = w[pos], w[pos + 1]
-            pending.append((w[:pos] + (t, s) + w[pos + 2 :], c))
-            for r, b in bracket_coords(s, t).items():
-                pending.append((w[:pos] + (r,) + w[pos + 2 :], c * b))
+        for w, c in words.items():
+            if len(w) > 2:
+                raise ValueError(f"word {w} is longer than two letters")
+            if len(w) == 2 and w[0] > w[1]:
+                for r, b in self.bracket_coords(*w).items():
+                    vec_add_term(out, (r,), c * b)
+                w = w[::-1]
+            vec_add_term(out, w, c)
         return out
 
     def mul(self, u: UEAElt, v: UEAElt) -> UEAElt:

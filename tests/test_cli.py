@@ -516,6 +516,35 @@ def test_cli_verify_json_matches_golden_hash(monkeypatch, l):
     assert digest == _golden_hashes("verify-json-sha256.txt")[f"verify-l{l}"]
 
 
+# the eight checks of the algebra half, named as the stored digests name them
+EIGHT_ALGEBRA_CHECKS = (
+    "cartan-matrix,g1-dim,singular,nu-fixed,zhu-image,v1-closed-form,polynomials,r0-dim"
+)
+
+
+# the algebra half, which grows polynomially, above the classification's
+# reach: the eight algebra checks and three dumps, by digest.  The verify
+# hashes at l = 48, 64 are stored too, but those runs take 8-18 s, so they
+# stay out of the suite
+@pytest.mark.parametrize("l", (24, 32))
+def test_algebra_half_matches_golden_hash_above_the_cap(monkeypatch, l):
+    monkeypatch.setenv("A2L2_MAX_L", str(l))
+    hashes = _golden_hashes("algebra-sha256.txt")
+    try:
+        code, out, _ = run_cli(
+            ["verify", "--l", str(l), "--checks", EIGHT_ALGEBRA_CHECKS, "--format", "json"]
+        )
+        assert code == 0
+        got = re.sub(rb'\n *"elapsed_ms": -?\d+,', b"", out)
+        assert hashlib.sha256(got).hexdigest() == hashes[f"algebra-verify-l{l}"]
+        for which in ("zhu-image", "v1", "polys"):
+            code, out, _ = run_cli(["dump", "--l", str(l), "--object", which])
+            assert code == 0
+            assert hashlib.sha256(out).hexdigest() == hashes[f"dump-{which}-l{l}"]
+    finally:
+        clear_per_rank_caches()
+
+
 @pytest.mark.parametrize(
     "target, args",
     [

@@ -1,6 +1,12 @@
 """Tests for ordered-monomial rewriting, the adjoint action, and the
 Cartan-polynomial map, checked against the independent spinor-module oracle
-in helpers_spin."""
+in helpers_spin.
+
+The library orders only words of at most two letters, the degree the
+pipeline never leaves.  The general PBW properties (associativity, the
+spinor homomorphism, the derivation rule) need longer words, so their
+suites run the library's `mul` and `ad` over `GeneralWordAlgebra`, whose
+`normal_form` is the rightmost-first reference rewrite below."""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from a2l2.envelope import factored_h_string, linear_cofactor
+from a2l2.envelope import PBWAlgebra, factored_h_string, linear_cofactor
 from a2l2.liealg import E, b_type_generators, bracket, split_basis
 from a2l2.linalg import vec_add_into, vec_add_term, vec_scale
 from a2l2.twzhu import projection_context
@@ -43,6 +49,25 @@ def normal_form_rightmost(alg, word, coeff):
         for r, b in alg.bracket_coords(s, t).items():
             pending.append((w[:pos] + (r,) + w[pos + 2 :], c * b))
     return out
+
+
+class GeneralWordAlgebra(PBWAlgebra):
+    """The rank's split table as a PBW algebra on words of any length: its
+    `normal_form` sums `normal_form_rightmost` over the words, and its
+    `mul`, `ad` and `cartan_polynomial` are the library's."""
+
+    def normal_form(self, words):
+        out = {}
+        for w, c in words.items():
+            vec_add_into(out, normal_form_rightmost(self, w, c))
+        return out
+
+
+def general_algebra(l):
+    """Built from `split_basis(l)` as `projection_context` builds the
+    library's algebra, and not cached, so that it dies with its test."""
+    elems, labels, scales = split_basis(l)
+    return GeneralWordAlgebra(l, elems, labels, g0_count=l * (2 * l + 1), scales=scales)
 
 
 def _random_uea(rng, alg, max_monomials=2, max_degree=2):
@@ -94,17 +119,19 @@ def test_normal_form_pinned_values_rank2():
 
 
 def test_normal_form_sorted_word_is_fixed():
-    alg = projection_context(2)
+    alg = general_algebra(2)
     word = (0, 0, 4, 7)
     assert alg.normal_form({word: Fraction(3, 2)}) == {word: Fraction(3, 2)}
 
 
 def test_normal_form_confluence_100_words():
+    # the library's one swap against the rightmost-first reference, on the
+    # words of at most two letters that the library orders
     rng = random.Random(101)
     for _ in range(100):
         l = rng.choice([1, 2])
         alg = projection_context(l)
-        length = rng.randint(0, 4)
+        length = rng.randint(0, 2)
         word = tuple(rng.randrange(alg.g0_count) for _ in range(length))
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         first = alg.normal_form({word: c})
@@ -121,17 +148,38 @@ def test_normal_form_of_a_sum_is_the_sum_of_normal_forms():
         words = {}
         expected = {}
         for _ in range(rng.randint(1, 4)):
-            word = tuple(rng.randrange(alg.g0_count) for _ in range(rng.randint(0, 3)))
+            word = tuple(rng.randrange(alg.g0_count) for _ in range(rng.randint(0, 2)))
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             vec_add_into(words, {word: c})
             vec_add_into(expected, normal_form_rightmost(alg, word, c))
         assert alg.normal_form(words) == expected
 
 
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_normal_form_matches_the_reference_on_every_word_of_two_letters(l):
+    alg = projection_context(l)
+    n = alg.g0_count
+    # the unit, n letters and n^2 pairs: 441 pairs over the 21 letters at l = 3
+    words = [()] + [(s,) for s in range(n)] + [(s, t) for s in range(n) for t in range(n)]
+    for word in words:
+        assert alg.normal_form({word: 1}) == normal_form_rightmost(alg, word, 1)
+
+
+def test_normal_form_and_mul_refuse_words_longer_than_two():
+    # every element the pipeline builds has degree at most 2, so a longer
+    # word means that some stage left it: even an ordered one raises
+    alg = projection_context(2)
+    with pytest.raises(ValueError, match="longer than two letters"):
+        alg.normal_form({(0, 4, 7): 1})
+    with pytest.raises(ValueError, match="longer than two letters"):
+        alg.mul({(0, 4): 1}, {(7,): 1})
+
+
 def test_mul_associative_and_unit():
     rng = random.Random(55)
+    algs = {l: general_algebra(l) for l in (1, 2)}
     for _ in range(30):
-        alg = projection_context(rng.choice([1, 2]))
+        alg = algs[rng.choice([1, 2])]
         u, v, w = (_random_uea(rng, alg) for _ in range(3))
         assert alg.mul(alg.mul(u, v), w) == alg.mul(u, alg.mul(v, w))
         assert alg.mul(u, {(): 1}) == u
@@ -140,7 +188,7 @@ def test_mul_associative_and_unit():
 def test_mul_matches_spinor_matrices():
     rng = random.Random(77)
     verify_spin_homomorphism(2)
-    alg = projection_context(2)
+    alg = general_algebra(2)
     for _ in range(20):
         u, v = (_random_uea(rng, alg) for _ in range(2))
         lhs = spin_matrix_of(2, alg.mul(u, v))
@@ -155,9 +203,10 @@ def test_mul_matches_spinor_matrices():
 
 def test_ad_is_derivation_and_bracket_compatible():
     rng = random.Random(303)
+    algs = {l: general_algebra(l) for l in (1, 2)}
     for _ in range(50):
         l = rng.choice([1, 2])
-        alg = projection_context(l)
+        alg = algs[l]
         x = _random_lie(rng, l, alg)
         y = _random_lie(rng, l, alg)
         u = _random_uea(rng, alg)
@@ -177,9 +226,10 @@ def test_ad_is_derivation_and_bracket_compatible():
 
 def test_ad_matches_commutator_multiplication():
     rng = random.Random(404)
+    algs = {l: general_algebra(l) for l in (1, 2)}
     for _ in range(20):
         l = rng.choice([1, 2])
-        alg = projection_context(l)
+        alg = algs[l]
         x = _random_lie(rng, l, alg)
         u = _random_uea(rng, alg)
         xu = alg.lie2uea(x)
@@ -219,7 +269,7 @@ def test_cartan_polynomial_against_spin_oracle():
     for l in (1, 2, 3):
         assert verify_spin_homomorphism(l)
         assert spin_highest_weight_checks(l)
-        alg = projection_context(l)
+        alg = general_algebra(l)
         gens = b_type_generators(l)
         el = alg.lie2uea(gens.e[-1])
         fl = alg.lie2uea(gens.f[-1])
