@@ -10,11 +10,14 @@ division is a Fraction.  `vec_add_term`, `vec_add_into` and `vec_scale` are
 the one sparse kernel that every exact algebra in the package (matrices,
 vacuum states, envelope elements, polynomials) adds and scales through.
 `SpanSolver` keeps an echelon (not fully reduced) row basis in ints, so
-rank, membership and coordinate queries are forward reductions.
+rank and membership queries are forward reductions; a caller that needs
+coordinates adds each generator beside its own identity key and reads them
+off what `reduce` leaves there, as `vacuum.ModeBasis.expand` does.
 """
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable
@@ -57,89 +60,63 @@ def vec_add_into(dst: Vec, src: Vec, c: Coeff = 1) -> None:
 
 
 class SpanSolver:
-    """Incremental span of sparse vectors over the rationals, solved in ints.
+    """Incremental span of sparse vectors over the rationals, held in ints.
 
-    `add` extends the span and reports whether the vector was new;
-    `coords` writes a vector as an exact combination of the previously
-    added independent generators (by their insertion index).  The rows stay
-    in echelon form, which is all that rank, membership and coordinates
-    need.  Elimination cross-multiplies instead of dividing (fraction-free,
-    as in Bareiss, Math. Comp. 22 (1968)), so the one division is the one
-    `coords` makes.
+    `add` extends the span and reports whether the vector was new; `reduce`
+    clears a vector of its denominators and of every pivot it holds, so
+    that it lies in the span iff nothing is left.  The rows stay in echelon
+    form, which is all that rank and membership need.  Elimination
+    cross-multiplies instead of dividing (fraction-free, as in Bareiss,
+    Math. Comp. 22 (1968)), so the solver never divides.
     """
 
     def __init__(self) -> None:
-        # int echelon rows, never rewritten once stored: each pivot is its
-        # row's least key, positive, and held by no later row; row i =
-        # -sum combo[i][t] * gen_t, and each pair is kept primitive
+        # int echelon rows, primitive and never rewritten once stored: each
+        # pivot is its row's least key, positive, and held by no later row
         self._rows: list[Vec] = []
-        self._combos: list[Vec] = []
         self._row_of: dict[Hashable, int] = {}  # pivot key -> row index
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Vec) -> tuple[Vec, Vec, int]:
-        """(r, combo, s) in ints with s * v = r + sum combo*gens, s > 0 and r
-        zero at every pivot."""
+    @property
+    def pivots(self) -> KeysView:
+        """The pivot keys, one per row."""
+        return self._row_of.keys()
+
+    def reduce(self, v: Vec) -> tuple[Vec, int]:
+        """(r, s) in ints with s > 0, s*v - r in the span and r zero at
+        every pivot."""
         if all(type(c) is int for c in v.values()):
             s, r = 1, dict(v)
         else:
             s = lcm(*(c.denominator for c in v.values()))
             r = {k: c.numerator * (s // c.denominator) for k, c in v.items()}
-        combo: Vec = {}
         # A row holds no key below its pivot, so clearing the least pivot r
         # holds never brings back a smaller one: at most `rank` steps.
         row_of = self._row_of
         while pivots := [k for k in r if k in row_of]:
             k = min(pivots)
-            i = row_of[k]
-            d, r, combo = _eliminate(r, combo, self._rows[i], self._combos[i], k)
-            s *= d
-        return r, combo, s
+            row = self._rows[row_of[k]]
+            # r*d - row*c is zero at k, with c/d = r[k]/row[k] in lowest terms
+            g = gcd(row[k], r[k])
+            d, c = row[k] // g, r[k] // g
+            if d != 1:
+                r, s = vec_scale(r, d), s * d
+            vec_add_into(r, row, -c)
+        return r, s
 
     def add(self, v: Vec) -> bool:
         """Extend the span by v; True iff v was independent of the span."""
-        r, combo, s = self._reduce(v)
+        r, _ = self.reduce(v)
         if not r:
             return False
         piv = min(r)
-        combo[self.rank] = -s  # v is generator number `rank`
-        r, combo = _primitive(r, combo, r[piv])
+        g = gcd(*r.values()) * (1 if r[piv] > 0 else -1)
         self._row_of[piv] = len(self._rows)
-        self._rows.append(r)
-        self._combos.append(combo)
+        self._rows.append({k: x // g for k, x in r.items()})
         return True
-
-    def coords(self, v: Vec) -> Vec | None:
-        """Exact coordinates of v over the independent generators, or None.
-
-        Only meaningful when every `add` so far returned True (a basis);
-        generator indices are insertion indices.
-        """
-        r, combo, s = self._reduce(v)
-        if r:
-            return None
-        return combo if s == 1 else vec_scale(combo, Fraction(1, s))
-
-
-def _eliminate(dst: Vec, dst_combo: Vec, row: Vec, combo: Vec, k) -> tuple[int, Vec, Vec]:
-    """(d, d*dst - c*row, d*dst_combo - c*combo), with c/d = dst[k]/row[k] in
-    lowest terms and d > 0 (row[k] > 0), so that the new dst is zero at k."""
-    g = gcd(row[k], dst[k])
-    d, c = row[k] // g, dst[k] // g
-    if d != 1:
-        dst, dst_combo = vec_scale(dst, d), vec_scale(dst_combo, d)
-    vec_add_into(dst, row, -c)
-    vec_add_into(dst_combo, combo, -c)
-    return d, dst, dst_combo
-
-
-def _primitive(row: Vec, combo: Vec, sign: int) -> tuple[Vec, Vec]:
-    """row and combo divided by their common gcd, times the sign of `sign`."""
-    g = gcd(*row.values(), *combo.values()) * (1 if sign > 0 else -1)
-    return {k: x // g for k, x in row.items()}, {t: x // g for t, x in combo.items()}
 
 
 def rank_of(vectors: list[Vec]) -> int:

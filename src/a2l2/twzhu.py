@@ -77,13 +77,8 @@ def project_monomial(l: int, mono: Monomial) -> UEAElt:
         return vec_scale(prod, -1 if (depth - 1) % 2 else 1)
     result: UEAElt = {}
     for j in range(1, depth + sum(d for _, d in rest) + 1):
-        moved = mode_action(split, {idx: 1}, -depth + j, {rest: 1})
-        if not moved:
-            continue
-        sub: UEAElt = {}
-        for m2, c2 in moved.items():
-            vec_add_into(sub, project_monomial(l, m2), c2)
-        vec_add_into(result, sub, -_binom_half(j))
+        if moved := mode_action(split, {idx: 1}, -depth + j, {rest: 1}):
+            vec_add_into(result, project(l, moved), -_binom_half(j))
     return result
 
 

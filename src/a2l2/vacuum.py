@@ -7,7 +7,8 @@ that basis first.  The basis is the standard one, or the split one that
 `liealg.split_basis` lays out: the envelope's `PBWAlgebra`, a subclass held
 once per rank by `twzhu.projection_context`; only it holds a memo, of `ad`.
 `mode_action` takes x(m) as the coordinates of x, as the envelope's `ad`
-does, so a basis element is {idx: 1} and only a matrix is solved for.
+does, so a basis element is {idx: 1} and only a matrix is solved for, by
+the [A | I] reduction of `ModeBasis.expand`.
 A monomial is a tuple of (basis index, depth) pairs with depth >= 1, stored
 deepest-first with ties broken by basis index, and `_act` is the one place
 that makes them: it moves one mode operator into a normal-ordered monomial
@@ -81,10 +82,13 @@ class ModeBasis:
         self.labels = tuple(labels)
         self.g0_count = g0_count
         self.scales = scales
+        # [A | I]: element s beside its identity key (2l+2, s), which sorts
+        # after every matrix entry, so a pivot there marks a dependent list
         self._span = SpanSolver()
-        for x in self.elems:
-            if not self._span.add(x):
-                raise AssertionError("mode basis is not independent")
+        for s, x in enumerate(self.elems):
+            self._span.add({**x, (2 * l + 2, s): 1})
+        if any(i > 2 * l + 1 for i, _ in self._span.pivots):
+            raise AssertionError("mode basis is not independent")
         self.cartan_indices = tuple(
             s for s, x in enumerate(self.elems[:g0_count]) if all(i == j for i, j in x)
         )
@@ -92,11 +96,14 @@ class ModeBasis:
         self._cols = tuple(sum({1 << j for _, j in x}) for x in self.elems)
 
     def expand(self, x: Matrix) -> dict[int, Coeff]:
-        """Coordinates of x in the basis, an int wherever integral."""
-        v = self._span.coords(x)
-        if v is None:
+        """Coordinates of x in the basis, an int wherever integral, or
+        ValueError outside its span: x reduces to -s times them on the
+        identity keys, and to nothing on the matrix entries iff inside."""
+        r, s = self._span.reduce(x)
+        if any(i <= 2 * self.l + 1 for i, _ in r):
             raise ValueError("element is outside the mode basis span")
-        return v
+        coords = {t: -c for (_, t), c in r.items()}
+        return coords if s == 1 else vec_scale(coords, Fraction(1, s))
 
     def bracket_coords(self, s: int, t: int) -> dict[int, Coeff]:
         if not (self._cols[s] & self._rows[t] or self._cols[t] & self._rows[s]):
@@ -207,21 +214,21 @@ def singular_vector(l: int) -> State:
     return total
 
 
-def _integral_multiple(basis: ModeBasis, s: State) -> State:
-    """s times the lcm of its denominators times the level's: the checks test
-    it instead, as a nonzero scale keeps a zero test, and an operator acts on
-    it in ints, as the constants are ints and the central term, consuming the
-    only annihilator, brings in the level at most once per rewrite."""
-    return vec_scale(vec_integral(s), basis.k.denominator)
+def _annihilated(basis: ModeBasis, s: State, ops: list[tuple[dict[int, Coeff], int]]) -> bool:
+    """True iff every operator x(m) of `ops`, x given by its coordinates,
+    kills s.  They act on s times the lcm of its denominators times the
+    level's, as a nonzero scale keeps a zero test, and so in ints, as the
+    constants are ints and the central term, consuming the only annihilator,
+    brings in the level at most once per rewrite."""
+    scaled = vec_scale(vec_integral(s), basis.k.denominator)
+    return not any(mode_action(basis, x, m, scaled) for x, m in ops)
 
 
 def check_singular(basis: ModeBasis, s: State) -> bool:
-    """True iff the raising zero modes and the affine raising mode kill
-    `_integral_multiple` of s, and so s."""
+    """True iff the raising zero modes and the affine raising mode kill s."""
     n = 2 * basis.l + 1
     ops = [(E(i, i + 1), 0) for i in range(1, n)] + [(E(n, 1), 1)]
-    scaled = _integral_multiple(basis, s)
-    return not any(mode_action(basis, basis.expand(x), m, scaled) for x, m in ops)
+    return _annihilated(basis, s, [(basis.expand(x), m) for x, m in ops])
 
 
 def sweep_operators(basis: ModeBasis, s: State) -> list[tuple[int, int]]:
@@ -256,23 +263,18 @@ def positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     """True iff every basis operator at modes 1 and 2 kills s.
 
     Only the operators of `sweep_operators` act, since the grading kills the
-    rest: 6l of the 2 * dim operators on the singular vector, acting on
-    `_integral_multiple` of s.  The basis must consist of weight vectors."""
-    scaled = _integral_multiple(basis, s)
-    return not any(
-        mode_action(basis, {idx: 1}, m, scaled) for idx, m in sweep_operators(basis, s)
-    )
+    rest: 6l of the 2 * dim operators on the singular vector.  The basis
+    must consist of weight vectors."""
+    return _annihilated(basis, s, [({idx: 1}, m) for idx, m in sweep_operators(basis, s)])
 
 
 def convert_state(basis: ModeBasis, s: State, target: ModeBasis) -> State:
     """Re-express a state over another basis of the same finite algebra, one
-    factor of each monomial at a time, rightmost first."""
+    monomial at a time."""
     out: State = {}
     for mono, c in s.items():
-        image: State = {(): c}
-        for idx, depth in reversed(mono):
-            image = mode_action(target, target.expand(basis.elems[idx]), -depth, image)
-        vec_add_into(out, image)
+        ops = [(basis.elems[idx], -depth) for idx, depth in mono]
+        vec_add_into(out, state_from_ops(target, ops), c)
     return out
 
 

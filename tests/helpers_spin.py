@@ -25,6 +25,7 @@ from a2l2.liealg import (
     split_basis,
 )
 from a2l2.linalg import Coeff, SpanSolver, exact, vec_add_into, vec_scale
+from helpers_span import FractionSpan
 
 
 def g0_basis(l: int) -> list[Matrix]:
@@ -331,8 +332,8 @@ def spin_basis_matrices(l: int):
 
 
 @lru_cache(maxsize=None)
-def _g0_coords_solver(l: int) -> SpanSolver:
-    solver = SpanSolver()
+def _g0_coords_solver(l: int) -> FractionSpan:
+    solver = FractionSpan()
     for x in g0_basis(l):
         assert solver.add(x)
     return solver

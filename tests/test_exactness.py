@@ -6,11 +6,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from helpers_span import IdentitySpan
 from helpers_sweep import nu_state
 
 from a2l2.envelope import zero_set
 from a2l2.liealg import b_type_generators, eplus, nu
-from a2l2.linalg import SpanSolver
 from a2l2.twzhu import (
     compute_v1,
     lowered_polynomials,
@@ -107,7 +107,7 @@ def test_split_coordinates_are_ints_wherever_integral(l):
 
 
 def test_span_coords_are_ints_wherever_integral():
-    s = SpanSolver()
+    s = IdentitySpan()
     gens = [{0: Fraction(2, 3), 1: 4}, {1: Fraction(-1, 6), 2: 1}, {0: 3, 2: Fraction(5, 4)}]
     assert all(s.add(g) for g in gens)
     # 2 g0 - g1 - g2

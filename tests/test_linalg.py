@@ -21,6 +21,7 @@ from a2l2.linalg import (
     vec_scale,
 )
 from a2l2.vacuum import standard_mode_basis, state_from_ops
+from helpers_span import FractionSpan, IdentitySpan
 
 F = Fraction
 
@@ -84,48 +85,11 @@ def test_self_difference_is_empty_in_every_algebra():
 def test_span_solver_stays_exact_on_int_input():
     # eps supports reach the solver as int coefficients
     assert rank_of([{0: 2}, {0: 1, 1: -1}, {0: 1, 1: 1}, {1: -2}]) == 2
-    s = SpanSolver()
+    s = IdentitySpan()
     assert s.add({0: 2, 1: 1}) and s.add({1: 3})
     coords = s.coords({0: 1})
     assert coords == {0: F(1, 2), 1: F(-1, 6)}
     assert all(type(c) is Fraction for c in coords.values())
-
-
-class FractionSpan:
-    """Oracle: row echelon form over Fractions with pivot 1, each row with
-    its combination of the independent generators, reduced in insertion
-    order."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[object, dict, dict]] = []  # (pivot, row, combo)
-
-    def reduce(self, v):
-        r = {k: F(c) for k, c in v.items() if c}
-        combo: dict = {}
-        for piv, row, row_combo in self.rows:
-            c = r.get(piv)
-            if c:
-                for key, x in row.items():
-                    r[key] = r.get(key, 0) - c * x
-                for t, x in row_combo.items():
-                    combo[t] = combo.get(t, 0) + c * x
-                r = {key: x for key, x in r.items() if x}
-        return r, {t: x for t, x in combo.items() if x}
-
-    def add(self, v) -> bool:
-        r, combo = self.reduce(v)
-        if not r:
-            return False
-        piv = min(r)
-        s = r[piv]
-        row_combo = {t: -x / s for t, x in combo.items()}
-        row_combo[len(self.rows)] = 1 / s
-        self.rows.append((piv, {key: x / s for key, x in r.items()}, row_combo))
-        return True
-
-    def coords(self, v):
-        r, combo = self.reduce(v)
-        return None if r else combo
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -154,14 +118,14 @@ def random_vectors(rng: random.Random, keys: int, count: int) -> list[dict]:
 
 
 def assert_integral_echelon_rows(s: SpanSolver) -> None:
-    """Rows and combinations in ints, each pair primitive, every pivot
-    positive and its row's least key, and no row holding the pivot of a row
-    stored before it."""
+    """Rows in ints, each primitive, every pivot positive and its row's
+    least key, and no row holding the pivot of a row stored before it."""
+    assert len(s.pivots) == s.rank == len(s._rows)
     for piv, i in s._row_of.items():
-        row, combo = s._rows[i], s._combos[i]
-        assert all(type(x) is int for x in (*row.values(), *combo.values()))
+        row = s._rows[i]
+        assert all(type(x) is int for x in row.values())
         assert row[piv] > 0 and piv == min(row)
-        assert gcd(*row.values(), *combo.values()) == 1
+        assert gcd(*row.values()) == 1
         assert all(piv not in later for later in s._rows[i + 1 :])
 
 
@@ -179,13 +143,14 @@ def test_span_solver_matches_fraction_oracle_on_random_vectors(rekey):
     rng = random.Random(2024)
     for _ in range(150):
         keys = rng.randint(1, 7)
-        solver, oracle = SpanSolver(), FractionSpan()
+        solver, coords, oracle = SpanSolver(), IdentitySpan(), FractionSpan()
         added = []
         for v in map(rekey, random_vectors(rng, keys, rng.randint(1, 12))):
-            assert solver.add(v) == oracle.add(v), v
-            assert solver.rank == len(oracle.rows)
+            assert solver.add(v) == coords.add(v) == oracle.add(v), v
+            assert solver.rank == coords.rank == len(oracle.rows)
             added.append(v)
         assert_integral_echelon_rows(solver)
+        assert_integral_echelon_rows(coords.solver)
         probes = list(map(rekey, random_vectors(rng, keys + 1, 6)))
         for _ in range(4):
             probe: dict = {}
@@ -193,14 +158,19 @@ def test_span_solver_matches_fraction_oracle_on_random_vectors(rekey):
                 vec_add_into(probe, u, random_fraction(rng))
             probes.append(probe)
         for probe in probes:
-            assert solver.coords(probe) == oracle.coords(probe), probe
+            expected = oracle.coords(probe)
+            assert coords.coords(probe) == expected, probe
+            r, scale = solver.reduce(probe)
+            assert (not r) == (expected is not None) and scale > 0
+            assert all(type(x) is int for x in r.values())
+            assert not set(r) & set(solver.pivots)
 
 
 def test_span_solver_coords_follow_the_generators_added():
     rng = random.Random(7)
     for _ in range(100):
         keys = rng.randint(1, 6)
-        solver = SpanSolver()
+        solver = IdentitySpan()
         gens = []
         for v in random_vectors(rng, keys, 8):
             if solver.add(v):
@@ -223,11 +193,11 @@ def test_span_add_constructs_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    s = SpanSolver()
+    s = IdentitySpan()
     for v in vectors:
         s.add(v)
     assert s.rank >= 5 and made == []
-    # the one division, in `coords`, is seen
+    # the one division, made by the [A | I] `coords` after `reduce`, is seen
     assert s.coords({k: 1 for k in range(6)}) is not None and made
 
 
@@ -304,7 +274,7 @@ def test_span_add_makes_a_bounded_number_of_key_hashes_per_add():
     small, large = _key_hashes_of_a_basis(200), _key_hashes_of_a_basis(400)
     assert large < 2.5 * small
     assert large < 20 * 400
-    s = SpanSolver()
+    s = IdentitySpan()
     for k in range(49):
         assert s.add({k: 2, 99: 1})
     assert s.add({99: 1})
@@ -313,10 +283,12 @@ def test_span_add_makes_a_bounded_number_of_key_hashes_per_add():
 
 
 def test_span_add_never_rewrites_a_stored_row():
-    s = SpanSolver()
+    # each row of [A | I] carries the combination of the generators it
+    # equals on its identity keys, so neither changes
+    s = IdentitySpan()
     for k in range(49):
         assert s.add({k: 2, 99: 1})
-    snapshot = [dict(row) for row in s._rows], [dict(c) for c in s._combos]
+    snapshot = [dict(row) for row in s.solver._rows]
     assert s.add({99: 1})
-    assert (s._rows[:49], s._combos[:49]) == snapshot
+    assert s.solver._rows[:49] == snapshot
     assert s.coords({5: 2, 99: 1}) == {5: 1}

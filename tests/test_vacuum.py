@@ -41,6 +41,7 @@ from a2l2.vacuum import (
     sweep_operators,
 )
 from a2l2 import vacuum as vacuum_module
+from helpers_span import FractionSpan
 from helpers_spin import eigen_ratio, split_pm
 from helpers_sweep import full_positive_mode_sweep, nu_state, perturbed_singular_vectors, plus
 
@@ -70,7 +71,7 @@ def orbit_contains(states: list[State], s: State) -> bool:
     solver = SpanSolver()
     for w in states:
         solver.add(w)
-    return solver.coords(s) is not None
+    return not solver.reduce(s)[0]
 
 
 def _rand_state(rng, basis, max_ops=2):
@@ -460,6 +461,40 @@ def test_expand_returns_a_dict_of_its_own():
         first.clear()
         first[0] = 7
         assert basis.expand(x) == kept
+
+
+@pytest.mark.parametrize("elems", [
+    (H(1), H(1), E(1, 2)),
+    (H(1), H(2), {(1, 1): 1, (3, 3): -1}),
+    (E(1, 2), {}),
+], ids=["repeat", "sum", "zero"])
+def test_mode_basis_refuses_a_dependent_element_list(elems):
+    # the dependent element's row of [A | I] has its pivot on an identity key
+    labels = tuple(f"x{s}" for s in range(len(elems)))
+    with pytest.raises(AssertionError, match="not independent"):
+        ModeBasis(1, elems, labels)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_expand_refuses_a_matrix_outside_the_span(l):
+    # E(1, 1) has trace 1, so it lies outside sl(2l+1)
+    for basis in (standard_mode_basis(l), projection_context(l)):
+        for x in (E(1, 1), {**E(1, 2), (2 * l + 1, 2 * l + 1): Fraction(1, 2)}):
+            with pytest.raises(ValueError, match="outside the mode basis span"):
+                basis.expand(x)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_expand_matches_the_fraction_oracle(l):
+    # on every element and on the bracket of every pair, of both bases
+    for basis in (standard_mode_basis(l), projection_context(l)):
+        oracle = FractionSpan()
+        assert all(oracle.add(x) for x in basis.elems)
+        probes = [*basis.elems, *(bracket(a, b) for a in basis.elems for b in basis.elems)]
+        for x in probes:
+            got = basis.expand(x)
+            assert got == oracle.coords(x), x
+            assert all(type(c) is int or c.denominator != 1 for c in got.values())
 
 
 def test_mode_bases_die_with_the_per_rank_caches():
