@@ -78,12 +78,13 @@ _FLAGS = ("dominant_integral", "admissible", "kw_positive")
 def _classify(args: argparse.Namespace) -> int:
     """List the classified highest weights with their status flags."""
     l = _validated_rank(args)
+    from .affroots import algebra_data
     from .classify import admissibility_table, dominant_integral, eps4, weight_strings
 
     # every weight lifts to the studied level, whose sum with the dual
-    # Coxeter number 2l+1 decides the flag for all of them
+    # Coxeter number decides the flag for all of them
     num, den = level(l)
-    kw_positive = num + (2 * l + 1) * den > 0
+    kw_positive = num + algebra_data(l).h_dual * den > 0
     rows = [
         {
             "weight": name,

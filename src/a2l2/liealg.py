@@ -5,15 +5,18 @@ A matrix is a `Matrix`: a plain sparse dict from index pairs (i, j),
 1 <= i, j <= n, to exact coefficients, added and scaled through the `linalg`
 kernel like every other exact object of the package.  The involution is
 E[i,j] -> -(-1)^(i-j) E[n+1-j, n+1-i]; its fixed subalgebra is so(2l+1)
-and the (-1)-eigenspace is the little adjoint module.
+and the (-1)-eigenspace is the little adjoint module.  Every even- or
+odd-part matrix the package names (generators, split basis, the closed
+forms' factors) is `nu_pair(l, i, j, sign)` = E[i,j] + sign * nu(E[i,j]),
+or a difference of two diagonal ones.
 
 `split_basis(l)` is the one ordered basis graded by nu: even part, then odd
 part.  It is rescaled so that every bracket constant and trace-form value
 over it is an integer: the vector labelled Ep[i,j] or Em[i,j] is
-(E[i,j] +- nu(E[i,j]))/2, and the basis holds it times
-`split_scale(l, i, j)`; Ea[i] is held twice, and the Cartan elements and the
-d[i] as they are.  Its `scales` record each factor, for the one printer that
-converts back.
+nu_pair(l, i, j, +-1)/2, and the basis holds it times `split_scale(l, i, j)`;
+Ea[i] is held twice, as nu_pair(l, i, n+1-i, -1), and the Cartan elements
+and the d[i] as they are.  Its `scales` record each factor, for the one
+printer that converts back.
 
 `entry_weights` reads every weight of the algebra half off matrix entries,
 and `common_weight` sums weights over words of basis indices.  `level_for`
@@ -78,6 +81,20 @@ def nu(a: Matrix, n: int) -> Matrix:
     return t
 
 
+def nu_pair(l: int, i: int, j: int, sign: int) -> Matrix:
+    """E[i,j] + sign * nu(E[i,j]) in sl(2l+1): even for sign 1, odd for -1."""
+    a = E(i, j)
+    vec_add_into(a, nu(a, 2 * l + 1), sign)
+    return a
+
+
+def _nu_diag(l: int, i: int, sign: int) -> Matrix:
+    """nu_pair(l, i, i, sign) - nu_pair(l, i+1, i+1, sign)."""
+    a = nu_pair(l, i, i, sign)
+    vec_add_into(a, nu_pair(l, i + 1, i + 1, sign), -1)
+    return a
+
+
 class BTypeGenerators(NamedTuple):
     """Chevalley-style generators of the fixed subalgebra so(2l+1), each a
     tuple of length l.
@@ -99,13 +116,9 @@ def b_type_generators(l: int) -> BTypeGenerators:
     """Generators of the even part as a type-B_l simple Lie algebra."""
     if l < 1:
         raise ValueError("rank l must be >= 1")
-    n = 2 * l + 1
-    e = tuple({(i, i + 1): 1, (n - i, n + 1 - i): 1} for i in range(1, l + 1))
-    f = tuple({(i + 1, i): 1, (n + 1 - i, n - i): 1} for i in range(1, l + 1))
-    h = tuple(
-        {(i, i): 1, (i + 1, i + 1): -1, (n - i, n - i): 1, (n + 1 - i, n + 1 - i): -1}
-        for i in range(1, l)
-    ) + ({(l, l): 2, (l + 2, l + 2): -2},)
+    e = tuple(nu_pair(l, i, i + 1, 1) for i in range(1, l + 1))
+    f = tuple(nu_pair(l, i + 1, i, 1) for i in range(1, l + 1))
+    h = tuple(_nu_diag(l, i, 1) for i in range(1, l)) + (vec_scale(_nu_diag(l, l, 1), 2),)
     return BTypeGenerators(e, f, h)
 
 
@@ -161,14 +174,6 @@ def split_scale(l: int, i: int, j: int) -> int:
     return 4 if l + 1 in (i, j) else 2
 
 
-def _split_vector(l: int, i: int, j: int, sign: int) -> Matrix:
-    """split_scale(l, i, j) * (E[i,j] + sign * nu(E[i,j])) / 2, without a
-    division: E +- nu(E) for a long root, twice that for a short one."""
-    a = E(i, j)
-    vec_add_into(a, nu(a, 2 * l + 1), sign)
-    return vec_scale(a, split_scale(l, i, j) // 2)
-
-
 @lru_cache(maxsize=None)
 def split_basis(l: int) -> tuple[tuple[Matrix, ...], tuple[str, ...], tuple[int, ...]]:
     """(elems, labels, scales) of the split basis of sl(2l+1), the one place
@@ -181,34 +186,23 @@ def split_basis(l: int) -> tuple[tuple[Matrix, ...], tuple[str, ...], tuple[int,
     if l < 1:
         raise ValueError("rank l must be >= 1")
     n = 2 * l + 1
+
+    def row(i: int, j: int, sign: int) -> tuple[Matrix, str, int]:
+        scale = split_scale(l, i, j)
+        label = f"{'Ep' if sign == 1 else 'Em'}[{i},{j}]"
+        return vec_scale(nu_pair(l, i, j, sign), scale // 2), label, scale
+
     # one pair i < j per nu-orbit {E[i,j], E[n+1-j,n+1-i]}; the anti-diagonal
     # orbits (i + j = n + 1) project to zero in the even part
     reps = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1 - i)]
-    rows = [(_split_vector(l, j, i, 1), f"Ep[{j},{i}]", split_scale(l, i, j)) for i, j in reps]
+    rows = [row(j, i, 1) for i, j in reps]
     cart_labels = [f"h[{i}]" for i in range(1, l)] + [f"hb[{l}]"]
     rows += [(h, label, 1) for h, label in zip(b_type_generators(l).h, cart_labels)]
-    for sign, prefix in ((1, "Ep"), (-1, "Em")):
-        rows += [(_split_vector(l, i, j, sign), f"{prefix}[{i},{j}]", split_scale(l, i, j))
-                 for i, j in reps]
-    rows += [(_split_vector(l, j, i, -1), f"Em[{j},{i}]", split_scale(l, i, j)) for i, j in reps]
+    rows += [row(i, j, s) for s in (1, -1) for i, j in reps] + [row(j, i, -1) for i, j in reps]
     # anti-diagonal entries are purely odd; held twice, like a long Em
-    rows += [({(i, n + 1 - i): 2}, f"Ea[{i}]", 2) for i in range(1, n + 1) if i != l + 1]
-    # traceless odd diagonal: v_i - v_{i+1} and v_l - 2 E[l+1,l+1], with
-    # v_i = E[i,i] + E[n+1-i,n+1-i]
-    rows += [
-        ({(i, i): 1, (n + 1 - i, n + 1 - i): 1, (i + 1, i + 1): -1, (n - i, n - i): -1},
-         f"d[{i}]", 1)
-        for i in range(1, l)
-    ]
-    rows.append(({(l, l): 1, (l + 2, l + 2): 1, (l + 1, l + 1): -2}, f"d[{l}]", 1))
+    rows += [(nu_pair(l, i, n + 1 - i, -1), f"Ea[{i}]", 2) for i in range(1, n + 1) if i != l + 1]
+    rows += [(_nu_diag(l, i, -1), f"d[{i}]", 1) for i in range(1, l + 1)]
     if len(reps) != l * l or len(rows) != n * n - 1:
         raise AssertionError("split basis has wrong size")
     elems, labels, scales = zip(*rows)
     return elems, labels, scales
-
-
-def eplus(l: int, i: int, j: int) -> Matrix:
-    """Even-part projection (E[i,j] + nu(E[i,j]))/2 of the elementary matrix."""
-    a = E(i, j)
-    vec_add_into(a, nu(a, 2 * l + 1))
-    return vec_scale(a, Fraction(1, 2))

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .envelope import PBWAlgebra, Poly, UEAElt
-from .liealg import Matrix, b_type_generators, bracket, eplus, split_basis
+from .liealg import b_type_generators, bracket, nu_pair, split_basis
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
 from .vacuum import (
     Monomial,
@@ -109,14 +109,15 @@ def zhu_singular_image(l: int) -> UEAElt:
 
 
 def zhu_image_closed_form(l: int) -> UEAElt:
-    """Sum over i < 2l of (even part of E[i+1,2l+1]) * (even part of E[1,i+1])."""
+    """Sum over i < 2l of (even part of E[i+1,2l+1]) * (even part of E[1,i+1]),
+    where the even part of E[i,j] is nu_pair(l, i, j, 1) / 2."""
     alg = projection_context(l)
     n = 2 * l + 1
     out: UEAElt = {}
     for i in range(1, 2 * l):
-        a = alg.lie2uea(eplus(l, i + 1, n))
-        b = alg.lie2uea(eplus(l, 1, i + 1))
-        vec_add_into(out, alg.mul(a, b))
+        a = alg.lie2uea(nu_pair(l, i + 1, n, 1))
+        b = alg.lie2uea(nu_pair(l, 1, i + 1, 1))
+        vec_add_into(out, alg.mul(a, b), Fraction(1, 4))
     return out
 
 
@@ -128,35 +129,27 @@ def compute_v1(l: int) -> UEAElt:
     """Twice the adjoint action of the middle-column lowering element on
     the singular image, computed once and shared: callers must not modify it."""
     alg = projection_context(l)
-    x = alg.lie_coords({(l + 1, 1): 1, (2 * l + 1, l + 1): -((-1) ** l)})
+    x = alg.lie_coords(nu_pair(l, l + 1, 1, 1))
     return vec_scale(alg.ad(x, zhu_singular_image(l)), 2)
 
 
 def v1_closed_form(l: int) -> UEAElt:
     """Four-block closed expression for the lowered image, multiplied out
-    factor by factor in the written order."""
+    factor by factor in the written order, each an even nu_pair(l, i, j, 1)."""
     alg = projection_context(l)
-    n = 2 * l + 1
     sign_l = Fraction(1 if l % 2 == 0 else -1)
 
-    def left_factor(i: int) -> Matrix:
-        return {(1, i + 1): 1, (n - i, n): -((-1) ** i)}
-
-    def right_factor(i: int) -> Matrix:
-        # abs: (-1) ** (l - i) is a float for i > l
-        return {(i + 1, l + 1): 1, (l + 1, n - i): -((-1) ** abs(l - i))}
+    def factor(i: int, j: int) -> UEAElt:
+        return alg.lie2uea(nu_pair(l, i, j, 1))
 
     out: UEAElt = {}
     for i in range(1, l):
-        prod = alg.mul(alg.lie2uea(left_factor(i)), alg.lie2uea(right_factor(i)))
-        vec_add_into(out, prod, sign_l)
-    diag = {(1, 1): 1, (n, n): -1}
-    mid = {(1, l + 1): 1, (l + 1, n): -((-1) ** l)}
-    vec_add_into(out, alg.mul(alg.lie2uea(diag), alg.lie2uea(mid)), sign_l)
-    vec_add_into(out, alg.lie2uea(mid), -sign_l / 2)
+        vec_add_into(out, alg.mul(factor(1, i + 1), factor(i + 1, l + 1)), sign_l)
+    mid = factor(1, l + 1)
+    vec_add_into(out, alg.mul(factor(1, 1), mid), sign_l)
+    vec_add_into(out, mid, -sign_l / 2)
     for i in range(l + 1, 2 * l):
-        prod = alg.mul(alg.lie2uea(right_factor(i)), alg.lie2uea(left_factor(i)))
-        vec_add_into(out, prod, sign_l)
+        vec_add_into(out, alg.mul(factor(i + 1, l + 1), factor(1, i + 1)), sign_l)
     return out
 
 

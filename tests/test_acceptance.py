@@ -28,6 +28,7 @@ from helpers_roots import (
     rho,
 )
 from helpers_sweep import nu_state
+from test_liealg import eplus
 
 from a2l2 import level
 from a2l2.checks import run_checks
@@ -38,7 +39,7 @@ from a2l2.classify import (
     mu_weight,
 )
 from a2l2.envelope import zero_set
-from a2l2.liealg import computed_b_cartan, eplus
+from a2l2.liealg import computed_b_cartan
 from a2l2.linalg import vec_add_into
 from a2l2.twzhu import (
     compute_v1,

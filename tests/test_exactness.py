@@ -8,14 +8,17 @@ from fractions import Fraction
 import pytest
 from helpers_span import IdentitySpan
 from helpers_sweep import nu_state
+from test_liealg import eplus
 
 from a2l2.envelope import zero_set
-from a2l2.liealg import b_type_generators, eplus, nu
+from a2l2.liealg import b_type_generators, nu, nu_pair
 from a2l2.twzhu import (
     compute_v1,
     lowered_polynomials,
     projection_context,
     r0_basis,
+    v1_closed_form,
+    zhu_image_closed_form,
     zhu_singular_image,
 )
 from a2l2.vacuum import singular_vector, standard_mode_basis
@@ -46,7 +49,9 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
     for weight in projection_context(l).weights:
         assert all(type(c) is int for c in weight), weight
     assert_exact(zhu_singular_image(l).values(), "Zhu image")
+    assert_exact(zhu_image_closed_form(l).values(), "Zhu image closed form")
     assert_exact(compute_v1(l).values(), "v1")
+    assert_exact(v1_closed_form(l).values(), "v1 closed form")
     polys = lowered_polynomials(l)
     for p in polys:
         assert_exact(p.values(), "lowered polynomial")
@@ -62,16 +67,20 @@ def test_pipeline_coefficients_are_ints_or_fractions(l):
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_matrices_are_ints_or_fractions(l):
     # a matrix is a plain dict, so no constructor normalizes its entries:
-    # every basis, generator and even projection must be built exact
+    # every basis, generator and nu pair must be built exact, and so must
+    # the even-projection oracle the tests compare against
     n = 2 * l + 1
     gens = b_type_generators(l)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     matrices = {
         "standard basis": standard_mode_basis(l).elems,
         "split basis": projection_context(l).elems,
         "e": gens.e,
         "f": gens.f,
         "h": gens.h,
-        "eplus": [eplus(l, i, j) for i in range(1, n + 1) for j in range(1, n + 1)],
+        "nu_pair +1": [nu_pair(l, i, j, 1) for i, j in pairs],
+        "nu_pair -1": [nu_pair(l, i, j, -1) for i, j in pairs],
+        "eplus oracle": [eplus(l, i, j) for i, j in pairs],
     }
     for stage, elems in matrices.items():
         for m in elems:

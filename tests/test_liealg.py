@@ -20,9 +20,9 @@ from a2l2.liealg import (
     common_weight,
     computed_b_cartan,
     entry_weights,
-    eplus,
     invariant_form,
     nu,
+    nu_pair,
     split_basis,
 )
 from a2l2.linalg import SpanSolver, rank_of, vec_add_into, vec_add_term, vec_scale
@@ -47,6 +47,14 @@ def in_odd_part(a: Matrix, n: int) -> bool:
 
 def g1_basis(l: int) -> list[Matrix]:
     return list(split_basis(l)[0][l * (2 * l + 1):])
+
+
+def eplus(l: int, i: int, j: int) -> Matrix:
+    """Even-part projection (E[i,j] + nu(E[i,j]))/2 of the elementary matrix,
+    through `nu` alone: the oracle for the package's even factors."""
+    a = E(i, j)
+    vec_add_into(a, nu(a, 2 * l + 1))
+    return vec_scale(a, Fraction(1, 2))
 
 
 def sample_sparse(rng, l: int, max_terms: int = 3, traceless: bool = True) -> Matrix:
@@ -209,6 +217,54 @@ def test_generator_pinned_values():
     assert g1.e[-1] == lin((1, E(1, 2)), (1, E(2, 3)))
     for l in (1, 2, 3):
         assert all(len(x) == l for x in b_type_generators(l))
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_nu_pair_reproduces_the_hand_written_generators(l):
+    # every generator, Ea and d row written out entry by entry, against
+    # their construction as one nu_pair or a difference of two diagonal ones
+    n = 2 * l + 1
+    gens = b_type_generators(l)
+    assert gens.e == tuple({(i, i + 1): 1, (n - i, n + 1 - i): 1} for i in range(1, l + 1))
+    assert gens.f == tuple({(i + 1, i): 1, (n + 1 - i, n - i): 1} for i in range(1, l + 1))
+    assert gens.h == tuple(
+        {(i, i): 1, (i + 1, i + 1): -1, (n - i, n - i): 1, (n + 1 - i, n + 1 - i): -1}
+        for i in range(1, l)
+    ) + ({(l, l): 2, (l + 2, l + 2): -2},)
+    elems, labels, _ = split_basis(l)
+    row = dict(zip(labels, elems))
+    for i in range(1, n + 1):
+        if i != l + 1:
+            assert row[f"Ea[{i}]"] == {(i, n + 1 - i): 2}
+    for i in range(1, l):
+        assert row[f"d[{i}]"] == {
+            (i, i): 1, (n + 1 - i, n + 1 - i): 1, (i + 1, i + 1): -1, (n - i, n - i): -1
+        }
+    assert row[f"d[{l}]"] == {(l, l): 1, (l + 2, l + 2): 1, (l + 1, l + 1): -2}
+
+    # the lowering element of v1 and the factors of its closed form, with
+    # the signs -(-1)^k of nu written out as ints
+    def minus_sign(k: int) -> int:
+        return 1 if k % 2 else -1
+
+    assert nu_pair(l, l + 1, 1, 1) == {(l + 1, 1): 1, (n, l + 1): minus_sign(l)}
+    assert nu_pair(l, 1, 1, 1) == {(1, 1): 1, (n, n): -1}
+    for i in range(1, 2 * l):
+        assert nu_pair(l, 1, i + 1, 1) == {(1, i + 1): 1, (n - i, n): minus_sign(i)}
+        if i != l:
+            assert nu_pair(l, i + 1, l + 1, 1) == {
+                (i + 1, l + 1): 1, (l + 1, n - i): minus_sign(l - i)
+            }
+
+
+def test_nu_pair_is_the_sign_eigenvector_of_nu():
+    for l in (1, 2, 3):
+        n = 2 * l + 1
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert in_even_part(nu_pair(l, i, j, 1), n)
+                assert in_odd_part(nu_pair(l, i, j, -1), n)
+                assert nu_pair(l, i, j, 1) == vec_scale(eplus(l, i, j), 2)
 
 
 def test_generators_live_in_even_part():

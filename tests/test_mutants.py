@@ -2,8 +2,8 @@
 
 A check suite that stays green under a wrong level, a dropped central term,
 a sign flip in a closed form, weights read with the wrong sign, weights
-carried wrongly along the r0 closure or a coroot span one short shows
-nothing.
+carried wrongly along the r0 closure, a coroot span one short or a
+sign-flipped involution shows nothing.
 Each defect is applied by monkeypatch, and the per-rank caches are cleared
 before and after every case, so no stage computed under a defect outlives
 it.
@@ -157,6 +157,23 @@ def test_seeded_defect_turns_run_checks_red(
     failed = [c.id for c in report.checks if c.status == "fail"]
     assert report.overall == "fail"
     assert failed == [killer]
+
+
+def test_flipped_nu_sign_turns_run_checks_red(monkeypatch, cold_caches):
+    """nu with +(-1)^(i-j) for -(-1)^(i-j): the generators, the split basis,
+    the lowering element and both closed forms all read it.  At l = 1..3
+    `cartan-matrix`, `g1-dim` and `zhu-image` turn red, so the defect is not
+    one of `DEFECTS`, whose cases each fail exactly one check."""
+    mutant = source_mutant(
+        "nu", "1 if (i - j) % 2 else -1", "-1 if (i - j) % 2 else 1", module=liealg
+    )
+    for module in (liealg, checks):
+        monkeypatch.setattr(module, "nu", mutant)
+    for l in (1, 2, 3):
+        for cached in PER_RANK_CACHES:
+            cached.cache_clear()
+        report = run_checks(l)
+        assert report.overall == "fail", l
 
 
 # defects of the closed-form admissibility decision: (function, source
