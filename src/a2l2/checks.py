@@ -27,7 +27,6 @@ from .twzhu import (
     projection_context,
     r0_basis,
     reference_polynomials,
-    split_singular_vector,
     v1_closed_form,
     zhu_image_closed_form,
     zhu_singular_image,
@@ -92,7 +91,8 @@ def _check_g1_dim(l: int) -> tuple[bool, dict]:
 
 
 def _check_singular(l: int) -> tuple[bool, dict]:
-    basis, v = standard_mode_basis(l), singular_vector(l)
+    basis = standard_mode_basis(l)
+    v = singular_vector(basis)
     annihilated = check_singular(basis, v)
     swept = positive_mode_sweep(basis, v)
     weight = basis.weight_of([idx for idx, _ in mono] for mono in v)
@@ -108,8 +108,8 @@ def _check_singular(l: int) -> tuple[bool, dict]:
 
 def _check_nu_fixed(l: int) -> tuple[bool, dict]:
     # nu negates a split monomial with an odd number of odd factors
-    g0 = projection_context(l).g0_count
-    ok = not any(_odd_count(mono, g0) % 2 for mono in split_singular_vector(l))
+    split = projection_context(l)
+    ok = not any(_odd_count(mono, split.g0_count) % 2 for mono in singular_vector(split))
     return ok, {"fixed_by_twist": ok}
 
 
@@ -329,7 +329,8 @@ def dump_object(l: int, which: str) -> str:
     """Plain-text rendering of one of the central symbolic objects."""
     validated_rank(l)
     if which == "singular":
-        return state_string(standard_mode_basis(l), singular_vector(l)) + "\n"
+        basis = standard_mode_basis(l)
+        return state_string(basis, singular_vector(basis)) + "\n"
     if which in ("zhu-image", "v1"):
         u = zhu_singular_image(l) if which == "zhu-image" else compute_v1(l)
         return uea_string(u, projection_context(l)) + "\n"

@@ -13,11 +13,13 @@ zero part of the associated associative algebra follows four rules:
     binom(1/2, j) times the projection of the state with that factor moved
     to mode (-d+j).
 
-The singular vector over the split basis, its image, its partner under one
-lowering step, the resulting highest-weight eigenvalue polynomials, the
-module the image generates under the adjoint action of the even part and its
-weight-zero part are computed here, with closed forms to compare against.
-Each stage is an `lru_cache`d function of the rank l, built once and shared.
+The image of the singular vector, its partner under one lowering step, the
+resulting highest-weight eigenvalue polynomials, the module the image
+generates under the adjoint action of the even part and its weight-zero part
+are computed here, with closed forms to compare against.  Each stage is an
+`lru_cache`d function of the rank l, built once and shared, except the
+singular vector itself, which `vacuum.singular_vector` caches per mode basis
+and which is read here over the split table.
 `projection_context(l)` builds the rank's split table, the one `ModeBasis`
 that is also its PBW algebra, graded by the involution: `_odd_count` reads
 a factor as odd when its index is `g0_count` or more.
@@ -32,14 +34,7 @@ from math import lcm, prod
 from .envelope import PBWAlgebra, Poly, UEAElt
 from .liealg import b_type_generators, bracket, nu_pair, split_basis
 from .linalg import SpanSolver, rank_of, vec_add_into, vec_integral, vec_scale
-from .vacuum import (
-    Monomial,
-    State,
-    convert_state,
-    mode_action,
-    singular_vector,
-    standard_mode_basis,
-)
+from .vacuum import Monomial, State, mode_action, singular_vector
 
 
 def _binom_half(j: int) -> Fraction:
@@ -95,17 +90,10 @@ def project(l: int, s: State) -> UEAElt:
 
 
 @lru_cache(maxsize=None)
-def split_singular_vector(l: int) -> State:
-    """The degree-2 singular vector over the split mode basis, computed once
-    and shared: callers must not modify it."""
-    return convert_state(standard_mode_basis(l), singular_vector(l), projection_context(l))
-
-
-@lru_cache(maxsize=None)
 def zhu_singular_image(l: int) -> UEAElt:
     """Projection of the degree-2 singular vector, computed once and shared:
     callers must not modify it."""
-    return project(l, split_singular_vector(l))
+    return project(l, singular_vector(projection_context(l)))
 
 
 def zhu_image_closed_form(l: int) -> UEAElt:

@@ -197,12 +197,14 @@ def state_from_ops(basis: ModeBasis, ops: list[tuple[Matrix, int]]) -> State:
 
 
 @lru_cache(maxsize=None)
-def singular_vector(l: int) -> State:
+def singular_vector(basis: ModeBasis) -> State:
     """Degree-2 singular vector of the vacuum module at the special level,
-    over `standard_mode_basis(l)`, built once per rank and shared: callers
-    must not modify it."""
+    over the given mode basis, built once per basis from its operator
+    recipe and shared: callers must not modify it.  The recipe names
+    matrices, which each basis `expand`s, so the standard basis and the
+    split one read the same vector."""
+    l = basis.l
     n = 2 * l + 1
-    basis = standard_mode_basis(l)
     top = E(1, n)
     total: State = {}
     for i in range(1, 2 * l + 1):
@@ -266,16 +268,6 @@ def positive_mode_sweep(basis: ModeBasis, s: State) -> bool:
     rest: 6l of the 2 * dim operators on the singular vector.  The basis
     must consist of weight vectors."""
     return _annihilated(basis, s, [({idx: 1}, m) for idx, m in sweep_operators(basis, s)])
-
-
-def convert_state(basis: ModeBasis, s: State, target: ModeBasis) -> State:
-    """Re-express a state over another basis of the same finite algebra, one
-    monomial at a time."""
-    out: State = {}
-    for mono, c in s.items():
-        ops = [(basis.elems[idx], -depth) for idx, depth in mono]
-        vec_add_into(out, state_from_ops(target, ops), c)
-    return out
 
 
 def state_string(basis: ModeBasis, s: State) -> str:

@@ -1,11 +1,13 @@
-"""Oracles for the raising sweep and the involution, and perturbed singular
-vectors to feed them.
+"""Oracles for the raising sweep, the involution and the change of mode
+basis, and perturbed singular vectors to feed them.
 
 `full_positive_mode_sweep` acts with every basis operator at modes 1 and 2,
 2 * dim of them, with no grading argument to skip any; the package's sweep
 must reach the same verdict on every state.  `nu_state` applies the
 involution to a state factor by factor, over any mode basis; the package
-reads it instead as the parity of the split table.
+reads it instead as the parity of the split table.  `convert_state`
+re-expresses a state over another mode basis monomial by monomial; the
+package instead builds the singular vector over each basis from its recipe.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ def nu_state(basis: ModeBasis, s: State) -> State:
     return out
 
 
+def convert_state(basis: ModeBasis, s: State, target: ModeBasis) -> State:
+    """Re-express a state over another basis of the same finite algebra, one
+    monomial at a time."""
+    out: State = {}
+    for mono, c in s.items():
+        ops = [(basis.elems[idx], -depth) for idx, depth in mono]
+        vec_add_into(out, state_from_ops(target, ops), c)
+    return out
+
+
 def _seeded_state(rng: random.Random, basis: ModeBasis, depth: int) -> State:
     """The vacuum, x(-1)|0>, or one of x(-2)|0> and x(-1)y(-1)|0>, for
     basis elements x, y drawn by rng."""
@@ -78,7 +90,8 @@ def perturbed_singular_vectors(l: int, seed: int = 7, per_depth: int = 4) -> lis
     """The singular vector of rank l, its two fractional perturbations, and
     seeded perturbations by states of depth 0, 1 and 2, all over
     `standard_mode_basis(l)`."""
-    basis, v = standard_mode_basis(l), singular_vector(l)
+    basis = standard_mode_basis(l)
+    v = singular_vector(basis)
     eps = Fraction(1, 2 * l + 1)
     out = [v, plus((v, 1), (state_from_ops(basis, [(H(1), -2)]), eps))]
     mono = min(m for m in v if len(m) == 2)

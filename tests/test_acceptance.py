@@ -132,7 +132,8 @@ def test_criterion_03_singularity_with_redundant_sweep():
     t0 = time.perf_counter()
     ok = True
     for l in RANKS:
-        basis, v = standard_mode_basis(l), singular_vector(l)
+        basis = standard_mode_basis(l)
+        v = singular_vector(basis)
         ok = ok and check_singular(basis, v)
         ok = ok and positive_mode_sweep(basis, v)
     _criterion(
@@ -148,8 +149,9 @@ def test_criterion_03_singularity_with_redundant_sweep():
 def test_criterion_04_involution_fixes_the_vector():
     ok = True
     for l in RANKS:
-        v = singular_vector(l)
-        ok = ok and nu_state(standard_mode_basis(l), v) == v
+        basis = standard_mode_basis(l)
+        v = singular_vector(basis)
+        ok = ok and nu_state(basis, v) == v
     _criterion(
         4,
         ok,

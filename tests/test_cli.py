@@ -15,6 +15,7 @@ import subprocess
 import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -134,10 +135,10 @@ def test_full_verify_builds_each_stage_once():
     clear_per_rank_caches()
     code, _, _ = run_cli(["verify", "--l", "2"])
     assert code == 0
+    # the singular vector is built once over each of the two mode bases
+    assert vacuum.singular_vector.cache_info().misses == 2
     for stage in (
-        vacuum.singular_vector,
         twzhu.projection_context,
-        twzhu.split_singular_vector,
         twzhu.zhu_singular_image,
         twzhu.compute_v1,
         twzhu.lowered_polynomials,
@@ -151,19 +152,25 @@ def test_checks_and_dumps_leave_the_shared_stages_unchanged():
     # a cached stage is shared, not copied, so a caller that modified it
     # would change what every later caller reads.  The mode bases are left
     # out: a basis compares by identity, not by value, and the split one, the
-    # PBW algebra, fills its table of adjoint images as `ad` reads it.
+    # PBW algebra, fills its table of adjoint images as `ad` reads it.  The
+    # singular vector is read over each basis.
     clear_per_rank_caches()
     l = 3
-    stages = [
-        stage for stage in PER_RANK_CACHES
-        if stage not in (vacuum.standard_mode_basis, twzhu.projection_context)
-    ]
-    before = [copy.deepcopy(stage(l)) for stage in stages]
+    bases = (vacuum.standard_mode_basis, twzhu.projection_context)
+    stages = {
+        stage.__name__: partial(stage, l) for stage in PER_RANK_CACHES
+        if stage not in (*bases, vacuum.singular_vector)
+    }
+    for basis in bases:
+        stages[f"singular_vector over {basis.__name__}"] = partial(
+            vacuum.singular_vector, basis(l)
+        )
+    before = {name: copy.deepcopy(stage()) for name, stage in stages.items()}
     assert run_checks(l).overall == "pass"
     for which in checks.DUMP_OBJECTS:
         dump_object(l, which)
-    for stage, copied in zip(stages, before):
-        assert stage(l) == copied, stage.__name__
+    for name, stage in stages.items():
+        assert stage() == before[name], name
 
 
 def test_dependency_failure_skips_downstream(monkeypatch):

@@ -34,9 +34,10 @@ def assert_exact(values, stage: str) -> None:
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_pipeline_coefficients_are_ints_or_fractions(l):
-    v = singular_vector(l)
+    standard = standard_mode_basis(l)
+    v = singular_vector(standard)
     assert_exact(v.values(), "singular vector")
-    assert_exact(nu_state(standard_mode_basis(l), v).values(), "nu image")
+    assert_exact(nu_state(standard, v).values(), "nu image")
     split = projection_context(l)
     dim = len(split.elems)
     # the rescaled split basis has integral structure constants and Gram

@@ -1,9 +1,9 @@
 """Mutation gate: each seeded defect must turn `run_checks` red.
 
 A check suite that stays green under a wrong level, a dropped central term,
-a sign flip in a closed form, weights read with the wrong sign, weights
-carried wrongly along the r0 closure, a coroot span one short or a
-sign-flipped involution shows nothing.
+a wrong coefficient in the singular vector's recipe, a sign flip in a closed
+form, weights read with the wrong sign, weights carried wrongly along the r0
+closure, a coroot span one short or a sign-flipped involution shows nothing.
 Each defect is applied by monkeypatch, and the per-rank caches are cleared
 before and after every case, so no stage computed under a defect outlives
 it.
@@ -76,6 +76,23 @@ def no_central_term(monkeypatch):
     monkeypatch.setattr(vacuum.ModeBasis, "gram", lambda self, s, t: Fraction(0))
 
 
+def shifted_top_coefficient(monkeypatch):
+    """The E[1,n](-2) term of the singular vector's recipe takes -(2l+1)/2
+    for -(2l-1)/2, over both mode bases, which read the one recipe.  Only
+    `singular` fails, as the checks that read the vector depend on it and
+    skip; alone, `nu-fixed` fails too, while `zhu-image` stays green, since
+    E[1,n] is purely odd and the term projects to 0."""
+    mutant = source_mutant(
+        "singular_vector",
+        "Fraction(-(2 * l - 1), 2)",
+        "Fraction(-(2 * l + 1), 2)",
+        module=vacuum,
+    )
+    # the checks and the projection call it through their own imports
+    for module in (checks, twzhu):
+        monkeypatch.setattr(module, "singular_vector", mutant)
+
+
 def flipped_v1_sign(monkeypatch):
     """One coefficient of the closed form of v1 changes sign."""
     closed_form = twzhu.v1_closed_form
@@ -125,6 +142,7 @@ def short_coroot_span(monkeypatch):
 DEFECTS = (
     (wrong_level, "singular", (1, 2, 3)),
     (no_central_term, "singular", (1, 2, 3)),
+    (shifted_top_coefficient, "singular", (1, 2, 3)),
     (flipped_v1_sign, "v1-closed-form", (1, 2, 3)),
     (reversed_entry_weights, "singular", (1, 2, 3)),
     (parent_weight_carried, "r0-dim", (2, 3)),
@@ -157,6 +175,15 @@ def test_seeded_defect_turns_run_checks_red(
     failed = [c.id for c in report.checks if c.status == "fail"]
     assert report.overall == "fail"
     assert failed == [killer]
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_recipe_defect_is_seen_over_the_split_table(monkeypatch, cold_caches, l):
+    """With `singular` deselected, the vector built over the split table
+    fails `nu-fixed` on its own under the shifted coefficient."""
+    shifted_top_coefficient(monkeypatch)
+    report = run_checks(l, ["nu-fixed", "zhu-image"])
+    assert [c.id for c in report.checks if c.status == "fail"] == ["nu-fixed"]
 
 
 def test_flipped_nu_sign_turns_run_checks_red(monkeypatch, cold_caches):

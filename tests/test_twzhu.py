@@ -34,7 +34,6 @@ from a2l2.twzhu import (
     zhu_singular_image,
 )
 from a2l2.vacuum import (
-    convert_state,
     mode_action,
     singular_vector,
     standard_mode_basis,
@@ -42,6 +41,7 @@ from a2l2.vacuum import (
 )
 
 from helpers_spin import g0_basis, spin_hw_coefficient, split_pm, verify_spin_homomorphism
+from helpers_sweep import convert_state
 from helpers_sym import sym_ad, sym_from_uea, uea_from_sym
 from test_liealg import sample_sparse
 from test_vacuum import zero_mode_orbit
@@ -106,7 +106,7 @@ def test_project_intertwines_zero_modes():
     for l in (1, 2):
         alg = projection_context(l)
         basis = standard_mode_basis(l)
-        orbit = zero_mode_orbit(singular_vector(l), l)
+        orbit = zero_mode_orbit(singular_vector(basis), l)
         sample = orbit[:: max(1, len(orbit) // 4)]
         gens = g0_basis(l)[:: max(1, len(g0_basis(l)) // 5)]
         for w in sample:
@@ -121,7 +121,7 @@ def test_project_odd_shortcut_agrees(monkeypatch):
     states = []
     for l in (1, 2):
         basis = projection_context(l)
-        states.append((l, convert_state(standard_mode_basis(l), singular_vector(l), basis)))
+        states.append((l, singular_vector(basis)))
         for _ in range(10):
             ops = []
             for _ in range(rng.randint(1, 2)):

@@ -25,13 +25,12 @@ from a2l2.liealg import (
     split_basis,
 )
 from a2l2.linalg import Coeff, SpanSolver, vec_add_into, vec_add_term
-from a2l2.twzhu import project, projection_context, split_singular_vector
+from a2l2.twzhu import project, projection_context
 from a2l2.vacuum import (
     DEPTH_CAP,
     ModeBasis,
     State,
     check_singular,
-    convert_state,
     mode_action,
     positive_mode_sweep,
     singular_vector,
@@ -43,7 +42,13 @@ from a2l2.vacuum import (
 from a2l2 import vacuum as vacuum_module
 from helpers_span import FractionSpan
 from helpers_spin import eigen_ratio, split_pm
-from helpers_sweep import full_positive_mode_sweep, nu_state, perturbed_singular_vectors, plus
+from helpers_sweep import (
+    convert_state,
+    full_positive_mode_sweep,
+    nu_state,
+    perturbed_singular_vectors,
+    plus,
+)
 
 
 def zero_mode_orbit(v: State, l: int) -> list[State]:
@@ -237,27 +242,34 @@ def test_nu_state_basics():
 def test_singular_vector_is_nu_fixed(monkeypatch):
     monkeypatch.setenv("A2L2_MAX_L", "6")
     for l in range(1, 7):
-        v = singular_vector(l)
-        assert nu_state(standard_mode_basis(l), v) == v
+        basis = standard_mode_basis(l)
+        v = singular_vector(basis)
+        assert nu_state(basis, v) == v
         assert run_checks(l, "nu-fixed").checks[0].details == {"fixed_by_twist": True}
 
 
 @pytest.mark.parametrize("l", (2, 3))
 def test_parity_rule_and_nu_oracle_reject_a_nu_odd_perturbation(monkeypatch, l):
-    # v + (x - nu(x))(-2)|0> for x = E[1,2], a term that nu negates
+    # v + (x - nu(x))(-2)|0> for x = E[1,2], a term that nu negates, built
+    # over each basis: the oracle reads the standard one, the check the split
     standard, split = standard_mode_basis(l), projection_context(l)
     odd = plus((E(1, 2), 1), (nu(E(1, 2), 2 * l + 1), -1))
-    w = plus((singular_vector(l), 1), (state_from_ops(standard, [(odd, -2)]), 1))
+
+    def perturbed(basis):
+        return plus((singular_vector(basis), 1), (state_from_ops(basis, [(odd, -2)]), 1))
+
+    w = perturbed(standard)
     assert nu_state(standard, w) != w
-    monkeypatch.setattr(checks, "split_singular_vector",
-                        lambda _: convert_state(standard, w, split))
+    built = singular_vector
+    monkeypatch.setattr(checks, "singular_vector",
+                        lambda basis: perturbed(split) if basis is split else built(basis))
     assert run_checks(l, "nu-fixed").checks[0].details == {"fixed_by_twist": False}
 
 
 # --------------------------------------------------------- singular vector
 
 def test_singular_vector_literal_rank1():
-    v = singular_vector(1)
+    v = singular_vector(standard_mode_basis(1))
     third = Fraction(1, 3)
     assert v == {
         ((0, 1), (3, 1)): third,
@@ -269,8 +281,8 @@ def test_singular_vector_literal_rank1():
 
 def test_singular_vector_annihilated():
     for l in (1, 2, 3):
-        v = singular_vector(l)
-        assert check_singular(standard_mode_basis(l), v)
+        basis = standard_mode_basis(l)
+        assert check_singular(basis, singular_vector(basis))
 
 
 def test_check_singular_rejects_non_singular():
@@ -281,15 +293,16 @@ def test_check_singular_rejects_non_singular():
 
 def test_positive_mode_sweep_on_singular_vectors():
     for l in (1, 2, 3):
-        v = singular_vector(l)
-        assert positive_mode_sweep(standard_mode_basis(l), v)
+        basis = standard_mode_basis(l)
+        assert positive_mode_sweep(basis, singular_vector(basis))
 
 
 def test_positive_mode_sweep_rejects_fractional_perturbations():
     # both checks scale their input to integers; a perturbation by 1/(2l+1),
     # a denominator the singular vector already has, must still show
     for l in (1, 2, 3):
-        basis, v = standard_mode_basis(l), singular_vector(l)
+        basis = standard_mode_basis(l)
+        v = singular_vector(basis)
         eps = Fraction(1, 2 * l + 1)
         extra = state_from_ops(basis, [(H(1), -2)])
         mono = min(m for m in v if len(m) == 2)
@@ -324,7 +337,8 @@ def test_operators_the_sweep_skips_act_as_zero(l):
 
 @pytest.mark.parametrize("l", (1, 2, 3, 6))
 def test_sweep_acts_with_6l_operators_on_the_singular_vector(monkeypatch, l):
-    basis, v = standard_mode_basis(l), singular_vector(l)  # built before the count starts
+    basis = standard_mode_basis(l)
+    v = singular_vector(basis)  # built before the count starts
     calls = []
     action = vacuum_module.mode_action
 
@@ -343,7 +357,7 @@ def test_no_basis_element_is_solved_for(monkeypatch, l):
     # solves for one.  Identity, not equality: [E12, E23] is a matrix equal
     # to E13 that the bracket does solve for.
     standard, split = standard_mode_basis(l), projection_context(l)
-    v, split_v = singular_vector(l), split_singular_vector(l)
+    v, split_v = singular_vector(standard), singular_vector(split)
     solved = []
     expand = ModeBasis.expand
 
@@ -362,7 +376,8 @@ def test_no_basis_element_is_solved_for(monkeypatch, l):
 def test_sweep_adds_only_integral_coefficients(monkeypatch, l):
     # both checks promise ints: the level enters each rewrite at most once,
     # times a coefficient already scaled by its denominator
-    basis, v = standard_mode_basis(l), singular_vector(l)
+    basis = standard_mode_basis(l)
+    v = singular_vector(basis)
     added = []
     add_term, add_into = vacuum_module.vec_add_term, vacuum_module.vec_add_into
 
@@ -512,8 +527,8 @@ def test_mode_bases_die_with_the_per_rank_caches():
 
 def test_singular_vector_weight_is_top_root():
     for l in (1, 2, 3):
-        v = singular_vector(l)
-        w = standard_mode_basis(l).weight_of([idx for idx, _ in mono] for mono in v)
+        basis = standard_mode_basis(l)
+        w = basis.weight_of([idx for idx, _ in mono] for mono in singular_vector(basis))
         expect = tuple(
             Fraction(1 if i in (1, 2 * l) else 0) for i in range(1, 2 * l + 1)
         )
@@ -543,11 +558,10 @@ def so_weight(basis: ModeBasis, s: State) -> tuple[Fraction, ...]:
 
 def test_zero_mode_orbit_dimensions_and_stability():
     for l, dim in ((1, 5), (2, 14), (3, 27)):
-        v = singular_vector(l)
-        orbit = zero_mode_orbit(v, l)
+        basis = standard_mode_basis(l)
+        orbit = zero_mode_orbit(singular_vector(basis), l)
         assert len(orbit) == dim == 2 * l * l + 3 * l
         zero_wt = tuple(Fraction(0) for _ in range(l))
-        basis = standard_mode_basis(l)
         zero_count = sum(1 for s in orbit if so_weight(basis, s) == zero_wt)
         assert zero_count == l
         for s in orbit:
@@ -558,12 +572,21 @@ def test_zero_mode_orbit_dimensions_and_stability():
 
 def test_convert_state_round_trip():
     for l in (1, 2):
-        v = singular_vector(l)
         standard, split = standard_mode_basis(l), projection_context(l)
+        v = singular_vector(standard)
         there = convert_state(standard, v, split)
         back = convert_state(split, there, standard)
         assert back == v
         assert there
+
+
+def test_singular_vector_over_the_split_table_is_the_converted_one():
+    # the recipe, built over the split table, gives the oracle's conversion
+    # of the vector built over the standard basis
+    for l in (1, 2, 3, 4):
+        standard, split = standard_mode_basis(l), projection_context(l)
+        converted = convert_state(standard, singular_vector(standard), split)
+        assert singular_vector(split) == converted
 
 
 def test_projection_context_is_the_one_holder_of_the_split_table():
@@ -638,8 +661,8 @@ def test_every_state_operation_keeps_monomials_canonical(l):
 
 
 def test_state_string_rank1():
-    v = singular_vector(1)
     basis = standard_mode_basis(1)
+    v = singular_vector(basis)
     assert state_string(basis, v) == (
         "1/3*H[1](-1)E[1,3](-1)|0> - 1/3*H[2](-1)E[1,3](-1)|0> "
         "+ E[1,2](-1)E[2,3](-1)|0> - 1/2*E[1,3](-2)|0>"
